@@ -30,11 +30,10 @@ def main():
     print(butterfly.render_ascii(bf))
 
     # Each butterfly vertex carries an equivariant height; the fiber over a
-    # black line X_j is then the character sum of t_U + height*h over the
-    # vertices in column j, across all blue lines U.
-    for j in range(1, len(d.blacks) + 1):
-        char = butterfly.fiber_character(t, j)
-        print(f"  char W_{j} = {char.render()}")
+    # black line X_j then has one weight t_U + height*h per vertex in
+    # column j, across all blue lines U, listed here as pairs (U, height).
+    for j, weights in butterfly.fiber_weights(t).items():
+        print(f"  weights of W_{j}: {sorted(weights.elements())}")
     print()
 
     # Assemble the matrices and run the full verification report:

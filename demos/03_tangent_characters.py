@@ -18,8 +18,8 @@ def main():
     d = brane.parse(DIAGRAM)
     print(f"dimension of the bow variety of {DIAGRAM}: {tangent.dimension(d)}\n")
 
-    for t in tie.enumerate_tie_diagrams(d):
-        tc = tangent.tangent_character(t)
+    for k, t in enumerate(tie.enumerate_tie_diagrams(d), start=1):
+        tc = tangent.tangent_character(t, f"D{k}")
         print(f"{tc.point}: {tc.char.render()}")
         split = tangent.chamber_split(tc, CHAMBER)
         print(f"  attracting: {split.plus.render()}")

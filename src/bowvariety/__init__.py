@@ -35,7 +35,7 @@ from .butterfly import (
     build_butterfly,
     column_bottoms,
     cover_counts,
-    fiber_character,
+    fiber_weights,
     verify_fixed_point,
 )
 from .envelope import (
@@ -93,7 +93,7 @@ __all__ = [
     "column_bottoms",
     "build_butterfly",
     "assemble_fixed_point",
-    "fiber_character",
+    "fiber_weights",
     "verify_fixed_point",
     "tangent_character",
     "dimension",

@@ -51,9 +51,6 @@ class Weight:
     def is_zero(self):
         return self.m == 0 and all(x == 0 for x in self.a)
 
-    def a_part_zero(self):
-        return all(x == 0 for x in self.a)
-
     def involution(self):
         """The symplectic pairing partner h - w."""
         return Weight(tuple(-x for x in self.a), 1 - self.m)
@@ -150,9 +147,6 @@ class Character:
                 del c.terms[w]
         return c
 
-    def copy(self):
-        return Character(self.nvars, dict(self.terms))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -175,27 +169,6 @@ class Character:
 
     def __sub__(self, other):
         return self._merge(other, -1)
-
-    def __mul__(self, other):
-        """Convolution: char(V (x) W) = char V * char W."""
-        out = {}
-        for w1, m1 in self.terms.items():
-            for w2, m2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + m1 * m2
-                if out[w] == 0:
-                    del out[w]
-        return Character(self.nvars, out)
-
-    def scale(self, k):
-        return Character(self.nvars, {w: k * m for w, m in self.terms.items()})
-
-    def dual(self):
-        return Character(self.nvars, {-w: m for w, m in self.terms.items()})
-
-    def shift(self, w):
-        """Multiply by the one-dimensional character of weight w."""
-        return Character(self.nvars, {wt + w: m for wt, m in self.terms.items()})
 
     def substitute(self, i, dm=1):
         out = {}
@@ -377,21 +350,6 @@ class Poly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda ec: _term_key(ec[0]), reverse=True)
-
-    def substitute(self, i, dm=1):
-        """Apply t_i -> t_i + dm*h, exactly."""
-        ti = Poly.variable(self.nvars, i) + Poly.variable(self.nvars, 0) * dm
-        out = Poly.zero(self.nvars)
-        for e, c in self.terms.items():
-            mono = Poly.const(self.nvars, c)
-            for k, exp in enumerate(e[:-1]):
-                if exp:
-                    base = ti if k == i - 1 else Poly.variable(self.nvars, k + 1)
-                    mono = mono * base**exp
-            if e[-1]:
-                mono = mono * Poly.variable(self.nvars, 0) ** e[-1]
-            out = out + mono
-        return out
 
     def _render_monomial(self, e):
         parts = []
@@ -690,10 +648,6 @@ class RationalFn:
             num = num * (1 / den.constant)
         self.num = num
         self.den = FactoredClass(num.nvars, 1, kept)
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
 
     @classmethod
     def const(cls, nvars, c):

@@ -10,10 +10,11 @@ these matrices must satisfy.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import algebra, brane, linalg, tie
+from . import brane, errors, linalg, tie
 
 EXTERNAL = "*"  # the external node of green arrows
 
@@ -21,11 +22,11 @@ EXTERNAL = "*"  # the external node of green arrows
 def _blue_index(d, U):
     """Normalize a blue-line argument ("U2" or 2) to a 1-based index."""
     if isinstance(U, str):
-        if not U.startswith("U"):
-            raise KeyError(f"{U!r} is not a blue line")
+        if not (U.startswith("U") and U[1:].isdigit()):
+            raise errors.UnknownLine(f"{U!r} is not a blue line")
         U = int(U[1:])
     if not 1 <= U <= d.n_blue:
-        raise KeyError(f"U{U} with N={d.n_blue}")
+        raise errors.UnknownLine(f"U{U} with N={d.n_blue}")
     return U
 
 
@@ -233,13 +234,6 @@ class FixedPointData:
     def dim(self, j):
         return len(self.bases[j])
 
-    def index_of(self, j, u, jj):
-        """Row index of the basis label (u, *, jj) inside W_{X_j}."""
-        for k, (bu, _bi, bjj) in enumerate(self.bases[j]):
-            if bu == u and bjj == jj:
-                return k
-        raise KeyError((j, u, jj))
-
     def to_json(self):
         def mat_json(m):
             return [[str(x) for x in row] for row in m.data]
@@ -356,19 +350,17 @@ def assemble_fixed_point(t):
     )
 
 
-def fiber_character(t, j):
-    """Torus character of the fiber W_{X_j}: each butterfly vertex of the
-    column over X_j contributes t_u + m*h where m is its equivariant
-    height."""
+def fiber_weights(t):
+    """Torus weights of every fiber W_{X_j}: ``{j: Counter of (u, m)}`` with
+    one entry t_u + m*h per butterfly vertex over X_j, m being its
+    equivariant height.  Builds each blue line's butterfly once."""
     d = t.base
-    nvars = d.n_blue
-    char = algebra.Character(nvars)
+    fibers = {j: Counter() for j in range(1, len(d.blacks) + 1)}
     for u in range(1, d.n_blue + 1):
         bf = build_butterfly(t, u)
-        for v in bf.column(j):
-            w = algebra.t(u, nvars).shift_h(bf.heights[v])
-            char = char + algebra.Character.from_weights(nvars, [w])
-    return char
+        for v, height in bf.heights.items():
+            fibers[v[0] + bf.J][(u, height)] += 1
+    return fibers
 
 
 # ---------------------------------------------------------------------------

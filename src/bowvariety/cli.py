@@ -28,58 +28,48 @@ def _build_parser():
     parser = _Parser(prog="bowvariety", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, **kwargs):
-        p = sub.add_parser(verb, **kwargs)
-        p.add_argument("--parallel", action="store_true", help="accepted for "
-                       "compatibility; execution is sequential and deterministic")
-        return p
-
-    p = add("parse", help="summarize a brane diagram")
+    p = sub.add_parser("parse", help="summarize a brane diagram")
     p.add_argument("dsl")
 
-    p = add("fixed-points", help="enumerate tie diagrams")
+    p = sub.add_parser("fixed-points", help="enumerate tie diagrams")
     p.add_argument("dsl")
     p.add_argument("--json", action="store_true")
     p.add_argument("--ascii", action="store_true")
 
-    p = add("butterfly", help="show one butterfly diagram")
+    p = sub.add_parser("butterfly", help="show one butterfly diagram")
     p.add_argument("dsl")
     p.add_argument("--point", required=True)
     p.add_argument("--blue", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("matrices", help="assembled fixed-point matrices")
+    p = sub.add_parser("matrices", help="assembled fixed-point matrices")
     p.add_argument("dsl")
     p.add_argument("--point", required=True)
     p.add_argument("--verify", action="store_true")
 
-    p = add("tangent", help="tangent characters, optionally chamber-split")
+    p = sub.add_parser("tangent", help="tangent characters, optionally chamber-split")
     p.add_argument("dsl")
     p.add_argument("--point")
     p.add_argument("--chamber")
 
-    p = add("hw", help="apply one Hanany-Witten move")
+    p = sub.add_parser("hw", help="apply one Hanany-Witten move")
     p.add_argument("dsl")
     p.add_argument("--at", required=True, type=int)
 
-    p = add("separate", help="separate a diagram by Hanany-Witten moves")
+    p = sub.add_parser("separate", help="separate a diagram by Hanany-Witten moves")
     p.add_argument("dsl")
 
-    p = add("stab", help="stable-envelope recursion over attraction data")
+    p = sub.add_parser("stab", help="stable-envelope recursion over attraction data")
     p.add_argument("--data", required=True)
     p.add_argument("--check", action="store_true")
 
-    p = add("pair", help="orthogonality and polynomiality for paired data")
+    p = sub.add_parser("pair", help="orthogonality and polynomiality for paired data")
     p.add_argument("--data", required=True)
     p.add_argument("--opposite", required=True)
 
-    p = add("verify", help="full verification report for every fixed point")
+    p = sub.add_parser("verify", help="full verification report for every fixed point")
     p.add_argument("dsl")
     return parser
-
-
-def _diagram(dsl):
-    return brane.parse(dsl)
 
 
 def _point(d, point_id):
@@ -91,7 +81,7 @@ def _point(d, point_id):
 
 
 def _cmd_parse(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     out.write(f"diagram: {brane.render(d)}\n")
     out.write(f"black lines: {len(d.blacks)}, labels: {list(d.blacks)}\n")
     out.write(f"M (red lines): {d.n_red}\n")
@@ -102,7 +92,7 @@ def _cmd_parse(args, out):
 
 
 def _cmd_fixed_points(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     points = tie.enumerate_tie_diagrams(d)
     if args.json:
         out.write(json.dumps(
@@ -119,7 +109,7 @@ def _cmd_fixed_points(args, out):
 
 
 def _cmd_butterfly(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     t = _point(d, args.point)
     bf = butterfly.build_butterfly(t, args.blue)
     if args.json:
@@ -130,7 +120,7 @@ def _cmd_butterfly(args, out):
 
 
 def _cmd_matrices(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     t = _point(d, args.point)
     f = butterfly.assemble_fixed_point(t)
     out.write(json.dumps(f.to_json(), indent=2) + "\n")
@@ -143,11 +133,14 @@ def _cmd_matrices(args, out):
 
 
 def _cmd_tangent(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     points = tie.enumerate_tie_diagrams(d)
     chamber = None
     if args.chamber:
-        chamber = tuple(int(x) for x in args.chamber.split(","))
+        try:
+            chamber = tuple(int(x) for x in args.chamber.split(","))
+        except ValueError:
+            raise errors.BadChamber(f"non-integer --chamber {args.chamber!r}") from None
     for k, t in enumerate(points, start=1):
         pid = f"D{k}"
         if args.point and pid != args.point:
@@ -162,13 +155,13 @@ def _cmd_tangent(args, out):
 
 
 def _cmd_hw(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     out.write(brane.render(brane.hw_transition(d, args.at)) + "\n")
     return 0
 
 
 def _cmd_separate(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     sep, moves = brane.separate(d)
     out.write(brane.render(sep) + "\n")
     out.write(f"moves: {moves}\n")
@@ -222,7 +215,7 @@ def _cmd_pair(args, out):
 
 
 def _cmd_verify(args, out):
-    d = _diagram(args.dsl)
+    d = brane.parse(args.dsl)
     points = tie.enumerate_tie_diagrams(d)
     ok = True
     for k, t in enumerate(points, start=1):

@@ -32,6 +32,12 @@ class BoundaryNotZero(BowError):
     """A brane diagram whose first or last black label is nonzero."""
 
 
+class UnknownLine(BowError, KeyError):
+    """A blue-line name or index that does not exist in the diagram."""
+
+    __str__ = BowError.__str__  # KeyError's __str__ would quote the message
+
+
 class NotAdjacentOppositePair(BowError):
     """Hanany-Witten move requested at a same-colored or out-of-range spot."""
 
@@ -70,6 +76,10 @@ class InconsistentDimension(BowError):
 
 class DegenerateWeight(BowError):
     """Chamber splitting hit a weight with zero A-part."""
+
+
+class BadChamber(BowError):
+    """A chamber that is not a permutation of 1..N."""
 
 
 class SchemaError(BowError):

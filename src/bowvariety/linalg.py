@@ -36,9 +36,6 @@ class Mat:
             m.data[i][i] = Fraction(1)
         return m
 
-    def copy(self):
-        return Mat(self.rows, self.cols, self.data)
-
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 
@@ -108,13 +105,6 @@ class Mat:
 
     def shape(self):
         return (self.rows, self.cols)
-
-    def transpose(self):
-        out = Mat(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j][i] = self.data[i][j]
-        return out
 
     def apply(self, v):
         """Matrix-vector product."""

@@ -9,6 +9,7 @@ subtracted at weights 0 and h.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import algebra, butterfly, errors, tie
@@ -41,12 +42,30 @@ class ChamberSplit:
     minus: algebra.Character
 
 
-def _one_dim(nvars, w):
-    return algebra.Character(nvars, {w: 1})
+def _hom(acc, src, tgt, m, sign):
+    """Add ``sign`` times the character of Hom(src, tgt), shifted by m*h, to
+    ``acc``.  Fibers are Counters of (u, m) meaning t_u + m*h; the result is
+    keyed by (i, j, m) meaning t_i - t_j + m*h, with every weight of zero
+    A-part (i == j) filed under (0, 0, m)."""
+    for (a, ma), na in src.items():
+        for (b, mb), nb in tgt.items():
+            key = (b, a, mb - ma + m) if a != b else (0, 0, mb - ma + m)
+            acc[key] += sign * na * nb
 
 
-def tangent_character(t, point_id=None):
-    """Tangent character at the fixed point of a tie diagram.
+def _character(nvars, acc):
+    """The character whose weight t_i - t_j + m*h has multiplicity acc[i, j, m]."""
+    terms = {}
+    for (i, j, m), mult in acc.items():
+        a = [0] * nvars
+        if i != j:
+            a[i - 1], a[j - 1] = 1, -1
+        terms[algebra.Weight(tuple(a), m)] = mult
+    return algebra.Character(nvars, terms)
+
+
+def tangent_character(t, point_id):
+    """Tangent character at the fixed point ``point_id`` of a tie diagram.
 
     Builds the virtual character
 
@@ -57,44 +76,41 @@ def tangent_character(t, point_id=None):
       + sum over red V of   [ h * W_{V+}^v * W_{V-} + W_{V-}^v * W_{V+} ]
       - (1 + h) * sum over black X of  W_X * W_X^v
 
-    from the fiber characters, then checks effectiveness, the
+    from the fiber weights, then checks effectiveness, the
     t_i - t_j + m*h weight form, and stability under w -> h - w.
     """
     d = t.base
     nvars = d.n_blue
-    n = len(d.blacks)
-    fibers = {j: butterfly.fiber_character(t, j) for j in range(1, n + 1)}
-    hw = algebra.h(nvars)
-    total = algebra.Character(nvars)
+    fibers = butterfly.fiber_weights(t)
+    acc = Counter()
 
     for u, p in enumerate(d.blue_positions(), start=1):
         wm, wp = fibers[p], fibers[p + 1]
-        tu = algebra.t(u, nvars)
-        total = total + wp.dual() * wm
-        total = total + (wm * wm.dual() + wp * wp.dual()).shift(hw)
-        total = total + wm.shift(-tu)
-        total = total + wp.dual().shift(tu + hw)
+        tu = {(u, 0): 1}
+        _hom(acc, wp, wm, 0, 1)
+        _hom(acc, wm, wm, 1, 1)
+        _hom(acc, wp, wp, 1, 1)
+        _hom(acc, tu, wm, 0, 1)
+        _hom(acc, wp, tu, 1, 1)
         # the triangle relation B^-A - AB^+ + ab lives in Hom(W_{U+}, W_{U-})
-        total = total - (wp.dual() * wm).shift(hw)
+        _hom(acc, wp, wm, 1, -1)
     for q in d.red_positions():
         wm, wp = fibers[q], fibers[q + 1]
-        total = total + (wp.dual() * wm).shift(hw)
-        total = total + wm.dual() * wp
-    gauge = algebra.Character(nvars)
-    for j in range(1, n + 1):
-        gauge = gauge + fibers[j] * fibers[j].dual()
-    total = total - gauge - gauge.shift(hw)
+        _hom(acc, wp, wm, 1, 1)
+        _hom(acc, wm, wp, 0, 1)
+    for w in fibers.values():
+        _hom(acc, w, w, 0, -1)
+        _hom(acc, w, w, 1, -1)
+    acc = {key: mult for key, mult in acc.items() if mult}
 
-    if not total.is_effective():
-        raise errors.NonEffective(total.render())
-    for w in total.terms:
-        if w.difference_indices() is None:
-            raise errors.BadWeightForm(w.render())
-    if total.involution_image() != total:
-        raise errors.BrokenSymplecticInvolution(total.render())
-    if point_id is None:
-        point_id = tie.canonical_id(d, t)
-    return TangentCharacter(point_id, total)
+    if any(mult < 0 for mult in acc.values()):
+        raise errors.NonEffective(_character(nvars, acc).render())
+    for i, j, m in acc:
+        if i == j:
+            raise errors.BadWeightForm(_character(nvars, {(i, j, m): 1}).render())
+    if any(acc.get((j, i, 1 - m)) != mult for (i, j, m), mult in acc.items()):
+        raise errors.BrokenSymplecticInvolution(_character(nvars, acc).render())
+    return TangentCharacter(point_id, _character(nvars, acc))
 
 
 def dimension(d):
@@ -121,8 +137,10 @@ def chamber_split(tc, pi):
     i.e. iff i appears before j in pi.
     """
     pi = tuple(pi)
-    rank = {i: k for k, i in enumerate(pi)}
     nvars = tc.char.nvars
+    if sorted(pi) != list(range(1, nvars + 1)):
+        raise errors.BadChamber(f"chamber {pi} is not a permutation of 1..{nvars}")
+    rank = {i: k for k, i in enumerate(pi)}
     plus = algebra.Character(nvars)
     minus = algebra.Character(nvars)
     for w, mult in tc.char.terms.items():

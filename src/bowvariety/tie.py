@@ -152,15 +152,6 @@ def enumerate_tie_diagrams(d):
     return found
 
 
-def canonical_id(d, t):
-    """The "D<k>" identifier of a tie diagram in canonical enumeration order."""
-    all_ties = enumerate_tie_diagrams(d)
-    for k, cand in enumerate(all_ties, start=1):
-        if cand.ties == t.ties:
-            return f"D{k}"
-    raise KeyError("tie diagram is not a fixed point of this brane diagram")
-
-
 def hw_match(t, k):
     """The fixed-point matching psi for the HW move at colored positions
     (k, k+1): transform the base diagram and toggle the tie between the two

@@ -73,23 +73,8 @@ def test_character_multiset_semantics():
     assert c.terms[t(1, 2)] == 2
     assert sorted(c.weights(), key=Weight.sort_key) == c.weights()
     assert c.weights() == [t(2, 2), t(1, 2), t(1, 2)]
-
-
-def test_character_convolution_is_tensor_product():
-    a = Character.from_weights(2, [t(1, 2), t(2, 2)])
-    b = Character.from_weights(2, [h(2)])
-    prod = a * b
-    assert prod.weights() == sorted(
-        [t(1, 2) + h(2), t(2, 2) + h(2)], key=Weight.sort_key
-    )
-
-
-def test_character_dual_shift_cancellation():
-    a = Character.from_weights(2, [t(1, 2), t(2, 2).shift_h(1)])
-    assert (a - a).total() == 0
-    assert not (a - a)
-    assert a.dual().dual() == a
-    assert a.shift(h(2)).shift(-h(2)) == a
+    assert (c - c).total() == 0
+    assert not (c - c)
 
 
 def test_character_effectiveness():

@@ -1,10 +1,11 @@
 """Butterfly diagrams, fixed-point matrices, and the verification checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bowvariety import algebra, brane, butterfly, linalg, tie
+from bowvariety import brane, butterfly, linalg, tie
 from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1
 
 BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
@@ -104,22 +105,20 @@ def test_assemble_tstar_p1_matrices():
 def test_fiber_character_point_diagram():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
-    assert butterfly.fiber_character(t, 1).total() == 0
-    char = butterfly.fiber_character(t, 2)
-    assert char.weights() == [algebra.t(1, 1).shift_h(1)]
+    # one vertex over X2: the weight t1 + h
+    fibers = butterfly.fiber_weights(t)
+    assert fibers == {1: Counter(), 2: Counter({(1, 1): 1}), 3: Counter()}
 
 
 def test_fiber_characters_match_labels():
-    # the fiber character just reads off the (u, height) labels of the basis
+    # the fiber weights are the (u, height) labels of the assembled basis
     for t in tie.enumerate_tie_diagrams(brane.parse(EXAMPLE_3BLUE)):
+        fibers = butterfly.fiber_weights(t)
         f = butterfly.assemble_fixed_point(t)
+        assert set(fibers) == set(f.bases)
         for j, labels in f.bases.items():
-            char = butterfly.fiber_character(t, j)
-            expect = algebra.Character.from_weights(
-                3, [algebra.t(u, 3).shift_h(jj) for u, _i, jj in labels]
-            )
-            assert char == expect
-            assert char.total() == t.base.label(j)
+            assert fibers[j] == Counter((u, jj) for u, _i, jj in labels)
+            assert sum(fibers[j].values()) == t.base.label(j)
 
 
 def test_verify_small_diagrams_all_pass():

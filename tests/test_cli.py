@@ -177,9 +177,17 @@ def test_missing_data_file():
     assert code == 2
 
 
-def test_parallel_flag_is_accepted():
-    code, _ = run_cli("parse", TSTAR_P1, "--parallel")
-    assert code == 0
+def test_bad_options_exit_2_without_traceback():
+    for argv in (
+        ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
+        ("tangent", "0/1\\1\\0", "--chamber", "1,x"),
+        ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"),
+    ):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2, argv
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_unknown_verb_is_usage_error():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bowvariety import algebra, brane, errors, tangent, tie
+from bowvariety import algebra, brane, butterfly, errors, tangent, tie
 from bowvariety.algebra import h, t
 from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1, admissible_diagrams
 
@@ -17,10 +17,11 @@ def weight_set(char):
 
 
 def by_tie_sets(diagram):
+    """Tangent characters of every fixed point, keyed by their tie sets."""
     d = brane.parse(diagram)
     return {
-        frozenset(map(tuple, t_.named_ties())): t_
-        for t_ in tie.enumerate_tie_diagrams(d)
+        frozenset(map(tuple, t_.named_ties())): tangent.tangent_character(t_, f"D{k}")
+        for k, t_ in enumerate(tie.enumerate_tie_diagrams(d), start=1)
     }
 
 
@@ -28,11 +29,11 @@ def test_tstar_p1_tangents():
     points = by_tie_sets(TSTAR_P1)
     first = points[frozenset({("V2", "U1"), ("U1", "V1")})]
     second = points[frozenset({("V2", "U2"), ("U2", "V1")})]
-    assert weight_set(tangent.tangent_character(first).char) == {
+    assert weight_set(first.char) == {
         w(1, 2, n=2),
         w(2, 1, 1, n=2),
     }
-    assert weight_set(tangent.tangent_character(second).char) == {
+    assert weight_set(second.char) == {
         w(2, 1, n=2),
         w(1, 2, 1, n=2),
     }
@@ -41,7 +42,7 @@ def test_tstar_p1_tangents():
 def test_point_diagram_is_zero_dimensional():
     d = brane.parse(POINT_DIAGRAM)
     (t_,) = tie.enumerate_tie_diagrams(d)
-    assert not tangent.tangent_character(t_).char
+    assert not tangent.tangent_character(t_, "D1").char
     assert tangent.dimension(d) == 0
 
 
@@ -85,8 +86,8 @@ def test_three_blue_tangent_table():
     }
     points = by_tie_sets(EXAMPLE_3BLUE)
     assert set(points) == set(expected)
-    for key, t_ in points.items():
-        got = weight_set(tangent.tangent_character(t_).char)
+    for key, tc in points.items():
+        got = weight_set(tc.char)
         assert got == expected[key], key
 
 
@@ -112,6 +113,55 @@ def test_tangent_invariants_on_sweep():
         assert len(dims) == 1
 
 
+def test_tangent_character_builds_each_butterfly_once(monkeypatch):
+    built = []
+    build = butterfly.build_butterfly
+
+    def counting_build(t_, u):
+        built.append(u)
+        return build(t_, u)
+
+    monkeypatch.setattr(butterfly, "build_butterfly", counting_build)
+    d = brane.parse(EXAMPLE_3BLUE)
+    for k, t_ in enumerate(tie.enumerate_tie_diagrams(d), start=1):
+        built.clear()
+        tangent.tangent_character(t_, f"D{k}")
+        assert sorted(built) == [1, 2, 3]
+
+
+def test_corrupted_fibers_are_rejected(monkeypatch):
+    # at the first T*P^1 point each of X2, X3, X4 carries one vertex (U1, 0);
+    # dropping it over X3 leaves a negative multiplicity, over X4 a weight h
+    t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
+    fiber_weights = butterfly.fiber_weights
+    for j, error in ((3, errors.NonEffective), (4, errors.BadWeightForm)):
+
+        def corrupted(t_, j=j):
+            fibers = fiber_weights(t_)
+            fibers[j][(1, 0)] -= 1
+            return fibers
+
+        monkeypatch.setattr(butterfly, "fiber_weights", corrupted)
+        with pytest.raises(error):
+            tangent.tangent_character(t_, "D1")
+
+
+def test_asymmetric_character_is_rejected(monkeypatch):
+    # A fiber corruption that breaks the symmetry appears always to leave a
+    # weight of zero A-part, which the weight-form check rejects first, so
+    # add stray weights t1 - t2 to the sum instead.
+    t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
+    hom = tangent._hom
+
+    def hom_with_stray_weight(acc, *args):
+        hom(acc, *args)
+        acc[1, 2, 0] += 1
+
+    monkeypatch.setattr(tangent, "_hom", hom_with_stray_weight)
+    with pytest.raises(errors.BrokenSymplecticInvolution):
+        tangent.tangent_character(t_, "D1")
+
+
 def test_chamber_split_partitions():
     d = brane.parse(EXAMPLE_3BLUE)
     for k, t_ in enumerate(tie.enumerate_tie_diagrams(d), start=1):
@@ -126,8 +176,7 @@ def test_chamber_split_partitions():
 
 def test_chamber_split_golden():
     points = by_tie_sets(TSTAR_P1)
-    t_ = points[frozenset({("V2", "U1"), ("U1", "V1")})]
-    tc = tangent.tangent_character(t_)
+    tc = points[frozenset({("V2", "U1"), ("U1", "V1")})]
     split = tangent.chamber_split(tc, (1, 2))
     assert weight_set(split.plus) == {w(1, 2, n=2)}
     assert weight_set(split.minus) == {w(2, 1, 1, n=2)}

@@ -76,15 +76,6 @@ def test_from_names_round_trip():
         tie.from_names(d, [["V1", "U1"]])  # V1 is right of U1
 
 
-def test_canonical_id():
-    d = brane.parse(EXAMPLE_3BLUE)
-    points = tie.enumerate_tie_diagrams(d)
-    for k, t in enumerate(points, start=1):
-        assert tie.canonical_id(d, t) == f"D{k}"
-    with pytest.raises(KeyError):
-        tie.canonical_id(d, tie.TieDiagram(d, frozenset({(1, 2)})))
-
-
 def test_cover_count():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
