@@ -474,24 +474,24 @@ def _check_s1_s2(f):
     return result
 
 
-def _check_stability(f, cutoff):
+def _check_stability(f):
     """Search for a destabilizing graded subspace.
 
     Fibers are multiplicity-free torus representations, so any destabilizing
     subspace may be taken to be spanned by basis labels.  A candidate T must
     contain Im a_U, be closed under every arrow (operator invariance), and
     every A_U must induce an isomorphism on the quotients; the point is
-    stable iff no proper such T exists.
+    stable iff no proper such T exists.  The search is exact: it visits every
+    arrow-closed set containing the closure of the green arrows exactly once.
     """
     result = CheckResult("stability", True)
-    d = f.base
     # global vertex ids (u, absolute column, height) and the arrow digraph
-    succ = {}
+    succ, pred = {}, {}
     greens = []
     for u, bf in f.butterflies.items():
-        for j in range(1, len(d.blacks) + 1):
-            for v in bf.column(j):
-                succ[(u, j, bf.heights[v])] = []
+        for (i, _jj), height in bf.heights.items():
+            succ[(u, i + bf.J, height)] = []
+            pred[(u, i + bf.J, height)] = []
         for color, src, tgt in bf.arrows:
             if color == "green":
                 if src == EXTERNAL:
@@ -500,42 +500,29 @@ def _check_stability(f, cutoff):
             s = (u, src[0] + bf.J, bf.heights[src])
             t_ = (u, tgt[0] + bf.J, bf.heights[tgt])
             succ[s].append(t_)
+            pred[t_].append(s)
 
-    def closure(seed):
+    def closure(seed, edges):
         out = set(seed)
         stack = list(seed)
         while stack:
-            for w in succ[stack.pop()]:
+            for w in edges[stack.pop()]:
                 if w not in out:
                     out.add(w)
                     stack.append(w)
         return out
 
-    mandatory = closure(greens)
-    free = sorted(v for v in succ if v not in mandatory)
-    if cutoff is not None and len(free) > cutoff:
-        result.skipped = True
-        result.messages.append(
-            f"skipped: {len(free)} free basis lines exceed cutoff {cutoff}"
-        )
-        return result
-
-    blue_pos = d.blue_positions()
+    blue_pos = f.base.blue_positions()
 
     def quotients_iso(chosen):
-        members = {j: set() for j in f.bases}
-        for u, j, jj in chosen:
-            members[j].add((u, jj))
         for u, p in enumerate(blue_pos, start=1):
             comp_minus = [
-                k
-                for k, (bu, _i, jj) in enumerate(f.bases[p])
-                if (bu, jj) not in members[p]
+                k for k, (bu, _i, h) in enumerate(f.bases[p])
+                if (bu, p, h) not in chosen
             ]
             comp_plus = [
-                k
-                for k, (bu, _i, jj) in enumerate(f.bases[p + 1])
-                if (bu, jj) not in members[p + 1]
+                k for k, (bu, _i, h) in enumerate(f.bases[p + 1])
+                if (bu, p + 1, h) not in chosen
             ]
             if len(comp_minus) != len(comp_plus):
                 return False
@@ -545,18 +532,23 @@ def _check_stability(f, cutoff):
                 return False
         return True
 
-    total = len(succ)
-    for mask in range(1 << len(free)):
-        chosen = set(mandatory)
-        chosen.update(v for k, v in enumerate(free) if mask >> k & 1)
-        if len(chosen) == total:
-            continue
-        if any(w not in chosen for v in chosen for w in succ[v]):
-            continue
-        if quotients_iso(chosen):
+    # Branch on the first undecided vertex v: either T contains v and so
+    # everything v reaches, or T misses v and so every ancestor of v.  The
+    # included set stays closed under succ and the excluded one under pred,
+    # so neither branch can contradict the other side: every leaf is a
+    # distinct arrow-closed set.
+    vertices = sorted(succ)
+    stack = [(closure(greens, succ), set())]
+    while stack:
+        inside, outside = stack.pop()
+        v = next((w for w in vertices if w not in inside and w not in outside), None)
+        if v is not None:
+            stack.append((inside, outside | closure([v], pred)))
+            stack.append((inside | closure([v], succ), outside))
+        elif len(inside) < len(vertices) and quotients_iso(inside):
             result.ok = False
             result.messages.append(
-                f"destabilizing subspace of dimension {len(chosen)} found"
+                f"destabilizing subspace of dimension {len(inside)} found"
             )
             return result
     return result
@@ -666,20 +658,22 @@ def _check_grading(f):
     return result
 
 
-def verify_fixed_point(f, stability_cutoff=18):
+def verify_fixed_point(f):
     """Run all six fixed-point checks and return a report.
 
     Checks: (1) moment map and triangle relation, (2) the kernel/cokernel
     conditions S1 and S2 per blue line, (3) absence of destabilizing graded
-    subspaces, (4) injectivity/surjectivity of the junction maps, (5)
-    nilpotency exponents on separated diagrams, (6) torus grading of every
-    operator.  Failures are report entries, never exceptions.
+    subspaces, searched exactly over every arrow-closed candidate whatever
+    the size of the point, (4) injectivity/surjectivity of the junction
+    maps, (5) nilpotency exponents on separated diagrams, (6) torus grading
+    of every operator.  Only nilpotency can be skipped (on diagrams that are
+    not separated).  Failures are report entries, never exceptions.
     """
     return VerificationReport(
         checks=[
             _check_moment_map(f),
             _check_s1_s2(f),
-            _check_stability(f, stability_cutoff),
+            _check_stability(f),
             _check_junctions(f),
             _check_nilpotency(f),
             _check_grading(f),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import brane, butterfly, envelope, errors, tangent, tie
 
@@ -218,6 +219,7 @@ def _cmd_verify(args, out):
     d = brane.parse(args.dsl)
     points = tie.enumerate_tie_diagrams(d)
     ok = True
+    not_run = Counter()  # check name -> points it did not run on
     for k, t in enumerate(points, start=1):
         f = butterfly.assemble_fixed_point(t)
         report = butterfly.verify_fixed_point(f)
@@ -225,8 +227,18 @@ def _cmd_verify(args, out):
         for line in report.render().splitlines():
             out.write(f"  {line}\n")
         ok = ok and report.ok
-    out.write("all fixed points verified\n" if ok else "verification FAILED\n")
-    return 0 if ok else CHECK_EXIT
+        not_run.update(c.name for c in report.checks if c.skipped)
+    if not ok:
+        out.write("verification FAILED\n")
+        return CHECK_EXIT
+    if not_run:
+        counts = ", ".join(
+            f"{name} on {n} of {len(points)} points" for name, n in not_run.items()
+        )
+        out.write(f"no check failed; not run: {counts}\n")
+    else:
+        out.write("all fixed points verified\n")
+    return 0
 
 
 _COMMANDS = {
@@ -255,7 +267,7 @@ def run(argv=None, out=None):
     except errors.BowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable --data path
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
 

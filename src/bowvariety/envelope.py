@@ -43,6 +43,13 @@ def _schema_error(msg):
     raise errors.SchemaError(msg)
 
 
+def _is_list_of(value, kind):
+    """A JSON list whose items are all of ``kind`` (booleans are not ints)."""
+    return isinstance(value, list) and all(
+        isinstance(x, kind) and not isinstance(x, bool) for x in value
+    )
+
+
 def load_attraction_data(source):
     """Load and validate an attraction-data file (path, JSON text, or dict).
 
@@ -50,11 +57,15 @@ def load_attraction_data(source):
     diagonal entries equal to the computed e(T^-), homogeneity of degree
     dim/2 for every nonzero entry.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        with open(source) as fh:
-            raw = json.load(fh)
-    elif isinstance(source, str):
-        raw = json.loads(source)
+    if isinstance(source, (str, Path)):
+        text = str(source)
+        try:
+            if not text.lstrip().startswith("{"):
+                with open(source) as fh:
+                    text = fh.read()
+            raw = json.loads(text)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            _schema_error(f"malformed JSON: {exc}")
     else:
         raw = source
     if not isinstance(raw, dict):
@@ -63,35 +74,47 @@ def load_attraction_data(source):
         if key not in raw:
             _schema_error(f"missing key {key!r}")
 
+    if not isinstance(raw["diagram"], str):
+        _schema_error("diagram must be a DSL string")
     try:
         diagram = brane.parse(raw["diagram"])
     except errors.BowError as exc:
         _schema_error(f"bad diagram: {exc}")
     nvars = diagram.n_blue
+    if not _is_list_of(raw["chamber"], int):
+        _schema_error("chamber must be a list of integers")
     chamber = tuple(raw["chamber"])
     if sorted(chamber) != list(range(1, nvars + 1)):
         _schema_error(f"chamber {chamber} is not a permutation of 1..{nvars}")
 
+    if not isinstance(raw["points"], list) or not raw["points"]:
+        _schema_error("points must be a non-empty list")
     points = {}
     for entry in raw["points"]:
         if not isinstance(entry, dict) or "id" not in entry or "ties" not in entry:
             _schema_error("each point needs 'id' and 'ties'")
         pid = entry["id"]
+        if not isinstance(pid, str):
+            _schema_error(f"point id {pid!r} must be a string")
         if pid in points:
             _schema_error(f"duplicate point id {pid!r}")
         try:
             t = tie.from_names(diagram, entry["ties"])
-        except (KeyError, ValueError) as exc:
-            _schema_error(f"point {pid}: {exc}")
+        except (LookupError, TypeError, ValueError) as exc:
+            _schema_error(f"point {pid} ties: {exc}")
         report = tie.is_valid(t)
         if not report.ok:
             _schema_error(f"point {pid}: {'; '.join(report.violations)}")
         points[pid] = t
 
+    if not _is_list_of(raw["order"], str):
+        _schema_error("order must be a list of point ids")
     order = list(raw["order"])
     if sorted(order) != sorted(points):
         _schema_error("order must list every point id exactly once")
 
+    if not isinstance(raw["restrictions"], dict):
+        _schema_error("restrictions must be an object")
     restrictions = {}
     for p in order:
         row = raw["restrictions"].get(p, {})
@@ -100,6 +123,8 @@ def load_attraction_data(source):
         out = {}
         for q in order:
             expr = row.get(q, "0")
+            if not isinstance(expr, str):
+                _schema_error(f"restrictions[{p}][{q}] must be a string")
             try:
                 out[q] = algebra.poly_parse(expr, nvars)
             except errors.SyntaxError as exc:

@@ -66,7 +66,7 @@ def test_criterion_3_verification_sweep():
     for d in sweep_diagrams():
         for t in tie.enumerate_tie_diagrams(d):
             f = butterfly.assemble_fixed_point(t)
-            report = butterfly.verify_fixed_point(f, stability_cutoff=14)
+            report = butterfly.verify_fixed_point(f)
             assert report.ok, f"{brane.render(d)} {t.sorted_ties()}:\n{report.render()}"
             verified += 1
     assert verified > 1500

@@ -1,12 +1,14 @@
 """Butterfly diagrams, fixed-point matrices, and the verification checks."""
 
+import dataclasses
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from bowvariety import brane, butterfly, linalg, tie
-from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1
+from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1, admissible_diagrams
 
 BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
 BIG_TIES = [
@@ -132,12 +134,10 @@ def test_verify_small_diagrams_all_pass():
 
 def test_verify_big_diagram():
     f = butterfly.assemble_fixed_point(big_tie_diagram())
-    report = butterfly.verify_fixed_point(f, stability_cutoff=12)
-    stability = report.check("stability")
+    report = butterfly.verify_fixed_point(f)
     for check in report.checks:
-        if check is stability and check.skipped:
-            continue
         assert check.ok, report.render()
+    assert not report.check("stability").skipped
 
 
 def test_verify_detects_broken_moment_map():
@@ -159,6 +159,114 @@ def test_verify_detects_broken_grading():
     ops[0, 1] = ops[0, 1] + 7
     report = butterfly.verify_fixed_point(f)
     assert not report.check("grading").ok
+
+
+def without_greens(f):
+    """The fixed point with every green arrow dropped from its butterflies."""
+    for u, bf in f.butterflies.items():
+        arrows = tuple(a for a in bf.arrows if a[0] != "green")
+        f.butterflies[u] = dataclasses.replace(bf, arrows=arrows)
+    return f
+
+
+def bitmask_stable(f):
+    """Reference search: every subset of the basis lines outside the closure
+    of the green arrows (exponential, so small points only)."""
+    succ, mandatory = {}, set()
+    for u, bf in f.butterflies.items():
+        ids = {v: (u, v[0] + bf.J, h) for v, h in bf.heights.items()}
+        succ.update((w, []) for w in ids.values())
+        for color, src, tgt in bf.arrows:
+            if src == butterfly.EXTERNAL:
+                mandatory.add(ids[tgt])
+            elif color != "green":
+                succ[ids[src]].append(ids[tgt])
+    while any(w not in mandatory for v in mandatory for w in succ[v]):
+        mandatory |= {w for v in mandatory for w in succ[v]}
+    free = sorted(set(succ) - mandatory)
+    for mask in range(1 << len(free)):
+        chosen = mandatory | {v for k, v in enumerate(free) if mask >> k & 1}
+        closed = all(w in chosen for v in chosen for w in succ[v])
+        if closed and len(chosen) < len(succ):
+            if all(quotient_iso(f, u, chosen) for u in range(1, f.base.n_blue + 1)):
+                return False
+    return True
+
+
+def quotient_iso(f, u, chosen):
+    """Whether A_U induces an isomorphism on the quotients by ``chosen``."""
+    p = f.base.blue_positions()[u - 1]
+    minus = [k for k, (v, _i, h) in enumerate(f.bases[p]) if (v, p, h) not in chosen]
+    plus = [
+        k for k, (v, _i, h) in enumerate(f.bases[p + 1]) if (v, p + 1, h) not in chosen
+    ]
+    rows = [[f.per_blue[f"U{u}"]["A"].data[r][c] for c in plus] for r in minus]
+    return len(minus) == len(plus) == len(linalg.rref(rows))
+
+
+def test_stability_matches_bitmask_reference():
+    # every point of the small sweep as it is and with one or two arrows of
+    # a butterfly dropped (which may destabilize it), and the T*P^1 points
+    # without green arrows
+    points = [
+        butterfly.assemble_fixed_point(t)
+        for d in admissible_diagrams(4, 2)
+        for t in tie.enumerate_tie_diagrams(d)
+    ]
+    cases = list(points)
+    for f in points:
+        for u, bf in f.butterflies.items():
+            for drop in itertools.combinations_with_replacement(bf.arrows, 2):
+                arrows = tuple(a for a in bf.arrows if a not in drop)
+                dropped = {**f.butterflies, u: dataclasses.replace(bf, arrows=arrows)}
+                cases.append(dataclasses.replace(f, butterflies=dropped))
+    cases += [
+        without_greens(butterfly.assemble_fixed_point(t))
+        for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))
+    ]
+    verdicts = Counter()
+    for f in cases:
+        check = butterfly.verify_fixed_point(f).check("stability")
+        assert not check.skipped
+        assert check.ok == bitmask_stable(f), brane.render(f.base)
+        verdicts[check.ok] += 1
+    assert verdicts[True] > 700 and verdicts[False] > 300
+
+
+def test_stability_runs_on_large_flag_points():
+    # 22 and 20 basis lines outside the closure of the green arrows: too
+    # many for a search over all their subsets
+    points = tie.enumerate_tie_diagrams(brane.parse("0/1/2/3/4\\4\\4\\4\\4\\4\\4\\4/0"))
+    for k in (1, 421):
+        f = butterfly.assemble_fixed_point(points[k - 1])
+        check = butterfly.verify_fixed_point(f).check("stability")
+        assert check.ok and not check.skipped, f"D{k}: {check.messages}"
+
+
+def test_verify_detects_missing_green_arrows():
+    for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1)):
+        f = without_greens(butterfly.assemble_fixed_point(t))
+        assert not butterfly.verify_fixed_point(f).check("stability").ok
+
+
+def test_verify_detects_broken_nilpotency():
+    (t,) = tie.enumerate_tie_diagrams(brane.parse("0/1/2\\2\\0"))
+    f = butterfly.assemble_fixed_point(t)
+    assert butterfly.verify_fixed_point(f).ok
+    f.per_blue["U1"]["Bminus"] = linalg.Mat.identity(f.per_blue["U1"]["Bminus"].rows)
+    check = butterfly.verify_fixed_point(f).check("nilpotency")
+    assert not check.ok and not check.skipped
+
+
+def test_verify_detects_zero_a_maps():
+    t = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
+    f = butterfly.assemble_fixed_point(t)
+    for ops in f.per_blue.values():
+        ops["A"] = linalg.Mat.zero(ops["A"].rows, ops["A"].cols)
+        ops["a"] = linalg.Mat.zero(ops["a"].rows, ops["a"].cols)
+    report = butterfly.verify_fixed_point(f)
+    assert not report.check("s1-s2").ok
+    assert not report.check("junctions").ok
 
 
 def test_nilpotency_skipped_on_unseparated_diagrams():

@@ -167,9 +167,15 @@ def test_pair_rejects_unpaired_data():
 
 
 def test_verify_verb():
+    # nilpotency does not run on a diagram that is not separated
     code, out = run_cli("verify", TSTAR_P1)
     assert code == 0
-    assert "all fixed points verified" in out
+    summary = "no check failed; not run: nilpotency on 2 of 2 points"
+    assert out.splitlines()[-1] == summary
+    code, out = run_cli("verify", "0/1/2\\2\\0")
+    assert code == 0
+    assert "skip" not in out
+    assert out.splitlines()[-1] == "all fixed points verified"
 
 
 def test_missing_data_file():
@@ -188,6 +194,28 @@ def test_bad_options_exit_2_without_traceback():
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
+    good = json.loads((FIXTURES / "tstar_p1_chamber12.json").read_text())
+    cases = {
+        "malformed": "{" + json.dumps(good)[1:-1],
+        "chamber": json.dumps({**good, "chamber": [1, "2"]}),
+        "restrictions": json.dumps({**good, "restrictions": []}),
+        "points": json.dumps({**good, "points": [], "order": []}),
+    }
+    for field, text in cases.items():
+        path = tmp_path / f"{field}.json"
+        path.write_text(text)
+        proc = run_subprocess("stab", "--data", str(path))
+        assert proc.returncode == 2, field
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert ("JSON" if field == "malformed" else field) in proc.stderr
+    proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_unknown_verb_is_usage_error():
