@@ -495,9 +495,18 @@ def mod_h(p):
 
 
 def exact_divide(p, q):
-    """Return r with p = q*r, or raise :class:`errors.NotDivisible`."""
+    """Return r with p = q*r, or raise :class:`errors.NotDivisible`.
+
+    A linear divisor ``q = c*x + rest`` (every weight ``t_i - t_j + m*h``)
+    takes the synthetic-division path :func:`_divide_linear`, which costs
+    O(terms(p) * terms(q)).  Any other divisor runs generic long division,
+    which recomputes the leading term of the remainder at every step and so
+    is quadratic in the number of terms.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if q.is_homogeneous(1):
+        return _divide_linear(p, q)
     r = Poly.zero(p.nvars)
     rem = p
     qe, qc = q.leading()
@@ -510,6 +519,37 @@ def exact_divide(p, q):
         r = r + mono
         rem = rem - mono * q
     return r
+
+
+def _divide_linear(p, q):
+    """Exact division by a linear form ``q = c*x + rest``.
+
+    Write p = sum_k x^k P_k and the quotient S = sum_k x^k S_k, with P_k and
+    S_k free of x.  Comparing powers of x gives S_{k-1} = (P_k - rest*S_k) / c
+    from the top power down; p is divisible exactly when P_0 - rest*S_0 = 0.
+    Each level is a plain dict keyed by full exponent tuples.
+    """
+    xe, c = q.leading()
+    x = xe.index(1)
+    rest = [(e.index(1), a) for e, a in q.terms.items() if e != xe]
+    levels = {}  # power of x -> {exponent: coefficient of P_k - rest*S_k}
+    for e, a in p.terms.items():
+        levels.setdefault(e[x], {})[e] = a
+    quotient = {}
+    for k in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(k - 1, {})
+        for e, a in levels.pop(k, {}).items():
+            if not a:
+                continue
+            s = a / c
+            e = e[:x] + (k - 1,) + e[x + 1 :]
+            quotient[e] = s
+            for j, b in rest:
+                f = e[:j] + (e[j] + 1,) + e[j + 1 :]
+                below[f] = below.get(f, 0) - b * s
+    if any(levels.get(0, {}).values()):
+        raise errors.NotDivisible(f"({p.render()}) / ({q.render()})")
+    return Poly(p.nvars, quotient)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,10 @@ def _is_list_of(value, kind):
 
 
 def load_attraction_data(source):
-    """Load and validate an attraction-data file (path, JSON text, or dict).
+    """Load and validate attraction data from a path, JSON text or a dict.
+
+    A string whose first non-space character is ``{`` or ``[`` is JSON text;
+    any other string or path names a file.
 
     Structural validation: triangularity of R against the declared order,
     diagonal entries equal to the computed e(T^-), homogeneity of degree
@@ -60,7 +63,7 @@ def load_attraction_data(source):
     if isinstance(source, (str, Path)):
         text = str(source)
         try:
-            if not text.lstrip().startswith("{"):
+            if not text.lstrip().startswith(("{", "[")):
                 with open(source) as fh:
                     text = fh.read()
             raw = json.loads(text)

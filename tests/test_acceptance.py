@@ -11,11 +11,12 @@
    moves.
 6. The envelope recursion on the three-blue fixture: coefficients, a golden
    restriction, integrality, order-refinement independence.
-7. Orthogonality: the paired small fixtures give the identity gram matrix
-   and polynomial pairings.
+7. Orthogonality: the paired T*P^1 and T*P^2 fixtures give the identity
+   gram matrix and polynomial pairings.
 8. Order duality: the two chambers' restriction supports are exact reverses.
 """
 
+import itertools
 import time
 
 from bowvariety import algebra, brane, butterfly, envelope, errors, tangent, tie
@@ -31,11 +32,20 @@ from conftest import (
 
 def sweep_diagrams():
     """The criterion-3 sample: exhaustive up to 6 black lines with labels
-    up to 3, then seeded random admissible diagrams with 6 to 9 black lines."""
-    yield from admissible_diagrams(5, 3)
-    yield from random_admissible_diagrams(
-        seed=7, trials=400, min_colored=5, max_colored=8, max_label=3
-    )
+    up to 3, then seeded random admissible diagrams with 6 to 9 black lines.
+    Each diagram is yielded once: random draws with 6 black lines can repeat
+    an exhaustive one."""
+    seen = set()
+    for d in itertools.chain(
+        admissible_diagrams(5, 3),
+        random_admissible_diagrams(
+            seed=7, trials=400, min_colored=5, max_colored=8, max_label=3
+        ),
+    ):
+        dsl = brane.render(d)
+        if dsl not in seen:
+            seen.add(dsl)
+            yield d
 
 
 def test_criterion_1_enumeration_counts():
@@ -195,16 +205,22 @@ def test_criterion_6_envelope_recursion():
 
 
 def test_criterion_7_orthogonality():
-    data = envelope.load_attraction_data(FIXTURES / "tstar_p1_chamber12.json")
-    op_data = envelope.load_attraction_data(FIXTURES / "tstar_p1_chamber21.json")
-    stabs = envelope.stable_envelopes(data)
-    op_stabs = envelope.stable_envelopes(op_data)
-    gram = envelope.gram_matrix(stabs, op_stabs, data, op_data)
-    for i, row in enumerate(gram):
-        for j, entry in enumerate(row):
-            assert entry == (1 if i == j else 0)
-    report = envelope.check_polynomiality(stabs, op_stabs, data, op_data)
-    assert report.ok, report.messages
+    # T*P^1, and T*P^2, where several linear factors cancel at each point
+    for name, op_name in (
+        ("tstar_p1_chamber12.json", "tstar_p1_chamber21.json"),
+        ("tstar_p2_chamber123.json", "tstar_p2_chamber321.json"),
+    ):
+        data = envelope.load_attraction_data(FIXTURES / name)
+        op_data = envelope.load_attraction_data(FIXTURES / op_name)
+        stabs = envelope.stable_envelopes(data)
+        op_stabs = envelope.stable_envelopes(op_data)
+        gram = envelope.gram_matrix(stabs, op_stabs, data, op_data)
+        assert len(gram) == len(data.order)
+        for i, row in enumerate(gram):
+            for j, entry in enumerate(row):
+                assert entry == (1 if i == j else 0), (name, i, j)
+        report = envelope.check_polynomiality(stabs, op_stabs, data, op_data)
+        assert report.ok, report.messages
 
 
 def test_criterion_8_order_duality():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bowvariety import algebra, errors
@@ -232,3 +232,76 @@ def test_exact_divide_inverts_multiplication(p, q):
     if q.is_zero():
         return
     assert exact_divide(p * q, q) == p
+
+
+# exact division by a linear form (the synthetic-division path)
+
+
+@st.composite
+def poly_and_linear(draw):
+    """(p, w, g) over 2 or 3 variables: a polynomial p, a nonzero linear form
+    w and a nonzero constant-free cofactor g (so w*g is not linear)."""
+    nvars = draw(st.integers(min_value=1, max_value=2))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * (nvars + 1))
+    coeffs = st.integers(min_value=-9, max_value=9)
+
+    def poly(terms):
+        return Poly(nvars, {e: Fraction(c) for e, c in terms.items()})
+
+    p = poly(draw(st.dictionaries(exps, coeffs, max_size=6)))
+    kind = draw(st.sampled_from(["weight", "h", "any"]))
+    if kind == "weight":  # t_i - t_j + m*h; the h term leads, so c = m
+        i, j = draw(st.lists(st.integers(1, nvars), min_size=2, max_size=2))
+        m = draw(st.sampled_from([-1, 1, 2, -2, 0]))
+        w = Poly.variable(nvars, i) - Poly.variable(nvars, j) + Poly.variable(nvars, 0) * m
+    elif kind == "h":
+        w = Poly.variable(nvars, 0) * draw(st.sampled_from([1, -1, 2]))
+    else:
+        w = sum(
+            (Poly.variable(nvars, k) * draw(coeffs) for k in range(nvars + 1)),
+            Poly.zero(nvars),
+        )
+    assume(not w.is_zero())
+    g = poly(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
+    g = g - g.constant_value()
+    assume(not g.is_zero())
+    return p, w, g
+
+
+def test_exact_divide_linear_cases():
+    # the leading term (h where present) has coefficient c = 2, -1 or -2,
+    # so every synthetic-division step divides by c
+    p = poly_parse("t1^2 - 3*t1*h + 5", 2)
+    for w in ("2*h + t1 - t2", "-h + t1", "t2 - t1", "h", "-2*h"):
+        wp = poly_parse(w, 2)
+        assert exact_divide(p * wp, wp) == p
+        assert exact_divide(Poly.zero(2), wp).is_zero()
+        with pytest.raises(errors.NotDivisible):
+            exact_divide(p * wp + 1, wp)
+    half = exact_divide(poly_parse("t1 - t2", 2), poly_parse("2*t1 - 2*t2", 2))
+    assert half == Poly.const(2, Fraction(1, 2))
+    with pytest.raises(errors.NotDivisible):
+        exact_divide(poly_parse("t1^2*t2", 2), poly_parse("t1 + t2", 2))
+
+
+@settings(max_examples=150, deadline=None)
+@example((Poly.zero(2), Poly.variable(2, 0), Poly.variable(2, 1)))
+@given(poly_and_linear())
+def test_exact_divide_by_linear_form(pwg):
+    p, w, _ = pwg
+    assert exact_divide(p * w, w) == p
+    with pytest.raises(errors.NotDivisible):
+        exact_divide(p * w + 1, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_and_linear())
+def test_linear_path_matches_generic_loop(pwg):
+    # w*g is not linear, so dividing by it runs the generic loop
+    p, w, g = pwg
+    f = p * w * g
+    generic = exact_divide(f, w * g)
+    assert generic == p
+    assert exact_divide(f, w) == generic * g
+    with pytest.raises(errors.NotDivisible):
+        exact_divide((p * w + 1) * g, w * g)

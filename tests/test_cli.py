@@ -9,6 +9,9 @@ import json
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from bowvariety import cli
 from conftest import EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
 
@@ -221,3 +224,98 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
 def test_unknown_verb_is_usage_error():
     code, _ = run_cli("frobnicate")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the input boundary: any input ends in exit 0, 2 or 3
+
+
+def run_fuzzed(*argv):
+    code, _ = run_cli(*argv)  # an exception escaping cli.run fails the test
+    assert code in (0, 2, 3), (argv, code)
+
+
+dsl_text = st.one_of(
+    st.text(alphabet="0123/\\ x", max_size=10),
+    st.lists(
+        st.tuples(st.sampled_from("/\\"), st.integers(min_value=0, max_value=3)),
+        min_size=1,
+        max_size=5,
+    ).map(lambda cs: "0" + "".join(c + str(n) for c, n in cs[:-1]) + cs[-1][0] + "0"),
+)
+chamber_text = st.one_of(
+    st.text(alphabet="0123456789,-+ x", max_size=8),
+    st.lists(st.integers(min_value=-1, max_value=5), max_size=4).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=4)
+    | st.sampled_from(["", "D1", "P1", "U1", "V2", "U7", "t1-t2", "(t1", "t9", "h^2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["D1", "P1", "P2", "id", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+PAIRS = {
+    "tstar_p1_chamber12.json": "tstar_p1_chamber21.json",
+    "tstar_p2_chamber321.json": "tstar_p2_chamber123.json",
+    "example54_chamber321.json": None,
+}
+
+
+def _slots(node):
+    """Every (container, key) place inside a JSON document."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def mutated_fixture(draw):
+    name = draw(st.sampled_from(sorted(PAIRS)))
+    raw = json.loads((FIXTURES / name).read_text())
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        node, key = draw(st.sampled_from(list(_slots(raw))))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(json_values)
+    text = json.dumps(raw)
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        text = text[: draw(st.integers(min_value=0, max_value=len(text)))]
+    return name, text
+
+
+@settings(max_examples=120, deadline=None)
+@given(dsl_text, chamber_text, st.integers(min_value=-1, max_value=6))
+def test_fuzz_diagram_verbs(dsl, chamber, k):
+    run_fuzzed("parse", dsl)
+    run_fuzzed("fixed-points", dsl, "--json")
+    # the "=" form, as a value like "-1,2" would otherwise be read as an option
+    run_fuzzed("tangent", dsl, f"--chamber={chamber}")
+    run_fuzzed("hw", dsl, "--at", str(k))
+    run_fuzzed("separate", dsl)
+    run_fuzzed("butterfly", dsl, "--point", f"D{k}", "--blue", f"U{k}")
+    run_fuzzed("matrices", dsl, "--point", f"D{k}", "--verify")
+    run_fuzzed("verify", dsl)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mutated_fixture())
+def test_fuzz_attraction_data(tmp_path, case):
+    name, text = case
+    path = tmp_path / "mutated.json"
+    path.write_text(text)
+    run_fuzzed("stab", "--data", str(path), "--check")
+    opposite = PAIRS[name]
+    if opposite:
+        run_fuzzed("pair", "--data", str(path), "--opposite", str(FIXTURES / opposite))
+        run_fuzzed("pair", "--data", str(FIXTURES / opposite), "--opposite", str(path))

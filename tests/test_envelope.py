@@ -35,6 +35,18 @@ def test_load_accepts_json_text_and_dicts(fixtures_dir):
     from_dict = envelope.load_attraction_data(raw)
     from_text = envelope.load_attraction_data(json.dumps(raw))
     assert from_dict.order == from_text.order == ["P2", "P1"]
+    from_padded = envelope.load_attraction_data("\n  " + json.dumps(raw))
+    assert from_padded.order == ["P2", "P1"]
+
+
+def test_json_text_that_is_not_an_object_is_a_schema_error():
+    # JSON text is recognised by its first non-space character, never opened
+    # as a file name
+    for text in (" [1]", "[]", '\t["P1"]'):
+        with pytest.raises(errors.SchemaError, match="top level must be an object"):
+            envelope.load_attraction_data(text)
+    with pytest.raises(errors.SchemaError, match="malformed JSON"):
+        envelope.load_attraction_data(" [1,")
 
 
 def test_schema_missing_key(fixtures_dir):
