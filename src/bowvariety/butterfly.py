@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import brane, errors, linalg, tie
 
@@ -218,7 +217,8 @@ class FixedPointData:
 
     ``bases[j]`` lists the labels (u, i, jj) spanning the fiber W_{X_j},
     ordered by (u, jj).  ``per_blue["U<u>"]`` holds A, Bplus, Bminus, a, b;
-    ``per_red["V<m>"]`` holds C and D.  All entries are exact rationals.
+    ``per_red["V<m>"]`` holds C and D.  Assembly writes the integer entries
+    0 and +-1; an edited matrix may hold other ints or Fractions.
     """
 
     tie_diagram: tie.TieDiagram
@@ -304,14 +304,14 @@ def assemble_fixed_point(t):
             if color == "green":
                 if src == EXTERNAL:
                     row = index[J][(u, bf.heights[tgt])]
-                    per_blue[f"U{u}"]["a"][row, 0] = Fraction(1)
+                    per_blue[f"U{u}"]["a"][row, 0] = 1
                 else:
                     i, _jj = src
                     col = index[i + J][(u, bf.heights[src])]
                     # the minus sign makes the triangle relation
                     # B^-A - AB^+ + ab = 0 hold alongside the sign
                     # convention of the black arrows in B^+/B^-
-                    per_blue[f"U{u}"]["b"][0, col] = Fraction(-1)
+                    per_blue[f"U{u}"]["b"][0, col] = -1
                 continue
             si, _sj = src
             ti, _tj = tgt
@@ -437,38 +437,24 @@ def _check_moment_map(f):
 
 
 def _check_s1_s2(f):
+    """S1 and S2 per blue line, each as one rank (observability and
+    controllability of the pairs (B^+, [A; b]) and (B^-, [A | a]))."""
     result = CheckResult("s1-s2", True)
     for name, ops in f.per_blue.items():
-        a_mat, b_row = ops["A"], ops["b"]
         bplus, bminus = ops["Bplus"], ops["Bminus"]
-        dim_plus, dim_minus = bplus.rows, bminus.rows
-        # S1: largest B^+-invariant subspace of ker A  cap  ker b is zero
-        stacked = linalg.Mat(
-            a_mat.rows + 1, a_mat.cols, a_mat.data + b_row.data
-        )
-        kernel = linalg.kernel_basis(stacked)
-        s = kernel
-        while True:
-            nxt = linalg.intersect(
-                kernel, linalg.preimage(bplus, s), dim_plus
-            )
-            if linalg.span_equal(nxt, s):
-                break
-            s = nxt
-        if linalg.span_dim(s) != 0:
+        # S1: the largest B^+-invariant subspace of ker A  cap  ker b is the
+        # kernel of the observability matrix [A; b] (B^+)^k, k = 0, 1, ...;
+        # it is zero iff the rows of [A; b] and their images under
+        # v -> v B^+ span the dual of W^+.
+        bplus_t = linalg.Mat(bplus.cols, bplus.rows, bplus.columns())
+        rows = ops["A"].data + ops["b"].data
+        if linalg.krylov_rank(rows, bplus_t.apply) != bplus.rows:
             result.ok = False
             result.messages.append(f"S1 fails at {name}")
-        # S2: Krylov closure of Im A + Im a under B^- is everything
-        span = linalg.span_sum(
-            dim_minus, linalg.image_basis(a_mat), linalg.image_basis(ops["a"])
-        )
-        while True:
-            image = [bminus.apply(v) for v in span]
-            nxt = linalg.span_sum(dim_minus, span, image)
-            if linalg.span_dim(nxt) == linalg.span_dim(span):
-                break
-            span = nxt
-        if linalg.span_dim(span) != dim_minus:
+        # S2: the Krylov closure of Im A + Im a under B^- is W^- iff the
+        # columns of [A | a] and their images under B^- span W^-
+        cols = ops["A"].columns() + ops["a"].columns()
+        if linalg.krylov_rank(cols, bminus.apply) != bminus.rows:
             result.ok = False
             result.messages.append(f"S2 fails at {name}")
     return result
@@ -528,7 +514,7 @@ def _check_stability(f):
                 return False
             a_mat = f.per_blue[f"U{u}"]["A"]
             induced = [[a_mat.data[r][c] for c in comp_plus] for r in comp_minus]
-            if len(linalg.rref(induced)) != len(comp_minus):
+            if linalg.rank(induced) != len(comp_minus):
                 return False
         return True
 
@@ -573,7 +559,7 @@ def _check_junctions(f):
                 + f.per_red[f"V{m}"]["D"].data
                 + f.per_blue[f"U{u}"]["b"].data
             )
-            if len(linalg.rref(rows)) != f.dim(j):
+            if linalg.rank(rows) != f.dim(j):
                 result.ok = False
                 result.messages.append(f"junction map not injective at X{j}")
         else:
@@ -585,7 +571,7 @@ def _check_junctions(f):
                 + f.per_blue[f"U{u}"]["A"].columns()
                 + f.per_blue[f"U{u}"]["a"].columns()
             )
-            if len(linalg.rref(cols)) != f.dim(j):
+            if linalg.rank(cols) != f.dim(j):
                 result.ok = False
                 result.messages.append(f"junction map not surjective at X{j}")
     return result
@@ -662,11 +648,13 @@ def verify_fixed_point(f):
     """Run all six fixed-point checks and return a report.
 
     Checks: (1) moment map and triangle relation, (2) the kernel/cokernel
-    conditions S1 and S2 per blue line, (3) absence of destabilizing graded
-    subspaces, searched exactly over every arrow-closed candidate whatever
-    the size of the point, (4) injectivity/surjectivity of the junction
-    maps, (5) nilpotency exponents on separated diagrams, (6) torus grading
-    of every operator.  Only nilpotency can be skipped (on diagrams that are
+    conditions S1 and S2 per blue line, as the rank of an observability and
+    of a controllability (Krylov) matrix, (3) absence of destabilizing
+    graded subspaces, searched exactly over every arrow-closed candidate
+    whatever the size of the point, (4) injectivity/surjectivity of the
+    junction maps, as ranks, (5) nilpotency exponents on separated diagrams,
+    (6) torus grading of every operator.  Ranks are exact, by integer
+    elimination (:func:`linalg.rank`).  Only nilpotency can be skipped (on diagrams that are
     not separated).  Failures are report entries, never exceptions.
     """
     return VerificationReport(

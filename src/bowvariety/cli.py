@@ -258,6 +258,11 @@ _COMMANDS = {
 def run(argv=None, out=None):
     out = out or sys.stdout
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k, token in enumerate(argv[:-1]):
+        if token == "--chamber":  # argparse reads a value like -1,2 as an option
+            argv[k : k + 2] = [f"--chamber={argv[k + 1]}"]
+            break
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,13 +1,16 @@
-"""Small exact linear algebra over Q used by fixed-point verification.
+"""Small exact linear algebra used by fixed-point verification.
 
-:class:`Mat` is a dense matrix of Fractions with an explicit shape, so that
-zero-dimensional fibers (empty bases) compose correctly.  Subspaces are
-represented by reduced row-echelon bases: lists of row vectors.
+:class:`Mat` is a dense matrix with an explicit shape, so that
+zero-dimensional fibers (empty bases) compose correctly.  Its entries are
+kept as given: assembly writes the integers 0 and +-1, and a Fraction
+written into a matrix stays a Fraction.  Every subspace question the checks
+ask is a rank, computed exactly by :func:`rank` and :func:`krylov_rank`
+with integer elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 class Mat:
@@ -19,9 +22,9 @@ class Mat:
         self.rows = rows
         self.cols = cols
         if data is None:
-            self.data = [[Fraction(0)] * cols for _ in range(rows)]
+            self.data = [[0] * cols for _ in range(rows)]
         else:
-            self.data = [[Fraction(x) for x in row] for row in data]
+            self.data = [list(row) for row in data]
             if len(self.data) != rows or any(len(r) != cols for r in self.data):
                 raise ValueError("shape mismatch")
 
@@ -33,14 +36,14 @@ class Mat:
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):
-            m.data[i][i] = Fraction(1)
+            m.data[i][i] = 1
         return m
 
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 
     def __setitem__(self, ij, value):
-        self.data[ij[0]][ij[1]] = Fraction(value)
+        self.data[ij[0]][ij[1]] = value
 
     def __eq__(self, other):
         return (
@@ -110,10 +113,7 @@ class Mat:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [
-            sum((row[j] * v[j] for j in range(self.cols)), Fraction(0))
-            for row in self.data
-        ]
+        return [sum(x * y for x, y in zip(row, v)) for row in self.data]
 
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
@@ -122,7 +122,7 @@ class Mat:
         return [self.column(j) for j in range(self.cols)]
 
     def rank(self):
-        return len(rref(self.data))
+        return rank(self.data)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.data})"
@@ -133,89 +133,59 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# subspaces (bases as lists of row vectors over a fixed ambient dimension)
+# ranks
 
 
-def rref(rows):
-    """Reduced row echelon form; returns the nonzero rows."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, len(m)) if m[r][col]), None)
-        if sel is None:
-            continue
-        m[pivot_row], m[sel] = m[sel], m[pivot_row]
-        inv = 1 / m[pivot_row][col]
-        m[pivot_row] = [x * inv for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
-            break
-    return [r for r in m[:pivot_row] if any(r)]
+class _Echelon:
+    """Integer rows in echelon form: each row is zero at the pivot columns of
+    the rows before it and nonzero at its own pivot."""
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = []  # of (column, row)
+
+    def add(self, vector):
+        """Reduce ``vector`` and keep it if it is independent of the rows
+        already kept; return whether it was kept."""
+        den = lcm(*(x.denominator for x in vector))
+        row = [x.numerator * (den // x.denominator) for x in vector]
+        for col, prow in self.pivots:
+            c = row[col]
+            if c:
+                p = prow[col]
+                row = [p * x - c * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        self.pivots.append((col, row))
+        return True
 
 
-def kernel_basis(mat):
-    """Basis of {x : mat x = 0}."""
-    n = mat.cols
-    red = rref(mat.data)
-    pivots = []
-    for row in red:
-        pivots.append(next(j for j, x in enumerate(row) if x))
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
-        basis.append(v)
-    return basis
+def rank(rows):
+    """Exact rank of a list of row vectors with int or Fraction entries.
+
+    Each row is scaled to integers and reduced fraction-free against the rows
+    kept so far, then divided by the gcd of its entries, so entries stay
+    bounded without any rational arithmetic.
+    """
+    echelon = _Echelon()
+    return sum(echelon.add(row) for row in rows)
 
 
-def image_basis(mat):
-    """Basis of the column span of mat (as row vectors of length mat.rows)."""
-    return rref([mat.column(j) for j in range(mat.cols)])
+def krylov_rank(vectors, step):
+    """Dimension of the smallest subspace that contains ``vectors`` and is
+    mapped into itself by the linear map ``step``.
 
-
-def span_sum(dim, *bases):
-    rows = [list(r) for b in bases for r in b]
-    if not rows:
-        return []
-    return rref(rows)
-
-
-def annihilator(basis, dim):
-    """Rows w with w . v = 0 for all v in span(basis)."""
-    if not basis:
-        return [Mat.identity(dim).data[i] for i in range(dim)]
-    return kernel_basis(Mat(len(basis), dim, basis))
-
-
-def intersect(b1, b2, dim):
-    a = annihilator(b1, dim) + annihilator(b2, dim)
-    if not a:
-        return [Mat.identity(dim).data[i] for i in range(dim)]
-    return kernel_basis(Mat(len(a), dim, a))
-
-
-def preimage(mat, basis):
-    """Basis of {v : mat v in span(basis)} inside the domain of mat."""
-    ann = annihilator(basis, mat.rows)
-    if not ann:
-        return [Mat.identity(mat.cols).data[i] for i in range(mat.cols)]
-    constraint = Mat(len(ann), mat.rows, ann) * mat
-    return kernel_basis(constraint)
-
-
-def span_equal(b1, b2):
-    return rref([list(r) for r in b1]) == rref([list(r) for r in b2])
-
-
-def span_dim(basis):
-    return len(rref([list(r) for r in basis]))
+    Only the vectors that raised the rank are mapped again: if they span the
+    subspace modulo the previous one, their images span the next one modulo
+    the current one, so the closure stops when a round adds nothing.
+    """
+    echelon = _Echelon()
+    new = [v for v in vectors if echelon.add(v)]
+    while new:
+        new = [w for w in map(step, new) if echelon.add(w)]
+    return len(echelon.pivots)

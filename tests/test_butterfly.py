@@ -2,10 +2,14 @@
 
 import dataclasses
 import itertools
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bowvariety import brane, butterfly, linalg, tie
 from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1, admissible_diagrams
@@ -201,7 +205,7 @@ def quotient_iso(f, u, chosen):
         k for k, (v, _i, h) in enumerate(f.bases[p + 1]) if (v, p + 1, h) not in chosen
     ]
     rows = [[f.per_blue[f"U{u}"]["A"].data[r][c] for c in plus] for r in minus]
-    return len(minus) == len(plus) == len(linalg.rref(rows))
+    return len(minus) == len(plus) == len(rref(rows))
 
 
 def test_stability_matches_bitmask_reference():
@@ -269,6 +273,125 @@ def test_verify_detects_zero_a_maps():
     assert not report.check("junctions").ok
 
 
+def test_verify_detects_s1_alone():
+    # A_U = 0 where a_U spans W^-: ker A  cap  ker b = W^+ is B^+-invariant,
+    # yet Im a is all of W^-
+    t = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
+    f = butterfly.assemble_fixed_point(t)
+    name = next(n for n, ops in f.per_blue.items() if not ops["a"].is_zero())
+    ops = f.per_blue[name]
+    ops["A"] = linalg.Mat.zero(ops["A"].rows, ops["A"].cols)
+    report = butterfly.verify_fixed_point(f)
+    assert report.check("s1-s2").messages == [f"S1 fails at {name}"]
+
+
+def test_verify_detects_s2_alone():
+    # A_U = 0 and a_U = 0, while b_U alone is injective on the 1-dim W^+
+    t = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
+    f = butterfly.assemble_fixed_point(t)
+    name = next(n for n, ops in f.per_blue.items() if ops["a"].is_zero())
+    ops = f.per_blue[name]
+    assert ops["b"].shape() == (1, 1)
+    ops["A"] = linalg.Mat.zero(ops["A"].rows, ops["A"].cols)
+    ops["b"] = linalg.Mat(1, 1, [[1]])
+    report = butterfly.verify_fixed_point(f)
+    assert report.check("s1-s2").messages == [f"S2 fails at {name}"]
+
+
+# the iterative subspace algorithm that checked S1/S2 before they became one
+# rank each, over Fractions: subspaces are reduced row echelon bases
+
+
+def kernel(rows, n):
+    """Basis of {x : r . x = 0 for every row r}, x of length n."""
+    red = rref(rows)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in red]
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
+
+
+def intersect(b1, b2, n):
+    return kernel(kernel(b1, n) + kernel(b2, n), n)
+
+
+def preimage(mat, basis):
+    """Basis of {v : mat v in span(basis)}."""
+    ann = kernel(basis, mat.rows)
+    if not ann:
+        return kernel([], mat.cols)
+    return kernel((linalg.Mat(len(ann), mat.rows, ann) * mat).data, mat.cols)
+
+
+def reference_s1_s2(f):
+    messages = []
+    for name, ops in f.per_blue.items():
+        bplus, bminus = ops["Bplus"], ops["Bminus"]
+        # S1: shrink ker A  cap  ker b to its largest B^+-invariant subspace
+        ker = kernel(ops["A"].data + ops["b"].data, bplus.rows)
+        s = ker
+        while True:
+            nxt = intersect(ker, preimage(bplus, s), bplus.rows)
+            if rref(nxt) == rref(s):
+                break
+            s = nxt
+        if rref(s):
+            messages.append(f"S1 fails at {name}")
+        # S2: grow Im A + Im a under B^- until it stops changing
+        span = rref(ops["A"].columns() + ops["a"].columns())
+        while True:
+            nxt = rref(span + [bminus.apply(v) for v in span])
+            if len(nxt) == len(span):
+                break
+            span = nxt
+        if len(span) != bminus.rows:
+            messages.append(f"S2 fails at {name}")
+    return messages
+
+
+def edited(f, rng):
+    """A copy of ``f`` with one entry of one nonempty A, a, b, B^+ or B^-
+    changed to another value in {0, 1, -1, 2}; ``f`` itself if all of them
+    are empty."""
+    choices = [
+        (name, key)
+        for name, ops in f.per_blue.items()
+        for key in ("A", "a", "b", "Bplus", "Bminus")
+        if ops[key].rows and ops[key].cols
+    ]
+    if not choices:
+        return f
+    name, key = rng.choice(choices)
+    mat = f.per_blue[name][key]
+    mat = linalg.Mat(mat.rows, mat.cols, mat.data)
+    ij = rng.randrange(mat.rows), rng.randrange(mat.cols)
+    mat[ij] = rng.choice([x for x in (0, 1, -1, 2) if x != mat[ij]])
+    per_blue = {**f.per_blue, name: {**f.per_blue[name], key: mat}}
+    return dataclasses.replace(f, per_blue=per_blue)
+
+
+def test_s1_s2_matches_subspace_reference():
+    rng = random.Random(5)
+    diagrams = itertools.chain(admissible_diagrams(4, 3), admissible_diagrams(5, 2))
+    verdicts = Counter()
+    for d in diagrams:
+        for t in tie.enumerate_tie_diagrams(d):
+            f = butterfly.assemble_fixed_point(t)
+            for _ in range(5):
+                case = edited(f, rng)
+                check = butterfly._check_s1_s2(case)
+                assert check.messages == reference_s1_s2(case), brane.render(d)
+                assert check.ok == (not check.messages)
+                verdicts[check.ok] += 1
+    assert sum(verdicts.values()) == 6480
+    assert verdicts[False] > 600
+
+
 def test_nilpotency_skipped_on_unseparated_diagrams():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
@@ -301,17 +424,90 @@ def test_mat_shapes_and_products():
 def test_rank_kernel_image():
     a = linalg.Mat(2, 3, [[1, 2, 3], [2, 4, 6]])
     assert a.rank() == 1
-    ker = linalg.kernel_basis(a)
-    assert len(ker) == 2
-    for v in ker:
-        assert all(x == 0 for x in a.apply(v))
-    assert len(linalg.image_basis(a)) == 1
+    for v in ([-2, 1, 0], [-3, 0, 1]):
+        assert a.apply(v) == [0, 0]
+    assert linalg.rank(a.columns()) == 1
+    assert linalg.Mat(3, 3, [[2, 0, 0], [0, Fraction(1, 3), 0], [0, 0, 5]]).rank() == 3
 
 
 def test_subspace_operations():
     e1, e2, e3 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
-    total = linalg.span_sum(3, [e1, e2], [e2, e3])
-    assert linalg.span_dim(total) == 3
-    meet = linalg.intersect([e1, e2], [e2, e3], 3)
-    assert linalg.span_dim(meet) == 1
-    assert linalg.span_equal(meet, [e2])
+    # dim(U + V) is the rank of both bases together
+    assert linalg.rank([e1, e2] + [e2, e3]) == 3
+    assert linalg.rank([e1, e2] + [e2, [1, 1, 0]]) == 2
+    # the closure of e1 under the shift e1 -> e2 -> e3 -> 0 is everything,
+    # that of e2 is span(e2, e3), and the zero map adds nothing
+    shift = linalg.Mat(3, 3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert linalg.krylov_rank([e1], shift.apply) == 3
+    assert linalg.krylov_rank([e2], shift.apply) == 2
+    assert linalg.krylov_rank([e1, e3], linalg.Mat.zero(3, 3).apply) == 2
+    assert linalg.krylov_rank([], shift.apply) == 0
+    assert linalg.krylov_rank([[0, 0, 0]], shift.apply) == 0
+
+
+def rref(rows):
+    """Gauss-Jordan over Fractions: the nonzero rows of the reduced row
+    echelon form."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivot = 0
+    for col in range(len(m[0]) if m else 0):
+        sel = next((r for r in range(pivot, len(m)) if m[r][col]), None)
+        if sel is None:
+            continue
+        m[pivot], m[sel] = m[sel], m[pivot]
+        m[pivot] = [x / m[pivot][col] for x in m[pivot]]
+        for r in range(len(m)):
+            if r != pivot and m[r][col]:
+                c = m[r][col]
+                m[r] = [x - c * y for x, y in zip(m[r], m[pivot])]
+        pivot += 1
+    return m[:pivot]
+
+
+entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.just(Fraction(5)),
+)
+
+
+@st.composite
+def matrices(draw):
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=6))
+    out = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if out else 0):
+        # a rational combination of two rows, so that the rank drops
+        c1, c2 = draw(entries), draw(entries)
+        r1, r2 = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+        out.append([c1 * x + c2 * y for x, y in zip(r1, r2)])
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        out.insert(draw(st.integers(min_value=0, max_value=len(out))), [0] * cols)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example([[Fraction(1, 2), 1], [1, 2]])
+def test_rank_matches_gauss_jordan(rows):
+    assert linalg.rank(rows) == len(rref(rows))
+    cols = [list(c) for c in zip(*rows)]
+    if rows and rows[0]:
+        assert linalg.rank(cols) == len(rref(rows))
+
+
+def test_rank_of_dense_integer_matrices_stays_bounded():
+    # each kept row is an input row, or a reduced row divided by its gcd and
+    # so proportional to a row of minors: no entry exceeds the Hadamard bound
+    rng = random.Random(12)
+    for trial in range(20):
+        rows = [[rng.randint(-99, 99) for _ in range(12)] for _ in range(12)]
+        if trial % 4 == 0:  # a dependent row
+            rows[5] = [3 * x - 2 * y for x, y in zip(rows[0], rows[1])]
+        bound = 1
+        for r in rows:
+            bound *= math.isqrt(sum(x * x for x in r)) + 1
+        echelon = linalg._Echelon()
+        kept = sum(echelon.add(r) for r in rows)
+        assert kept == len(rref(rows)) == (11 if trial % 4 == 0 else 12)
+        assert max(abs(x) for _c, r in echelon.pivots for x in r) <= bound

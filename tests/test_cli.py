@@ -190,6 +190,7 @@ def test_bad_options_exit_2_without_traceback():
     for argv in (
         ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
         ("tangent", "0/1\\1\\0", "--chamber", "1,x"),
+        ("tangent", "0/1\\1\\0", "--chamber", "-1,2"),
         ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"),
     ):
         proc = run_subprocess(*argv)
@@ -295,8 +296,7 @@ def mutated_fixture(draw):
 def test_fuzz_diagram_verbs(dsl, chamber, k):
     run_fuzzed("parse", dsl)
     run_fuzzed("fixed-points", dsl, "--json")
-    # the "=" form, as a value like "-1,2" would otherwise be read as an option
-    run_fuzzed("tangent", dsl, f"--chamber={chamber}")
+    run_fuzzed("tangent", dsl, "--chamber", chamber)
     run_fuzzed("hw", dsl, "--at", str(k))
     run_fuzzed("separate", dsl)
     run_fuzzed("butterfly", dsl, "--point", f"D{k}", "--blue", f"U{k}")
