@@ -4,7 +4,8 @@ Pipeline: parse a brane diagram, enumerate its tie diagrams (torus fixed
 points), build butterfly diagrams and the explicit fixed-point matrices,
 compute equivariant tangent characters, and run the stable-envelope
 recursion with full axiom, integrality, and orthogonality verification.
-All arithmetic is exact rational.
+All arithmetic is exact: coefficients are ints, with a Fraction only where
+a division leaves a remainder.
 """
 
 from .algebra import (

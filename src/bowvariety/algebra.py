@@ -1,15 +1,16 @@
 """Exact symbolic kernel: weights, characters, polynomials, Euler classes.
 
-All arithmetic is over arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere in the package.  The base ring is
-Q[t_1, ..., t_N, h].  A *weight* is an integral linear form
-``a_1*t_1 + ... + a_N*t_N + m*h``; a *character* is a finite multiset of
-weights with (possibly negative, mid-computation) integer multiplicities,
-written additively.
+Coefficients are Python ints; a ``fractions.Fraction`` appears only where a
+division leaves a remainder, and there is no floating point anywhere in the
+package.  The base ring is Q[t_1, ..., t_N, h].  A *weight* is an integral
+linear form ``a_1*t_1 + ... + a_N*t_N + m*h``; a *character* is a finite
+multiset of weights with (possibly negative, mid-computation) integer
+multiplicities, written additively.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +56,6 @@ class Weight:
         """The symplectic pairing partner h - w."""
         return Weight(tuple(-x for x in self.a), 1 - self.m)
 
-    def shift_h(self, dm):
-        return Weight(self.a, self.m + dm)
-
     def substitute(self, i, dm=1):
         """Apply t_i -> t_i + dm*h (the Hanany-Witten torus twist)."""
         return Weight(self.a, self.m + dm * self.a[i - 1])
@@ -72,13 +70,9 @@ class Weight:
         return None
 
     def to_poly(self):
-        p = Poly.zero(self.nvars)
-        for k, x in enumerate(self.a):
-            if x:
-                p = p + Poly.variable(self.nvars, k + 1) * x
-        if self.m:
-            p = p + Poly.variable(self.nvars, 0) * self.m
-        return p
+        n = self.nvars
+        units = [(0,) * k + (1,) + (0,) * (n - k) for k in range(n + 1)]  # t_1..t_N, h
+        return Poly(n, {e: x for e, x in zip(units, self.a + (self.m,)) if x})
 
     def render(self):
         if self.is_zero():
@@ -217,6 +211,14 @@ def _term_key(exps):
     return (sum(exps), exps[-1], exps[:-1])
 
 
+def _coeff(a, c=1):
+    """The coefficient a / c, exactly: an int when it is integral, else a Fraction."""
+    if type(a) is int and type(c) is int and not a % c:
+        return a // c
+    f = Fraction(a) / c
+    return f.numerator if f.denominator == 1 else f
+
+
 class Poly:
     """Exact multivariate polynomial in t_1..t_N, h over Q."""
 
@@ -227,7 +229,8 @@ class Poly:
         self.terms = {}
         if terms:
             for e, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = _coeff(c)
                 if c:
                     self.terms[tuple(e)] = c
 
@@ -237,7 +240,7 @@ class Poly:
 
     @classmethod
     def const(cls, nvars, c):
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return cls(nvars)
         return cls(nvars, {(0,) * (nvars + 1): c})
@@ -250,7 +253,7 @@ class Poly:
             e[nvars] = 1
         else:
             e[i - 1] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     def is_zero(self):
         return not self.terms
@@ -259,7 +262,7 @@ class Poly:
         return not self.terms or set(self.terms) == {(0,) * (self.nvars + 1)}
 
     def constant_value(self):
-        return self.terms.get((0,) * (self.nvars + 1), Fraction(0))
+        return self.terms.get((0,) * (self.nvars + 1), 0)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -279,7 +282,7 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -302,8 +305,8 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(operator.add, e1, e2))
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -506,7 +509,10 @@ def exact_divide(p, q):
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if q.is_homogeneous(1):
-        return _divide_linear(p, q)
+        r = _divide_linear(p, q)
+        if r is None:
+            raise errors.NotDivisible(f"({p.render()}) / ({q.render()})")
+        return r
     r = Poly.zero(p.nvars)
     rem = p
     qe, qc = q.leading()
@@ -515,19 +521,20 @@ def exact_divide(p, q):
         e = tuple(x - y for x, y in zip(re, qe))
         if any(x < 0 for x in e):
             raise errors.NotDivisible(f"({p.render()}) / ({q.render()})")
-        mono = Poly(p.nvars, {e: rc / qc})
+        mono = Poly(p.nvars, {e: _coeff(rc, qc)})
         r = r + mono
         rem = rem - mono * q
     return r
 
 
 def _divide_linear(p, q):
-    """Exact division by a linear form ``q = c*x + rest``.
+    """Exact division by a linear form ``q = c*x + rest``, or None.
 
     Write p = sum_k x^k P_k and the quotient S = sum_k x^k S_k, with P_k and
     S_k free of x.  Comparing powers of x gives S_{k-1} = (P_k - rest*S_k) / c
-    from the top power down; p is divisible exactly when P_0 - rest*S_0 = 0.
-    Each level is a plain dict keyed by full exponent tuples.
+    from the top power down; p is divisible exactly when P_0 - rest*S_0 = 0,
+    and None is returned otherwise, so a failed trial division renders
+    nothing.  Each level is a plain dict keyed by full exponent tuples.
     """
     xe, c = q.leading()
     x = xe.index(1)
@@ -541,14 +548,14 @@ def _divide_linear(p, q):
         for e, a in levels.pop(k, {}).items():
             if not a:
                 continue
-            s = a / c
+            s = _coeff(a, c)
             e = e[:x] + (k - 1,) + e[x + 1 :]
             quotient[e] = s
             for j, b in rest:
                 f = e[:j] + (e[j] + 1,) + e[j + 1 :]
                 below[f] = below.get(f, 0) - b * s
     if any(levels.get(0, {}).values()):
-        raise errors.NotDivisible(f"({p.render()}) / ({q.render()})")
+        return None
     return Poly(p.nvars, quotient)
 
 
@@ -567,7 +574,7 @@ class FactoredClass:
 
     def __init__(self, nvars, constant=1, factors=()):
         self.nvars = nvars
-        self.constant = Fraction(constant)
+        self.constant = _coeff(constant)
         merged = {}
         for w, exp in factors:
             if exp < 0:
@@ -590,7 +597,7 @@ class FactoredClass:
         return cls(char.nvars, 1, list(char.terms.items()))
 
     def is_zero(self):
-        return self.constant == 0
+        return self.constant == 0 or any(w.is_zero() for w, _ in self.factors)
 
     def degree(self):
         return sum(exp for _, exp in self.factors)
@@ -608,7 +615,7 @@ class FactoredClass:
                 self.constant * other.constant,
                 self.factors + other.factors,
             )
-        return FactoredClass(self.nvars, self.constant * Fraction(other), self.factors)
+        return FactoredClass(self.nvars, self.constant * _coeff(other), self.factors)
 
     def __eq__(self, other):
         return (
@@ -675,17 +682,16 @@ class RationalFn:
         for w, exp in den.factors:
             wp = w.to_poly()
             while exp and not num.is_zero():
-                try:
-                    num = exact_divide(num, wp)
-                except errors.NotDivisible:
+                quotient = _divide_linear(num, wp)
+                if quotient is None:
                     break
-                exp -= 1
+                num, exp = quotient, exp - 1
             if exp:
                 kept.append((w, exp))
         if num.is_zero():
             kept = []
         if den.constant != 1:
-            num = num * (1 / den.constant)
+            num = num * _coeff(1, den.constant)
         self.num = num
         self.den = FactoredClass(num.nvars, 1, kept)
 
@@ -699,11 +705,13 @@ class RationalFn:
     def is_zero(self):
         return self.num.is_zero()
 
-    def __eq__(self, other):
+    def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.num.nvars, other)
-        if isinstance(other, Poly):
-            other = RationalFn(other)
+            other = Poly.const(self.num.nvars, other)
+        return RationalFn(other) if isinstance(other, Poly) else other
+
+    def __eq__(self, other):
+        other = self._coerce(other)
         return (self.num * other.den.expand()) == (other.num * self.den.expand())
 
     def __hash__(self):
@@ -711,22 +719,12 @@ class RationalFn:
         return hash((self.num, self.den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.num.nvars, other)
+        other = self._coerce(other)
         num = self.num * other.den.expand() + other.num * self.den.expand()
         return RationalFn(num, self.den * other.den)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.num.nvars, other)
-        num = self.num * other.den.expand() - other.num * self.den.expand()
-        return RationalFn(num, self.den * other.den)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.num.nvars, other)
-        if isinstance(other, Poly):
-            other = RationalFn(other)
+        other = self._coerce(other)
         return RationalFn(self.num * other.num, self.den * other.den)
 
     def render(self):

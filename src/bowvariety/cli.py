@@ -135,20 +135,23 @@ def _cmd_matrices(args, out):
 
 def _cmd_tangent(args, out):
     d = brane.parse(args.dsl)
-    points = tie.enumerate_tie_diagrams(d)
     chamber = None
-    if args.chamber:
+    if args.chamber is not None:
+        if not args.chamber:  # '' from --chamber=; [] from --chamber=--
+            raise errors.BadChamber("empty --chamber")
         try:
             chamber = tuple(int(x) for x in args.chamber.split(","))
         except ValueError:
             raise errors.BadChamber(f"non-integer --chamber {args.chamber!r}") from None
+        tangent.check_chamber(chamber, d.n_blue)
+    points = tie.enumerate_tie_diagrams(d)
     for k, t in enumerate(points, start=1):
         pid = f"D{k}"
         if args.point and pid != args.point:
             continue
         tc = tangent.tangent_character(t, pid)
         out.write(f"{pid}: {{{', '.join(w.render() for w in tc.weights())}}}\n")
-        if chamber:
+        if chamber is not None:
             split = tangent.chamber_split(tc, chamber)
             out.write(f"  plus:  {split.plus.render()}\n")
             out.write(f"  minus: {split.minus.render()}\n")

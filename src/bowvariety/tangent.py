@@ -129,6 +129,12 @@ def dimension(d):
     return dims.pop()
 
 
+def check_chamber(pi, nvars):
+    """Raise :class:`errors.BadChamber` unless pi is a permutation of 1..nvars."""
+    if sorted(pi) != list(range(1, nvars + 1)):
+        raise errors.BadChamber(f"chamber {tuple(pi)} is not a permutation of 1..{nvars}")
+
+
 def chamber_split(tc, pi):
     """Split a tangent character into attracting/repelling parts for the
     chamber t_{pi(1)} > ... > t_{pi(N)}.
@@ -138,8 +144,7 @@ def chamber_split(tc, pi):
     """
     pi = tuple(pi)
     nvars = tc.char.nvars
-    if sorted(pi) != list(range(1, nvars + 1)):
-        raise errors.BadChamber(f"chamber {pi} is not a permutation of 1..{nvars}")
+    check_chamber(pi, nvars)
     rank = {i: k for k, i in enumerate(pi)}
     plus = algebra.Character(nvars)
     minus = algebra.Character(nvars)

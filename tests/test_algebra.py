@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bowvariety import algebra, errors
+from bowvariety import algebra, envelope, errors
 from bowvariety.algebra import (
     Character,
     FactoredClass,
@@ -19,6 +19,7 @@ from bowvariety.algebra import (
     poly_parse,
     t,
 )
+from conftest import FIXTURES
 
 # ---------------------------------------------------------------------------
 # weights
@@ -35,7 +36,8 @@ def test_weight_arithmetic():
 def test_weight_render():
     assert t(2, 2).render() == "t2"
     assert (t(1, 2) - t(2, 2)).render() == "t1-t2"
-    assert (t(1, 2).shift_h(2)).render() == "t1+2*h"
+    w = t(1, 2)
+    assert Weight(w.a, w.m + 2).render() == "t1+2*h"
     assert Weight((0, 0), 0).render() == "0"
 
 
@@ -47,15 +49,15 @@ def test_weight_involution():
 
 def test_weight_substitute_is_torus_twist():
     w = t(1, 3) - t(3, 3)
-    assert w.substitute(1, 1) == w.shift_h(1)
-    assert w.substitute(3, 1) == w.shift_h(-1)
+    assert w.substitute(1, 1) == Weight(w.a, w.m + 1)
+    assert w.substitute(3, 1) == Weight(w.a, w.m - 1)
     assert w.substitute(2, 1) == w
 
 
 def test_weight_difference_indices():
     assert (t(2, 3) - t(3, 3) + h(3)).difference_indices() == (2, 3)
     assert t(1, 3).difference_indices() is None
-    assert (t(1, 3) + t(2, 3) - t(3, 3).shift_h(0)).difference_indices() is None
+    assert (t(1, 3) + t(2, 3) - t(3, 3)).difference_indices() is None
 
 
 def test_weight_mixed_nvars_rejected():
@@ -187,6 +189,8 @@ def test_rational_fn_cancellation():
     r = RationalFn(num, den)
     assert r.is_polynomial()
     assert r == poly_parse("t1-t2+h", 2)
+    with pytest.raises(ZeroDivisionError):  # a zero weight makes the class zero
+        RationalFn(num, FactoredClass(2, 1, [(Weight((0, 0), 0), 1)]))
 
 
 def test_rational_fn_arithmetic():
@@ -305,3 +309,133 @@ def test_linear_path_matches_generic_loop(pwg):
     assert exact_divide(f, w) == generic * g
     with pytest.raises(errors.NotDivisible):
         exact_divide((p * w + 1) * g, w * g)
+
+
+# coefficients stay ints; a Fraction appears only where a division leaves a
+# remainder
+
+
+def assert_clean(p):
+    """Every coefficient of p is an int or a Fraction that is not integral."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def weight(nvars, i, j, m):
+    d = t(i, nvars) - t(j, nvars)
+    return Weight(d.a, d.m + m)
+
+
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=4),
+)
+mixed_polys = st.dictionaries(exponents, mixed_coeffs, max_size=5).map(
+    lambda terms: Poly(2, terms)
+)
+weights2 = st.builds(
+    weight,
+    st.just(2),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.integers(-2, 2),
+).filter(lambda w: not w.is_zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_polys, mixed_polys, st.integers(min_value=0, max_value=3))
+def test_ring_operations_keep_coefficients_clean(p, q, k):
+    for r in (p, q, p + q, p - q, p * q, -p, p**k, p + 1, p * Fraction(4, 2)):
+        assert_clean(r)
+    assert_clean(Poly.const(2, Fraction(6, 3)))
+    assert type(Poly.const(2, Fraction(6, 3)).constant_value()) is int
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, weights2, st.integers(min_value=0, max_value=2))
+def test_parse_and_expand_keep_int_coefficients(p, w, k):
+    assert_clean(poly_parse(p.render(), 2))
+    e = FactoredClass(2, Fraction(-6, 3), [(w, k + 1), (t(1, 2) - t(2, 2), 1)])
+    assert type(e.constant) is int
+    assert all(type(c) is int for c in e.expand().terms.values())
+    assert all(type(c) is int for c in w.to_poly().terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, st.sampled_from([2, -1]), st.booleans())
+def test_exact_divide_keeps_coefficients_clean(p, c, generic):
+    # leading coefficient c of the divisor: c*h leads a linear form, and
+    # c*h*t1 leads the nonlinear divisor of the generic loop; 3^40 + 1 is past
+    # a float's 53-bit mantissa, so a float quotient anywhere comes out wrong
+    p = p * (3**40 + 1) + 3**40
+    q = poly_parse(f"{c}*h + t1 - t2", 2)
+    if generic:
+        q = q * poly_parse("t1 + 1", 2)
+    assert exact_divide(p * q, q) == p
+    assert_clean(exact_divide(p * q, q))
+    half = exact_divide(p * q, q * 2)  # p / 2: Fractions where p is odd
+    assert half * 2 == p
+    assert_clean(half)
+    with pytest.raises(errors.NotDivisible):
+        exact_divide(p * q + 1, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    polys,
+    weights2,
+    st.sampled_from([1, 2, -1, Fraction(4, 2), Fraction(1, 3)]),
+    st.integers(min_value=0, max_value=2),
+)
+def test_rational_functions_keep_coefficients_clean(p, w, c, k):
+    den = FactoredClass(2, c, [(w, 1), (t(1, 2) - t(2, 2) + h(2), 1)])
+    r = RationalFn(p * w.to_poly() ** k, den)
+    s = RationalFn(p + 1, FactoredClass(2, 1, [(w, 2)]))
+    for x in (r, s, r + s, r * s, r * 3, r + Fraction(1, 2)):
+        assert_clean(x.num)
+        assert x.den.constant == 1 and type(x.den.constant) is int
+
+
+def test_tstar_envelopes_and_gram_have_int_coefficients():
+    def ints(p):
+        return all(type(c) is int for c in p.terms.values())
+
+    data = envelope.load_attraction_data(FIXTURES / "tstar_p2_chamber123.json")
+    op_data = envelope.load_attraction_data(FIXTURES / "tstar_p2_chamber321.json")
+    stabs = envelope.stable_envelopes(data)
+    op_stabs = envelope.stable_envelopes(op_data)
+    for s in stabs + op_stabs:
+        assert all(ints(p) for p in s.restrictions.values()), s.point
+    gram = envelope.gram_matrix(stabs, op_stabs, data, op_data)
+    for row in gram:
+        for entry in row:
+            assert ints(entry.num) and type(entry.den.constant) is int
+
+
+# trial division during cancellation is quiet
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    polys,
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    weights2,
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_cancellation_keeps_exactly_the_uncancelled_factors(base, c, w, k, j):
+    wp = w.to_poly()
+    p = base * wp + c  # remainder c != 0, so w does not divide p
+    r = RationalFn(p * wp**k, FactoredClass(2, 1, [(w, j)]))
+    assert r.den.factors == (((w, j - k),) if j > k else ())
+    assert r.num == p * wp ** max(k - j, 0)
+
+
+def test_not_divisible_message_is_unchanged():
+    w = poly_parse("t1 - t2 + h", 2)
+    p = poly_parse("t1^2 + 3*h", 2)
+    with pytest.raises(errors.NotDivisible) as exc:
+        exact_divide(p * w + 1, w)
+    assert str(exc.value) == (
+        "(h*t1^2 + t1^3 - t1^2*t2 + 3*h^2 + 3*h*t1 - 3*h*t2 + 1) / (h + t1 - t2)"
+    )

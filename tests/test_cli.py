@@ -191,6 +191,8 @@ def test_bad_options_exit_2_without_traceback():
         ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
         ("tangent", "0/1\\1\\0", "--chamber", "1,x"),
         ("tangent", "0/1\\1\\0", "--chamber", "-1,2"),
+        ("tangent", "0/1\\1\\0", "--chamber="),
+        ("tangent", "0/1\\1\\0", "--chamber=--"),
         ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"),
     ):
         proc = run_subprocess(*argv)
@@ -198,6 +200,14 @@ def test_bad_options_exit_2_without_traceback():
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+
+
+def test_bad_chamber_writes_no_output():
+    for chamber in ("-1,2", "1,1", "1,2,3", "1,x", "", "--"):
+        proc = run_subprocess("tangent", "0/1\\1\\0", f"--chamber={chamber}")
+        assert proc.returncode == 2, chamber
+        assert proc.stdout == "", chamber
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_bad_attraction_data_exits_2_without_traceback(tmp_path):

@@ -3,13 +3,14 @@
 import pytest
 
 from bowvariety import algebra, brane, butterfly, errors, tangent, tie
-from bowvariety.algebra import h, t
+from bowvariety.algebra import Weight, h, t
 from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1, admissible_diagrams
 
 
 def w(i, j, m=0, n=3):
     """The weight t_i - t_j + m*h over n variables."""
-    return (t(i, n) - t(j, n)).shift_h(m)
+    d = t(i, n) - t(j, n)
+    return Weight(d.a, d.m + m)
 
 
 def weight_set(char):
