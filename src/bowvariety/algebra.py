@@ -28,7 +28,7 @@ class Weight:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
+        object.__setattr__(self, "a", tuple(map(int, self.a)))
 
     @property
     def nvars(self):
@@ -60,38 +60,27 @@ class Weight:
         """Apply t_i -> t_i + dm*h (the Hanany-Witten torus twist)."""
         return Weight(self.a, self.m + dm * self.a[i - 1])
 
-    def difference_indices(self):
-        """Return (i, j) if the A-part is exactly t_i - t_j, else None."""
-        plus = [k + 1 for k, x in enumerate(self.a) if x == 1]
-        minus = [k + 1 for k, x in enumerate(self.a) if x == -1]
-        others = [x for x in self.a if x not in (0, 1, -1)]
-        if len(plus) == 1 and len(minus) == 1 and not others:
-            return plus[0], minus[0]
-        return None
-
     def to_poly(self):
         n = self.nvars
         units = [(0,) * k + (1,) + (0,) * (n - k) for k in range(n + 1)]  # t_1..t_N, h
         return Poly(n, {e: x for e, x in zip(units, self.a + (self.m,)) if x})
 
     def render(self):
+        a, m = self.a, self.m
+        if a.count(0) + 2 == len(a) and max(a) == 1 and min(a) == -1:
+            # t_i - t_j + m*h, the form of every tangent weight
+            i, j = a.index(1) + 1, a.index(-1) + 1
+            out = f"t{i}-t{j}" if i < j else f"-t{j}+t{i}"
+            if m:
+                out += ("+" if m > 0 else "-") + ("h" if abs(m) == 1 else f"{abs(m)}*h")
+            return out
         if self.is_zero():
             return "0"
-        parts = []
-        for k, x in enumerate(self.a):
-            if x:
-                parts.append((x, f"t{k + 1}"))
-        if self.m:
-            parts.append((self.m, "h"))
         out = ""
-        for coeff, name in parts:
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{mag}*{name}"
-            if not out:
-                out = body if coeff > 0 else f"-{body}"
-            else:
-                out += f"{sign}{body}"
+        for coeff, name in [*((x, f"t{k + 1}") for k, x in enumerate(a)), (m, "h")]:
+            if coeff:
+                body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+                out += f"-{body}" if coeff < 0 else f"+{body}" if out else body
         return out
 
     def __repr__(self):

@@ -187,8 +187,10 @@ def hw_transition(d, k):
 def separate(d):
     """Apply HW moves at the leftmost blue-red adjacency until sdeg = 0.
 
-    Returns (separated diagram, list of positions moved).  Terminates in
-    exactly sdeg(d) moves.
+    Returns (separated diagram, list of positions moved).  Each move lowers
+    sdeg by one, so there are sdeg(d) moves, unless a move would make a label
+    negative: then the variety of the admissible diagram d is empty, and
+    :class:`errors.EmptyVariety` is raised.
     """
     if not admissible(d):
         raise errors.NegativeLabel("separate requires an admissible diagram")
@@ -197,6 +199,11 @@ def separate(d):
     while True:
         for k in range(1, cur.n_colored):
             if cur.color_at(k) == BLUE and cur.color_at(k + 1) == RED:
+                if cur.label(k + 1) > cur.label(k) + cur.label(k + 2) + 1:
+                    raise errors.EmptyVariety(
+                        f"the variety of {render(d)} is empty: the move at {k} "
+                        "gives a negative label"
+                    )
                 cur = hw_transition(cur, k)
                 moves.append(k)
                 break

@@ -10,6 +10,7 @@ these matrices must satisfy.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -78,26 +79,28 @@ def cover_counts(t, U):
     these are the ties (V, U) with V left of X, on the right the ties
     (U, V) with V weakly right of X.
     """
-    d = t.base
-    u = _blue_index(d, U)
-    p = d.blue_positions()[u - 1]
-    incident = [pair for pair in t.ties if p in pair]
-    return tuple(
-        sum(1 for l, r in incident if l < j <= r)
-        for j in range(1, len(d.blacks) + 1)
-    )
+    return _columns(t, U)[1]
 
 
 def column_bottoms(t, U):
     """Column bottom heights c_{D,U,X}: c = 0 at X_J = U^-, then the
     leftward and rightward recursions."""
+    return _columns(t, U)[2]
+
+
+def _columns(t, U):
+    """(J, cover counts, column bottoms) of the butterfly of U; the cover
+    counts are one prefix sum over the ties at U."""
     d = t.base
-    u = _blue_index(d, U)
-    p = d.blue_positions()[u - 1]
-    cc = cover_counts(t, u)
+    J = d.blue_positions()[_blue_index(d, U) - 1]  # black line U^- has index J
     n = len(d.blacks)
+    steps = [0] * n
+    for l, r in t.ties:  # (l, r) covers X_{l+1} .. X_r
+        if l == J or r == J:
+            steps[l] += 1
+            steps[r] -= 1
+    cc = tuple(itertools.accumulate(steps))
     c = [0] * n
-    J = p  # black line U^- has index p
     # rightward: columns on the attracting side of U
     for j in range(J + 1, n + 1):
         c[j - 1] = cc[J] - cc[j - 1] + (1 if cc[J - 1] == 0 else 0)
@@ -107,23 +110,18 @@ def column_bottoms(t, U):
             c[j - 1] = c[j]
         else:
             c[j - 1] = c[j] - 1
-    return tuple(c)
+    return J, cc, tuple(c)
 
 
 def build_butterfly(t, U):
     """Assemble the vertex set and all arrows of one butterfly."""
     d = t.base
     u = _blue_index(d, U)
-    p = d.blue_positions()[u - 1]
-    J = p
-    cc = cover_counts(t, u)
-    cb = column_bottoms(t, u)
+    J, cc, cb = _columns(t, u)
     n = len(d.blacks)
-    vertices = set()
-    for j in range(1, n + 1):
-        i = j - J
-        for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1]):
-            vertices.add((i, jj))
+    vertices = {
+        (j - J, jj) for j in range(1, n + 1) for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1])
+    }
 
     arrows = []
     for i, jj in sorted(vertices):
@@ -353,7 +351,8 @@ def assemble_fixed_point(t):
 def fiber_weights(t):
     """Torus weights of every fiber W_{X_j}: ``{j: Counter of (u, m)}`` with
     one entry t_u + m*h per butterfly vertex over X_j, m being its
-    equivariant height.  Builds each blue line's butterfly once."""
+    equivariant height.  Builds each blue line's butterfly once, with the
+    :func:`build_butterfly` that :func:`assemble_fixed_point` uses."""
     d = t.base
     fibers = {j: Counter() for j in range(1, len(d.blacks) + 1)}
     for u in range(1, d.n_blue + 1):
@@ -498,22 +497,20 @@ def _check_stability(f):
                     stack.append(w)
         return out
 
-    blue_pos = f.base.blue_positions()
+    # per blue U: the vertex ids of the bases of W_{U-} and W_{U+}, and A_U
+    ids = {j: [(bu, j, h) for bu, _i, h in labels] for j, labels in f.bases.items()}
+    blocks = [
+        (ids[p], ids[p + 1], f.per_blue[f"U{u}"]["A"].data)
+        for u, p in enumerate(f.base.blue_positions(), start=1)
+    ]
 
     def quotients_iso(chosen):
-        for u, p in enumerate(blue_pos, start=1):
-            comp_minus = [
-                k for k, (bu, _i, h) in enumerate(f.bases[p])
-                if (bu, p, h) not in chosen
-            ]
-            comp_plus = [
-                k for k, (bu, _i, h) in enumerate(f.bases[p + 1])
-                if (bu, p + 1, h) not in chosen
-            ]
+        for minus, plus, a_rows in blocks:
+            comp_minus = [k for k, v in enumerate(minus) if v not in chosen]
+            comp_plus = [k for k, v in enumerate(plus) if v not in chosen]
             if len(comp_minus) != len(comp_plus):
                 return False
-            a_mat = f.per_blue[f"U{u}"]["A"]
-            induced = [[a_mat.data[r][c] for c in comp_plus] for r in comp_minus]
+            induced = [[a_rows[r][c] for c in comp_plus] for r in comp_minus]
             if linalg.rank(induced) != len(comp_minus):
                 return False
         return True
@@ -522,15 +519,20 @@ def _check_stability(f):
     # everything v reaches, or T misses v and so every ancestor of v.  The
     # included set stays closed under succ and the excluded one under pred,
     # so neither branch can contradict the other side: every leaf is a
-    # distinct arrow-closed set.
+    # distinct arrow-closed set.  Each branch carries the index from which
+    # to look for its first undecided vertex.
     vertices = sorted(succ)
-    stack = [(closure(greens, succ), set())]
+    reach = {v: closure([v], succ) for v in vertices}
+    ancestors = {v: closure([v], pred) for v in vertices}
+    stack = [(closure(greens, succ), set(), 0)]
     while stack:
-        inside, outside = stack.pop()
-        v = next((w for w in vertices if w not in inside and w not in outside), None)
-        if v is not None:
-            stack.append((inside, outside | closure([v], pred)))
-            stack.append((inside | closure([v], succ), outside))
+        inside, outside, k = stack.pop()
+        while k < len(vertices) and (vertices[k] in inside or vertices[k] in outside):
+            k += 1
+        if k < len(vertices):
+            v = vertices[k]
+            stack.append((inside, outside | ancestors[v], k + 1))
+            stack.append((inside | reach[v], outside, k + 1))
         elif len(inside) < len(vertices) and quotients_iso(inside):
             result.ok = False
             result.messages.append(

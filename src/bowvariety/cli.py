@@ -231,10 +231,12 @@ def _cmd_verify(args, out):
             out.write(f"  {line}\n")
         ok = ok and report.ok
         not_run.update(c.name for c in report.checks if c.skipped)
-    if not ok:
+    if not points:
+        out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
+    elif not ok:
         out.write("verification FAILED\n")
         return CHECK_EXIT
-    if not_run:
+    elif not_run:
         counts = ", ".join(
             f"{name} on {n} of {len(points)} points" for name, n in not_run.items()
         )

@@ -46,6 +46,10 @@ class NegativeLabel(BowError):
     """A Hanany-Witten move would create a negative black label."""
 
 
+class EmptyVariety(NegativeLabel):
+    """Separating an admissible diagram hits a negative label: no points."""
+
+
 class IllegalMove(BowError):
     """Fixed-point matching requested for an illegal Hanany-Witten move."""
 

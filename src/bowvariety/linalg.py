@@ -121,9 +121,6 @@ class Mat:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def rank(self):
-        return rank(self.data)
-
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.data})"
 

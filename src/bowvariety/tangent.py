@@ -9,10 +9,9 @@ subtracted at weights 0 and h.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from . import algebra, butterfly, errors, tie
+from . import algebra, brane, butterfly, errors, tie
 
 
 @dataclass
@@ -42,15 +41,18 @@ class ChamberSplit:
     minus: algebra.Character
 
 
-def _hom(acc, src, tgt, m, sign):
-    """Add ``sign`` times the character of Hom(src, tgt), shifted by m*h, to
-    ``acc``.  Fibers are Counters of (u, m) meaning t_u + m*h; the result is
-    keyed by (i, j, m) meaning t_i - t_j + m*h, with every weight of zero
-    A-part (i == j) filed under (0, 0, m)."""
-    for (a, ma), na in src.items():
-        for (b, mb), nb in tgt.items():
-            key = (b, a, mb - ma + m) if a != b else (0, 0, mb - ma + m)
-            acc[key] += sign * na * nb
+def _add_hom(acc, src, tgt, shifts):
+    """Add c times the character of Hom(src, tgt), shifted by m*h, to ``acc``
+    for each (m, c) in ``shifts``.  Fibers are Counters of (u, m) meaning
+    t_u + m*h; ``acc`` is keyed by (i, j, m) meaning t_i - t_j + m*h, with
+    every weight of zero A-part (i == j) filed under (0, 0, m)."""
+    tgt = list(tgt.items())
+    for m, c in shifts:
+        for (a, ma), na in src.items():
+            cn, dm = c * na, m - ma
+            for (b, mb), nb in tgt:
+                key = (b, a, mb + dm) if a != b else (0, 0, mb + dm)
+                acc[key] = acc.get(key, 0) + cn * nb
 
 
 def _character(nvars, acc):
@@ -69,38 +71,35 @@ def tangent_character(t, point_id):
 
     Builds the virtual character
 
-        sum over blue U of  [ W_{U+}^v * W_{U-}
-                              + h*(W_{U-}*W_{U-}^v + W_{U+}*W_{U+}^v)
-                              + (W_{U-} - t_U) + (t_U + h - W_{U+})
-                              - h * W_{U+}^v * W_{U-} ]
+        sum over blue U of  [ (1 - h) * W_{U+}^v * W_{U-}
+                              + (W_{U-} - t_U) + (t_U + h - W_{U+}) ]
       + sum over red V of   [ h * W_{V+}^v * W_{V-} + W_{V-}^v * W_{V+} ]
-      - (1 + h) * sum over black X of  W_X * W_X^v
+      + sum over black X of  ((b_X - 1) * h - 1) * W_X * W_X^v
 
-    from the fiber weights, then checks effectiveness, the
-    t_i - t_j + m*h weight form, and stability under w -> h - w.
+    from the fiber weights, one Hom product per pair of fibers (b_X counts
+    the blue lines U with X = U^- or X = U^+), then checks effectiveness,
+    the t_i - t_j + m*h weight form, and stability under w -> h - w.
     """
     d = t.base
     nvars = d.n_blue
     fibers = butterfly.fiber_weights(t)
-    acc = Counter()
+    blue = [False, *(c == brane.BLUE for c in d.colors), False]
+    acc = {}
 
+    for j, w in fibers.items():
+        b_x = blue[j - 1] + blue[j]
+        _add_hom(acc, w, w, ((0, -1), (1, b_x - 1)) if b_x != 1 else ((0, -1),))
     for u, p in enumerate(d.blue_positions(), start=1):
         wm, wp = fibers[p], fibers[p + 1]
         tu = {(u, 0): 1}
-        _hom(acc, wp, wm, 0, 1)
-        _hom(acc, wm, wm, 1, 1)
-        _hom(acc, wp, wp, 1, 1)
-        _hom(acc, tu, wm, 0, 1)
-        _hom(acc, wp, tu, 1, 1)
-        # the triangle relation B^-A - AB^+ + ab lives in Hom(W_{U+}, W_{U-})
-        _hom(acc, wp, wm, 1, -1)
+        # the triangle relation B^-A - AB^+ + ab lives in h Hom(W_{U+}, W_{U-})
+        _add_hom(acc, wp, wm, ((0, 1), (1, -1)))
+        _add_hom(acc, tu, wm, ((0, 1),))
+        _add_hom(acc, wp, tu, ((1, 1),))
     for q in d.red_positions():
         wm, wp = fibers[q], fibers[q + 1]
-        _hom(acc, wp, wm, 1, 1)
-        _hom(acc, wm, wp, 0, 1)
-    for w in fibers.values():
-        _hom(acc, w, w, 0, -1)
-        _hom(acc, w, w, 1, -1)
+        _add_hom(acc, wp, wm, ((1, 1),))
+        _add_hom(acc, wm, wp, ((0, 1),))
     acc = {key: mult for key, mult in acc.items() if mult}
 
     if any(mult < 0 for mult in acc.values()):
@@ -145,15 +144,14 @@ def chamber_split(tc, pi):
     pi = tuple(pi)
     nvars = tc.char.nvars
     check_chamber(pi, nvars)
-    rank = {i: k for k, i in enumerate(pi)}
+    rank = [pi.index(i) for i in range(1, nvars + 1)]  # rank[i - 1]: place of t_i
     plus = algebra.Character(nvars)
     minus = algebra.Character(nvars)
     for w, mult in tc.char.terms.items():
-        ij = w.difference_indices()
-        if ij is None:
+        a = w.a
+        if a.count(0) + 2 != len(a) or max(a) != 1 or min(a) != -1:  # not t_i - t_j
             raise errors.DegenerateWeight(w.render())
-        i, j = ij
-        if rank[i] < rank[j]:
+        if rank[a.index(1)] < rank[a.index(-1)]:
             plus.terms[w] = mult
         else:
             minus.terms[w] = mult

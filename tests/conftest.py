@@ -13,6 +13,8 @@ FIXTURES = Path(__file__).resolve().parents[1] / "src" / "bowvariety" / "fixture
 EXAMPLE_3BLUE = "0/1\\1/2\\2\\2/0"
 TSTAR_P1 = "0/1\\1\\1/0"
 POINT_DIAGRAM = "0\\1/0"
+# a partial flag variety: 840 fixed points of dimension 36
+FLAG = "0/1/2/3/4\\4\\4\\4\\4\\4\\4\\4/0"
 
 
 @pytest.fixture
@@ -65,4 +67,22 @@ def random_admissible_diagrams(seed, trials, min_colored, max_colored, max_label
             s += str(labels[i]) if i < k - 1 else "0"
         d = brane.parse(s)
         if brane.admissible(d):
+            yield d
+
+
+def sweep_diagrams():
+    """The criterion-3 sample: exhaustive up to 6 black lines with labels
+    up to 3, then seeded random admissible diagrams with 6 to 9 black lines.
+    Each diagram is yielded once: random draws with 6 black lines can repeat
+    an exhaustive one."""
+    seen = set()
+    for d in itertools.chain(
+        admissible_diagrams(5, 3),
+        random_admissible_diagrams(
+            seed=7, trials=400, min_colored=5, max_colored=8, max_label=3
+        ),
+    ):
+        dsl = brane.render(d)
+        if dsl not in seen:
+            seen.add(dsl)
             yield d

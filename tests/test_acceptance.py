@@ -16,7 +16,6 @@
 8. Order duality: the two chambers' restriction supports are exact reverses.
 """
 
-import itertools
 import time
 
 from bowvariety import algebra, brane, butterfly, envelope, errors, tangent, tie
@@ -26,26 +25,8 @@ from conftest import (
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
-    random_admissible_diagrams,
+    sweep_diagrams,
 )
-
-
-def sweep_diagrams():
-    """The criterion-3 sample: exhaustive up to 6 black lines with labels
-    up to 3, then seeded random admissible diagrams with 6 to 9 black lines.
-    Each diagram is yielded once: random draws with 6 black lines can repeat
-    an exhaustive one."""
-    seen = set()
-    for d in itertools.chain(
-        admissible_diagrams(5, 3),
-        random_admissible_diagrams(
-            seed=7, trials=400, min_colored=5, max_colored=8, max_label=3
-        ),
-    ):
-        dsl = brane.render(d)
-        if dsl not in seen:
-            seen.add(dsl)
-            yield d
 
 
 def test_criterion_1_enumeration_counts():

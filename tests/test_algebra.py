@@ -1,12 +1,13 @@
 """Exact symbolic kernel: weights, characters, polynomials, Euler classes."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bowvariety import algebra, envelope, errors
+from bowvariety import algebra, brane, envelope, errors, tangent, tie
 from bowvariety.algebra import (
     Character,
     FactoredClass,
@@ -19,7 +20,7 @@ from bowvariety.algebra import (
     poly_parse,
     t,
 )
-from conftest import FIXTURES
+from conftest import EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
 
 # ---------------------------------------------------------------------------
 # weights
@@ -54,10 +55,57 @@ def test_weight_substitute_is_torus_twist():
     assert w.substitute(2, 1) == w
 
 
-def test_weight_difference_indices():
-    assert (t(2, 3) - t(3, 3) + h(3)).difference_indices() == (2, 3)
-    assert t(1, 3).difference_indices() is None
-    assert (t(1, 3) + t(2, 3) - t(3, 3)).difference_indices() is None
+def is_difference(w):
+    """The shape check of chamber_split and Weight.render: the A-part is
+    t_i - t_j for some i != j."""
+    return sorted(w.a) == [-1, *[0] * (len(w.a) - 2), 1]
+
+
+def test_weight_difference_shape():
+    w = t(2, 3) - t(3, 3) + h(3)
+    assert is_difference(w) and (w.a.index(1) + 1, w.a.index(-1) + 1) == (2, 3)
+    for other in (t(1, 3), t(1, 3) + t(2, 3) - t(3, 3), h(3), Weight((2, -2, 0), 0)):
+        assert not is_difference(other)
+        tc = tangent.TangentCharacter("X", Character.from_weights(3, [other]))
+        with pytest.raises(errors.DegenerateWeight):
+            tangent.chamber_split(tc, (1, 2, 3))
+    tc = tangent.TangentCharacter("X", Character.from_weights(3, [w, -w]))
+    split = tangent.chamber_split(tc, (3, 1, 2))
+    assert split.plus.weights() == [-w] and split.minus.weights() == [w]
+
+
+def general_render(w):
+    """Weight.render without its shortcut for t_i - t_j + m*h."""
+    if w.is_zero():
+        return "0"
+    parts = [(x, f"t{k + 1}") for k, x in enumerate(w.a) if x]
+    if w.m:
+        parts.append((w.m, "h"))
+    out = ""
+    for coeff, name in parts:
+        body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+        if not out:
+            out = body if coeff > 0 else f"-{body}"
+        else:
+            out += f"{'-' if coeff < 0 else '+'}{body}"
+    return out
+
+
+def test_weight_render_matches_general_path():
+    # every weight with coefficients in -2..2 and m in -3..3 over up to
+    # three variables, and the weights of T*P^1 and the three-blue example
+    rendered = 0
+    for n in range(4):
+        for a in itertools.product(range(-2, 3), repeat=n):
+            for m in range(-3, 4):
+                w = Weight(a, m)
+                assert w.render() == general_render(w), (a, m)
+                rendered += is_difference(w)
+    assert rendered == 7 * (2 + 6)
+    for diagram in (EXAMPLE_3BLUE, TSTAR_P1):
+        for t_ in tie.enumerate_tie_diagrams(brane.parse(diagram)):
+            for w in tangent.tangent_character(t_, "D").char.terms:
+                assert w.render() == general_render(w)
 
 
 def test_weight_mixed_nvars_rejected():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bowvariety import brane, errors
-from conftest import EXAMPLE_3BLUE, TSTAR_P1, diagram_strings
+from bowvariety import brane, errors, tie
+from conftest import EXAMPLE_3BLUE, TSTAR_P1, diagram_strings, sweep_diagrams
 
 
 def test_parse_render_round_trip():
@@ -99,6 +99,23 @@ def test_separate_terminates_in_sdeg_moves():
     # separation preserves both color multisets
     assert sep.colors.count(brane.RED) == d.n_red
     assert sep.colors.count(brane.BLUE) == d.n_blue
+
+
+def test_separate_reports_empty_varieties():
+    # on the criterion-3 sweep, a move that would make a label negative
+    # happens only on diagrams without tie diagrams; every other diagram
+    # separates in sdeg(d) moves
+    empty = 0
+    for d in sweep_diagrams():
+        try:
+            sep, moves = brane.separate(d)
+        except errors.EmptyVariety as exc:
+            assert str(exc).startswith(f"the variety of {brane.render(d)} is empty")
+            assert not tie.enumerate_tie_diagrams(d)
+            empty += 1
+        else:
+            assert brane.separated(sep) and len(moves) == brane.sdeg(d)
+    assert empty == 139
 
 
 def test_separate_fixes_separated_diagrams():

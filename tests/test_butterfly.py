@@ -12,7 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bowvariety import brane, butterfly, linalg, tie
-from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1, admissible_diagrams
+from conftest import (
+    EXAMPLE_3BLUE,
+    FLAG,
+    POINT_DIAGRAM,
+    TSTAR_P1,
+    admissible_diagrams,
+    sweep_diagrams,
+)
 
 BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
 BIG_TIES = [
@@ -237,6 +244,112 @@ def test_stability_matches_bitmask_reference():
     assert verdicts[True] > 700 and verdicts[False] > 300
 
 
+def reference_stability(f):
+    """The stability search as first written on arrow-closed sets: it
+    rescans the sorted vertices for the first undecided one at every branch
+    and rebuilds the label ids of the quotients at every leaf."""
+    result = butterfly.CheckResult("stability", True)
+    succ, pred = {}, {}
+    greens = []
+    for u, bf in f.butterflies.items():
+        for (i, _jj), height in bf.heights.items():
+            succ[(u, i + bf.J, height)] = []
+            pred[(u, i + bf.J, height)] = []
+        for color, src, tgt in bf.arrows:
+            if color == "green":
+                if src == butterfly.EXTERNAL:
+                    greens.append((u, bf.J, bf.heights[tgt]))
+                continue
+            s = (u, src[0] + bf.J, bf.heights[src])
+            t_ = (u, tgt[0] + bf.J, bf.heights[tgt])
+            succ[s].append(t_)
+            pred[t_].append(s)
+
+    def closure(seed, edges):
+        out = set(seed)
+        stack = list(seed)
+        while stack:
+            for w in edges[stack.pop()]:
+                if w not in out:
+                    out.add(w)
+                    stack.append(w)
+        return out
+
+    blue_pos = f.base.blue_positions()
+
+    def quotients_iso(chosen):
+        for u, p in enumerate(blue_pos, start=1):
+            comp_minus = [
+                k for k, (bu, _i, h) in enumerate(f.bases[p]) if (bu, p, h) not in chosen
+            ]
+            comp_plus = [
+                k for k, (bu, _i, h) in enumerate(f.bases[p + 1])
+                if (bu, p + 1, h) not in chosen
+            ]
+            if len(comp_minus) != len(comp_plus):
+                return False
+            a_mat = f.per_blue[f"U{u}"]["A"]
+            induced = [[a_mat.data[r][c] for c in comp_plus] for r in comp_minus]
+            if linalg.rank(induced) != len(comp_minus):
+                return False
+        return True
+
+    vertices = sorted(succ)
+    stack = [(closure(greens, succ), set())]
+    while stack:
+        inside, outside = stack.pop()
+        v = next((w for w in vertices if w not in inside and w not in outside), None)
+        if v is not None:
+            stack.append((inside, outside | closure([v], pred)))
+            stack.append((inside | closure([v], succ), outside))
+        elif len(inside) < len(vertices) and quotients_iso(inside):
+            result.ok = False
+            result.messages.append(
+                f"destabilizing subspace of dimension {len(inside)} found"
+            )
+            return result
+    return result
+
+
+def dropping_each_arrow(f):
+    """Copies of ``f`` with one non-green butterfly arrow dropped."""
+    for u, bf in f.butterflies.items():
+        for arrow in bf.arrows:
+            if arrow[0] != "green":
+                arrows = tuple(a for a in bf.arrows if a != arrow)
+                dropped = {**f.butterflies, u: dataclasses.replace(bf, arrows=arrows)}
+                yield dataclasses.replace(f, butterflies=dropped)
+
+
+def test_stability_matches_reference_search():
+    # the criterion-3 sweep, the 24 verified flag points, and faulty copies:
+    # the first 300 sweep points and D36 of the flag with one arrow dropped,
+    # and the T*P^1 points without green arrows
+    sweep = [
+        butterfly.assemble_fixed_point(t)
+        for d in sweep_diagrams()
+        for t in tie.enumerate_tie_diagrams(d)
+    ]
+    flag_points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    flag = [butterfly.assemble_fixed_point(flag_points[k]) for k in range(0, 840, 35)]
+    faulty = [
+        case
+        for f in sweep[:300] + flag[1:2]
+        for case in dropping_each_arrow(f)
+    ]
+    faulty += [
+        without_greens(butterfly.assemble_fixed_point(t))
+        for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))
+    ]
+    for f in sweep + flag + faulty:
+        got, ref = butterfly._check_stability(f), reference_stability(f)
+        assert (got.ok, got.skipped, got.messages) == (ref.ok, ref.skipped, ref.messages)
+    assert len(sweep) == 1610 and all(butterfly._check_stability(f).ok for f in sweep + flag)
+    destabilized = [f for f in faulty if not butterfly._check_stability(f).ok]
+    assert len(faulty) == 804 and len(destabilized) == 274
+    assert any(f.base == flag[1].base for f in destabilized)
+
+
 def test_stability_runs_on_large_flag_points():
     # 22 and 20 basis lines outside the closure of the green arrows: too
     # many for a search over all their subsets
@@ -423,11 +536,11 @@ def test_mat_shapes_and_products():
 
 def test_rank_kernel_image():
     a = linalg.Mat(2, 3, [[1, 2, 3], [2, 4, 6]])
-    assert a.rank() == 1
+    assert linalg.rank(a.data) == 1
     for v in ([-2, 1, 0], [-3, 0, 1]):
         assert a.apply(v) == [0, 0]
     assert linalg.rank(a.columns()) == 1
-    assert linalg.Mat(3, 3, [[2, 0, 0], [0, Fraction(1, 3), 0], [0, 0, 5]]).rank() == 3
+    assert linalg.rank([[2, 0, 0], [0, Fraction(1, 3), 0], [0, 0, 5]]) == 3
 
 
 def test_subspace_operations():

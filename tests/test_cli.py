@@ -181,6 +181,18 @@ def test_verify_verb():
     assert out.splitlines()[-1] == "all fixed points verified"
 
 
+def test_empty_variety_verbs():
+    # 0\3/2/0 is admissible but has no tie diagrams
+    code, out = run_cli("verify", "0\\3/2/0")
+    assert code == 0
+    assert out == "no fixed points: the variety of 0\\3/2/0 is empty\n"
+    proc = run_subprocess("separate", "0\\3/2/0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: the variety of 0\\3/2/0 is empty: the move at 2 gives a negative label\n"
+    )
+
+
 def test_missing_data_file():
     code, _ = run_cli("stab", "--data", "/nonexistent/file.json")
     assert code == 2

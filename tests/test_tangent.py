@@ -1,10 +1,19 @@
 """Tangent characters, chamber splits, Euler classes."""
 
+from collections import Counter
+
 import pytest
 
 from bowvariety import algebra, brane, butterfly, errors, tangent, tie
 from bowvariety.algebra import Weight, h, t
-from conftest import EXAMPLE_3BLUE, POINT_DIAGRAM, TSTAR_P1, admissible_diagrams
+from conftest import (
+    EXAMPLE_3BLUE,
+    FLAG,
+    POINT_DIAGRAM,
+    TSTAR_P1,
+    admissible_diagrams,
+    sweep_diagrams,
+)
 
 
 def w(i, j, m=0, n=3):
@@ -109,7 +118,8 @@ def test_tangent_invariants_on_sweep():
             char = tc.char
             assert char.is_effective()
             assert char.involution_image() == char
-            assert all(w.difference_indices() for w in char.terms)
+            # the shape check of chamber_split: one t_i, one -t_j
+            assert all(sorted(w.a) == [-1, *[0] * (len(w.a) - 2), 1] for w in char.terms)
             dims.add(char.total())
         assert len(dims) == 1
 
@@ -150,17 +160,66 @@ def test_corrupted_fibers_are_rejected(monkeypatch):
 def test_asymmetric_character_is_rejected(monkeypatch):
     # A fiber corruption that breaks the symmetry appears always to leave a
     # weight of zero A-part, which the weight-form check rejects first, so
-    # add stray weights t1 - t2 to the sum instead.
+    # add a stray weight t1 - t2 with each Hom product instead.
     t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
-    hom = tangent._hom
+    add_hom = tangent._add_hom
 
-    def hom_with_stray_weight(acc, *args):
-        hom(acc, *args)
-        acc[1, 2, 0] += 1
+    def add_hom_with_stray_weight(acc, *args):
+        add_hom(acc, *args)
+        acc[1, 2, 0] = acc.get((1, 2, 0), 0) + 1
 
-    monkeypatch.setattr(tangent, "_hom", hom_with_stray_weight)
+    monkeypatch.setattr(tangent, "_add_hom", add_hom_with_stray_weight)
     with pytest.raises(errors.BrokenSymplecticInvolution):
         tangent.tangent_character(t_, "D1")
+
+
+def reference_multiplicities(t_):
+    """The (i, j, m) multiplicities of the tangent character by the
+    term-by-term bookkeeping: one Hom product per term of the formula in
+    :func:`tangent.tangent_character` (78 products per flag point)."""
+    d = t_.base
+    fibers = butterfly.fiber_weights(t_)
+    acc = Counter()
+
+    def hom(src, tgt, m, sign):
+        for (a, ma), na in src.items():
+            for (b, mb), nb in tgt.items():
+                key = (b, a, mb - ma + m) if a != b else (0, 0, mb - ma + m)
+                acc[key] += sign * na * nb
+
+    for u, p in enumerate(d.blue_positions(), start=1):
+        wm, wp = fibers[p], fibers[p + 1]
+        tu = {(u, 0): 1}
+        hom(wp, wm, 0, 1)
+        hom(wm, wm, 1, 1)
+        hom(wp, wp, 1, 1)
+        hom(tu, wm, 0, 1)
+        hom(wp, tu, 1, 1)
+        hom(wp, wm, 1, -1)
+    for q in d.red_positions():
+        wm, wp = fibers[q], fibers[q + 1]
+        hom(wp, wm, 1, 1)
+        hom(wm, wp, 0, 1)
+    for w_ in fibers.values():
+        hom(w_, w_, 0, -1)
+        hom(w_, w_, 1, -1)
+    return {key: mult for key, mult in acc.items() if mult}
+
+
+def multiplicities(tc):
+    return {
+        (w_.a.index(1) + 1, w_.a.index(-1) + 1, w_.m): mult
+        for w_, mult in tc.char.terms.items()
+    }
+
+
+def test_merged_bookkeeping_matches_term_by_term_reference():
+    points = [t_ for d in sweep_diagrams() for t_ in tie.enumerate_tie_diagrams(d)]
+    flag = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    assert len(points) == 1610 and len(flag) == 840
+    for t_ in points + flag:
+        got = multiplicities(tangent.tangent_character(t_, "D"))
+        assert got == reference_multiplicities(t_), t_
 
 
 def test_chamber_split_partitions():
