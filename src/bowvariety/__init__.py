@@ -13,7 +13,6 @@ from .algebra import (
     FactoredClass,
     Poly,
     RationalFn,
-    Weight,
     exact_divide,
     integer_ratio_mod_h,
     mod_h,
@@ -75,7 +74,6 @@ __all__ = [
     "TangentCharacter",
     "AttractionData",
     "StabClass",
-    "Weight",
     "Character",
     "Poly",
     "FactoredClass",

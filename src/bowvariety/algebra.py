@@ -2,16 +2,19 @@
 
 Coefficients are Python ints; a ``fractions.Fraction`` appears only where a
 division leaves a remainder, and there is no floating point anywhere in the
-package.  The base ring is Q[t_1, ..., t_N, h].  A *weight* is an integral
-linear form ``a_1*t_1 + ... + a_N*t_N + m*h``; a *character* is a finite
-multiset of weights with (possibly negative, mid-computation) integer
-multiplicities, written additively.
+package.  The base ring is Q[t_1, ..., t_N, h].  Every torus weight of a
+tangent space is ``t_i - t_j + m*h``, and a *weight* is the plain tuple key
+``(i, j, m)`` for it; a weight of zero A-part is keyed ``(0, 0, m)``.  A
+*character* is a finite multiset of weights with (possibly negative,
+mid-computation) integer multiplicities, written additively.  Factored
+classes are products of weights, and rational functions cancel weights from
+their denominators.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import Counter
 from fractions import Fraction
 
 from . import errors
@@ -20,84 +23,37 @@ from . import errors
 # weights
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Linear form sum(a[i] * t_{i+1}) + m * h with integer coefficients."""
-
-    a: tuple
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(map(int, self.a)))
-
-    @property
-    def nvars(self):
-        return len(self.a)
-
-    def __add__(self, other):
-        self._check(other)
-        return Weight(tuple(x + y for x, y in zip(self.a, other.a)), self.m + other.m)
-
-    def __sub__(self, other):
-        self._check(other)
-        return Weight(tuple(x - y for x, y in zip(self.a, other.a)), self.m - other.m)
-
-    def __neg__(self):
-        return Weight(tuple(-x for x in self.a), -self.m)
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("weights live over different variable counts")
-
-    def is_zero(self):
-        return self.m == 0 and all(x == 0 for x in self.a)
-
-    def involution(self):
-        """The symplectic pairing partner h - w."""
-        return Weight(tuple(-x for x in self.a), 1 - self.m)
-
-    def substitute(self, i, dm=1):
-        """Apply t_i -> t_i + dm*h (the Hanany-Witten torus twist)."""
-        return Weight(self.a, self.m + dm * self.a[i - 1])
-
-    def to_poly(self):
-        n = self.nvars
-        units = [(0,) * k + (1,) + (0,) * (n - k) for k in range(n + 1)]  # t_1..t_N, h
-        return Poly(n, {e: x for e, x in zip(units, self.a + (self.m,)) if x})
-
-    def render(self):
-        a, m = self.a, self.m
-        if a.count(0) + 2 == len(a) and max(a) == 1 and min(a) == -1:
-            # t_i - t_j + m*h, the form of every tangent weight
-            i, j = a.index(1) + 1, a.index(-1) + 1
-            out = f"t{i}-t{j}" if i < j else f"-t{j}+t{i}"
-            if m:
-                out += ("+" if m > 0 else "-") + ("h" if abs(m) == 1 else f"{abs(m)}*h")
-            return out
-        if self.is_zero():
-            return "0"
-        out = ""
-        for coeff, name in [*((x, f"t{k + 1}") for k, x in enumerate(a)), (m, "h")]:
-            if coeff:
-                body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-                out += f"-{body}" if coeff < 0 else f"+{body}" if out else body
-        return out
-
-    def __repr__(self):
-        return f"Weight({self.render()})"
-
-    def sort_key(self):
-        return (self.m, self.a)
+def weight_sort_key(w):
+    """Sort key of the weight ``(i, j, m)``: the order of ``(m, a)``, with
+    ``a`` the coefficient vector of t_1..t_N, read off without building it."""
+    i, j, m = w
+    if i < j:  # a = (0.., 1 at i, 0.., -1 at j, 0..)
+        return (m, 1, -i, j)
+    if i > j:  # a = (0.., -1 at j, 0.., 1 at i, 0..)
+        return (m, -1, j, -i)
+    return (m, 0, 0, 0)
 
 
-def t(i, nvars):
-    """The weight t_i over N = nvars variables."""
-    return Weight(tuple(1 if k == i - 1 else 0 for k in range(nvars)), 0)
+def render_weight(w):
+    """``t1-t3+2*h``, ``-t1+t2-h``; a zero A-part prints ``h``, ``-2*h``, ``0``."""
+    i, j, m = w
+    out = "" if i == j else f"t{i}-t{j}" if i < j else f"-t{j}+t{i}"
+    if m:
+        body = "h" if m in (1, -1) else f"{abs(m)}*h"
+        out += f"-{body}" if m < 0 else f"+{body}" if out else body
+    return out or "0"
 
 
-def h(nvars):
-    """The weight h over N = nvars variables."""
-    return Weight((0,) * nvars, 1)
+def weight_poly(w, nvars):
+    """The weight ``(i, j, m)`` as a polynomial in t_1..t_N, h (N = nvars)."""
+    i, j, m = w
+    if max(i, j) > nvars:
+        raise ValueError(f"weight {render_weight(w)} over {nvars} variables")
+    terms = {(0,) * nvars + (1,): m}
+    if i != j:
+        for k, c in ((i, 1), (j, -1)):
+            terms[(0,) * (k - 1) + (1,) + (0,) * (nvars + 1 - k)] = c
+    return Poly(nvars, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +71,11 @@ class Character:
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for w, mult in dict(terms).items():
-                if mult:
-                    self.terms[w] = mult
+        self.terms = {w: n for w, n in dict(terms or {}).items() if n}
 
     @classmethod
     def from_weights(cls, nvars, weights):
-        c = cls(nvars)
-        for w in weights:
-            c.terms[w] = c.terms.get(w, 0) + 1
-            if c.terms[w] == 0:
-                del c.terms[w]
-        return c
+        return cls(nvars, Counter(weights))
 
     def __bool__(self):
         return bool(self.terms)
@@ -136,15 +83,10 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def _merge(self, other, sign):
         out = dict(self.terms)
-        for w, mult in other.terms.items():
-            out[w] = out.get(w, 0) + sign * mult
-            if out[w] == 0:
-                del out[w]
+        for w, n in other.terms.items():
+            out[w] = out.get(w, 0) + sign * n
         return Character(self.nvars, out)
 
     def __add__(self, other):
@@ -153,15 +95,17 @@ class Character:
     def __sub__(self, other):
         return self._merge(other, -1)
 
-    def substitute(self, i, dm=1):
+    def substitute(self, k, dm=1):
+        """Apply t_k -> t_k + dm*h (the Hanany-Witten torus twist)."""
         out = {}
-        for w, mult in self.terms.items():
-            w2 = w.substitute(i, dm)
-            out[w2] = out.get(w2, 0) + mult
+        for (i, j, m), mult in self.terms.items():
+            w = (i, j, m + dm * ((i == k) - (j == k)))
+            out[w] = out.get(w, 0) + mult
         return Character(self.nvars, out)
 
     def involution_image(self):
-        return Character(self.nvars, {w.involution(): m for w, m in self.terms.items()})
+        """The image under the symplectic pairing w -> h - w."""
+        return Character(self.nvars, {(j, i, 1 - m): n for (i, j, m), n in self.terms.items()})
 
     def is_effective(self):
         return all(m > 0 for m in self.terms.values())
@@ -170,20 +114,19 @@ class Character:
         """Total multiplicity = dimension of the represented space."""
         return sum(self.terms.values())
 
+    def sorted_terms(self):
+        """(weight, multiplicity) pairs in the canonical weight order."""
+        return sorted(self.terms.items(), key=lambda wn: weight_sort_key(wn[0]))
+
     def weights(self):
         """All weights with multiplicity, canonically sorted."""
-        out = []
-        for w in sorted(self.terms, key=Weight.sort_key):
-            out.extend([w] * self.terms[w])
-        return out
+        return [w for w, n in self.sorted_terms() for _ in range(n)]
 
     def render(self):
-        if not self.terms:
-            return "0"
         return " + ".join(
-            w.render() if m == 1 else f"{m}*({w.render()})"
-            for w, m in sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-        )
+            render_weight(w) if n == 1 else f"{n}*({render_weight(w)})"
+            for w, n in self.sorted_terms()
+        ) or "0"
 
     def __repr__(self):
         return f"Character({self.render()})"
@@ -553,7 +496,7 @@ def _divide_linear(p, q):
 
 
 class FactoredClass:
-    """constant * product of linear forms (weights) with positive exponents.
+    """constant * product of weights ``(i, j, m)`` with positive exponents.
 
     Houses Euler classes; kept factored so that rational-function
     cancellation never needs a multivariate GCD.
@@ -571,7 +514,7 @@ class FactoredClass:
             if exp:
                 merged[w] = merged.get(w, 0) + exp
         self.factors = tuple(
-            sorted(merged.items(), key=lambda we: we[0].sort_key())
+            sorted(merged.items(), key=lambda we: weight_sort_key(we[0]))
         )
 
     @classmethod
@@ -586,7 +529,7 @@ class FactoredClass:
         return cls(char.nvars, 1, list(char.terms.items()))
 
     def is_zero(self):
-        return self.constant == 0 or any(w.is_zero() for w, _ in self.factors)
+        return self.constant == 0 or any(i == j and not m for (i, j, m), _ in self.factors)
 
     def degree(self):
         return sum(exp for _, exp in self.factors)
@@ -594,7 +537,7 @@ class FactoredClass:
     def expand(self):
         p = Poly.const(self.nvars, self.constant)
         for w, exp in self.factors:
-            p = p * w.to_poly() ** exp
+            p = p * weight_poly(w, self.nvars) ** exp
         return p
 
     def __mul__(self, other):
@@ -623,7 +566,7 @@ class FactoredClass:
         if self.constant != 1 or not self.factors:
             parts.append(str(self.constant))
         for w, exp in self.factors:
-            body = f"({w.render()})"
+            body = f"({render_weight(w)})"
             parts.append(body if exp == 1 else f"{body}^{exp}")
         return "*".join(parts)
 
@@ -669,7 +612,7 @@ class RationalFn:
         # cancel linear denominator factors that exactly divide the numerator
         kept = []
         for w, exp in den.factors:
-            wp = w.to_poly()
+            wp = weight_poly(w, num.nvars)
             while exp and not num.is_zero():
                 quotient = _divide_linear(num, wp)
                 if quotient is None:

@@ -447,13 +447,13 @@ def _check_s1_s2(f):
         # v -> v B^+ span the dual of W^+.
         bplus_t = linalg.Mat(bplus.cols, bplus.rows, bplus.columns())
         rows = ops["A"].data + ops["b"].data
-        if linalg.krylov_rank(rows, bplus_t.apply) != bplus.rows:
+        if linalg.krylov_rank(rows, bplus_t) != bplus.rows:
             result.ok = False
             result.messages.append(f"S1 fails at {name}")
         # S2: the Krylov closure of Im A + Im a under B^- is W^- iff the
         # columns of [A | a] and their images under B^- span W^-
         cols = ops["A"].columns() + ops["a"].columns()
-        if linalg.krylov_rank(cols, bminus.apply) != bminus.rows:
+        if linalg.krylov_rank(cols, bminus) != bminus.rows:
             result.ok = False
             result.messages.append(f"S2 fails at {name}")
     return result

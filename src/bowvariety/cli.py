@@ -11,7 +11,7 @@ import json
 import sys
 from collections import Counter
 
-from . import brane, butterfly, envelope, errors, tangent, tie
+from . import algebra, brane, butterfly, envelope, errors, tangent, tie
 
 USAGE_EXIT = 1
 INPUT_EXIT = 2
@@ -150,7 +150,7 @@ def _cmd_tangent(args, out):
         if args.point and pid != args.point:
             continue
         tc = tangent.tangent_character(t, pid)
-        out.write(f"{pid}: {{{', '.join(w.render() for w in tc.weights())}}}\n")
+        out.write(f"{pid}: {{{', '.join(map(algebra.render_weight, tc.weights()))}}}\n")
         if chamber is not None:
             split = tangent.chamber_split(tc, chamber)
             out.write(f"  plus:  {split.plus.render()}\n")

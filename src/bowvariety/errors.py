@@ -47,7 +47,7 @@ class NegativeLabel(BowError):
 
 
 class EmptyVariety(NegativeLabel):
-    """Separating an admissible diagram hits a negative label: no points."""
+    """A variety without points: separation hits a negative label, or no tie diagrams."""
 
 
 class IllegalMove(BowError):

@@ -11,6 +11,7 @@ with integer elimination.
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 
 class Mat:
@@ -109,12 +110,6 @@ class Mat:
     def shape(self):
         return (self.rows, self.cols)
 
-    def apply(self, v):
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(x * y for x, y in zip(row, v)) for row in self.data]
-
     def column(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
@@ -173,9 +168,9 @@ def rank(rows):
     return sum(echelon.add(row) for row in rows)
 
 
-def krylov_rank(vectors, step):
+def krylov_rank(vectors, m):
     """Dimension of the smallest subspace that contains ``vectors`` and is
-    mapped into itself by the linear map ``step``.
+    mapped into itself by the square :class:`Mat` ``m``, acting as v -> m v.
 
     Only the vectors that raised the rank are mapped again: if they span the
     subspace modulo the previous one, their images span the next one modulo
@@ -184,5 +179,6 @@ def krylov_rank(vectors, step):
     echelon = _Echelon()
     new = [v for v in vectors if echelon.add(v)]
     while new:
-        new = [w for w in map(step, new) if echelon.add(w)]
+        images = ([sum(map(mul, row, v)) for row in m.data] for v in new)
+        new = [w for w in images if echelon.add(w)]
     return len(echelon.pivots)

@@ -4,7 +4,9 @@ classes.
 The tangent character is computed by hamiltonian-reduction bookkeeping over
 the fiber characters: triangle slots and red slots contribute Hom-characters,
 the moment-map target carries an extra h, and the gauge directions are
-subtracted at weights 0 and h.
+subtracted at weights 0 and h.  Weights are the ``(i, j, m)`` keys of
+:mod:`algebra`, meaning t_i - t_j + m*h, from the bookkeeping to the Euler
+classes.
 """
 
 from __future__ import annotations
@@ -17,21 +19,19 @@ from . import algebra, brane, butterfly, errors, tie
 @dataclass
 class TangentCharacter:
     point: str
-    char: algebra.Character
+    char: algebra.Character  # keyed by weights (i, j, m): t_i - t_j + m*h
 
     def weights(self):
         return self.char.weights()
 
     def to_json(self):
-        return {
-            "point": self.point,
-            "weights": [
-                {"a": list(w.a), "m": w.m, "mult": m}
-                for w, m in sorted(
-                    self.char.terms.items(), key=lambda kv: kv[0].sort_key()
-                )
-            ],
-        }
+        weights = []
+        for (i, j, m), n in self.char.sorted_terms():
+            a = [0] * self.char.nvars
+            if i != j:
+                a[i - 1], a[j - 1] = 1, -1
+            weights.append({"a": a, "m": m, "mult": n})
+        return {"point": self.point, "weights": weights}
 
 
 @dataclass
@@ -41,75 +41,78 @@ class ChamberSplit:
     minus: algebra.Character
 
 
-def _add_hom(acc, src, tgt, shifts):
-    """Add c times the character of Hom(src, tgt), shifted by m*h, to ``acc``
-    for each (m, c) in ``shifts``.  Fibers are Counters of (u, m) meaning
-    t_u + m*h; ``acc`` is keyed by (i, j, m) meaning t_i - t_j + m*h, with
-    every weight of zero A-part (i == j) filed under (0, 0, m)."""
-    tgt = list(tgt.items())
-    for m, c in shifts:
-        for (a, ma), na in src.items():
-            cn, dm = c * na, m - ma
-            for (b, mb), nb in tgt:
-                key = (b, a, mb + dm) if a != b else (0, 0, mb + dm)
-                acc[key] = acc.get(key, 0) + cn * nb
+def _add_shifted(targets, fiber, shifts):
+    """Add c * h^s * fiber to ``targets``, a dict of (u, m) meaning t_u + m*h,
+    for each (s, c) in ``shifts``."""
+    for (u, m), n in fiber.items():
+        for s, c in shifts:
+            key = (u, m + s)
+            targets[key] = targets.get(key, 0) + c * n
 
 
-def _character(nvars, acc):
-    """The character whose weight t_i - t_j + m*h has multiplicity acc[i, j, m]."""
-    terms = {}
-    for (i, j, m), mult in acc.items():
-        a = [0] * nvars
-        if i != j:
-            a[i - 1], a[j - 1] = 1, -1
-        terms[algebra.Weight(tuple(a), m)] = mult
-    return algebra.Character(nvars, terms)
+def _add_products(acc, src, targets):
+    """Add the character of Hom(src, targets) = src^v * targets to ``acc``.
+
+    ``src`` and ``targets`` map (u, m), meaning t_u + m*h, to multiplicities
+    (zero ones are skipped); ``acc`` is keyed by weights (i, j, m), with every
+    weight of zero A-part (i == j) filed under (0, 0, m).
+    """
+    targets = [(bm, c) for bm, c in targets.items() if c]
+    for (a, ma), na in src.items():
+        for (b, mb), nb in targets:
+            key = (b, a, mb - ma) if a != b else (0, 0, mb - ma)
+            acc[key] = acc.get(key, 0) + na * nb
 
 
 def tangent_character(t, point_id):
     """Tangent character at the fixed point ``point_id`` of a tie diagram.
 
-    Builds the virtual character
+    Builds the virtual character, with Hom(S, T) = S^v * T,
 
-        sum over blue U of  [ (1 - h) * W_{U+}^v * W_{U-}
-                              + (W_{U-} - t_U) + (t_U + h - W_{U+}) ]
-      + sum over red V of   [ h * W_{V+}^v * W_{V-} + W_{V-}^v * W_{V+} ]
-      + sum over black X of  ((b_X - 1) * h - 1) * W_X * W_X^v
+        sum over blue U of  [ (1 - h) Hom(W_{U+}, W_{U-})
+                              + Hom(t_U, W_{U-}) + h Hom(W_{U+}, t_U) ]
+      + sum over red V of   [ h Hom(W_{V+}, W_{V-}) + Hom(W_{V-}, W_{V+}) ]
+      + sum over black X of ((b_X - 1) h - 1) Hom(W_X, W_X)
 
-    from the fiber weights, one Hom product per pair of fibers (b_X counts
-    the blue lines U with X = U^- or X = U^+), then checks effectiveness,
-    the t_i - t_j + m*h weight form, and stability under w -> h - w.
+    from the fiber weights (b_X counts the blue lines U with X = U^- or
+    X = U^+).  The formula is linear in the target, so the terms are grouped
+    by source fiber: the targets of W_X, with their h-shifts and
+    coefficients, are summed into one dict first (across a blue line most of
+    W_{U-} cancels against W_{U+}), and W_X is multiplied by that sum once.
+    Then checks effectiveness, the t_i - t_j + m*h weight form, and
+    stability under w -> h - w.
     """
     d = t.base
-    nvars = d.n_blue
     fibers = butterfly.fiber_weights(t)
-    blue = [False, *(c == brane.BLUE for c in d.colors), False]
+    colors = [None, *d.colors, None]  # colors[p]: the line between X_p and X_{p+1}
+    blue = {p: u for u, p in enumerate(d.blue_positions(), start=1)}
     acc = {}
+    for x, w in fibers.items():
+        left, right = colors[x - 1], colors[x]
+        b_x = (left == brane.BLUE) + (right == brane.BLUE)
+        targets = {}
+        _add_shifted(targets, w, ((0, -1), (1, b_x - 1)) if b_x != 1 else ((0, -1),))
+        if left == brane.BLUE:  # X = U+
+            # the triangle relation B^-A - AB^+ + ab lives in h Hom(W_{U+}, W_{U-})
+            tu, wm = {(blue[x - 1], 0): 1}, fibers[x - 1]
+            _add_shifted(targets, wm, ((0, 1), (1, -1)))
+            _add_shifted(targets, tu, ((1, 1),))
+            _add_products(acc, tu, wm)  # Hom(t_U, W_{U-})
+        elif left == brane.RED:  # X = V+
+            _add_shifted(targets, fibers[x - 1], ((1, 1),))
+        if right == brane.RED:  # X = V-
+            _add_shifted(targets, fibers[x + 1], ((0, 1),))
+        _add_products(acc, w, targets)
+    char = algebra.Character(d.n_blue, acc)
 
-    for j, w in fibers.items():
-        b_x = blue[j - 1] + blue[j]
-        _add_hom(acc, w, w, ((0, -1), (1, b_x - 1)) if b_x != 1 else ((0, -1),))
-    for u, p in enumerate(d.blue_positions(), start=1):
-        wm, wp = fibers[p], fibers[p + 1]
-        tu = {(u, 0): 1}
-        # the triangle relation B^-A - AB^+ + ab lives in h Hom(W_{U+}, W_{U-})
-        _add_hom(acc, wp, wm, ((0, 1), (1, -1)))
-        _add_hom(acc, tu, wm, ((0, 1),))
-        _add_hom(acc, wp, tu, ((1, 1),))
-    for q in d.red_positions():
-        wm, wp = fibers[q], fibers[q + 1]
-        _add_hom(acc, wp, wm, ((1, 1),))
-        _add_hom(acc, wm, wp, ((0, 1),))
-    acc = {key: mult for key, mult in acc.items() if mult}
-
-    if any(mult < 0 for mult in acc.values()):
-        raise errors.NonEffective(_character(nvars, acc).render())
-    for i, j, m in acc:
-        if i == j:
-            raise errors.BadWeightForm(_character(nvars, {(i, j, m): 1}).render())
-    if any(acc.get((j, i, 1 - m)) != mult for (i, j, m), mult in acc.items()):
-        raise errors.BrokenSymplecticInvolution(_character(nvars, acc).render())
-    return TangentCharacter(point_id, _character(nvars, acc))
+    if not char.is_effective():
+        raise errors.NonEffective(char.render())
+    bad = [w for w in char.terms if w[0] == w[1]]
+    if bad:
+        raise errors.BadWeightForm(algebra.render_weight(min(bad)))
+    if char.involution_image() != char:
+        raise errors.BrokenSymplecticInvolution(char.render())
+    return TangentCharacter(point_id, char)
 
 
 def dimension(d):
@@ -119,7 +122,9 @@ def dimension(d):
     """
     points = tie.enumerate_tie_diagrams(d)
     if not points:
-        raise ValueError("diagram has no tie diagrams")
+        raise errors.EmptyVariety(
+            f"the variety of {brane.render(d)} is empty: it has no tie diagrams"
+        )
     dims = set()
     for k, t in enumerate(points, start=1):
         dims.add(tangent_character(t, f"D{k}").char.total())
@@ -144,17 +149,16 @@ def chamber_split(tc, pi):
     pi = tuple(pi)
     nvars = tc.char.nvars
     check_chamber(pi, nvars)
-    rank = [pi.index(i) for i in range(1, nvars + 1)]  # rank[i - 1]: place of t_i
+    rank = [0] * (nvars + 1)  # rank[i]: place of t_i in pi
+    for place, i in enumerate(pi):
+        rank[i] = place
     plus = algebra.Character(nvars)
     minus = algebra.Character(nvars)
-    for w, mult in tc.char.terms.items():
-        a = w.a
-        if a.count(0) + 2 != len(a) or max(a) != 1 or min(a) != -1:  # not t_i - t_j
-            raise errors.DegenerateWeight(w.render())
-        if rank[a.index(1)] < rank[a.index(-1)]:
-            plus.terms[w] = mult
-        else:
-            minus.terms[w] = mult
+    for w, n in tc.char.terms.items():
+        i, j, _ = w
+        if i == j:
+            raise errors.DegenerateWeight(algebra.render_weight(w))
+        (plus if rank[i] < rank[j] else minus).terms[w] = n
     return ChamberSplit(pi, plus, minus)
 
 

@@ -65,9 +65,8 @@ def test_criterion_3_verification_sweep():
 
 
 def _w(i, j, m=0):
-    """The weight t_i - t_j + m*h over three variables."""
-    d = algebra.t(i, 3) - algebra.t(j, 3)
-    return algebra.Weight(d.a, d.m + m)
+    """The weight t_i - t_j + m*h."""
+    return (i, j, m)
 
 
 def test_criterion_4_tangent_characters():

@@ -1,6 +1,7 @@
 """Exact symbolic kernel: weights, characters, polynomials, Euler classes."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,104 +14,148 @@ from bowvariety.algebra import (
     FactoredClass,
     Poly,
     RationalFn,
-    Weight,
     exact_divide,
-    h,
     integer_ratio_mod_h,
     poly_parse,
-    t,
+    render_weight,
+    weight_poly,
+    weight_sort_key,
 )
 from conftest import EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
 
 # ---------------------------------------------------------------------------
-# weights
+# weights: (i, j, m) keys against a general linear form
+
+
+@dataclass(frozen=True)
+class Linear:
+    """Reference: the integral linear form sum(a[k] * t_{k+1}) + m*h in full,
+    with the rendering, order and twist that weights had before they became
+    (i, j, m) keys."""
+
+    a: tuple
+    m: int
+
+    @classmethod
+    def of(cls, w, nvars):
+        i, j, m = w
+        a = [0] * nvars
+        if i != j:
+            a[i - 1], a[j - 1] = 1, -1
+        return cls(tuple(a), m)
+
+    def render(self):
+        parts = [(x, f"t{k + 1}") for k, x in enumerate(self.a) if x]
+        if self.m:
+            parts.append((self.m, "h"))
+        out = ""
+        for coeff, name in parts:
+            body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
+            if not out:
+                out = body if coeff > 0 else f"-{body}"
+            else:
+                out += f"{'-' if coeff < 0 else '+'}{body}"
+        return out or "0"
+
+    def sort_key(self):
+        return (self.m, self.a)
+
+    def to_poly(self):
+        n = len(self.a)
+        p = Poly.zero(n)
+        for k, x in enumerate((*self.a, self.m)):
+            p = p + Poly.variable(n, (k + 1) % (n + 1)) * x
+        return p
+
+    def substitute(self, k, dm):
+        """t_k -> t_k + dm*h."""
+        return Linear(self.a, self.m + dm * self.a[k - 1])
+
+    def involution(self):
+        return Linear(tuple(-x for x in self.a), 1 - self.m)
+
+
+# every t_i - t_j + m*h with i != j <= 4 and m in -3..3, and m*h itself
+KEYS = [
+    (i, j, m)
+    for i in range(1, 5)
+    for j in range(1, 5)
+    for m in range(-3, 4)
+    if i != j
+] + [(0, 0, m) for m in range(-3, 4)]
+
+
+def only_weight(char):
+    (w,) = char.terms
+    return w
 
 
 def test_weight_arithmetic():
-    w = t(1, 3) - t(2, 3) + h(3)
-    assert w.a == (1, -1, 0)
-    assert w.m == 1
-    assert (-w).render() == "-t1+t2-h"
-    assert (w - w).is_zero()
+    assert weight_poly((1, 2, 1), 3) == poly_parse("t1 - t2 + h", 3)
+    assert weight_poly((2, 1, -1), 3) == -weight_poly((1, 2, 1), 3)
+    assert weight_poly((3, 1, 0), 3) - weight_poly((2, 1, 0), 3) == weight_poly((3, 2, 0), 3)
+    assert weight_poly((0, 0, -2), 2) == poly_parse("-2*h", 2)
+    assert weight_poly((0, 0, 0), 2).is_zero()
 
 
 def test_weight_render():
-    assert t(2, 2).render() == "t2"
-    assert (t(1, 2) - t(2, 2)).render() == "t1-t2"
-    w = t(1, 2)
-    assert Weight(w.a, w.m + 2).render() == "t1+2*h"
-    assert Weight((0, 0), 0).render() == "0"
+    assert render_weight((1, 2, 0)) == "t1-t2"
+    assert render_weight((2, 1, -1)) == "-t1+t2-h"
+    assert render_weight((1, 3, 2)) == "t1-t3+2*h"
+    assert [render_weight((0, 0, m)) for m in (1, -2, 0)] == ["h", "-2*h", "0"]
 
 
 def test_weight_involution():
-    w = t(1, 2) - t(2, 2) + h(2)
-    assert w.involution() == t(2, 2) - t(1, 2)
-    assert w.involution().involution() == w
+    for w in KEYS:
+        image = only_weight(Character(4, {w: 1}).involution_image())
+        assert Linear.of(image, 4) == Linear.of(w, 4).involution(), w
+        assert only_weight(Character(4, {image: 1}).involution_image()) == w
 
 
 def test_weight_substitute_is_torus_twist():
-    w = t(1, 3) - t(3, 3)
-    assert w.substitute(1, 1) == Weight(w.a, w.m + 1)
-    assert w.substitute(3, 1) == Weight(w.a, w.m - 1)
-    assert w.substitute(2, 1) == w
-
-
-def is_difference(w):
-    """The shape check of chamber_split and Weight.render: the A-part is
-    t_i - t_j for some i != j."""
-    return sorted(w.a) == [-1, *[0] * (len(w.a) - 2), 1]
+    # the Hanany-Witten twist t_k -> t_k + dm*h moves m by dm*([i == k] - [j == k])
+    for w, k, dm in itertools.product(KEYS, range(1, 5), (1, -1)):
+        image = only_weight(Character(4, {w: 1}).substitute(k, dm))
+        assert Linear.of(image, 4) == Linear.of(w, 4).substitute(k, dm), (w, k, dm)
+    char = Character.from_weights(3, [(1, 3, 0), (1, 3, 0), (2, 1, 1)])
+    assert char.substitute(1).terms == {(1, 3, 1): 2, (2, 1, 0): 1}
 
 
 def test_weight_difference_shape():
-    w = t(2, 3) - t(3, 3) + h(3)
-    assert is_difference(w) and (w.a.index(1) + 1, w.a.index(-1) + 1) == (2, 3)
-    for other in (t(1, 3), t(1, 3) + t(2, 3) - t(3, 3), h(3), Weight((2, -2, 0), 0)):
-        assert not is_difference(other)
-        tc = tangent.TangentCharacter("X", Character.from_weights(3, [other]))
-        with pytest.raises(errors.DegenerateWeight):
+    """chamber_split reads (i, j) from the key and rejects a zero A-part."""
+    for m in (-1, 0, 2):
+        tc = tangent.TangentCharacter("X", Character.from_weights(3, [(2, 3, 1), (0, 0, m)]))
+        with pytest.raises(errors.DegenerateWeight) as exc:
             tangent.chamber_split(tc, (1, 2, 3))
-    tc = tangent.TangentCharacter("X", Character.from_weights(3, [w, -w]))
+        assert str(exc.value) == render_weight((0, 0, m))
+    w, minus_w = (2, 3, 1), (3, 2, -1)
+    tc = tangent.TangentCharacter("X", Character.from_weights(3, [w, minus_w]))
     split = tangent.chamber_split(tc, (3, 1, 2))
-    assert split.plus.weights() == [-w] and split.minus.weights() == [w]
-
-
-def general_render(w):
-    """Weight.render without its shortcut for t_i - t_j + m*h."""
-    if w.is_zero():
-        return "0"
-    parts = [(x, f"t{k + 1}") for k, x in enumerate(w.a) if x]
-    if w.m:
-        parts.append((w.m, "h"))
-    out = ""
-    for coeff, name in parts:
-        body = name if abs(coeff) == 1 else f"{abs(coeff)}*{name}"
-        if not out:
-            out = body if coeff > 0 else f"-{body}"
-        else:
-            out += f"{'-' if coeff < 0 else '+'}{body}"
-    return out
+    assert split.plus.weights() == [minus_w] and split.minus.weights() == [w]
 
 
 def test_weight_render_matches_general_path():
-    # every weight with coefficients in -2..2 and m in -3..3 over up to
-    # three variables, and the weights of T*P^1 and the three-blue example
-    rendered = 0
-    for n in range(4):
-        for a in itertools.product(range(-2, 3), repeat=n):
-            for m in range(-3, 4):
-                w = Weight(a, m)
-                assert w.render() == general_render(w), (a, m)
-                rendered += is_difference(w)
-    assert rendered == 7 * (2 + 6)
+    # render, order and polynomial of every key against the linear form, and
+    # the weights of T*P^1 and the three-blue example
+    for w in KEYS:
+        assert render_weight(w) == Linear.of(w, 4).render(), w
+        assert weight_poly(w, 4) == Linear.of(w, 4).to_poly(), w
+    by_key = sorted(KEYS, key=weight_sort_key)
+    assert by_key == sorted(KEYS, key=lambda w: Linear.of(w, 4).sort_key())
+    assert len({weight_sort_key(w) for w in KEYS}) == len(KEYS) == 4 * 3 * 7 + 7
     for diagram in (EXAMPLE_3BLUE, TSTAR_P1):
-        for t_ in tie.enumerate_tie_diagrams(brane.parse(diagram)):
+        d = brane.parse(diagram)
+        for t_ in tie.enumerate_tie_diagrams(d):
             for w in tangent.tangent_character(t_, "D").char.terms:
-                assert w.render() == general_render(w)
+                assert render_weight(w) == Linear.of(w, d.n_blue).render()
 
 
 def test_weight_mixed_nvars_rejected():
+    # t3 does not exist over two variables
     with pytest.raises(ValueError):
-        t(1, 2) + t(1, 3)
+        weight_poly((1, 3, 0), 2)
+    with pytest.raises(ValueError):
+        FactoredClass(2, 1, [((3, 1, 1), 1)]).expand()
 
 
 # ---------------------------------------------------------------------------
@@ -118,24 +163,25 @@ def test_weight_mixed_nvars_rejected():
 
 
 def test_character_multiset_semantics():
-    c = Character.from_weights(2, [t(1, 2), t(1, 2), t(2, 2)])
+    t1, t2 = (1, 2, 0), (2, 1, 0)  # t1 - t2 and t2 - t1
+    c = Character.from_weights(2, [t1, t1, t2])
     assert c.total() == 3
-    assert c.terms[t(1, 2)] == 2
-    assert sorted(c.weights(), key=Weight.sort_key) == c.weights()
-    assert c.weights() == [t(2, 2), t(1, 2), t(1, 2)]
+    assert c.terms[t1] == 2
+    assert sorted(c.weights(), key=weight_sort_key) == c.weights()
+    assert c.weights() == [t2, t1, t1]
     assert (c - c).total() == 0
     assert not (c - c)
 
 
 def test_character_effectiveness():
-    a = Character.from_weights(2, [t(1, 2)])
-    b = Character.from_weights(2, [t(2, 2)])
+    a = Character.from_weights(2, [(1, 2, 0)])
+    b = Character.from_weights(2, [(2, 1, 0)])
     assert a.is_effective()
     assert not (a - b).is_effective()
 
 
 def test_character_involution_image():
-    a = Character.from_weights(2, [t(1, 2) - t(2, 2), t(2, 2) - t(1, 2) + h(2)])
+    a = Character.from_weights(2, [(1, 2, 0), (2, 1, 1)])
     assert a.involution_image() == a
 
 
@@ -145,7 +191,7 @@ def test_character_involution_image():
 
 def test_poly_parse_basic():
     p = poly_parse("t1-t2+h", 2)
-    assert p == (t(1, 2) - t(2, 2) + h(2)).to_poly()
+    assert p == weight_poly((1, 2, 1), 2)
 
 
 def test_poly_parse_precedence_and_power():
@@ -205,45 +251,43 @@ def test_exact_divide():
 
 
 def test_factored_class_expand():
-    char = Character.from_weights(2, [t(1, 2) - t(2, 2), t(2, 2) - t(1, 2) + h(2)])
+    char = Character.from_weights(2, [(1, 2, 0), (2, 1, 1)])
     e = FactoredClass.from_character(char)
     assert e.expand() == poly_parse("(t1-t2)*(t2-t1+h)", 2)
     assert e.degree() == 2
 
 
 def test_factored_class_rejects_virtual_characters():
-    virtual = Character.from_weights(2, [t(1, 2)]) - Character.from_weights(
-        2, [t(2, 2)]
-    )
+    virtual = Character.from_weights(2, [(1, 2, 0)]) - Character.from_weights(2, [(2, 1, 0)])
     with pytest.raises(errors.NonEffective):
         FactoredClass.from_character(virtual)
 
 
 def test_integer_ratio_mod_h():
-    e = FactoredClass(2, 1, [(t(1, 2) - t(2, 2) + h(2), 1)])
+    e = FactoredClass(2, 1, [((1, 2, 1), 1)])
     assert integer_ratio_mod_h(poly_parse("3*t1-3*t2", 2), e) == 3
     assert integer_ratio_mod_h(poly_parse("h^2", 2), e) == 0
     with pytest.raises(errors.NotProportional):
         integer_ratio_mod_h(poly_parse("t1+t2", 2), e)
     with pytest.raises(errors.NotProportional):
         # proportional only with a non-integer constant
-        e2 = FactoredClass(2, 2, [(t(1, 2) - t(2, 2), 1)])
+        e2 = FactoredClass(2, 2, [((1, 2, 0), 1)])
         integer_ratio_mod_h(poly_parse("t1-t2", 2), e2)
 
 
 def test_rational_fn_cancellation():
     num = poly_parse("(t1-t2)*(t1-t2+h)", 2)
-    den = FactoredClass(2, 1, [(t(1, 2) - t(2, 2), 1)])
+    den = FactoredClass(2, 1, [((1, 2, 0), 1)])
     r = RationalFn(num, den)
     assert r.is_polynomial()
     assert r == poly_parse("t1-t2+h", 2)
     with pytest.raises(ZeroDivisionError):  # a zero weight makes the class zero
-        RationalFn(num, FactoredClass(2, 1, [(Weight((0, 0), 0), 1)]))
+        RationalFn(num, FactoredClass(2, 1, [((0, 0, 0), 1)]))
 
 
 def test_rational_fn_arithmetic():
-    den1 = FactoredClass(2, 1, [(t(1, 2) - t(2, 2), 1)])
-    den2 = FactoredClass(2, 1, [(t(2, 2) - t(1, 2), 1)])
+    den1 = FactoredClass(2, 1, [((1, 2, 0), 1)])
+    den2 = FactoredClass(2, 1, [((2, 1, 0), 1)])
     one = Poly.const(2, 1)
     # 1/(t1-t2) + 1/(t2-t1) = 0
     total = RationalFn(one, den1) + RationalFn(one, den2)
@@ -369,9 +413,9 @@ def assert_clean(p):
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
 
 
-def weight(nvars, i, j, m):
-    d = t(i, nvars) - t(j, nvars)
-    return Weight(d.a, d.m + m)
+def weight(i, j, m):
+    """The key of t_i - t_j + m*h."""
+    return (i, j, m) if i != j else (0, 0, m)
 
 
 mixed_coeffs = st.one_of(
@@ -383,11 +427,10 @@ mixed_polys = st.dictionaries(exponents, mixed_coeffs, max_size=5).map(
 )
 weights2 = st.builds(
     weight,
-    st.just(2),
     st.integers(1, 2),
     st.integers(1, 2),
     st.integers(-2, 2),
-).filter(lambda w: not w.is_zero())
+).filter(lambda w: w != (0, 0, 0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -403,10 +446,10 @@ def test_ring_operations_keep_coefficients_clean(p, q, k):
 @given(polys, weights2, st.integers(min_value=0, max_value=2))
 def test_parse_and_expand_keep_int_coefficients(p, w, k):
     assert_clean(poly_parse(p.render(), 2))
-    e = FactoredClass(2, Fraction(-6, 3), [(w, k + 1), (t(1, 2) - t(2, 2), 1)])
+    e = FactoredClass(2, Fraction(-6, 3), [(w, k + 1), ((1, 2, 0), 1)])
     assert type(e.constant) is int
     assert all(type(c) is int for c in e.expand().terms.values())
-    assert all(type(c) is int for c in w.to_poly().terms.values())
+    assert all(type(c) is int for c in weight_poly(w, 2).terms.values())
 
 
 @settings(max_examples=100, deadline=None)
@@ -436,8 +479,8 @@ def test_exact_divide_keeps_coefficients_clean(p, c, generic):
     st.integers(min_value=0, max_value=2),
 )
 def test_rational_functions_keep_coefficients_clean(p, w, c, k):
-    den = FactoredClass(2, c, [(w, 1), (t(1, 2) - t(2, 2) + h(2), 1)])
-    r = RationalFn(p * w.to_poly() ** k, den)
+    den = FactoredClass(2, c, [(w, 1), ((1, 2, 1), 1)])
+    r = RationalFn(p * weight_poly(w, 2) ** k, den)
     s = RationalFn(p + 1, FactoredClass(2, 1, [(w, 2)]))
     for x in (r, s, r + s, r * s, r * 3, r + Fraction(1, 2)):
         assert_clean(x.num)
@@ -472,7 +515,7 @@ def test_tstar_envelopes_and_gram_have_int_coefficients():
     st.integers(min_value=1, max_value=3),
 )
 def test_cancellation_keeps_exactly_the_uncancelled_factors(base, c, w, k, j):
-    wp = w.to_poly()
+    wp = weight_poly(w, 2)
     p = base * wp + c  # remainder c != 0, so w does not divide p
     r = RationalFn(p * wp**k, FactoredClass(2, 1, [(w, j)]))
     assert r.den.factors == (((w, j - k),) if j > k else ())

@@ -8,7 +8,9 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +53,26 @@ def test_subprocess_hw_golden():
     proc = run_subprocess("hw", TSTAR_P1, "--at", "3")
     assert proc.returncode == 0
     assert proc.stdout == "0/1\\1/1\\0\n"
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TSTAR_P2 = [str(FIXTURES / f"tstar_p2_chamber{c}.json") for c in ("123", "321")]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("tangent_example_chamber321", ["tangent", EXAMPLE_3BLUE, "--chamber", "3,2,1"]),
+        ("stab_tstar_p2_chamber123", ["stab", "--data", TSTAR_P2[0], "--check"]),
+        ("stab_tstar_p2_chamber321", ["stab", "--data", TSTAR_P2[1], "--check"]),
+        ("pair_tstar_p2", ["pair", "--data", TSTAR_P2[0], "--opposite", TSTAR_P2[1]]),
+    ],
+)
+def test_subprocess_output_matches_recorded_golden(name, argv):
+    # tests/golden/<name>.txt was recorded before weights became (i, j, m) keys
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_subprocess_usage_error():

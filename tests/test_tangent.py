@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from bowvariety import algebra, brane, butterfly, errors, tangent, tie
-from bowvariety.algebra import Weight, h, t
 from conftest import (
     EXAMPLE_3BLUE,
     FLAG,
@@ -16,10 +15,9 @@ from conftest import (
 )
 
 
-def w(i, j, m=0, n=3):
-    """The weight t_i - t_j + m*h over n variables."""
-    d = t(i, n) - t(j, n)
-    return Weight(d.a, d.m + m)
+def w(i, j, m=0):
+    """The weight t_i - t_j + m*h."""
+    return (i, j, m)
 
 
 def weight_set(char):
@@ -40,12 +38,12 @@ def test_tstar_p1_tangents():
     first = points[frozenset({("V2", "U1"), ("U1", "V1")})]
     second = points[frozenset({("V2", "U2"), ("U2", "V1")})]
     assert weight_set(first.char) == {
-        w(1, 2, n=2),
-        w(2, 1, 1, n=2),
+        w(1, 2),
+        w(2, 1, 1),
     }
     assert weight_set(second.char) == {
-        w(2, 1, n=2),
-        w(1, 2, 1, n=2),
+        w(2, 1),
+        w(1, 2, 1),
     }
 
 
@@ -106,6 +104,12 @@ def test_three_blue_dimension():
     assert tangent.dimension(brane.parse(TSTAR_P1)) == 2
 
 
+def test_dimension_of_an_empty_variety_is_an_error():
+    with pytest.raises(errors.EmptyVariety) as exc:
+        tangent.dimension(brane.parse("0\\3/2/0"))
+    assert str(exc.value) == "the variety of 0\\3/2/0 is empty: it has no tie diagrams"
+
+
 def test_tangent_invariants_on_sweep():
     for d in admissible_diagrams(5, 2):
         points = tie.enumerate_tie_diagrams(d)
@@ -118,8 +122,8 @@ def test_tangent_invariants_on_sweep():
             char = tc.char
             assert char.is_effective()
             assert char.involution_image() == char
-            # the shape check of chamber_split: one t_i, one -t_j
-            assert all(sorted(w.a) == [-1, *[0] * (len(w.a) - 2), 1] for w in char.terms)
+            # every weight is t_i - t_j + m*h with i != j, as chamber_split needs
+            assert all(i != j for i, j, _ in char.terms)
             dims.add(char.total())
         assert len(dims) == 1
 
@@ -142,33 +146,43 @@ def test_tangent_character_builds_each_butterfly_once(monkeypatch):
 
 def test_corrupted_fibers_are_rejected(monkeypatch):
     # at the first T*P^1 point each of X2, X3, X4 carries one vertex (U1, 0);
-    # dropping it over X3 leaves a negative multiplicity, over X4 a weight h
+    # dropping it over X3 leaves a negative multiplicity, over X4 a weight h,
+    # and dropping a vertex (U1, 2) that X1 lacks leaves -2*h and 3*h.  The
+    # messages, with their weights of zero A-part, were recorded before
+    # weights became (i, j, m) keys.
     t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
     fiber_weights = butterfly.fiber_weights
-    for j, error in ((3, errors.NonEffective), (4, errors.BadWeightForm)):
+    cases = (
+        (3, (1, 0), errors.NonEffective, "-1*(0) + -t1+t2+h"),
+        (4, (1, 0), errors.BadWeightForm, "h"),
+        (1, (1, 2), errors.NonEffective,
+         "-1*(-2*h) + -1*(0) + t1-t2 + -t1+t2+h + -1*(h) + -1*(3*h)"),
+    )
+    for j, vertex, error, message in cases:
 
-        def corrupted(t_, j=j):
+        def corrupted(t_, j=j, vertex=vertex):
             fibers = fiber_weights(t_)
-            fibers[j][(1, 0)] -= 1
+            fibers[j][vertex] -= 1
             return fibers
 
         monkeypatch.setattr(butterfly, "fiber_weights", corrupted)
-        with pytest.raises(error):
+        with pytest.raises(error) as exc:
             tangent.tangent_character(t_, "D1")
+        assert str(exc.value) == message
 
 
 def test_asymmetric_character_is_rejected(monkeypatch):
     # A fiber corruption that breaks the symmetry appears always to leave a
     # weight of zero A-part, which the weight-form check rejects first, so
-    # add a stray weight t1 - t2 with each Hom product instead.
+    # add a stray weight t1 - t2 with the products of each source instead.
     t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
-    add_hom = tangent._add_hom
+    add_products = tangent._add_products
 
-    def add_hom_with_stray_weight(acc, *args):
-        add_hom(acc, *args)
+    def add_products_with_stray_weight(acc, *args):
+        add_products(acc, *args)
         acc[1, 2, 0] = acc.get((1, 2, 0), 0) + 1
 
-    monkeypatch.setattr(tangent, "_add_hom", add_hom_with_stray_weight)
+    monkeypatch.setattr(tangent, "_add_products", add_products_with_stray_weight)
     with pytest.raises(errors.BrokenSymplecticInvolution):
         tangent.tangent_character(t_, "D1")
 
@@ -206,19 +220,13 @@ def reference_multiplicities(t_):
     return {key: mult for key, mult in acc.items() if mult}
 
 
-def multiplicities(tc):
-    return {
-        (w_.a.index(1) + 1, w_.a.index(-1) + 1, w_.m): mult
-        for w_, mult in tc.char.terms.items()
-    }
-
-
 def test_merged_bookkeeping_matches_term_by_term_reference():
+    # the products grouped by source fiber against one product per term
     points = [t_ for d in sweep_diagrams() for t_ in tie.enumerate_tie_diagrams(d)]
     flag = tie.enumerate_tie_diagrams(brane.parse(FLAG))
     assert len(points) == 1610 and len(flag) == 840
     for t_ in points + flag:
-        got = multiplicities(tangent.tangent_character(t_, "D"))
+        got = tangent.tangent_character(t_, "D").char.terms
         assert got == reference_multiplicities(t_), t_
 
 
@@ -238,24 +246,20 @@ def test_chamber_split_golden():
     points = by_tie_sets(TSTAR_P1)
     tc = points[frozenset({("V2", "U1"), ("U1", "V1")})]
     split = tangent.chamber_split(tc, (1, 2))
-    assert weight_set(split.plus) == {w(1, 2, n=2)}
-    assert weight_set(split.minus) == {w(2, 1, 1, n=2)}
+    assert weight_set(split.plus) == {w(1, 2)}
+    assert weight_set(split.minus) == {w(2, 1, 1)}
     flipped = tangent.chamber_split(tc, (2, 1))
-    assert weight_set(flipped.plus) == {w(2, 1, 1, n=2)}
+    assert weight_set(flipped.plus) == {w(2, 1, 1)}
 
 
 def test_chamber_split_rejects_degenerate_weights():
-    tc = tangent.TangentCharacter(
-        "X", algebra.Character.from_weights(2, [h(2)])
-    )
+    tc = tangent.TangentCharacter("X", algebra.Character.from_weights(2, [(0, 0, 1)]))
     with pytest.raises(errors.DegenerateWeight):
         tangent.chamber_split(tc, (1, 2))
 
 
 def test_euler_class():
-    char = algebra.Character.from_weights(
-        2, [t(1, 2) - t(2, 2), t(2, 2) - t(1, 2) + h(2)]
-    )
+    char = algebra.Character.from_weights(2, [(1, 2, 0), (2, 1, 1)])
     e = tangent.euler_class(char)
     assert e.expand() == algebra.poly_parse("(t1-t2)*(t2-t1+h)", 2)
 
