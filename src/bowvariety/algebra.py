@@ -646,9 +646,7 @@ class RationalFn:
         other = self._coerce(other)
         return (self.num * other.den.expand()) == (other.num * self.den.expand())
 
-    def __hash__(self):
-        # canonical only up to cancellation; fine for our fully reduced values
-        return hash((self.num, self.den))
+    __hash__ = None  # equality cross-multiplies, so no hash of (num, den) agrees
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -10,7 +10,9 @@ these matrices must satisfy.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import types
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,7 +38,9 @@ class ButterflyData:
 
     Vertices are (i, j) with i the column position relative to the black
     line U^- (absolute index J) and j the height.  Arrows are
-    (color, source, target) with green arrows using the node "*".
+    (color, source, target) with green arrows using the node "*".  The
+    lattice is a function of (colors, J, cover counts), shared read-only
+    between tie diagrams; only ``tie_diagram`` differs per call.
     """
 
     tie_diagram: tie.TieDiagram
@@ -46,7 +50,7 @@ class ButterflyData:
     column_bottoms: tuple  # c_{D,U,X} per black line
     vertices: frozenset  # of (i, j)
     arrows: tuple  # of (color, source, target)
-    heights: dict  # vertex -> equivariant height (anchored at the green arrows)
+    heights: types.MappingProxyType  # read-only: vertex -> equivariant height
 
     def column(self, j_abs):
         """Vertices in the column over black line X_{j_abs}, bottom-up."""
@@ -79,46 +83,44 @@ def cover_counts(t, U):
     these are the ties (V, U) with V left of X, on the right the ties
     (U, V) with V weakly right of X.
     """
-    return _columns(t, U)[1]
+    d = t.base
+    return _cover_counts(t, d.blue_positions()[_blue_index(d, U) - 1])
 
 
 def column_bottoms(t, U):
     """Column bottom heights c_{D,U,X}: c = 0 at X_J = U^-, then the
     leftward and rightward recursions."""
-    return _columns(t, U)[2]
+    return build_butterfly(t, U).column_bottoms
 
 
-def _columns(t, U):
-    """(J, cover counts, column bottoms) of the butterfly of U; the cover
-    counts are one prefix sum over the ties at U."""
-    d = t.base
-    J = d.blue_positions()[_blue_index(d, U) - 1]  # black line U^- has index J
-    n = len(d.blacks)
-    steps = [0] * n
+def _cover_counts(t, J):
+    """Cover counts of the blue line U at position J: a prefix sum over its ties."""
+    steps = [0] * len(t.base.blacks)
     for l, r in t.ties:  # (l, r) covers X_{l+1} .. X_r
         if l == J or r == J:
             steps[l] += 1
             steps[r] -= 1
-    cc = tuple(itertools.accumulate(steps))
-    c = [0] * n
+    return tuple(itertools.accumulate(steps))
+
+
+LATTICE_CACHE_SIZE = 128  # a sweep diagram needs at most 12 lattices, flag 35
+
+
+@functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice(colors, J, cc):
+    """(column bottoms, vertices, arrows, read-only equivariant heights,
+    (absolute column, height) per vertex) of the blue line at position J.
+    The ties enter only through the cover counts cc, so one cached lattice,
+    immutable in every part, serves all tie diagrams with the same ties at U.
+    """
+    n = len(cc)
+    cb = [0] * n
     # rightward: columns on the attracting side of U
     for j in range(J + 1, n + 1):
-        c[j - 1] = cc[J] - cc[j - 1] + (1 if cc[J - 1] == 0 else 0)
+        cb[j - 1] = cc[J] - cc[j - 1] + (1 if cc[J - 1] == 0 else 0)
     # leftward: step across the colored line between X_j and X_{j+1}
     for j in range(J - 1, 0, -1):
-        if d.color_at(j) == brane.BLUE or cc[j - 1] + 1 == cc[j]:
-            c[j - 1] = c[j]
-        else:
-            c[j - 1] = c[j] - 1
-    return J, cc, tuple(c)
-
-
-def build_butterfly(t, U):
-    """Assemble the vertex set and all arrows of one butterfly."""
-    d = t.base
-    u = _blue_index(d, U)
-    J, cc, cb = _columns(t, u)
-    n = len(d.blacks)
+        cb[j - 1] = cb[j] - (colors[j - 1] == brane.RED and cc[j - 1] + 1 != cc[j])
     vertices = {
         (j - J, jj) for j in range(1, n + 1) for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1])
     }
@@ -126,8 +128,8 @@ def build_butterfly(t, U):
     arrows = []
     for i, jj in sorted(vertices):
         a = i + J  # absolute black index of this column
-        left = d.color_at(a - 1) if a >= 2 else None
-        right = d.color_at(a) if a <= n else None
+        left = colors[a - 2] if a >= 2 else None
+        right = colors[a - 1] if a <= n else None
         # black arrows: only in columns whose black line touches a blue line
         if (left == brane.BLUE or right == brane.BLUE) and (i, jj - 1) in vertices:
             arrows.append(("black", (i, jj), (i, jj - 1)))
@@ -146,16 +148,22 @@ def build_butterfly(t, U):
     if cc[J - 1] < cc[J]:
         arrows.append(("green", (1, cb[J] + cc[J - 1]), EXTERNAL))
 
-    return ButterflyData(
-        tie_diagram=t,
-        blue=f"U{u}",
-        J=J,
-        cover_counts=cc,
-        column_bottoms=cb,
-        vertices=frozenset(vertices),
-        arrows=tuple(arrows),
-        heights=_equivariant_heights(vertices, arrows),
-    )
+    heights = types.MappingProxyType(_equivariant_heights(vertices, arrows))
+    pairs = tuple((i + J, height) for (i, _jj), height in heights.items())
+    return tuple(cb), frozenset(vertices), tuple(arrows), heights, pairs
+
+
+def build_butterfly(t, U):
+    """The butterfly of the blue line U at t.  Its lattice is a function of
+    (colors, J, cover counts), shared read-only through :func:`_lattice` by
+    every tie diagram with the same ties at U; only ``tie_diagram`` differs.
+    """
+    d = t.base
+    u = _blue_index(d, U)
+    J = d.blue_positions()[u - 1]
+    cc = _cover_counts(t, J)
+    cb, vertices, arrows, heights, _pairs = _lattice(d.colors, J, cc)
+    return ButterflyData(t, f"U{u}", J, cc, cb, vertices, arrows, heights)
 
 
 def _equivariant_heights(vertices, arrows):
@@ -351,14 +359,13 @@ def assemble_fixed_point(t):
 def fiber_weights(t):
     """Torus weights of every fiber W_{X_j}: ``{j: Counter of (u, m)}`` with
     one entry t_u + m*h per butterfly vertex over X_j, m being its
-    equivariant height.  Builds each blue line's butterfly once, with the
-    :func:`build_butterfly` that :func:`assemble_fixed_point` uses."""
+    equivariant height.  Reads the shared lattices of :func:`_lattice`, the
+    ones :func:`build_butterfly` wraps, and returns fresh Counters."""
     d = t.base
     fibers = {j: Counter() for j in range(1, len(d.blacks) + 1)}
-    for u in range(1, d.n_blue + 1):
-        bf = build_butterfly(t, u)
-        for v, height in bf.heights.items():
-            fibers[v[0] + bf.J][(u, height)] += 1
+    for u, J in enumerate(d.blue_positions(), start=1):
+        for j, height in _lattice(d.colors, J, _cover_counts(t, J))[4]:
+            fibers[j][u, height] += 1
     return fibers
 
 
@@ -656,8 +663,9 @@ def verify_fixed_point(f):
     whatever the size of the point, (4) injectivity/surjectivity of the
     junction maps, as ranks, (5) nilpotency exponents on separated diagrams,
     (6) torus grading of every operator.  Ranks are exact, by integer
-    elimination (:func:`linalg.rank`).  Only nilpotency can be skipped (on diagrams that are
-    not separated).  Failures are report entries, never exceptions.
+    elimination (:func:`linalg.rank`).  Only nilpotency can be skipped (on
+    diagrams that are not separated).  Failures are report entries, never
+    exceptions.
     """
     return VerificationReport(
         checks=[

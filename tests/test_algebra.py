@@ -295,6 +295,19 @@ def test_rational_fn_arithmetic():
     assert (RationalFn(one, den1) * poly_parse("t1-t2", 2)) == 1
 
 
+def test_rational_fn_is_unhashable():
+    # 1/(t1-t2) and -1/(t2-t1) are equal, but their (num, den) differ, so
+    # no hash of (num, den) could agree with ==
+    one = Poly.const(2, 1)
+    a = RationalFn(one, FactoredClass(2, 1, [((1, 2, 0), 1)]))
+    b = RationalFn(-one, FactoredClass(2, 1, [((2, 1, 0), 1)]))
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a, b}
+
+
 # ---------------------------------------------------------------------------
 # property tests
 

@@ -134,6 +134,118 @@ def test_fiber_characters_match_labels():
             assert sum(fibers[j].values()) == t.base.label(j)
 
 
+# The butterfly build and fiber weights as they were before lattices were
+# cached: every call builds the whole lattice from the tie diagram.
+
+
+def reference_columns(t, U):
+    d = t.base
+    J = d.blue_positions()[butterfly._blue_index(d, U) - 1]
+    n = len(d.blacks)
+    steps = [0] * n
+    for l, r in t.ties:
+        if l == J or r == J:
+            steps[l] += 1
+            steps[r] -= 1
+    cc = tuple(itertools.accumulate(steps))
+    c = [0] * n
+    for j in range(J + 1, n + 1):
+        c[j - 1] = cc[J] - cc[j - 1] + (1 if cc[J - 1] == 0 else 0)
+    for j in range(J - 1, 0, -1):
+        if d.color_at(j) == brane.BLUE or cc[j - 1] + 1 == cc[j]:
+            c[j - 1] = c[j]
+        else:
+            c[j - 1] = c[j] - 1
+    return J, cc, tuple(c)
+
+
+def reference_build_butterfly(t, U):
+    d = t.base
+    u = butterfly._blue_index(d, U)
+    J, cc, cb = reference_columns(t, u)
+    n = len(d.blacks)
+    vertices = {
+        (j - J, jj) for j in range(1, n + 1) for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1])
+    }
+    arrows = []
+    for i, jj in sorted(vertices):
+        a = i + J
+        left = d.color_at(a - 1) if a >= 2 else None
+        right = d.color_at(a) if a <= n else None
+        if (left == brane.BLUE or right == brane.BLUE) and (i, jj - 1) in vertices:
+            arrows.append(("black", (i, jj), (i, jj - 1)))
+        if left == brane.BLUE and (i - 1, jj) in vertices:
+            arrows.append(("blue", (i, jj), (i - 1, jj)))
+        if left == brane.RED and (i - 1, jj - 1) in vertices:
+            arrows.append(("violet", (i, jj), (i - 1, jj - 1)))
+        if right == brane.RED and (i + 1, jj) in vertices:
+            arrows.append(("red", (i, jj), (i + 1, jj)))
+    if cc[J - 1]:
+        arrows.append(("green", butterfly.EXTERNAL, (0, cb[J - 1] + cc[J - 1] - 1)))
+    if cc[J - 1] < cc[J]:
+        arrows.append(("green", (1, cb[J] + cc[J - 1]), butterfly.EXTERNAL))
+    return butterfly.ButterflyData(
+        tie_diagram=t,
+        blue=f"U{u}",
+        J=J,
+        cover_counts=cc,
+        column_bottoms=cb,
+        vertices=frozenset(vertices),
+        arrows=tuple(arrows),
+        heights=butterfly._equivariant_heights(vertices, arrows),
+    )
+
+
+def reference_fiber_weights(t):
+    d = t.base
+    fibers = {j: Counter() for j in range(1, len(d.blacks) + 1)}
+    for u in range(1, d.n_blue + 1):
+        bf = reference_build_butterfly(t, u)
+        for v, height in bf.heights.items():
+            fibers[v[0] + bf.J][(u, height)] += 1
+    return fibers
+
+
+def test_cached_lattices_match_reference_build(monkeypatch):
+    # every criterion-3 sweep point and every flag point: butterflies, fiber
+    # weights and assembled matrices equal those of the uncached build
+    points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
+    points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    assert len(points) == 1610 + 840
+    cached = []
+    for t in points:
+        for u in range(1, t.base.n_blue + 1):
+            bf = butterfly.build_butterfly(t, u)
+            assert bf.to_json() == reference_build_butterfly(t, u).to_json()
+            assert bf.column_bottoms == butterfly.column_bottoms(t, u)
+        assert butterfly.fiber_weights(t) == reference_fiber_weights(t)
+        cached.append(butterfly.assemble_fixed_point(t).to_json())
+    monkeypatch.setattr(butterfly, "build_butterfly", reference_build_butterfly)
+    assert cached == [butterfly.assemble_fixed_point(t).to_json() for t in points]
+
+
+def test_cached_lattices_are_not_aliased():
+    t = big_tie_diagram()
+    fibers = butterfly.fiber_weights(t)
+    expected = {j: Counter(w) for j, w in fibers.items()}
+    fibers[5][2, 0] += 7
+    fibers[6].clear()
+    assert butterfly.fiber_weights(t) == expected
+
+    bf = butterfly.build_butterfly(t, "U2")
+    v = next(iter(bf.vertices))
+    with pytest.raises(TypeError):
+        bf.heights[v] = 0
+    before = bf.to_json()
+    assert before["arrows"]
+    f = without_greens(butterfly.assemble_fixed_point(t))
+    assert not butterfly.verify_fixed_point(f).check("stability").ok
+    dropped = dataclasses.replace(bf, arrows=bf.arrows[1:])
+    assert dropped.arrows != bf.arrows
+    assert butterfly.build_butterfly(t, "U2").to_json() == before
+    assert butterfly.verify_fixed_point(butterfly.assemble_fixed_point(t)).ok
+
+
 def test_verify_small_diagrams_all_pass():
     for s in (EXAMPLE_3BLUE, TSTAR_P1, POINT_DIAGRAM, "0/1/2\\1\\0"):
         d = brane.parse(s)

@@ -56,6 +56,7 @@ def test_subprocess_hw_golden():
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
 TSTAR_P2 = [str(FIXTURES / f"tstar_p2_chamber{c}.json") for c in ("123", "321")]
 
 
@@ -66,10 +67,17 @@ TSTAR_P2 = [str(FIXTURES / f"tstar_p2_chamber{c}.json") for c in ("123", "321")]
         ("stab_tstar_p2_chamber123", ["stab", "--data", TSTAR_P2[0], "--check"]),
         ("stab_tstar_p2_chamber321", ["stab", "--data", TSTAR_P2[1], "--check"]),
         ("pair_tstar_p2", ["pair", "--data", TSTAR_P2[0], "--opposite", TSTAR_P2[1]]),
+        ("butterfly_example_D2_U2", ["butterfly", EXAMPLE_3BLUE, "--point", "D2", "--blue", "U2"]),
+        (
+            "butterfly_example_D2_U2_json",
+            ["butterfly", EXAMPLE_3BLUE, "--point", "D2", "--blue", "U2", "--json"],
+        ),
+        ("matrices_big_D1_verify", ["matrices", BIG_DIAGRAM, "--point", "D1", "--verify"]),
     ],
 )
 def test_subprocess_output_matches_recorded_golden(name, argv):
-    # tests/golden/<name>.txt was recorded before weights became (i, j, m) keys
+    # tests/golden/<name>.txt was recorded before weights became (i, j, m)
+    # keys; the butterfly and matrices goldens before lattices were cached
     proc = run_subprocess(*argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()

@@ -128,20 +128,27 @@ def test_tangent_invariants_on_sweep():
         assert len(dims) == 1
 
 
-def test_tangent_character_builds_each_butterfly_once(monkeypatch):
-    built = []
-    build = butterfly.build_butterfly
-
-    def counting_build(t_, u):
-        built.append(u)
-        return build(t_, u)
-
-    monkeypatch.setattr(butterfly, "build_butterfly", counting_build)
-    d = brane.parse(EXAMPLE_3BLUE)
-    for k, t_ in enumerate(tie.enumerate_tie_diagrams(d), start=1):
-        built.clear()
+def test_tangent_character_builds_each_butterfly_once():
+    # every butterfly goes through the cached lattice, built once per
+    # distinct (J, cover counts) key; a point assembled after its tangent
+    # builds nothing new
+    d = brane.parse(FLAG)
+    points = tie.enumerate_tie_diagrams(d)
+    keys = {
+        (J, butterfly.cover_counts(t_, u))
+        for t_ in points
+        for u, J in enumerate(d.blue_positions(), start=1)
+    }
+    assert len(points) == 840 and len(keys) == 35
+    butterfly._lattice.cache_clear()
+    for k, t_ in enumerate(points, start=1):
         tangent.tangent_character(t_, f"D{k}")
-        assert sorted(built) == [1, 2, 3]
+    assert butterfly._lattice.cache_info().misses == len(keys)
+    hits = butterfly._lattice.cache_info().hits
+    for t_ in points[::35]:
+        butterfly.assemble_fixed_point(t_)
+    info = butterfly._lattice.cache_info()
+    assert info.misses == len(keys) and info.hits == hits + 24 * d.n_blue
 
 
 def test_corrupted_fibers_are_rejected(monkeypatch):
