@@ -56,6 +56,50 @@ def weight_poly(w, nvars):
     return Poly(nvars, terms)
 
 
+def hyperplane(w):
+    """``(key, scale)`` with ``w = scale * H(key)``: ``(i, j, m)`` and ``(j, i, -m)``
+    share the key with ``i < j``, and ``(0, 0, m)`` is ``m`` times h, keyed ``(0, 0, 1)``."""
+    i, j, m = w
+    return (w, 1) if i < j else ((j, i, -m), -1) if i > j else ((0, 0, 1), m)
+
+
+def restrict_weight(w, key):
+    """The weight ``w`` on the hyperplane ``H(key) = 0``, again a weight key;
+    ``(0, 0, 0)`` when ``w`` is a multiple of ``H(key)``."""
+    i, j, m = w
+    a, b, c = key
+    if a == b:  # h -> 0
+        return (i, j, 0) if i != j else (0, 0, 0)
+    if i == a:  # t_a -> t_b - c*h
+        i, m = b, m - c
+    if j == a:
+        j, m = b, m + c
+    return (i, j, m) if i != j else (0, 0, m)
+
+
+def restrict(p, key):
+    """``p`` on the hyperplane ``H(key) = 0``: ``t_i -> t_j - m*h`` for the key
+    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``.  Horner's rule on the powers of
+    t_i: ``sum_k t_i^k P_k = (...(P_K * s + P_{K-1}) * s + ...) + P_0``."""
+    i, j, m = key
+    if i == j:
+        return p.mod_h()
+    i, j, h = i - 1, j - 1, p.nvars
+    levels = {}
+    for e, c in p.terms.items():
+        levels.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+    acc = {}
+    for k in range(max(levels, default=0), -1, -1):
+        nxt = levels.get(k, {})
+        for e, c in acc.items():  # nxt += acc * (t_j - m*h)
+            for x, d in ((j, c), (h, -m * c)):
+                if d:
+                    f = e[:x] + (e[x] + 1,) + e[x + 1 :]
+                    nxt[f] = nxt.get(f, 0) + d
+        acc = nxt
+    return Poly(p.nvars, acc)
+
+
 # ---------------------------------------------------------------------------
 # characters
 

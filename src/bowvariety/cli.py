@@ -198,16 +198,10 @@ def _cmd_pair(args, out):
     stabs = envelope.stable_envelopes(data)
     op_stabs = envelope.stable_envelopes(op_data)
     gram = envelope.gram_matrix(stabs, op_stabs, data, op_data)
-    ok = True
     out.write("gram matrix:\n")
-    for i, row in enumerate(gram):
-        rendered = []
-        for j, entry in enumerate(row):
-            rendered.append(entry.render())
-            expected = 1 if i == j else 0
-            if not entry == expected:
-                ok = False
-        out.write("  [" + ", ".join(rendered) + "]\n")
+    for row in gram:
+        out.write("  [" + ", ".join(entry.render() for entry in row) + "]\n")
+    ok = all(e == int(i == j) for i, row in enumerate(gram) for j, e in enumerate(row))
     poly_report = envelope.check_polynomiality(stabs, op_stabs, data, op_data)
     order_report = envelope.opposite_order_check(data, op_data)
     for name, report in (("polynomiality", poly_report), ("order", order_report)):

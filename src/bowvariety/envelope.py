@@ -10,7 +10,10 @@ virtual intersection pairing, orthogonality and order-duality checks.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from . import algebra, brane, errors, tangent, tie
@@ -240,11 +243,11 @@ def _verify_axioms(stab, data):
             raise errors.AxiomFailure(f"smallness fails for Stab({p}) at {q}")
 
 
-def virtual_pairing(u, v, data):
+def virtual_pairing(u, v, data, points=None):
     """Virtual intersection pairing of two restriction vectors:
-    sum over fixed points p of u_p * v_p / e(T_p)."""
+    sum over fixed points p of u_p * v_p / e(T_p) (over ``points`` if given)."""
     total = algebra.RationalFn.const(data.nvars, 0)
-    for p in data.order:
+    for p in points or data.order:
         num = u[p] * v[p]
         if not num.is_zero():
             total = total + algebra.RationalFn(num, data.full_euler[p])
@@ -259,15 +262,10 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     are inconsistent (reported by the caller's checks).
     """
     _check_paired(data, op_data)
-    by_point = {s.point: s for s in stabs}
-    op_by_point = {s.point: s for s in op_stabs}
+    by_point = {s.point: s.restrictions for s in stabs}
+    op_by_point = {s.point: s.restrictions for s in op_stabs}
     return [
-        [
-            virtual_pairing(
-                by_point[p].restrictions, op_by_point[q].restrictions, data
-            )
-            for q in data.order
-        ]
+        [virtual_pairing(by_point[p], op_by_point[q], data) for q in data.order]
         for p in data.order
     ]
 
@@ -299,18 +297,45 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
 
     gamma defaults to 1 together with the restriction vector of each
     attracting-cell closure [L_r].
+
+    One hyperplane H at a time: by localization only the points whose e(T_p)
+    contains H can give a pole along H.  If each carries H once, the residue
+    test of :func:`_hyperplanes` decides on Stab(p)|_p, gamma_p and
+    Stab_op(q)|_p, each restricted to H once per call; else the sum over H's
+    points must keep no H in its denominator.  Failures are summed in full.
     """
     _check_paired(data, op_data)
     if gammas is None:
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
+    simple, repeated = _hyperplanes(data)
+
+    def restricted(vec):
+        return {(key, p): algebra.restrict(vec[p], key) for key in simple for p in simple[key]}
+
+    gamma_res = [restricted(gamma) for gamma in gammas]
+    op_res = [
+        {kp: r * simple[kp[0]][kp[1]] for kp, r in restricted(o.restrictions).items() if r}
+        for o in op_stabs
+    ]
     report = CheckReport()
     for s in stabs:
+        s_res = restricted(s.restrictions)
         for k, gamma in enumerate(gammas):
-            u = {p: s.restrictions[p] * gamma[p] for p in data.order}
-            for o in op_stabs:
-                pairing = virtual_pairing(u, o.restrictions, data)
-                if not pairing.is_polynomial():
+            a = {kp: r * gamma_res[k][kp] for kp, r in s_res.items() if r and gamma_res[k][kp]}
+            u = None
+            for o, b in zip(op_stabs, op_res):
+                ok = all(_residue_vanishes(key, ms, a, b) for key, ms in simple.items())
+                if repeated or not ok:
+                    if u is None:
+                        u = {p: s.restrictions[p] * gamma[p] for p in data.order}
+                    ok = ok and not any(
+                        algebra.hyperplane(w)[0] == key
+                        for key, points in repeated.items()
+                        for w, _ in virtual_pairing(u, o.restrictions, data, points).den.factors
+                    )
+                if not ok:
+                    pairing = virtual_pairing(u, o.restrictions, data)
                     report.fail(
                         f"(Stab({s.point})*gamma[{k}], Stab_op({o.point})) = "
                         f"{pairing.render()} is not polynomial"
@@ -318,23 +343,64 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     return report
 
 
+def _hyperplanes(data):
+    """The hyperplanes through the fixed points, split by pole order.
+
+    ``simple`` maps each hyperplane H that no e(T_p) carries twice to
+    ``{p: M_p}`` over its points.  With e(T_p) = s_p * H * F_p, their terms
+    N_p / e(T_p) have no pole along H iff sum_p N_p / (s_p * F_p) vanishes on
+    H, i.e. iff sum_p N_p|_H * M_p = 0 for M_p = c * L / (s_p * F_p|_H), with L
+    the lcm of the F_q|_H (products of linear forms) and an integer c clearing
+    the scalars.  ``repeated`` maps every other hyperplane to its points.
+    """
+    on = {}  # key -> p -> multiplicity of H(key) in e(T_p)
+    for p in data.order:
+        for w, exp in data.full_euler[p].factors:
+            on.setdefault(algebra.hyperplane(w)[0], Counter())[p] += exp
+    simple, repeated = {}, {}
+    for key, points in on.items():
+        if max(points.values()) > 1:
+            repeated[key] = list(points)
+            continue
+        rest = {}  # p -> (s_p times the scalar of F_p|_H, its linear forms)
+        for p in points:
+            s, forms = data.full_euler[p].constant, Counter()
+            for w, exp in data.full_euler[p].factors:
+                form, scale = algebra.hyperplane(w)
+                if form != key:
+                    form, scale = algebra.hyperplane(algebra.restrict_weight(w, key))
+                    forms[form] += exp
+                s *= scale**exp
+            rest[p] = (s, forms)
+        lcm = Counter()
+        for _, forms in rest.values():
+            lcm |= forms
+        clear = Fraction(math.lcm(*(abs(s.numerator) for s, _ in rest.values())))
+        simple[key] = {
+            p: algebra.FactoredClass(data.nvars, clear / s, (lcm - forms).items()).expand()
+            for p, (s, forms) in rest.items()
+        }
+    return simple, repeated
+
+
+def _residue_vanishes(key, points, a, b):
+    """Whether sum_p a[key, p] * b[key, p] over the points on ``key`` is zero,
+    a missing entry being zero; a single nonzero product never is."""
+    both = [(key, p) for p in points if (key, p) in a and (key, p) in b]
+    return len(both) != 1 and not sum(a[kp] * b[kp] for kp in both)
+
+
 def opposite_order_check(data, op_data):
     """The partial order read off the R-support of one chamber must be the
     exact reverse of the other chamber's."""
     _check_paired(data, op_data)
     report = CheckReport()
-    fwd = {
-        (p, q)
-        for p in data.order
-        for q in data.order
-        if p != q and not data.restrictions[p][q].is_zero()
-    }
-    bwd = {
-        (q, p)
-        for p in op_data.order
-        for q in op_data.order
-        if p != q and not op_data.restrictions[p][q].is_zero()
-    }
+
+    def support(d):
+        return {(p, q) for p in d.order for q in d.order if p != q and d.restrictions[p][q]}
+
+    fwd = support(data)
+    bwd = {(q, p) for p, q in support(op_data)}
     for pair in sorted(fwd - bwd):
         report.fail(f"relation {pair[1]} < {pair[0]} has no opposite counterpart")
     for pair in sorted(bwd - fwd):

@@ -543,3 +543,55 @@ def test_not_divisible_message_is_unchanged():
     assert str(exc.value) == (
         "(h*t1^2 + t1^3 - t1^2*t2 + 3*h^2 + 3*h*t1 - 3*h*t2 + 1) / (h + t1 - t2)"
     )
+
+
+# hyperplanes and restriction to them
+
+
+def all_weights(n=4, ms=range(-3, 4)):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return [(i, j, m) for i, j in pairs for m in ms] + [(0, 0, m) for m in ms if m]
+
+
+def test_hyperplane_key_and_scale():
+    for w in all_weights():
+        key, scale = algebra.hyperplane(w)
+        assert weight_poly(w, 4) == scale * weight_poly(key, 4), w
+        assert key[0] < key[1] or key == (0, 0, 1)
+        i, j, m = w
+        if i != j:
+            assert algebra.hyperplane((j, i, -m)) == (key, -scale)
+    assert algebra.hyperplane((0, 0, -3)) == ((0, 0, 1), -3)
+
+
+def test_restrict_kills_its_hyperplane_and_restricts_weights():
+    keys = {algebra.hyperplane(w)[0] for w in all_weights()}
+    for key in keys:
+        assert algebra.restrict(weight_poly(key, 4), key).is_zero(), key
+        for w in all_weights(ms=range(-2, 3)):
+            image = algebra.restrict(weight_poly(w, 4), key)
+            assert image == weight_poly(algebra.restrict_weight(w, key), 4), (w, key)
+            # the image is free of the eliminated variable t_i (or of h)
+            slot = key[0] - 1 if key[0] != key[1] else 4
+            assert all(e[slot] == 0 for e in image.terms)
+    assert algebra.restrict_weight((1, 2, 3), (1, 2, 3)) == (0, 0, 0)
+
+
+keys2 = st.sampled_from([(1, 2, 0), (1, 2, 1), (1, 2, -2), (0, 0, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, keys2)
+def test_restrict_is_a_ring_homomorphism(p, q, key):
+    r = algebra.restrict
+    assert r(p * q, key) == r(p, key) * r(q, key)
+    assert r(p + q, key) == r(p, key) + r(q, key)
+    # restriction along H changes p by a multiple of H (else NotDivisible)
+    exact_divide(p - r(p, key), weight_poly(key, 2))
+
+
+def test_restrict_keeps_int_coefficients():
+    p = poly_parse("(t1 + 2*h)^3*t2 - 5*t1*h^2", 3)
+    image = algebra.restrict(p, (1, 3, -2))  # t1 -> t3 + 2*h
+    assert image == poly_parse("(t3 + 4*h)^3*t2 - 5*(t3 + 2*h)*h^2", 3)
+    assert all(type(c) is int for c in image.terms.values())

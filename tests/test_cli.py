@@ -58,6 +58,11 @@ def test_subprocess_hw_golden():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
 TSTAR_P2 = [str(FIXTURES / f"tstar_p2_chamber{c}.json") for c in ("123", "321")]
+# opposite-chamber data with h*(...) added to one off-diagonal entry: still
+# homogeneous, same envelope recursion, but the pairing is not polynomial
+PERTURBED = Path(__file__).resolve().parent / "data"
+# goldens whose command reports a failed check
+GOLDEN_EXIT = {"pair_tstar_p1_perturbed": 3, "pair_tstar_p2_perturbed": 3}
 
 
 @pytest.mark.parametrize(
@@ -73,13 +78,35 @@ TSTAR_P2 = [str(FIXTURES / f"tstar_p2_chamber{c}.json") for c in ("123", "321")]
             ["butterfly", EXAMPLE_3BLUE, "--point", "D2", "--blue", "U2", "--json"],
         ),
         ("matrices_big_D1_verify", ["matrices", BIG_DIAGRAM, "--point", "D1", "--verify"]),
+        (
+            "pair_tstar_p1_perturbed",
+            [
+                "pair",
+                "--data",
+                str(FIXTURES / "tstar_p1_chamber12.json"),
+                "--opposite",
+                str(PERTURBED / "tstar_p1_chamber21_perturbed.json"),
+            ],
+        ),
+        (
+            "pair_tstar_p2_perturbed",
+            [
+                "pair",
+                "--data",
+                TSTAR_P2[0],
+                "--opposite",
+                str(PERTURBED / "tstar_p2_chamber321_perturbed.json"),
+            ],
+        ),
     ],
 )
 def test_subprocess_output_matches_recorded_golden(name, argv):
     # tests/golden/<name>.txt was recorded before weights became (i, j, m)
-    # keys; the butterfly and matrices goldens before lattices were cached
+    # keys; the butterfly and matrices goldens before lattices were cached;
+    # the perturbed pair goldens before polynomiality was checked one
+    # hyperplane at a time
     proc = run_subprocess(*argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == GOLDEN_EXIT.get(name, 0), proc.stderr
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
 
 

@@ -1,6 +1,10 @@
 """Attraction data loading, the envelope recursion, pairing checks."""
 
+import dataclasses
+import importlib.util
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,120 @@ def test_three_blue_support_order(fixtures_dir):
         for q in data.order:
             if p != q and not data.restrictions[p][q].is_zero():
                 assert data.rank(q) < data.rank(p)
+
+
+# ---------------------------------------------------------------------------
+# polynomiality one hyperplane at a time, against the full rational sum
+
+
+def reference_check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
+    """The previous check: every pairing summed as one RationalFn."""
+    envelope._check_paired(data, op_data)
+    if gammas is None:
+        one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
+        gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
+    report = envelope.CheckReport()
+    for s in stabs:
+        for k, gamma in enumerate(gammas):
+            u = {p: s.restrictions[p] * gamma[p] for p in data.order}
+            for o in op_stabs:
+                pairing = envelope.virtual_pairing(u, o.restrictions, data)
+                if not pairing.is_polynomial():
+                    report.fail(
+                        f"(Stab({s.point})*gamma[{k}], Stab_op({o.point})) = "
+                        f"{pairing.render()} is not polynomial"
+                    )
+    return report
+
+
+def tstar_module():
+    # the T*P^{n-1} generator of the benchmark, read without importing the
+    # rest of perfbench
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tstar.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tstar", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def paired_cases(fixtures_dir):
+    yield paired(fixtures_dir)
+    yield (
+        load_fixture(fixtures_dir, "tstar_p2_chamber123.json"),
+        load_fixture(fixtures_dir, "tstar_p2_chamber321.json"),
+    )
+    tstar = tstar_module()
+    sigma = (3, 1, 4, 2)
+    yield (
+        envelope.load_attraction_data(tstar.attraction_data(4, sigma)),
+        envelope.load_attraction_data(tstar.attraction_data(4, sigma, opposite=True)),
+    )
+
+
+def perturbed_gammas(data, rng, count):
+    """Test classes 1 or [L_r], each with a random monomial added at one
+    point p; some monomials are multiplied by e(T_p), which keeps every
+    pairing as it was, or by e(T_p) without one weight, which leaves at most
+    one hyperplane with a pole."""
+    nvars = data.nvars
+    one = {p: algebra.Poly.const(nvars, 1) for p in data.order}
+    bases = [one] + [data.restrictions[r] for r in data.order]
+    for _ in range(count):
+        gamma = dict(rng.choice(bases))
+        exps = tuple(rng.randint(0, 1) for _ in range(nvars)) + (rng.randint(0, 2),)
+        p = rng.choice(data.order)
+        mono = algebra.Poly(nvars, {exps: rng.choice([-2, -1, 1, 3])})
+        factors = list(data.full_euler[p].factors)
+        drop = rng.choice([None, None, len(factors), rng.randrange(len(factors))])
+        if drop is not None:
+            kept = factors[:drop] + factors[drop + 1 :]
+            mono = mono * algebra.FactoredClass(nvars, 1, kept).expand()
+        gamma[p] = gamma[p] + mono
+        yield gamma
+
+
+def test_polynomiality_verdicts_match_the_full_sum(fixtures_dir):
+    rng = random.Random(20261018)
+    cases = failing = 0
+    for data, op_data in paired_cases(fixtures_dir):
+        stabs = envelope.stable_envelopes(data)
+        op_stabs = envelope.stable_envelopes(op_data)
+        args = (stabs, op_stabs, data, op_data)
+        expected = reference_check_polynomiality(*args)
+        report = envelope.check_polynomiality(*args)
+        assert expected.ok and (report.ok, report.messages) == (True, [])
+        for gamma in perturbed_gammas(data, rng, 30):
+            expected = reference_check_polynomiality(*args, gammas=[gamma])
+            report = envelope.check_polynomiality(*args, gammas=[gamma])
+            assert (report.ok, report.messages) == (expected.ok, expected.messages)
+            cases += 1
+            failing += not expected.ok
+    assert cases == 90 and cases // 2 < failing < cases, failing
+
+
+def test_polynomiality_on_a_repeated_hyperplane(fixtures_dir):
+    # T*P^1 with e(T_P1) = (t1-t2)^2 * (t2-t1+h): the hyperplane t1 = t2 is
+    # a double pole at P1, so it is summed as a rational function
+    data, op_data = paired(fixtures_dir)
+    euler = dict(data.full_euler)
+    euler["P1"] = algebra.FactoredClass(2, 1, [((1, 2, 0), 2), ((2, 1, 1), 1)])
+    data = dataclasses.replace(data, full_euler=euler)
+    _, repeated = envelope._hyperplanes(data)
+    assert repeated == {(1, 2, 0): ["P2", "P1"]}
+    args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
+    t12 = algebra.poly_parse("t1-t2", 2)
+    gammas = [
+        {"P1": t12 * t12, "P2": t12},  # polynomial: the double pole cancels
+        {"P1": t12, "P2": algebra.Poly.zero(2)},  # a simple pole is left
+        {"P1": algebra.Poly.const(2, 1), "P2": algebra.Poly.const(2, 1)},
+    ]
+    expected = reference_check_polynomiality(*args, gammas=gammas)
+    report = envelope.check_polynomiality(*args, gammas=gammas)
+    assert (report.ok, report.messages) == (expected.ok, expected.messages)
+    assert [m.split(",")[0] for m in report.messages] == [
+        "(Stab(P1)*gamma[1]",
+        "(Stab(P1)*gamma[2]",
+        "(Stab(P1)*gamma[2]",
+    ]
+    passing = reference_check_polynomiality(*args, gammas=gammas[:1])
+    assert passing.ok and envelope.check_polynomiality(*args, gammas=gammas[:1]).ok
