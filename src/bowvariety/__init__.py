@@ -13,9 +13,7 @@ from .algebra import (
     FactoredClass,
     Poly,
     RationalFn,
-    exact_divide,
     integer_ratio_mod_h,
-    mod_h,
     poly_parse,
 )
 from .brane import (
@@ -105,7 +103,5 @@ __all__ = [
     "check_polynomiality",
     "opposite_order_check",
     "poly_parse",
-    "mod_h",
-    "exact_divide",
     "integer_ratio_mod_h",
 ]

@@ -14,7 +14,6 @@ their denominators.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from fractions import Fraction
 
 from . import errors
@@ -117,10 +116,6 @@ class Character:
         self.nvars = nvars
         self.terms = {w: n for w, n in dict(terms or {}).items() if n}
 
-    @classmethod
-    def from_weights(cls, nvars, weights):
-        return cls(nvars, Counter(weights))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -138,14 +133,6 @@ class Character:
 
     def __sub__(self, other):
         return self._merge(other, -1)
-
-    def substitute(self, k, dm=1):
-        """Apply t_k -> t_k + dm*h (the Hanany-Witten torus twist)."""
-        out = {}
-        for (i, j, m), mult in self.terms.items():
-            w = (i, j, m + dm * ((i == k) - (j == k)))
-            out[w] = out.get(w, 0) + mult
-        return Character(self.nvars, out)
 
     def involution_image(self):
         """The image under the symplectic pairing w -> h - w."""
@@ -309,11 +296,6 @@ class Poly:
             self.nvars, {e: c for e, c in self.terms.items() if e[-1] == 0}
         )
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_homogeneous(self, d=None):
         if not self.terms:
             return True
@@ -468,41 +450,6 @@ def poly_parse(expr, nvars):
     return p
 
 
-def mod_h(p):
-    """Substitute h -> 0; p is divisible by h iff the result is zero."""
-    return p.mod_h()
-
-
-def exact_divide(p, q):
-    """Return r with p = q*r, or raise :class:`errors.NotDivisible`.
-
-    A linear divisor ``q = c*x + rest`` (every weight ``t_i - t_j + m*h``)
-    takes the synthetic-division path :func:`_divide_linear`, which costs
-    O(terms(p) * terms(q)).  Any other divisor runs generic long division,
-    which recomputes the leading term of the remainder at every step and so
-    is quadratic in the number of terms.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if q.is_homogeneous(1):
-        r = _divide_linear(p, q)
-        if r is None:
-            raise errors.NotDivisible(f"({p.render()}) / ({q.render()})")
-        return r
-    r = Poly.zero(p.nvars)
-    rem = p
-    qe, qc = q.leading()
-    while not rem.is_zero():
-        re, rc = rem.leading()
-        e = tuple(x - y for x, y in zip(re, qe))
-        if any(x < 0 for x in e):
-            raise errors.NotDivisible(f"({p.render()}) / ({q.render()})")
-        mono = Poly(p.nvars, {e: _coeff(rc, qc)})
-        r = r + mono
-        rem = rem - mono * q
-    return r
-
-
 def _divide_linear(p, q):
     """Exact division by a linear form ``q = c*x + rest``, or None.
 
@@ -575,9 +522,6 @@ class FactoredClass:
     def is_zero(self):
         return self.constant == 0 or any(i == j and not m for (i, j, m), _ in self.factors)
 
-    def degree(self):
-        return sum(exp for _, exp in self.factors)
-
     def expand(self):
         p = Poly.const(self.nvars, self.constant)
         for w, exp in self.factors:
@@ -621,20 +565,24 @@ class FactoredClass:
 def integer_ratio_mod_h(p, e):
     """The integer a with modH(p) = a * modH(expand(e)) (Cor-style ratio).
 
+    Mod h every weight t_i - t_j + m*h of e is the linear form t_i - t_j, so
+    modH(p) is divided by each form in turn and then by e's constant.
     Raises :class:`errors.NotProportional` when no such integer exists.
     """
-    den = e.expand().mod_h()
-    if den.is_zero():
+    if not e.constant or any(i == j for (i, j, _), _ in e.factors):
         raise ValueError("denominator vanishes mod h")
-    num = p.mod_h()
+    num = q = p.mod_h()
     if num.is_zero():
         return 0
-    try:
-        q = exact_divide(num, den)
-    except errors.NotDivisible:
-        raise errors.NotProportional(
-            f"{num.render()} vs {den.render()}"
-        ) from None
+    for (i, j, _), exp in e.factors:
+        form = weight_poly((i, j, 0), e.nvars)
+        for _ in range(exp):
+            q = _divide_linear(q, form)
+            if q is None:
+                raise errors.NotProportional(
+                    f"{num.render()} vs {e.expand().mod_h().render()}"
+                )
+    q = q * _coeff(1, e.constant)
     if not q.is_constant():
         raise errors.NotProportional(f"ratio {q.render()} is not constant")
     c = q.constant_value()

@@ -81,13 +81,6 @@ class BraneDiagram:
             raise KeyError(name)
         return table[idx - 1]
 
-    def to_json(self):
-        return {"blacks": list(self.blacks), "colors": list(self.colors)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(tuple(data["blacks"]), tuple(data["colors"]))
-
     def __repr__(self):
         return f"BraneDiagram({render(self)!r})"
 

@@ -144,11 +144,11 @@ def _cmd_tangent(args, out):
         except ValueError:
             raise errors.BadChamber(f"non-integer --chamber {args.chamber!r}") from None
         tangent.check_chamber(chamber, d.n_blue)
-    points = tie.enumerate_tie_diagrams(d)
-    for k, t in enumerate(points, start=1):
-        pid = f"D{k}"
-        if args.point and pid != args.point:
-            continue
+    if args.point is None:
+        points = [(f"D{k}", t) for k, t in enumerate(tie.enumerate_tie_diagrams(d), start=1)]
+    else:
+        points = [(args.point, _point(d, args.point))]
+    for pid, t in points:
         tc = tangent.tangent_character(t, pid)
         out.write(f"{pid}: {{{', '.join(map(algebra.render_weight, tc.weights()))}}}\n")
         if chamber is not None:

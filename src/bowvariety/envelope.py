@@ -35,9 +35,6 @@ class AttractionData:
     def nvars(self):
         return self.diagram.n_blue
 
-    def restriction(self, p, q):
-        return self.restrictions[p][q]
-
     def rank(self, p):
         return self.order.index(p)
 

@@ -58,10 +58,6 @@ class NotProportional(BowError):
     """modH(p) is not an integer multiple of modH(e)."""
 
 
-class NotDivisible(BowError):
-    """Exact polynomial division has a nonzero remainder."""
-
-
 class NonEffective(BowError):
     """A finished tangent character has a negative multiplicity."""
 

@@ -40,11 +40,6 @@ class TieDiagram:
     def to_json(self):
         return {"diagram": brane.render(self.base), "ties": self.named_ties()}
 
-    @classmethod
-    def from_json(cls, data):
-        base = brane.parse(data["diagram"])
-        return from_names(base, data["ties"])
-
     def __repr__(self):
         return f"TieDiagram({brane.render(self.base)!r}, {self.named_ties()})"
 

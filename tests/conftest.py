@@ -1,14 +1,17 @@
 """Shared fixtures and sweep helpers for the test suite."""
 
+import importlib.util
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bowvariety import brane
+from bowvariety import algebra, brane
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "bowvariety" / "fixtures"
+DATA = Path(__file__).resolve().parent / "data"
 
 EXAMPLE_3BLUE = "0/1\\1/2\\2\\2/0"
 TSTAR_P1 = "0/1\\1\\1/0"
@@ -86,3 +89,22 @@ def sweep_diagrams():
         if dsl not in seen:
             seen.add(dsl)
             yield d
+
+
+def tstar_module():
+    """The T*P^{n-1} generator of the benchmark, read without importing the
+    rest of perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tstar.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tstar", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def hw_twist(char, k, dm):
+    """The Hanany-Witten torus twist t_k -> t_k + dm*h of a character: the
+    weight (i, j, m) moves to m + dm*([i == k] - [j == k])."""
+    out = Counter()
+    for (i, j, m), mult in char.terms.items():
+        out[i, j, m + dm * ((i == k) - (j == k))] += mult
+    return algebra.Character(char.nvars, out)

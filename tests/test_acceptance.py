@@ -25,6 +25,7 @@ from conftest import (
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
+    hw_twist,
     sweep_diagrams,
 )
 
@@ -153,7 +154,7 @@ def test_criterion_5_hanany_witten_covariance():
             for t, im in zip(points, images):
                 before = tangent.tangent_character(t, "x").char
                 after = tangent.tangent_character(im, "x").char
-                assert after.substitute(u, dm) == before
+                assert hw_twist(after, u, dm) == before
 
 
 def test_criterion_6_envelope_recursion():

@@ -1,6 +1,8 @@
 """Exact symbolic kernel: weights, characters, polynomials, Euler classes."""
 
 import itertools
+import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,14 +16,13 @@ from bowvariety.algebra import (
     FactoredClass,
     Poly,
     RationalFn,
-    exact_divide,
     integer_ratio_mod_h,
     poly_parse,
     render_weight,
     weight_poly,
     weight_sort_key,
 )
-from conftest import EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
+from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, hw_twist, tstar_module
 
 # ---------------------------------------------------------------------------
 # weights: (i, j, m) keys against a general linear form
@@ -115,21 +116,21 @@ def test_weight_involution():
 def test_weight_substitute_is_torus_twist():
     # the Hanany-Witten twist t_k -> t_k + dm*h moves m by dm*([i == k] - [j == k])
     for w, k, dm in itertools.product(KEYS, range(1, 5), (1, -1)):
-        image = only_weight(Character(4, {w: 1}).substitute(k, dm))
+        image = only_weight(hw_twist(Character(4, {w: 1}), k, dm))
         assert Linear.of(image, 4) == Linear.of(w, 4).substitute(k, dm), (w, k, dm)
-    char = Character.from_weights(3, [(1, 3, 0), (1, 3, 0), (2, 1, 1)])
-    assert char.substitute(1).terms == {(1, 3, 1): 2, (2, 1, 0): 1}
+    char = Character(3, Counter([(1, 3, 0), (1, 3, 0), (2, 1, 1)]))
+    assert hw_twist(char, 1, 1).terms == {(1, 3, 1): 2, (2, 1, 0): 1}
 
 
 def test_weight_difference_shape():
     """chamber_split reads (i, j) from the key and rejects a zero A-part."""
     for m in (-1, 0, 2):
-        tc = tangent.TangentCharacter("X", Character.from_weights(3, [(2, 3, 1), (0, 0, m)]))
+        tc = tangent.TangentCharacter("X", Character(3, Counter([(2, 3, 1), (0, 0, m)])))
         with pytest.raises(errors.DegenerateWeight) as exc:
             tangent.chamber_split(tc, (1, 2, 3))
         assert str(exc.value) == render_weight((0, 0, m))
     w, minus_w = (2, 3, 1), (3, 2, -1)
-    tc = tangent.TangentCharacter("X", Character.from_weights(3, [w, minus_w]))
+    tc = tangent.TangentCharacter("X", Character(3, Counter([w, minus_w])))
     split = tangent.chamber_split(tc, (3, 1, 2))
     assert split.plus.weights() == [minus_w] and split.minus.weights() == [w]
 
@@ -164,7 +165,7 @@ def test_weight_mixed_nvars_rejected():
 
 def test_character_multiset_semantics():
     t1, t2 = (1, 2, 0), (2, 1, 0)  # t1 - t2 and t2 - t1
-    c = Character.from_weights(2, [t1, t1, t2])
+    c = Character(2, Counter([t1, t1, t2]))
     assert c.total() == 3
     assert c.terms[t1] == 2
     assert sorted(c.weights(), key=weight_sort_key) == c.weights()
@@ -174,14 +175,14 @@ def test_character_multiset_semantics():
 
 
 def test_character_effectiveness():
-    a = Character.from_weights(2, [(1, 2, 0)])
-    b = Character.from_weights(2, [(2, 1, 0)])
+    a = Character(2, {(1, 2, 0): 1})
+    b = Character(2, {(2, 1, 0): 1})
     assert a.is_effective()
     assert not (a - b).is_effective()
 
 
 def test_character_involution_image():
-    a = Character.from_weights(2, [(1, 2, 0), (2, 1, 1)])
+    a = Character(2, Counter([(1, 2, 0), (2, 1, 1)]))
     assert a.involution_image() == a
 
 
@@ -227,23 +228,39 @@ def test_poly_render_round_trip_golden():
 def test_poly_homogeneity_and_degree():
     assert poly_parse("t1*t2 + h^2", 2).is_homogeneous(2)
     assert not poly_parse("t1 + h^2", 2).is_homogeneous()
-    assert poly_parse("t1^3", 1).degree() == 3
-    assert Poly.zero(2).degree() == -1
+    assert poly_parse("t1^3", 1).is_homogeneous(3)
+    assert Poly.zero(2).is_homogeneous(5)
 
 
 def test_poly_mod_h():
     p = poly_parse("t1^2 + t1*h + h^2", 1)
     assert p.mod_h() == poly_parse("t1^2", 1)
-    assert algebra.mod_h(poly_parse("h*(t1+t2)", 2)).is_zero()
+    assert poly_parse("h*(t1+t2)", 2).mod_h().is_zero()
+
+
+def reference_divide(p, q):
+    """Generic long division: the r with p = q*r, or None.  It recomputes the
+    leading term of the remainder at every step, so it is quadratic in the
+    number of terms; ``algebra._divide_linear`` is checked against it."""
+    r = Poly.zero(p.nvars)
+    rem = p
+    qe, qc = q.leading()
+    while not rem.is_zero():
+        re, rc = rem.leading()
+        e = tuple(x - y for x, y in zip(re, qe))
+        if any(x < 0 for x in e):
+            return None
+        mono = Poly(p.nvars, {e: algebra._coeff(rc, qc)})
+        r = r + mono
+        rem = rem - mono * q
+    return r
 
 
 def test_exact_divide():
     p = poly_parse("(t1-t2)*(t1+t2+h)", 2)
-    assert exact_divide(p, poly_parse("t1-t2", 2)) == poly_parse("t1+t2+h", 2)
-    with pytest.raises(errors.NotDivisible):
-        exact_divide(poly_parse("t1^2+1", 2), poly_parse("t1-t2", 2))
-    with pytest.raises(ZeroDivisionError):
-        exact_divide(poly_parse("t1", 1), Poly.zero(1))
+    for divide in (algebra._divide_linear, reference_divide):
+        assert divide(p, poly_parse("t1-t2", 2)) == poly_parse("t1+t2+h", 2)
+        assert divide(poly_parse("t1^2+1", 2), poly_parse("t1-t2", 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +268,14 @@ def test_exact_divide():
 
 
 def test_factored_class_expand():
-    char = Character.from_weights(2, [(1, 2, 0), (2, 1, 1)])
+    char = Character(2, Counter([(1, 2, 0), (2, 1, 1)]))
     e = FactoredClass.from_character(char)
     assert e.expand() == poly_parse("(t1-t2)*(t2-t1+h)", 2)
-    assert e.degree() == 2
+    assert e.expand().is_homogeneous(2)
 
 
 def test_factored_class_rejects_virtual_characters():
-    virtual = Character.from_weights(2, [(1, 2, 0)]) - Character.from_weights(2, [(2, 1, 0)])
+    virtual = Character(2, {(1, 2, 0): 1}) - Character(2, {(2, 1, 0): 1})
     with pytest.raises(errors.NonEffective):
         FactoredClass.from_character(virtual)
 
@@ -273,6 +290,98 @@ def test_integer_ratio_mod_h():
         # proportional only with a non-integer constant
         e2 = FactoredClass(2, 2, [((1, 2, 0), 1)])
         integer_ratio_mod_h(poly_parse("t1-t2", 2), e2)
+
+
+def reference_integer_ratio_mod_h(p, e):
+    """Expand-then-divide: the integer ratio computed by long division of
+    modH(p) by the expanded modH(e), as before it divided by linear factors."""
+    den = e.expand().mod_h()
+    if den.is_zero():
+        raise ValueError("denominator vanishes mod h")
+    num = p.mod_h()
+    if num.is_zero():
+        return 0
+    q = reference_divide(num, den)
+    if q is None:
+        raise errors.NotProportional(f"{num.render()} vs {den.render()}")
+    if not q.is_constant():
+        raise errors.NotProportional(f"ratio {q.render()} is not constant")
+    c = q.constant_value()
+    if c.denominator != 1:
+        raise errors.NotProportional(f"ratio {c} is not an integer")
+    return int(c)
+
+
+def recorded_ratio_calls(monkeypatch):
+    """Every (p, e) that stable_envelopes passes to integer_ratio_mod_h on the
+    fixtures, the perturbed test data and T*P^1..T*P^4 in both chambers."""
+    calls = []
+    original = algebra.integer_ratio_mod_h
+
+    def record(p, e):
+        calls.append((p, e))
+        return original(p, e)
+
+    monkeypatch.setattr(algebra, "integer_ratio_mod_h", record)
+    tstar = tstar_module()
+    sources = sorted(FIXTURES.glob("*.json")) + sorted(DATA.glob("*_perturbed.json"))
+    sources += [tstar.attraction_data(n, opposite=o) for n in range(2, 6) for o in (False, True)]
+    for source in sources:
+        envelope.stable_envelopes(envelope.load_attraction_data(source))
+    monkeypatch.undo()
+    return calls
+
+
+def perturbed_ratio_cases(p, e, rng):
+    """(p, e) and variations of it that reach every exit of the ratio: an
+    integer, a multiple of h, a random extra monomial, a non-constant or a
+    non-integer ratio, a squared or no weight, and a denominator that
+    vanishes mod h."""
+    n = e.nvars
+    den = e.expand()
+    degree = sum(exp for _, exp in e.factors)
+    exps = [0] * (n + 1)
+    for _ in range(degree):
+        exps[rng.randrange(n)] += 1
+    mono = Poly(n, {tuple(exps): rng.choice([-2, -1, 1, 3])})
+    h = Poly.variable(n, 0)
+    yield p, e
+    yield p * 2 + h * mono, e
+    yield p + den * rng.choice([-1, 2]), e
+    yield p + mono, e
+    yield p + den * poly_parse(f"t1 - t{n}", n) * Fraction(1, 2), e
+    yield p + den * Fraction(1, 2), e
+    yield p, e * 2
+    w = e.factors[0][0]  # a squared factor
+    yield p * weight_poly(w, n), FactoredClass(n, e.constant, e.factors + ((w, 1),))
+    yield p, FactoredClass(n, 3)
+    yield h * mono - 6, FactoredClass(n, -3)
+    yield p, FactoredClass(n, 1, e.factors + (((0, 0, 1), 1),))
+    yield p, FactoredClass(n, 0, e.factors)
+
+
+def test_integer_ratio_matches_expand_then_divide(monkeypatch):
+    def outcome(ratio, p, e):
+        try:
+            a = ratio(p, e)
+        except (errors.NotProportional, ValueError) as exc:
+            return type(exc), str(exc)
+        assert type(a) is int
+        return a
+
+    calls = recorded_ratio_calls(monkeypatch)
+    assert len(calls) == 62  # one per pair q < p: 10 + 2 + 6 fixtures, 4 perturbed, 2 * 20 T*P
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for p, e in calls:
+        for case in perturbed_ratio_cases(p, e, rng):
+            expected = outcome(reference_integer_ratio_mod_h, *case)
+            assert outcome(integer_ratio_mod_h, *case) == expected, case
+            if type(expected) is int:
+                kinds["nonzero" if expected else "zero"] += 1
+            else:  # "... vs ...", "... is not constant", "... an integer", "... mod h"
+                kinds["vs" if " vs " in expected[1] else expected[1].split()[-1]] += 1
+    assert kinds.keys() == {"zero", "nonzero", "vs", "constant", "integer", "h"}, kinds
 
 
 def test_rational_fn_cancellation():
@@ -340,7 +449,7 @@ def test_poly_ring_laws(p, q):
 def test_exact_divide_inverts_multiplication(p, q):
     if q.is_zero():
         return
-    assert exact_divide(p * q, q) == p
+    assert reference_divide(p * q, q) == p
 
 
 # exact division by a linear form (the synthetic-division path)
@@ -383,14 +492,12 @@ def test_exact_divide_linear_cases():
     p = poly_parse("t1^2 - 3*t1*h + 5", 2)
     for w in ("2*h + t1 - t2", "-h + t1", "t2 - t1", "h", "-2*h"):
         wp = poly_parse(w, 2)
-        assert exact_divide(p * wp, wp) == p
-        assert exact_divide(Poly.zero(2), wp).is_zero()
-        with pytest.raises(errors.NotDivisible):
-            exact_divide(p * wp + 1, wp)
-    half = exact_divide(poly_parse("t1 - t2", 2), poly_parse("2*t1 - 2*t2", 2))
+        assert algebra._divide_linear(p * wp, wp) == p
+        assert algebra._divide_linear(Poly.zero(2), wp).is_zero()
+        assert algebra._divide_linear(p * wp + 1, wp) is None
+    half = algebra._divide_linear(poly_parse("t1 - t2", 2), poly_parse("2*t1 - 2*t2", 2))
     assert half == Poly.const(2, Fraction(1, 2))
-    with pytest.raises(errors.NotDivisible):
-        exact_divide(poly_parse("t1^2*t2", 2), poly_parse("t1 + t2", 2))
+    assert algebra._divide_linear(poly_parse("t1^2*t2", 2), poly_parse("t1 + t2", 2)) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,22 +505,19 @@ def test_exact_divide_linear_cases():
 @given(poly_and_linear())
 def test_exact_divide_by_linear_form(pwg):
     p, w, _ = pwg
-    assert exact_divide(p * w, w) == p
-    with pytest.raises(errors.NotDivisible):
-        exact_divide(p * w + 1, w)
+    assert algebra._divide_linear(p * w, w) == p
+    assert algebra._divide_linear(p * w + 1, w) is None
 
 
 @settings(max_examples=150, deadline=None)
 @given(poly_and_linear())
 def test_linear_path_matches_generic_loop(pwg):
-    # w*g is not linear, so dividing by it runs the generic loop
     p, w, g = pwg
     f = p * w * g
-    generic = exact_divide(f, w * g)
+    generic = reference_divide(f, w * g)
     assert generic == p
-    assert exact_divide(f, w) == generic * g
-    with pytest.raises(errors.NotDivisible):
-        exact_divide((p * w + 1) * g, w * g)
+    assert algebra._divide_linear(f, w) == reference_divide(f, w) == generic * g
+    assert reference_divide((p * w + 1) * g, w * g) is None
 
 
 # coefficients stay ints; a Fraction appears only where a division leaves a
@@ -469,19 +573,19 @@ def test_parse_and_expand_keep_int_coefficients(p, w, k):
 @given(polys, st.sampled_from([2, -1]), st.booleans())
 def test_exact_divide_keeps_coefficients_clean(p, c, generic):
     # leading coefficient c of the divisor: c*h leads a linear form, and
-    # c*h*t1 leads the nonlinear divisor of the generic loop; 3^40 + 1 is past
-    # a float's 53-bit mantissa, so a float quotient anywhere comes out wrong
+    # c*h*t1 leads the nonlinear divisor of the reference loop; 3^40 + 1 is
+    # past a float's 53-bit mantissa, so a float quotient anywhere comes out wrong
     p = p * (3**40 + 1) + 3**40
     q = poly_parse(f"{c}*h + t1 - t2", 2)
+    divide = algebra._divide_linear
     if generic:
-        q = q * poly_parse("t1 + 1", 2)
-    assert exact_divide(p * q, q) == p
-    assert_clean(exact_divide(p * q, q))
-    half = exact_divide(p * q, q * 2)  # p / 2: Fractions where p is odd
+        q, divide = q * poly_parse("t1 + 1", 2), reference_divide
+    assert divide(p * q, q) == p
+    assert_clean(divide(p * q, q))
+    half = divide(p * q, q * 2)  # p / 2: Fractions where p is odd
     assert half * 2 == p
     assert_clean(half)
-    with pytest.raises(errors.NotDivisible):
-        exact_divide(p * q + 1, q)
+    assert divide(p * q + 1, q) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -535,16 +639,6 @@ def test_cancellation_keeps_exactly_the_uncancelled_factors(base, c, w, k, j):
     assert r.num == p * wp ** max(k - j, 0)
 
 
-def test_not_divisible_message_is_unchanged():
-    w = poly_parse("t1 - t2 + h", 2)
-    p = poly_parse("t1^2 + 3*h", 2)
-    with pytest.raises(errors.NotDivisible) as exc:
-        exact_divide(p * w + 1, w)
-    assert str(exc.value) == (
-        "(h*t1^2 + t1^3 - t1^2*t2 + 3*h^2 + 3*h*t1 - 3*h*t2 + 1) / (h + t1 - t2)"
-    )
-
-
 # hyperplanes and restriction to them
 
 
@@ -586,8 +680,8 @@ def test_restrict_is_a_ring_homomorphism(p, q, key):
     r = algebra.restrict
     assert r(p * q, key) == r(p, key) * r(q, key)
     assert r(p + q, key) == r(p, key) + r(q, key)
-    # restriction along H changes p by a multiple of H (else NotDivisible)
-    exact_divide(p - r(p, key), weight_poly(key, 2))
+    # restriction along H changes p by a multiple of H
+    assert algebra._divide_linear(p - r(p, key), weight_poly(key, 2)) is not None
 
 
 def test_restrict_keeps_int_coefficients():

@@ -124,11 +124,6 @@ def test_separate_fixes_separated_diagrams():
     assert sep == d and moves == []
 
 
-def test_json_round_trip():
-    d = brane.parse(EXAMPLE_3BLUE)
-    assert brane.BraneDiagram.from_json(d.to_json()) == d
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(diagram_strings(5, 3))))
 def test_round_trip_and_involution_everywhere(s):

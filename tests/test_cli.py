@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bowvariety import cli
-from conftest import EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
+from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
 
 
 def run_cli(*argv):
@@ -58,9 +58,6 @@ def test_subprocess_hw_golden():
 GOLDEN = Path(__file__).resolve().parent / "golden"
 BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
 TSTAR_P2 = [str(FIXTURES / f"tstar_p2_chamber{c}.json") for c in ("123", "321")]
-# opposite-chamber data with h*(...) added to one off-diagonal entry: still
-# homogeneous, same envelope recursion, but the pairing is not polynomial
-PERTURBED = Path(__file__).resolve().parent / "data"
 # goldens whose command reports a failed check
 GOLDEN_EXIT = {"pair_tstar_p1_perturbed": 3, "pair_tstar_p2_perturbed": 3}
 
@@ -85,7 +82,10 @@ GOLDEN_EXIT = {"pair_tstar_p1_perturbed": 3, "pair_tstar_p2_perturbed": 3}
                 "--data",
                 str(FIXTURES / "tstar_p1_chamber12.json"),
                 "--opposite",
-                str(PERTURBED / "tstar_p1_chamber21_perturbed.json"),
+                # opposite-chamber data with h*(...) added to one off-diagonal
+                # entry: still homogeneous, same envelope recursion, but the
+                # pairing is not polynomial
+                str(DATA / "tstar_p1_chamber21_perturbed.json"),
             ],
         ),
         (
@@ -95,7 +95,7 @@ GOLDEN_EXIT = {"pair_tstar_p1_perturbed": 3, "pair_tstar_p2_perturbed": 3}
                 "--data",
                 TSTAR_P2[0],
                 "--opposite",
-                str(PERTURBED / "tstar_p2_chamber321_perturbed.json"),
+                str(DATA / "tstar_p2_chamber321_perturbed.json"),
             ],
         ),
     ],
@@ -263,6 +263,7 @@ def test_bad_options_exit_2_without_traceback():
         ("tangent", "0/1\\1\\0", "--chamber="),
         ("tangent", "0/1\\1\\0", "--chamber=--"),
         ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"),
+        ("tangent", EXAMPLE_3BLUE, "--point", "D99"),
     ):
         proc = run_subprocess(*argv)
         assert proc.returncode == 2, argv
@@ -299,6 +300,14 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_non_integral_attraction_data_exits_2_without_traceback():
+    # loads cleanly, but R[D2][D1] is not an integer multiple of e(T_D1^-) mod h
+    proc = run_subprocess("stab", "--data", str(DATA / "tstar_p1_chamber21_nonintegral.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: point D2, step D1: t1 + t2 vs t1 - t2\n"
 
 
 def test_unknown_verb_is_usage_error():

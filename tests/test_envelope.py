@@ -1,14 +1,13 @@
 """Attraction data loading, the envelope recursion, pairing checks."""
 
 import dataclasses
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 
 from bowvariety import algebra, envelope, errors
+from conftest import DATA, tstar_module
 
 
 def load_fixture(fixtures_dir, name):
@@ -31,7 +30,7 @@ def test_load_three_blue_fixture(fixtures_dir):
     assert data.chamber == (3, 2, 1)
     assert data.nvars == 3
     # the loader fills in structural zeros
-    assert data.restriction("D1", "D5").is_zero()
+    assert data.restrictions["D1"]["D5"].is_zero()
 
 
 def test_load_accepts_json_text_and_dicts(fixtures_dir):
@@ -157,6 +156,15 @@ def test_order_refinement_independence(fixtures_dir):
         assert redone == base
 
 
+def test_non_integral_ratio_is_an_integrality_failure():
+    # T*P^1 with R[D2][D1] = t1+t2+h, not proportional to e(T_D1^-) = t1-t2 mod h
+    data = envelope.load_attraction_data(DATA / "tstar_p1_chamber21_nonintegral.json")
+    with pytest.raises(errors.IntegralityFailure) as exc:
+        envelope.stable_envelopes(data)
+    assert str(exc.value) == "point D2, step D1: t1 + t2 vs t1 - t2"
+    assert isinstance(exc.value.__cause__, errors.NotProportional)
+
+
 def test_stable_envelopes_rejects_foreign_order(fixtures_dir):
     data = load_fixture(fixtures_dir, "example54_chamber321.json")
     with pytest.raises(ValueError):
@@ -256,16 +264,6 @@ def reference_check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
                         f"{pairing.render()} is not polynomial"
                     )
     return report
-
-
-def tstar_module():
-    # the T*P^{n-1} generator of the benchmark, read without importing the
-    # rest of perfbench
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tstar.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tstar", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def paired_cases(fixtures_dir):
