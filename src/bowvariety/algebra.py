@@ -198,10 +198,6 @@ class Poly:
                     self.terms[tuple(e)] = c
 
     @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def const(cls, nvars, c):
         c = _coeff(c)
         if not c:

@@ -31,7 +31,9 @@ class BraneDiagram:
         if any(d < 0 for d in self.blacks):
             raise errors.NegativeLabel(str(self.blacks))
         if self.blacks[0] != 0 or self.blacks[-1] != 0:
-            raise errors.BoundaryNotZero(render(self))
+            raise errors.BoundaryNotZero(
+                f"first and last black labels must be 0: {render(self)}"
+            )
         if any(c not in (RED, BLUE) for c in self.colors):
             raise ValueError(f"bad color in {self.colors}")
 

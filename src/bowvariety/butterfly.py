@@ -28,7 +28,7 @@ def _blue_index(d, U):
             raise errors.UnknownLine(f"{U!r} is not a blue line")
         U = int(U[1:])
     if not 1 <= U <= d.n_blue:
-        raise errors.UnknownLine(f"U{U} with N={d.n_blue}")
+        raise errors.UnknownLine(f"'U{U}' is not a blue line (N={d.n_blue})")
     return U
 
 
@@ -473,8 +473,11 @@ def _check_stability(f):
     subspace may be taken to be spanned by basis labels.  A candidate T must
     contain Im a_U, be closed under every arrow (operator invariance), and
     every A_U must induce an isomorphism on the quotients; the point is
-    stable iff no proper such T exists.  The search is exact: it visits every
-    arrow-closed set containing the closure of the green arrows exactly once.
+    stable iff no proper such T exists.  The search is exact: it visits once
+    every arrow-closed set containing the closure of the green arrows that
+    can still balance, |W_{U-}/T| = |W_{U+}/T| for every U.  Below a node,
+    each side S of each U keeps between |S & outside| and |S - inside|
+    labels outside T; a node where these two ranges do not meet is dropped.
     """
     result = CheckResult("stability", True)
     # global vertex ids (u, absolute column, height) and the arrow digraph
@@ -510,6 +513,7 @@ def _check_stability(f):
         (ids[p], ids[p + 1], f.per_blue[f"U{u}"]["A"].data)
         for u, p in enumerate(f.base.blue_positions(), start=1)
     ]
+    sides = [(set(minus), set(plus)) for minus, plus, _a in blocks]
 
     def quotients_iso(chosen):
         for minus, plus, a_rows in blocks:
@@ -534,6 +538,12 @@ def _check_stability(f):
     stack = [(closure(greens, succ), set(), 0)]
     while stack:
         inside, outside, k = stack.pop()
+        # no leaf below can balance: drop the node
+        if any(
+            len(m & outside) > len(p - inside) or len(p & outside) > len(m - inside)
+            for m, p in sides
+        ):
+            continue
         while k < len(vertices) and (vertices[k] in inside or vertices[k] in outside):
             k += 1
         if k < len(vertices):
@@ -660,6 +670,7 @@ def verify_fixed_point(f):
     conditions S1 and S2 per blue line, as the rank of an observability and
     of a controllability (Krylov) matrix, (3) absence of destabilizing
     graded subspaces, searched exactly over every arrow-closed candidate
+    that can still balance |W_{U-}/T| = |W_{U+}/T| for every blue U,
     whatever the size of the point, (4) injectivity/surjectivity of the
     junction maps, as ranks, (5) nilpotency exponents on separated diagrams,
     (6) torus grading of every operator.  Ranks are exact, by integer

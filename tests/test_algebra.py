@@ -63,7 +63,7 @@ class Linear:
 
     def to_poly(self):
         n = len(self.a)
-        p = Poly.zero(n)
+        p = Poly(n)
         for k, x in enumerate((*self.a, self.m)):
             p = p + Poly.variable(n, (k + 1) % (n + 1)) * x
         return p
@@ -229,7 +229,7 @@ def test_poly_homogeneity_and_degree():
     assert poly_parse("t1*t2 + h^2", 2).is_homogeneous(2)
     assert not poly_parse("t1 + h^2", 2).is_homogeneous()
     assert poly_parse("t1^3", 1).is_homogeneous(3)
-    assert Poly.zero(2).is_homogeneous(5)
+    assert Poly(2).is_homogeneous(5)
 
 
 def test_poly_mod_h():
@@ -242,7 +242,7 @@ def reference_divide(p, q):
     """Generic long division: the r with p = q*r, or None.  It recomputes the
     leading term of the remainder at every step, so it is quadratic in the
     number of terms; ``algebra._divide_linear`` is checked against it."""
-    r = Poly.zero(p.nvars)
+    r = Poly(p.nvars)
     rem = p
     qe, qc = q.leading()
     while not rem.is_zero():
@@ -477,7 +477,7 @@ def poly_and_linear(draw):
     else:
         w = sum(
             (Poly.variable(nvars, k) * draw(coeffs) for k in range(nvars + 1)),
-            Poly.zero(nvars),
+            Poly(nvars),
         )
     assume(not w.is_zero())
     g = poly(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
@@ -493,7 +493,7 @@ def test_exact_divide_linear_cases():
     for w in ("2*h + t1 - t2", "-h + t1", "t2 - t1", "h", "-2*h"):
         wp = poly_parse(w, 2)
         assert algebra._divide_linear(p * wp, wp) == p
-        assert algebra._divide_linear(Poly.zero(2), wp).is_zero()
+        assert algebra._divide_linear(Poly(2), wp).is_zero()
         assert algebra._divide_linear(p * wp + 1, wp) is None
     half = algebra._divide_linear(poly_parse("t1 - t2", 2), poly_parse("2*t1 - 2*t2", 2))
     assert half == Poly.const(2, Fraction(1, 2))
@@ -501,7 +501,7 @@ def test_exact_divide_linear_cases():
 
 
 @settings(max_examples=150, deadline=None)
-@example((Poly.zero(2), Poly.variable(2, 0), Poly.variable(2, 1)))
+@example((Poly(2), Poly.variable(2, 0), Poly.variable(2, 1)))
 @given(poly_and_linear())
 def test_exact_divide_by_linear_form(pwg):
     p, w, _ = pwg

@@ -462,6 +462,24 @@ def test_stability_matches_reference_search():
     assert any(f.base == flag[1].base for f in destabilized)
 
 
+def test_stability_prunes_unbalanced_subtrees(monkeypatch):
+    # the 24 verified flag points are stable, and the dimension bound drops
+    # every leaf of their search but T = V, so no quotient map is ranked
+    # (without the bound the search ranks 37,697 of them)
+    calls = []
+    rank = linalg.rank
+
+    def counting_rank(rows):
+        calls.append(rows)
+        return rank(rows)
+
+    monkeypatch.setattr(butterfly.linalg, "rank", counting_rank)
+    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    for k in range(0, 840, 35):
+        assert butterfly._check_stability(butterfly.assemble_fixed_point(points[k])).ok
+    assert len(calls) == 0
+
+
 def test_stability_runs_on_large_flag_points():
     # 22 and 20 basis lines outside the closure of the green arrows: too
     # many for a search over all their subsets

@@ -256,20 +256,29 @@ def test_missing_data_file():
 
 
 def test_bad_options_exit_2_without_traceback():
+    # the messages that name their problem, word for word
+    says = {
+        ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"): (
+            "'U7' is not a blue line (N=3)"
+        ),
+        ("parse", "0/10"): "first and last black labels must be 0: 0/10",
+    }
     for argv in (
         ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
         ("tangent", "0/1\\1\\0", "--chamber", "1,x"),
         ("tangent", "0/1\\1\\0", "--chamber", "-1,2"),
         ("tangent", "0/1\\1\\0", "--chamber="),
         ("tangent", "0/1\\1\\0", "--chamber=--"),
-        ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"),
         ("tangent", EXAMPLE_3BLUE, "--point", "D99"),
+        *says,
     ):
         proc = run_subprocess(*argv)
         assert proc.returncode == 2, argv
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        if argv in says:
+            assert proc.stderr == f"error: {says[argv]}\n"
 
 
 def test_bad_chamber_writes_no_output():

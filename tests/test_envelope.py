@@ -334,7 +334,7 @@ def test_polynomiality_on_a_repeated_hyperplane(fixtures_dir):
     t12 = algebra.poly_parse("t1-t2", 2)
     gammas = [
         {"P1": t12 * t12, "P2": t12},  # polynomial: the double pole cancels
-        {"P1": t12, "P2": algebra.Poly.zero(2)},  # a simple pole is left
+        {"P1": t12, "P2": algebra.Poly(2)},  # a simple pole is left
         {"P1": algebra.Poly.const(2, 1), "P2": algebra.Poly.const(2, 1)},
     ]
     expected = reference_check_polynomiality(*args, gammas=gammas)
