@@ -6,14 +6,15 @@ package.  The base ring is Q[t_1, ..., t_N, h].  Every torus weight of a
 tangent space is ``t_i - t_j + m*h``, and a *weight* is the plain tuple key
 ``(i, j, m)`` for it; a weight of zero A-part is keyed ``(0, 0, m)``.  A
 *character* is a finite multiset of weights with (possibly negative,
-mid-computation) integer multiplicities, written additively.  Factored
-classes are products of weights, and rational functions cancel weights from
-their denominators.
+mid-computation) integer multiplicities, written additively.  A polynomial
+maps packed monomials to coefficients: each monomial is one int, so that
+multiplying two monomials is one integer add and comparing two is the term
+order.  Factored classes are products of weights, and rational functions
+cancel weights from their denominators.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 
 from . import errors
@@ -48,10 +49,9 @@ def weight_poly(w, nvars):
     i, j, m = w
     if max(i, j) > nvars:
         raise ValueError(f"weight {render_weight(w)} over {nvars} variables")
-    terms = {(0,) * nvars + (1,): m}
+    terms = {_unit(nvars, 0): m}
     if i != j:
-        for k, c in ((i, 1), (j, -1)):
-            terms[(0,) * (k - 1) + (1,) + (0,) * (nvars + 1 - k)] = c
+        terms[_unit(nvars, i)], terms[_unit(nvars, j)] = 1, -1
     return Poly(nvars, terms)
 
 
@@ -83,20 +83,21 @@ def restrict(p, key):
     i, j, m = key
     if i == j:
         return p.mod_h()
-    i, j, h = i - 1, j - 1, p.nvars
+    n = p.nvars
+    shift, ti, tj, h = (n - i) * WIDTH, _unit(n, i), _unit(n, j), _unit(n, 0)
     levels = {}
     for e, c in p.terms.items():
-        levels.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+        k = e >> shift & MAX_DEGREE
+        levels.setdefault(k, {})[e - k * ti] = c
     acc = {}
     for k in range(max(levels, default=0), -1, -1):
         nxt = levels.get(k, {})
         for e, c in acc.items():  # nxt += acc * (t_j - m*h)
-            for x, d in ((j, c), (h, -m * c)):
+            for f, d in ((e + tj, c), (e + h, -m * c)):
                 if d:
-                    f = e[:x] + (e[x] + 1,) + e[x + 1 :]
                     nxt[f] = nxt.get(f, 0) + d
         acc = nxt
-    return Poly(p.nvars, acc)
+    return Poly(n, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +167,34 @@ class Character:
 # ---------------------------------------------------------------------------
 # polynomials
 
-# Exponent tuples are (e_1, ..., e_N, e_h).  The canonical term order is
-# graded lexicographic with h ranked above every t_i.
+# A monomial h^e_h * t_1^e_1 * ... * t_N^e_N is one int of WIDTH-bit fields,
+# [degree | e_h | e_1 | ... | e_N] from the most significant down.  Each
+# field is at most the degree, and the degree at most MAX_DEGREE, so adding
+# two monomials multiplies them.  Comparing the ints compares the degree, then
+# the power of h, then t_1..t_N lexicographically: the canonical term order.
+
+WIDTH = 8
+MAX_DEGREE = (1 << WIDTH) - 1
 
 
-def _term_key(exps):
-    return (sum(exps), exps[-1], exps[:-1])
+def _unit(nvars, i):
+    """The packed t_i for i in 1..N, or h for i = 0: one in its field and the degree."""
+    return 1 << (nvars + 1) * WIDTH | 1 << (nvars - i) * WIDTH
+
+
+def pack(exps):
+    """The packed monomial of the exponent tuple ``(e_1, ..., e_N, e_h)``."""
+    n = len(exps) - 1
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {tuple(exps)}")
+    if sum(exps) > MAX_DEGREE:
+        raise errors.DegreeLimit(f"degree {sum(exps)} is past the limit {MAX_DEGREE}")
+    return sum(x * _unit(n, (i + 1) % (n + 1)) for i, x in enumerate(exps))
+
+
+def unpack(e, nvars):
+    """The exponent tuple ``(e_1, ..., e_N, e_h)`` of the packed monomial ``e``."""
+    return tuple(e >> (nvars - i) * WIDTH & MAX_DEGREE for i in (*range(1, nvars + 1), 0))
 
 
 def _coeff(a, c=1):
@@ -183,45 +206,40 @@ def _coeff(a, c=1):
 
 
 class Poly:
-    """Exact multivariate polynomial in t_1..t_N, h over Q."""
+    """Exact polynomial in t_1..t_N, h over Q: packed monomial -> nonzero coefficient."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if type(c) is not int:
-                    c = _coeff(c)
-                if c:
-                    self.terms[tuple(e)] = c
+        self.terms = out = {}
+        for e, c in terms.items() if terms else ():
+            if type(c) is not int:
+                c = _coeff(c)
+            if c:
+                out[e] = c
 
     @classmethod
     def const(cls, nvars, c):
-        c = _coeff(c)
-        if not c:
-            return cls(nvars)
-        return cls(nvars, {(0,) * (nvars + 1): c})
+        return cls(nvars, {0: c})
 
     @classmethod
     def variable(cls, nvars, i):
         """t_i for i in 1..N, or h for i = 0."""
-        e = [0] * (nvars + 1)
-        if i == 0:
-            e[nvars] = 1
-        else:
-            e[i - 1] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls(nvars, {_unit(nvars, i): 1})
 
     def is_zero(self):
         return not self.terms
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {(0,) * (self.nvars + 1)}
+        return self.terms.keys() <= {0}
 
     def constant_value(self):
-        return self.terms.get((0,) * (self.nvars + 1), 0)
+        return self.terms.get(0, 0)
+
+    def degree(self):
+        """The total degree (0 for the zero polynomial)."""
+        return max(self.terms, default=0) >> (self.nvars + 1) * WIDTH
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -261,15 +279,16 @@ class Poly:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        degree = self.degree() + other.degree()
+        if degree > MAX_DEGREE:
+            raise errors.DegreeLimit(f"degree {degree} is past the limit {MAX_DEGREE}")
         out = {}
+        get = out.get
+        pairs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+            for e2, c2 in pairs:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
         return Poly(self.nvars, out)
 
     __rmul__ = __mul__
@@ -277,42 +296,47 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a Poly")
+        degree = self.degree() * n
+        if degree > MAX_DEGREE:
+            raise errors.DegreeLimit(f"degree {degree} is past the limit {MAX_DEGREE}")
         result = Poly.const(self.nvars, 1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def mod_h(self):
         """Substitute h -> 0 (delete every monomial containing h)."""
-        return Poly(
-            self.nvars, {e: c for e, c in self.terms.items() if e[-1] == 0}
-        )
+        shift = self.nvars * WIDTH
+        terms = {e: c for e, c in self.terms.items() if not e >> shift & MAX_DEGREE}
+        return Poly(self.nvars, terms)
 
     def is_homogeneous(self, d=None):
         if not self.terms:
             return True
-        degs = {sum(e) for e in self.terms}
+        degs = {e >> (self.nvars + 1) * WIDTH for e in self.terms}
         if len(degs) != 1:
             return False
         return d is None or degs == {d}
 
     def leading(self):
-        """Leading (exponent, coefficient) in the canonical term order."""
-        e = max(self.terms, key=_term_key)
+        """Leading (packed monomial, coefficient) in the canonical term order."""
+        e = max(self.terms)
         return e, self.terms[e]
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda ec: _term_key(ec[0]), reverse=True)
+        return sorted(self.terms.items(), reverse=True)
 
     def _render_monomial(self, e):
+        *ts, h = unpack(e, self.nvars)
         parts = []
-        if e[-1]:
-            parts.append("h" if e[-1] == 1 else f"h^{e[-1]}")
-        for k, exp in enumerate(e[:-1]):
+        if h:
+            parts.append("h" if h == 1 else f"h^{h}")
+        for k, exp in enumerate(ts):
             if exp:
                 parts.append(f"t{k + 1}" if exp == 1 else f"t{k + 1}^{exp}")
         return "*".join(parts)
@@ -427,10 +451,9 @@ def _parse_atom(tok, nvars):
         return Poly.variable(nvars, 0)
     if c == "t":
         tok.pos += 1
-        at = tok.pos
         i = tok.take_uint()
         if not 1 <= i <= nvars:
-            raise errors.UnknownVariable(f"t{i} with N={nvars}", at)
+            raise errors.UnknownVariable(f"'t{i}' is not a variable (N={nvars})")
         return Poly.variable(nvars, i)
     if c.isdigit():
         return Poly.const(nvars, tok.take_uint())
@@ -453,14 +476,15 @@ def _divide_linear(p, q):
     S_k free of x.  Comparing powers of x gives S_{k-1} = (P_k - rest*S_k) / c
     from the top power down; p is divisible exactly when P_0 - rest*S_0 = 0,
     and None is returned otherwise, so a failed trial division renders
-    nothing.  Each level is a plain dict keyed by full exponent tuples.
+    nothing.  Each level is a plain dict keyed by packed monomials: a term of
+    S_{k-1} is ``e - x`` and a term of rest*S_{k-1} adds a variable ``y`` to that.
     """
-    xe, c = q.leading()
-    x = xe.index(1)
-    rest = [(e.index(1), a) for e, a in q.terms.items() if e != xe]
-    levels = {}  # power of x -> {exponent: coefficient of P_k - rest*S_k}
+    x, c = q.leading()
+    shift = (x - (1 << (p.nvars + 1) * WIDTH)).bit_length() - 1  # the field of x
+    rest = [(y, b) for y, b in q.terms.items() if y != x]
+    levels = {}  # power of x -> {monomial: coefficient of P_k - rest*S_k}
     for e, a in p.terms.items():
-        levels.setdefault(e[x], {})[e] = a
+        levels.setdefault(e >> shift & MAX_DEGREE, {})[e] = a
     quotient = {}
     for k in range(max(levels, default=0), 0, -1):
         below = levels.setdefault(k - 1, {})
@@ -468,10 +492,10 @@ def _divide_linear(p, q):
             if not a:
                 continue
             s = _coeff(a, c)
-            e = e[:x] + (k - 1,) + e[x + 1 :]
+            e -= x
             quotient[e] = s
-            for j, b in rest:
-                f = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            for y, b in rest:
+                f = e + y
                 below[f] = below.get(f, 0) - b * s
     if any(levels.get(0, {}).values()):
         return None

@@ -130,7 +130,7 @@ def load_attraction_data(source):
                 _schema_error(f"restrictions[{p}][{q}] must be a string")
             try:
                 out[q] = algebra.poly_parse(expr, nvars)
-            except errors.SyntaxError as exc:
+            except (errors.SyntaxError, errors.DegreeLimit) as exc:
                 _schema_error(f"restrictions[{p}][{q}]: {exc}")
         unknown = set(row) - set(order)
         if unknown:
@@ -155,7 +155,10 @@ def load_attraction_data(source):
             if qi > pi and not entry.is_zero():
                 raise errors.TriangularityViolation(f"R[{p}][{q}] != 0")
             if not entry.is_zero() and not entry.is_homogeneous(dim // 2):
-                raise errors.HomogeneityViolation(f"R[{p}][{q}]")
+                expr = raw["restrictions"][p][q]  # as written: a rendering can be too long
+                raise errors.HomogeneityViolation(
+                    f"R[{p}][{q}] = {expr} is not homogeneous of degree {dim // 2}"
+                )
         if restrictions[p][p] != minus_euler[p].expand():
             raise errors.DiagonalMismatch(
                 f"R[{p}][{p}] = {restrictions[p][p].render()}, "

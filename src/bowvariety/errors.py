@@ -28,6 +28,10 @@ class UnknownVariable(SyntaxError):
     """A variable t<i> with i outside 1..N appeared in an expression."""
 
 
+class DegreeLimit(BowError):
+    """A total degree past ``algebra.MAX_DEGREE``, the most a packed exponent field holds."""
+
+
 class BoundaryNotZero(BowError):
     """A brane diagram whose first or last black label is nonzero."""
 

@@ -1,6 +1,7 @@
 """Exact symbolic kernel: weights, characters, polynomials, Euler classes."""
 
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -17,8 +18,10 @@ from bowvariety.algebra import (
     Poly,
     RationalFn,
     integer_ratio_mod_h,
+    pack,
     poly_parse,
     render_weight,
+    unpack,
     weight_poly,
     weight_sort_key,
 )
@@ -247,10 +250,10 @@ def reference_divide(p, q):
     qe, qc = q.leading()
     while not rem.is_zero():
         re, rc = rem.leading()
-        e = tuple(x - y for x, y in zip(re, qe))
+        e = tuple(x - y for x, y in zip(unpack(re, p.nvars), unpack(qe, p.nvars)))
         if any(x < 0 for x in e):
             return None
-        mono = Poly(p.nvars, {e: algebra._coeff(rc, qc)})
+        mono = Poly(p.nvars, {pack(e): algebra._coeff(rc, qc)})
         r = r + mono
         rem = rem - mono * q
     return r
@@ -343,7 +346,7 @@ def perturbed_ratio_cases(p, e, rng):
     exps = [0] * (n + 1)
     for _ in range(degree):
         exps[rng.randrange(n)] += 1
-    mono = Poly(n, {tuple(exps): rng.choice([-2, -1, 1, 3])})
+    mono = Poly(n, {pack(exps): rng.choice([-2, -1, 1, 3])})
     h = Poly.variable(n, 0)
     yield p, e
     yield p * 2 + h * mono, e
@@ -427,7 +430,7 @@ exponents = st.tuples(
 )
 polys = st.dictionaries(
     exponents, st.integers(min_value=-9, max_value=9), max_size=5
-).map(lambda terms: Poly(2, {e: Fraction(c) for e, c in terms.items()}))
+).map(lambda terms: Poly(2, {pack(e): Fraction(c) for e, c in terms.items()}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,7 +467,7 @@ def poly_and_linear(draw):
     coeffs = st.integers(min_value=-9, max_value=9)
 
     def poly(terms):
-        return Poly(nvars, {e: Fraction(c) for e, c in terms.items()})
+        return Poly(nvars, {pack(e): Fraction(c) for e, c in terms.items()})
 
     p = poly(draw(st.dictionaries(exps, coeffs, max_size=6)))
     kind = draw(st.sampled_from(["weight", "h", "any"]))
@@ -540,7 +543,7 @@ mixed_coeffs = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
 )
 mixed_polys = st.dictionaries(exponents, mixed_coeffs, max_size=5).map(
-    lambda terms: Poly(2, terms)
+    lambda terms: Poly(2, {pack(e): c for e, c in terms.items()})
 )
 weights2 = st.builds(
     weight,
@@ -667,7 +670,7 @@ def test_restrict_kills_its_hyperplane_and_restricts_weights():
             assert image == weight_poly(algebra.restrict_weight(w, key), 4), (w, key)
             # the image is free of the eliminated variable t_i (or of h)
             slot = key[0] - 1 if key[0] != key[1] else 4
-            assert all(e[slot] == 0 for e in image.terms)
+            assert all(unpack(e, 4)[slot] == 0 for e in image.terms)
     assert algebra.restrict_weight((1, 2, 3), (1, 2, 3)) == (0, 0, 0)
 
 
@@ -689,3 +692,151 @@ def test_restrict_keeps_int_coefficients():
     image = algebra.restrict(p, (1, 3, -2))  # t1 -> t3 + 2*h
     assert image == poly_parse("(t3 + 4*h)^3*t2 - 5*(t3 + 2*h)*h^2", 3)
     assert all(type(c) is int for c in image.terms.values())
+
+
+# packed monomials against the tuple-exponent kernel they replaced
+
+
+def tuple_key(exps):
+    """Reference: the canonical term order on exponent tuples (e_1, ..., e_N, e_h),
+    graded, then the power of h, then t_1..t_N lexicographically."""
+    return (sum(exps), exps[-1], exps[:-1])
+
+
+def tuple_mul(a, b):
+    """Reference: the product of two {exponent tuple: coefficient} dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def tuple_restrict(terms, nvars, key):
+    """Reference: ``algebra.restrict`` on exponent tuples, Horner's rule on the
+    powers of t_i."""
+    i, j, m = key
+    if i == j:
+        return {e: c for e, c in terms.items() if e[-1] == 0}
+    i, j, h = i - 1, j - 1, nvars
+    levels = {}
+    for e, c in terms.items():
+        levels.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+    acc = {}
+    for k in range(max(levels, default=0), -1, -1):
+        nxt = levels.get(k, {})
+        for e, c in acc.items():  # nxt += acc * (t_j - m*h)
+            for x, d in ((j, c), (h, -m * c)):
+                if d:
+                    f = e[:x] + (e[x] + 1,) + e[x + 1 :]
+                    nxt[f] = nxt.get(f, 0) + d
+        acc = nxt
+    return {e: c for e, c in acc.items() if c}
+
+
+def tuple_render(terms):
+    """Reference: ``Poly.render`` of a {exponent tuple: coefficient} dict."""
+    out = ""
+    for e, c in sorted(terms.items(), key=lambda ec: tuple_key(ec[0]), reverse=True):
+        parts = ["h" if e[-1] == 1 else f"h^{e[-1]}"] if e[-1] else []
+        parts += [f"t{k + 1}" if x == 1 else f"t{k + 1}^{x}" for k, x in enumerate(e[:-1]) if x]
+        mono, mag = "*".join(parts), abs(c)
+        body = mono if mono and mag == 1 else f"{mag}*{mono}" if mono else str(mag)
+        if not out:
+            out = body if c > 0 else f"-{body}"
+        else:
+            out += f" + {body}" if c > 0 else f" - {body}"
+    return out or "0"
+
+
+def packed(nvars, terms):
+    return Poly(nvars, {pack(e): c for e, c in terms.items()})
+
+
+def unpacked(p):
+    return {unpack(e, p.nvars): c for e, c in p.terms.items()}
+
+
+@st.composite
+def tuple_polys(draw):
+    """Over 1..3 variables t_i and h: two polynomials as {exponent tuple:
+    coefficient}, a nonzero linear form and a restriction key (i, j, m)."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * (nvars + 1))
+    coeffs = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    ).filter(bool)
+    a, b = (draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(2))
+    units = [tuple(int(k == x) for k in range(nvars + 1)) for x in range(nvars + 1)]
+    small = st.integers(min_value=-3, max_value=3).filter(bool)
+    form = draw(st.dictionaries(st.sampled_from(units), small, min_size=1))
+    keys = [(0, 0, 1)] + [
+        (i, j, m)
+        for i in range(1, nvars + 1)
+        for j in range(1, nvars + 1)
+        for m in (-2, 0, 1)
+        if i != j
+    ]
+    return nvars, a, b, form, draw(st.sampled_from(keys))
+
+
+@settings(max_examples=200, deadline=None)
+@example(  # h leads the form; t1 is eliminated onto t3 - h
+    (3, {(0, 0, 3, 1): 1, (0, 3, 0, 1): 2, (1, 0, 0, 0): -1}, {}, {(0, 0, 0, 1): 1}, (1, 3, 1))
+)
+@given(tuple_polys())
+def test_packed_kernel_matches_tuple_references(case):
+    n, a, b, form, key = case
+    p, q, w = packed(n, a), packed(n, b), packed(n, form)
+    for terms, x in ((a, p), (b, q)):
+        assert unpacked(x) == terms
+        assert x.render() == tuple_render(terms)
+        if terms:
+            assert unpack(x.leading()[0], n) == max(terms, key=tuple_key)
+            assert x.degree() == max(map(sum, terms))
+        assert x.is_homogeneous() == (len({sum(e) for e in terms}) <= 1)
+        assert unpacked(algebra.restrict(x, key)) == tuple_restrict(terms, n, key)
+        assert unpacked(x.mod_h()) == tuple_restrict(terms, n, (0, 0, 1))
+    assert unpacked(p * q) == tuple_mul(a, b)
+    # quotients: w divides p * w, and mostly not p * w + q or p (None)
+    pw = p * w
+    assert algebra._divide_linear(pw, w) == reference_divide(pw, w) == p
+    for f in (pw + q, p):
+        assert algebra._divide_linear(f, w) == reference_divide(f, w)
+
+
+def test_pack_and_unpack_are_inverse():
+    for n in (1, 2, 4):
+        for exps in itertools.product(range(3), repeat=n + 1):
+            assert unpack(pack(exps), n) == exps
+    assert pack((0, 0, 0)) == 0
+    assert sorted(itertools.product(range(3), repeat=4), key=pack) == sorted(
+        itertools.product(range(3), repeat=4), key=tuple_key
+    )
+    with pytest.raises(ValueError):
+        pack((1, -1, 0))
+
+
+def test_products_past_the_degree_limit_raise():
+    top = algebra.MAX_DEGREE
+    t1, t2, h = (Poly.variable(2, i) for i in (1, 2, 0))
+    p = t1 ** (top - 55) * t2**55
+    assert p.degree() == top and p.render() == f"t1^{top - 55}*t2^55"
+    assert (t1**top).render() == f"t1^{top}"
+    # t1^(top + 1) would carry out of t1's field into h's
+    for x, y in ((p, t1), (t1**128, t1**128), (t1**top, h + t1)):
+        with pytest.raises(errors.DegreeLimit) as exc:
+            x * y
+        assert str(exc.value) == f"degree {top + 1} is past the limit {top}"
+    with pytest.raises(errors.DegreeLimit):
+        t1 ** (top + 1)
+    with pytest.raises(errors.DegreeLimit):
+        pack((top, 0, 1))
+    with pytest.raises(errors.DegreeLimit):
+        poly_parse(f"t1^{top - 1} * (t2 + h)^2", 2)

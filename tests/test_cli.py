@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bowvariety import cli
+from bowvariety.algebra import MAX_DEGREE
 from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
 
 
@@ -309,6 +310,31 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("t5-t1", "restrictions[P1][P1]: 't5' is not a variable (N=2)"),
+        ("t1^3", "R[P1][P1] = t1^3 is not homogeneous of degree 1"),
+        # quoted as written: 2^20000 has more digits than Python converts to text
+        ("2^20000", "R[P1][P1] = 2^20000 is not homogeneous of degree 1"),
+        (
+            f"t1^{MAX_DEGREE + 1}",
+            f"restrictions[P1][P1]: degree {MAX_DEGREE + 1} is past the limit {MAX_DEGREE}",
+        ),
+    ],
+    ids=["unknown-variable", "not-homogeneous", "long-constant", "past-degree-limit"],
+)
+def test_bad_restriction_entry_names_its_problem(tmp_path, entry, message):
+    raw = json.loads((FIXTURES / "tstar_p1_chamber12.json").read_text())
+    raw["restrictions"]["P1"]["P1"] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(raw))
+    proc = run_subprocess("stab", "--data", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 def test_non_integral_attraction_data_exits_2_without_traceback():
