@@ -29,8 +29,10 @@ def main():
     print(f"butterfly of U2 at D1 (cover counts {list(bf.cover_counts)}):")
     print(butterfly.render_ascii(bf))
 
-    # Each butterfly vertex carries an equivariant height; the fiber over a
-    # black line X_j then has one weight t_U + height*h per vertex in
+    # Each butterfly vertex carries an equivariant height: its lattice
+    # height less max(d_{U^-} - 1, 0), one shift per butterfly, which puts
+    # the green-in target at 0 and the green-out source at 1.  The fiber over
+    # a black line X_j then has one weight t_U + height*h per vertex in
     # column j, across all blue lines U, listed here as pairs (U, height).
     for j, weights in butterfly.fiber_weights(t).items():
         print(f"  weights of W_{j}: {sorted(weights.elements())}")

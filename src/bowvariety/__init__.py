@@ -31,8 +31,6 @@ from .butterfly import (
     FixedPointData,
     assemble_fixed_point,
     build_butterfly,
-    column_bottoms,
-    cover_counts,
     fiber_weights,
     verify_fixed_point,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "enumerate_tie_diagrams",
     "is_valid",
     "hw_match",
-    "cover_counts",
-    "column_bottoms",
     "build_butterfly",
     "assemble_fixed_point",
     "fiber_weights",

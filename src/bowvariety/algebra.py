@@ -379,6 +379,12 @@ class Poly:
 #
 # The optional leading '-' is a strict extension of the grammar so that
 # canonical renderings (which may start with a negative term) round-trip.
+#
+# Python converts ints to and from text only up to MAX_DIGITS digits (its
+# default limit), so the parser rejects a longer literal or coefficient, and
+# every Poly it returns renders.
+MAX_DIGITS = 4300
+_COEFF_BOUND = 10**MAX_DIGITS
 
 
 class _Tokens:
@@ -398,11 +404,19 @@ class _Tokens:
 
     def take_uint(self):
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and "0" <= self.src[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.error("expected a digit")
+        if self.pos - start > MAX_DIGITS:
+            raise errors.SyntaxError(f"an integer of more than {MAX_DIGITS} digits", start)
         return int(self.src[start : self.pos])
+
+    def bounded(self, p):
+        """p, unless a coefficient has more than MAX_DIGITS digits."""
+        if any(abs(c) >= _COEFF_BOUND for c in p.terms.values()):
+            self.error(f"a coefficient of more than {MAX_DIGITS} digits")
+        return p
 
 
 def _parse_expr(tok, nvars):
@@ -423,7 +437,7 @@ def _parse_term(tok, nvars):
     p = _parse_factor(tok, nvars)
     while tok.peek() == "*":
         tok.pos += 1
-        p = p * _parse_factor(tok, nvars)
+        p = tok.bounded(p * _parse_factor(tok, nvars))
     return p
 
 
@@ -431,7 +445,13 @@ def _parse_factor(tok, nvars):
     p = _parse_atom(tok, nvars)
     if tok.peek() == "^":
         tok.pos += 1
-        return p ** tok.take_uint()
+        n = tok.take_uint()
+        # the least and the greatest monomial of p^n carry c^n for the
+        # coefficients c of those of p, and |c|^n >= 2^((bits(c) - 1) * n)
+        c = max(abs(p.terms[min(p.terms)]), abs(p.terms[max(p.terms)])) if p else 0
+        if (c.bit_length() - 1) * n >= _COEFF_BOUND.bit_length():
+            tok.error(f"a coefficient of more than {MAX_DIGITS} digits")
+        return tok.bounded(p**n)
     return p
 
 
@@ -455,7 +475,7 @@ def _parse_atom(tok, nvars):
         if not 1 <= i <= nvars:
             raise errors.UnknownVariable(f"'t{i}' is not a variable (N={nvars})")
         return Poly.variable(nvars, i)
-    if c.isdigit():
+    if "0" <= c <= "9":
         return Poly.const(nvars, tok.take_uint())
     tok.error(f"unexpected character {c!r}")
 
@@ -466,7 +486,7 @@ def poly_parse(expr, nvars):
     p = _parse_expr(tok, nvars)
     if tok.peek() is not None:
         tok.error("trailing input")
-    return p
+    return tok.bounded(p)
 
 
 def _divide_linear(p, q):

@@ -77,11 +77,11 @@ class BraneDiagram:
 
     def position_of(self, name):
         """Position of a colored line given its name ("U2", "V1")."""
-        kind, idx = name[0], int(name[1:])
-        table = self.blue_positions() if kind == "U" else self.red_positions()
-        if not 1 <= idx <= len(table):
-            raise KeyError(name)
-        return table[idx - 1]
+        kind, idx = name[:1], name[1:]
+        table = {"U": self.blue_positions, "V": self.red_positions}.get(kind, list)()
+        if not (idx.isascii() and idx.isdigit() and 1 <= int(idx) <= len(table)):
+            raise errors.UnknownLine(f"{name!r} is not a colored line of {render(self)}")
+        return table[int(idx) - 1]
 
     def __repr__(self):
         return f"BraneDiagram({render(self)!r})"
@@ -98,7 +98,7 @@ def parse(src):
     n = len(src)
     while True:
         start = pos
-        while pos < n and src[pos].isdigit():
+        while pos < n and "0" <= src[pos] <= "9":
             pos += 1
         if pos == start:
             raise errors.SyntaxError("expected a black-line label", pos)

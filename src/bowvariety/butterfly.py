@@ -24,7 +24,7 @@ EXTERNAL = "*"  # the external node of green arrows
 def _blue_index(d, U):
     """Normalize a blue-line argument ("U2" or 2) to a 1-based index."""
     if isinstance(U, str):
-        if not (U.startswith("U") and U[1:].isdigit()):
+        if not (U.startswith("U") and U[1:].isascii() and U[1:].isdigit()):
             raise errors.UnknownLine(f"{U!r} is not a blue line")
         U = int(U[1:])
     if not 1 <= U <= d.n_blue:
@@ -39,8 +39,10 @@ class ButterflyData:
     Vertices are (i, j) with i the column position relative to the black
     line U^- (absolute index J) and j the height.  Arrows are
     (color, source, target) with green arrows using the node "*".  The
-    lattice is a function of (colors, J, cover counts), shared read-only
-    between tie diagrams; only ``tie_diagram`` differs per call.
+    equivariant height of every vertex is j - max(d_{U^-} - 1, 0), one shift
+    for the whole lattice (see :func:`_lattice`).  The lattice is a function
+    of (colors, J, cover counts), shared read-only between tie diagrams;
+    only ``tie_diagram`` differs per call.
     """
 
     tie_diagram: tie.TieDiagram
@@ -76,23 +78,6 @@ class ButterflyData:
         }
 
 
-def cover_counts(t, U):
-    """d_{D,U,X} per black line: the ties at U covering X.
-
-    A tie (l, r) covers the black lines X_{l+1} .. X_r; on the left of U
-    these are the ties (V, U) with V left of X, on the right the ties
-    (U, V) with V weakly right of X.
-    """
-    d = t.base
-    return _cover_counts(t, d.blue_positions()[_blue_index(d, U) - 1])
-
-
-def column_bottoms(t, U):
-    """Column bottom heights c_{D,U,X}: c = 0 at X_J = U^-, then the
-    leftward and rightward recursions."""
-    return build_butterfly(t, U).column_bottoms
-
-
 def _cover_counts(t, J):
     """Cover counts of the blue line U at position J: a prefix sum over its ties."""
     steps = [0] * len(t.base.blacks)
@@ -112,6 +97,13 @@ def _lattice(colors, J, cc):
     (absolute column, height) per vertex) of the blue line at position J.
     The ties enter only through the cover counts cc, so one cached lattice,
     immutable in every part, serves all tie diagrams with the same ties at U.
+
+    An equivariant height is the lattice height less max(d_{U^-} - 1, 0).
+    Heights are fixed up to a constant on each connected component of the
+    arrows, pinned by the green arrows: the green-in target (top of the U^-
+    column, which starts at 0) at 0, the green-out source (at d_{U^-} in the
+    U^+ column, which starts at 1 if d_{U^-} = 0) at 1.  This one shift does
+    both, and a butterfly is connected, so it serves every vertex.
     """
     n = len(cc)
     cb = [0] * n
@@ -148,7 +140,8 @@ def _lattice(colors, J, cc):
     if cc[J - 1] < cc[J]:
         arrows.append(("green", (1, cb[J] + cc[J - 1]), EXTERNAL))
 
-    heights = types.MappingProxyType(_equivariant_heights(vertices, arrows))
+    shift = max(cc[J - 1] - 1, 0)
+    heights = types.MappingProxyType({v: v[1] - shift for v in vertices})
     pairs = tuple((i + J, height) for (i, _jj), height in heights.items())
     return tuple(cb), frozenset(vertices), tuple(arrows), heights, pairs
 
@@ -157,6 +150,8 @@ def build_butterfly(t, U):
     """The butterfly of the blue line U at t.  Its lattice is a function of
     (colors, J, cover counts), shared read-only through :func:`_lattice` by
     every tie diagram with the same ties at U; only ``tie_diagram`` differs.
+    Its ``cover_counts`` are d_{D,U,X} and its ``column_bottoms`` c_{D,U,X},
+    per black line; every height is the lattice height less max(d_{U^-} - 1, 0).
     """
     d = t.base
     u = _blue_index(d, U)
@@ -166,64 +161,14 @@ def build_butterfly(t, U):
     return ButterflyData(t, f"U{u}", J, cc, cb, vertices, arrows, heights)
 
 
-def _equivariant_heights(vertices, arrows):
-    """Equivariant height of each vertex: the lattice height shifted so that,
-    on every connected component, the green-in target sits at height 0 and
-    the green-out source at height 1.
-
-    The vertical coordinate only fixes heights up to a constant per connected
-    component of the arrow graph; the scalar that compensates the torus
-    action on the fixed point pins that constant at the green arrows.
-    Components carrying no green arrow would admit a stabilizing scalar and
-    cannot occur at a stable point.
-    """
-    adjacency = {v: [] for v in vertices}
-    anchor_in = anchor_out = None
-    for color, src, tgt in arrows:
-        if color == "green":
-            if src == EXTERNAL:
-                anchor_in = tgt
-            else:
-                anchor_out = src
-            continue
-        adjacency[src].append(tgt)
-        adjacency[tgt].append(src)
-
-    component = {}
-    for root in sorted(vertices):
-        if root in component:
-            continue
-        stack, members = [root], {root}
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in members:
-                    members.add(w)
-                    stack.append(w)
-        for v in members:
-            component[v] = root
-
-    shifts = {}
-    if anchor_in is not None:
-        shifts[component[anchor_in]] = anchor_in[1]
-    if anchor_out is not None:
-        shifts.setdefault(component[anchor_out], anchor_out[1] - 1)
-    heights = {}
-    for v in vertices:
-        if component[v] not in shifts:
-            raise ValueError(
-                f"butterfly component of vertex {v} carries no green arrow"
-            )
-        heights[v] = v[1] - shifts[component[v]]
-    return heights
-
-
 @dataclass
 class FixedPointData:
     """Assembled fixed-point matrices over the labeled butterfly bases.
 
     ``bases[j]`` lists the labels (u, i, jj) spanning the fiber W_{X_j},
-    ordered by (u, jj).  ``per_blue["U<u>"]`` holds A, Bplus, Bminus, a, b;
-    ``per_red["V<m>"]`` holds C and D.  Assembly writes the integer entries
+    ordered by (u, jj), jj being the equivariant height.  ``per_blue["U<u>"]``
+    holds A, Bplus, Bminus, a, b; ``per_red["V<m>"]`` holds C and D, and
+    :meth:`at` finds either by position.  Assembly writes the integer entries
     0 and +-1; an edited matrix may hold other ints or Fractions.
     """
 
@@ -239,6 +184,11 @@ class FixedPointData:
 
     def dim(self, j):
         return len(self.bases[j])
+
+    def at(self, pos):
+        """The operators of the colored line at position ``pos``."""
+        name = self.base.line_name(pos)
+        return (self.per_blue if name[0] == "U" else self.per_red)[name]
 
     def to_json(self):
         def mat_json(m):
@@ -261,98 +211,70 @@ class FixedPointData:
         }
 
 
+# Where assembly files an arrow out of the column over X_a: (position of the
+# colored line it crosses, less a; operator; entry).  A black arrow feeds the
+# B blocks of both flanking lines that are blue.
+_FILING = {
+    "blue": ((-1, "A", 1),),
+    "violet": ((-1, "C", 1),),
+    "red": ((0, "D", 1),),
+    "black": ((-1, "Bplus", -1), (0, "Bminus", -1)),
+}
+
+
 def assemble_fixed_point(t):
     """Build all butterflies of a tie diagram and the block matrices they
-    span: blue arrows populate A, black arrows populate -B^+/-B^-, violet
-    populate C, red populate D, green arrows populate a and b."""
+    span.  Each arrow is filed under the colored line it crosses (see
+    ``_FILING``): blue arrows populate A, violet C, red D, black -B^+/-B^-,
+    and green arrows populate a and b."""
     d = t.base
     n = len(d.blacks)
     butterflies = {u: build_butterfly(t, u) for u in range(1, d.n_blue + 1)}
 
-    bases = {}
-    for j in range(1, n + 1):
-        labels = []
-        for u in range(1, d.n_blue + 1):
-            bf = butterflies[u]
-            labels.extend((u, i, bf.heights[(i, jj)]) for i, jj in bf.column(j))
-        labels.sort(key=lambda lbl: (lbl[0], lbl[2]))
-        bases[j] = labels
-    dims = {j: len(bases[j]) for j in range(1, n + 1)}
-    index = {
-        j: {(u, jj): k for k, (u, _i, jj) in enumerate(bases[j])}
+    # columns run bottom-up and each butterfly has one height shift, so the
+    # labels come out ordered by (u, height), each (u, height) once
+    bases = {
+        j: [(u, i, bf.heights[i, jj]) for u, bf in butterflies.items() for i, jj in bf.column(j)]
         for j in range(1, n + 1)
     }
-    for j, labeled in index.items():
-        if len(labeled) != dims[j]:
-            raise ValueError(f"fiber W_{j} is not weight multiplicity-free")
+    index = {j: {(u, h): k for k, (u, _i, h) in enumerate(bases[j])} for j in bases}
 
-    blue_pos = d.blue_positions()
-    red_pos = d.red_positions()
-    per_blue = {}
-    for u, p in enumerate(blue_pos, start=1):
-        per_blue[f"U{u}"] = {
-            "A": linalg.Mat.zero(dims[p], dims[p + 1]),
-            "Bplus": linalg.Mat.zero(dims[p + 1], dims[p + 1]),
-            "Bminus": linalg.Mat.zero(dims[p], dims[p]),
-            "a": linalg.Mat.zero(dims[p], 1),
-            "b": linalg.Mat.zero(1, dims[p + 1]),
-        }
-    per_red = {}
-    for m, q in enumerate(red_pos, start=1):
-        per_red[f"V{m}"] = {
-            "C": linalg.Mat.zero(dims[q], dims[q + 1]),
-            "D": linalg.Mat.zero(dims[q + 1], dims[q]),
-        }
+    ops = {}  # colored position -> the operators of its line
+    for p in range(1, n):
+        lo, hi = len(bases[p]), len(bases[p + 1])
+        shapes = (
+            {"A": (lo, hi), "Bplus": (hi, hi), "Bminus": (lo, lo), "a": (lo, 1), "b": (1, hi)}
+            if d.color_at(p) == brane.BLUE
+            else {"C": (lo, hi), "D": (hi, lo)}
+        )
+        ops[p] = {key: linalg.Mat.zero(*shape) for key, shape in shapes.items()}
 
     for u, bf in butterflies.items():
         J = bf.J
         for color, src, tgt in bf.arrows:
             if color == "green":
                 if src == EXTERNAL:
-                    row = index[J][(u, bf.heights[tgt])]
-                    per_blue[f"U{u}"]["a"][row, 0] = 1
+                    ops[J]["a"][index[J][u, bf.heights[tgt]], 0] = 1
                 else:
-                    i, _jj = src
-                    col = index[i + J][(u, bf.heights[src])]
                     # the minus sign makes the triangle relation
                     # B^-A - AB^+ + ab = 0 hold alongside the sign
                     # convention of the black arrows in B^+/B^-
-                    per_blue[f"U{u}"]["b"][0, col] = -1
+                    ops[J]["b"][0, index[J + 1][u, bf.heights[src]]] = -1
                 continue
-            si, _sj = src
-            ti, _tj = tgt
-            a_src, a_tgt = si + J, ti + J
-            col = index[a_src][(u, bf.heights[src])]
-            row = index[a_tgt][(u, bf.heights[tgt])]
-            if color == "black":
-                # one black arrow may feed the B blocks of both flanking blues
-                if a_src >= 2 and d.color_at(a_src - 1) == brane.BLUE:
-                    u_left = blue_pos.index(a_src - 1) + 1
-                    mat = per_blue[f"U{u_left}"]["Bplus"]
-                    mat[row, col] = mat[row, col] - 1
-                if a_src <= n - 1 and d.color_at(a_src) == brane.BLUE:
-                    u_right = blue_pos.index(a_src) + 1
-                    mat = per_blue[f"U{u_right}"]["Bminus"]
-                    mat[row, col] = mat[row, col] - 1
-            elif color == "blue":
-                u_cross = blue_pos.index(a_src - 1) + 1
-                mat = per_blue[f"U{u_cross}"]["A"]
-                mat[row, col] = mat[row, col] + 1
-            elif color == "violet":
-                m_cross = red_pos.index(a_src - 1) + 1
-                mat = per_red[f"V{m_cross}"]["C"]
-                mat[row, col] = mat[row, col] + 1
-            elif color == "red":
-                m_cross = red_pos.index(a_src) + 1
-                mat = per_red[f"V{m_cross}"]["D"]
-                mat[row, col] = mat[row, col] + 1
+            a = src[0] + J
+            col = index[a][u, bf.heights[src]]
+            row = index[tgt[0] + J][u, bf.heights[tgt]]
+            for offset, key, entry in _FILING[color]:
+                mat = ops.get(a + offset, {}).get(key)
+                if mat is not None:
+                    mat[row, col] += entry
 
     return FixedPointData(
         tie_diagram=t,
         butterflies=butterflies,
         bases=bases,
-        per_blue=per_blue,
-        per_red=per_red,
+        per_blue={d.line_name(p): ops[p] for p in d.blue_positions()},
+        per_red={d.line_name(q): ops[q] for q in d.red_positions()},
     )
 
 
@@ -380,6 +302,10 @@ class CheckResult:
     skipped: bool = False
     messages: list = field(default_factory=list)
 
+    def fail(self, msg):
+        self.ok = False
+        self.messages.append(msg)
+
 
 @dataclass
 class VerificationReport:
@@ -406,39 +332,25 @@ class VerificationReport:
 
 def _check_moment_map(f):
     d = f.base
-    n = len(d.blacks)
     result = CheckResult("moment-map", True)
-    blue_pos = d.blue_positions()
-    red_pos = d.red_positions()
-
-    def blue_at(p):
-        return f.per_blue[f"U{blue_pos.index(p) + 1}"]
-
-    def red_at(p):
-        return f.per_red[f"V{red_pos.index(p) + 1}"]
-
-    for j in range(2, n):
+    for j in range(2, len(d.blacks)):
         left, right = d.color_at(j - 1), d.color_at(j)
+        lop, rop = f.at(j - 1), f.at(j)
         if left == brane.BLUE and right == brane.BLUE:
-            expr = blue_at(j)["Bminus"] - blue_at(j - 1)["Bplus"]
+            expr = rop["Bminus"] - lop["Bplus"]
         elif left == brane.RED and right == brane.RED:
-            lop, rop = red_at(j - 1), red_at(j)
             expr = lop["D"] * lop["C"] - rop["C"] * rop["D"]
-        elif left == brane.RED and right == brane.BLUE:
-            lop = red_at(j - 1)
-            expr = lop["D"] * lop["C"] + blue_at(j)["Bminus"]
+        elif left == brane.RED:
+            expr = lop["D"] * lop["C"] + rop["Bminus"]
         else:
-            rop = red_at(j)
-            expr = -(rop["C"] * rop["D"]) - blue_at(j - 1)["Bplus"]
+            expr = -(rop["C"] * rop["D"]) - lop["Bplus"]
         if not expr.is_zero():
-            result.ok = False
-            result.messages.append(f"moment map nonzero at X{j}")
+            result.fail(f"moment map nonzero at X{j}")
 
     for name, ops in f.per_blue.items():
         expr = ops["Bminus"] * ops["A"] - ops["A"] * ops["Bplus"] + ops["a"] * ops["b"]
         if not expr.is_zero():
-            result.ok = False
-            result.messages.append(f"triangle relation fails at {name}")
+            result.fail(f"triangle relation fails at {name}")
     return result
 
 
@@ -455,14 +367,12 @@ def _check_s1_s2(f):
         bplus_t = linalg.Mat(bplus.cols, bplus.rows, bplus.columns())
         rows = ops["A"].data + ops["b"].data
         if linalg.krylov_rank(rows, bplus_t) != bplus.rows:
-            result.ok = False
-            result.messages.append(f"S1 fails at {name}")
+            result.fail(f"S1 fails at {name}")
         # S2: the Krylov closure of Im A + Im a under B^- is W^- iff the
         # columns of [A | a] and their images under B^- span W^-
         cols = ops["A"].columns() + ops["a"].columns()
         if linalg.krylov_rank(cols, bminus) != bminus.rows:
-            result.ok = False
-            result.messages.append(f"S2 fails at {name}")
+            result.fail(f"S2 fails at {name}")
     return result
 
 
@@ -551,10 +461,7 @@ def _check_stability(f):
             stack.append((inside, outside | ancestors[v], k + 1))
             stack.append((inside | reach[v], outside, k + 1))
         elif len(inside) < len(vertices) and quotients_iso(inside):
-            result.ok = False
-            result.messages.append(
-                f"destabilizing subspace of dimension {len(inside)} found"
-            )
+            result.fail(f"destabilizing subspace of dimension {len(inside)} found")
             return result
     return result
 
@@ -562,37 +469,21 @@ def _check_stability(f):
 def _check_junctions(f):
     result = CheckResult("junctions", True)
     d = f.base
-    n = len(d.blacks)
-    blue_pos = d.blue_positions()
-    red_pos = d.red_positions()
-    for j in range(2, n):
+    for j in range(2, len(d.blacks)):
         left, right = d.color_at(j - 1), d.color_at(j)
         if left == right:
             continue
+        lop, rop = f.at(j - 1), f.at(j)
         if left == brane.BLUE:
             # X_j = U^+ = V^-: (A_U, D_V, b_U) must be injective on W_j
-            u = blue_pos.index(j - 1) + 1
-            m = red_pos.index(j) + 1
-            rows = (
-                f.per_blue[f"U{u}"]["A"].data
-                + f.per_red[f"V{m}"]["D"].data
-                + f.per_blue[f"U{u}"]["b"].data
-            )
+            rows = lop["A"].data + rop["D"].data + lop["b"].data
             if linalg.rank(rows) != f.dim(j):
-                result.ok = False
-                result.messages.append(f"junction map not injective at X{j}")
+                result.fail(f"junction map not injective at X{j}")
         else:
             # X_j = V^+ = U^-: [D_V | A_U | a_U] must be surjective onto W_j
-            m = red_pos.index(j - 1) + 1
-            u = blue_pos.index(j) + 1
-            cols = (
-                f.per_red[f"V{m}"]["D"].columns()
-                + f.per_blue[f"U{u}"]["A"].columns()
-                + f.per_blue[f"U{u}"]["a"].columns()
-            )
+            cols = lop["D"].columns() + rop["A"].columns() + rop["a"].columns()
             if linalg.rank(cols) != f.dim(j):
-                result.ok = False
-                result.messages.append(f"junction map not surjective at X{j}")
+                result.fail(f"junction map not surjective at X{j}")
     return result
 
 
@@ -609,24 +500,18 @@ def _check_nilpotency(f):
         cd = ops["C"] * ops["D"]  # acts on W_{V^-}
         dc = ops["D"] * ops["C"]  # acts on W_{V^+}
         if not cd.power(big_m - m).is_zero():
-            result.ok = False
-            result.messages.append(f"(C D)^{big_m - m} nonzero at V{m}")
+            result.fail(f"(C D)^{big_m - m} nonzero at V{m}")
         if not dc.power(big_m - m + 1).is_zero():
-            result.ok = False
-            result.messages.append(f"(D C)^{big_m - m + 1} nonzero at V{m}")
+            result.fail(f"(D C)^{big_m - m + 1} nonzero at V{m}")
     if d.n_blue:
         bminus = f.per_blue["U1"]["Bminus"]
         if not bminus.power(big_m).is_zero():
-            result.ok = False
-            result.messages.append(f"(B^-_U1)^{big_m} nonzero")
+            result.fail(f"(B^-_U1)^{big_m} nonzero")
     return result
 
 
 def _check_grading(f):
     result = CheckResult("grading", True)
-    d = f.base
-    blue_pos = d.blue_positions()
-    red_pos = d.red_positions()
 
     def entries_respect(mat, dom, cod, dj, tag):
         for r in range(mat.rows):
@@ -635,28 +520,21 @@ def _check_grading(f):
                     cu, _ci, cj = f.bases[dom][c]
                     ru, _ri, rj = f.bases[cod][r]
                     if cu != ru or rj != cj + dj:
-                        result.ok = False
-                        result.messages.append(f"{tag} breaks the grading")
+                        result.fail(f"{tag} breaks the grading")
                         return
 
-    for u, p in enumerate(blue_pos, start=1):
+    for u, p in enumerate(f.base.blue_positions(), start=1):
         ops = f.per_blue[f"U{u}"]
         entries_respect(ops["A"], p + 1, p, 0, f"A_U{u}")
         entries_respect(ops["Bplus"], p + 1, p + 1, -1, f"B+_U{u}")
         entries_respect(ops["Bminus"], p, p, -1, f"B-_U{u}")
         for r in range(ops["a"].rows):
             if ops["a"].data[r][0] and f.bases[p][r][:: 2] != (u, 0):
-                result.ok = False
-                result.messages.append(
-                    f"a_U{u} must hit the height-0 line of its own component"
-                )
+                result.fail(f"a_U{u} must hit the height-0 line of its own component")
         for c in range(ops["b"].cols):
             if ops["b"].data[0][c] and f.bases[p + 1][c][:: 2] != (u, 1):
-                result.ok = False
-                result.messages.append(
-                    f"b_U{u} must read the height-1 line of its own component"
-                )
-    for m, q in enumerate(red_pos, start=1):
+                result.fail(f"b_U{u} must read the height-1 line of its own component")
+    for m, q in enumerate(f.base.red_positions(), start=1):
         ops = f.per_red[f"V{m}"]
         entries_respect(ops["C"], q + 1, q, -1, f"C_V{m}")
         entries_respect(ops["D"], q, q + 1, 0, f"D_V{m}")

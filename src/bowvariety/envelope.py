@@ -155,7 +155,7 @@ def load_attraction_data(source):
             if qi > pi and not entry.is_zero():
                 raise errors.TriangularityViolation(f"R[{p}][{q}] != 0")
             if not entry.is_zero() and not entry.is_homogeneous(dim // 2):
-                expr = raw["restrictions"][p][q]  # as written: a rendering can be too long
+                expr = raw["restrictions"][p][q]  # quoted as the file writes it
                 raise errors.HomogeneityViolation(
                     f"R[{p}][{q}] = {expr} is not homogeneous of degree {dim // 2}"
                 )

@@ -37,7 +37,7 @@ class BoundaryNotZero(BowError):
 
 
 class UnknownLine(BowError, KeyError):
-    """A blue-line name or index that does not exist in the diagram."""
+    """A colored-line name or index that does not exist in the diagram."""
 
     __str__ = BowError.__str__  # KeyError's __str__ would quote the message
 

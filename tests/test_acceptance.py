@@ -47,8 +47,9 @@ def test_criterion_2_butterfly_golden_tables():
         ),
     )
     assert tie.is_valid(t).ok
-    assert butterfly.cover_counts(t, "U2") == (0, 1, 2, 2, 2, 3, 2, 1, 1, 0)
-    cb = butterfly.column_bottoms(t, "U2")
+    bf = butterfly.build_butterfly(t, "U2")
+    assert bf.cover_counts == (0, 1, 2, 2, 2, 3, 2, 1, 1, 0)
+    cb = bf.column_bottoms
     assert tuple(cb[j - 1] for j in range(2, 10)) == (-1, -1, 0, 0, 0, 0, 1, 1)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import operator
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,6 +222,38 @@ def test_poly_parse_errors():
         poly_parse("t1 t2", 2)
     with pytest.raises(errors.UnknownVariable):
         poly_parse("t3", 2)
+    # '²' passes str.isdigit, but int() does not read it
+    for text, problem in (
+        ("t²", "expected a digit"),
+        ("t1^²", "expected a digit"),
+        ("²", "unexpected character"),
+    ):
+        with pytest.raises(errors.SyntaxError, match=problem):
+            poly_parse(text, 2)
+
+
+def test_poly_parse_rejects_coefficients_python_cannot_print():
+    # every parsed Poly renders: a coefficient |c| >= 10^MAX_DIGITS is rejected
+    past = f"a coefficient of more than {algebra.MAX_DIGITS} digits"
+    largest = "9" * algebra.MAX_DIGITS
+    assert poly_parse(f"{largest}*t1", 2).render() == f"{largest}*t1"
+    assert poly_parse("-10^4299*9", 2).render() == "-9" + "0" * 4299
+    assert poly_parse("2^14284", 2).constant_value() == 2**14284
+    with pytest.raises(errors.SyntaxError, match=f"integer of more than {algebra.MAX_DIGITS}"):
+        poly_parse("9" + largest, 2)
+    # a power is decided before it is computed when an extreme coefficient
+    # alone passes the limit (3^4000000 took 1.7 s in full)
+    for text in ("3^4000000", "3^100000000", "(t1+10^4000)^255"):
+        start = time.perf_counter()
+        with pytest.raises(errors.SyntaxError, match=past):
+            poly_parse(text, 2)
+        assert time.perf_counter() - start < 1.0, text
+    for text in ("2^20000*t1", "2^14285", "10^4299*10", "(10^4299*9+10^4299)"):
+        with pytest.raises(errors.SyntaxError, match=past):
+            poly_parse(text, 2)
+    # a product is checked as it is made, not only the whole expression
+    with pytest.raises(errors.SyntaxError, match=r"digits \(at position 10\)"):
+        poly_parse("10^4299*10+t1", 2)
 
 
 def test_poly_render_round_trip_golden():

@@ -30,6 +30,10 @@ def test_parse_counts_and_positions():
     assert d.line_name(2) == "U1"
     assert d.position_of("U2") == 4
     assert d.position_of("V3") == 1
+    # only U<k> and V<k> with ASCII digits name lines
+    for name in ("X2", "u2", "U", "U0", "U4", "V4", "U²", "V-1", "UU1"):
+        with pytest.raises(errors.UnknownLine, match="is not a colored line"):
+            d.position_of(name)
 
 
 def test_parse_errors():

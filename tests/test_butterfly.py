@@ -44,22 +44,23 @@ def big_tie_diagram():
 
 def test_cover_counts_golden():
     t = big_tie_diagram()
-    assert butterfly.cover_counts(t, "U2") == (0, 1, 2, 2, 2, 3, 2, 1, 1, 0)
-    assert butterfly.cover_counts(t, 2) == butterfly.cover_counts(t, "U2")
+    cc = butterfly.build_butterfly(t, "U2").cover_counts
+    assert cc == (0, 1, 2, 2, 2, 3, 2, 1, 1, 0)
+    assert butterfly.build_butterfly(t, 2).cover_counts == cc
 
 
 def test_column_bottoms_golden():
     t = big_tie_diagram()
-    cb = butterfly.column_bottoms(t, "U2")
+    cb = butterfly.build_butterfly(t, "U2").column_bottoms
     assert cb[1:9] == (-1, -1, 0, 0, 0, 0, 1, 1)
 
 
 def test_blue_index_errors():
     t = big_tie_diagram()
     with pytest.raises(KeyError):
-        butterfly.cover_counts(t, "V1")
+        butterfly.build_butterfly(t, "V1")
     with pytest.raises(KeyError):
-        butterfly.cover_counts(t, 9)
+        butterfly.build_butterfly(t, 9)
 
 
 def test_butterfly_columns_match_counts():
@@ -135,7 +136,8 @@ def test_fiber_characters_match_labels():
 
 
 # The butterfly build and fiber weights as they were before lattices were
-# cached: every call builds the whole lattice from the tie diagram.
+# cached: every call builds the whole lattice from the tie diagram, and
+# heights come from a search over the connected components of the arrows.
 
 
 def reference_columns(t, U):
@@ -157,6 +159,49 @@ def reference_columns(t, U):
         else:
             c[j - 1] = c[j] - 1
     return J, cc, tuple(c)
+
+
+def reference_heights(vertices, arrows):
+    """Equivariant height of each vertex: the lattice height shifted so that,
+    on every connected component, the green-in target sits at height 0 and
+    the green-out source at height 1.  Raises when a component carries no
+    green arrow."""
+    adjacency = {v: [] for v in vertices}
+    anchor_in = anchor_out = None
+    for color, src, tgt in arrows:
+        if color == "green":
+            if src == butterfly.EXTERNAL:
+                anchor_in = tgt
+            else:
+                anchor_out = src
+            continue
+        adjacency[src].append(tgt)
+        adjacency[tgt].append(src)
+
+    component = {}
+    for root in sorted(vertices):
+        if root in component:
+            continue
+        stack, members = [root], {root}
+        while stack:
+            for w in adjacency[stack.pop()]:
+                if w not in members:
+                    members.add(w)
+                    stack.append(w)
+        for v in members:
+            component[v] = root
+
+    shifts = {}
+    if anchor_in is not None:
+        shifts[component[anchor_in]] = anchor_in[1]
+    if anchor_out is not None:
+        shifts.setdefault(component[anchor_out], anchor_out[1] - 1)
+    heights = {}
+    for v in vertices:
+        if component[v] not in shifts:
+            raise ValueError(f"butterfly component of vertex {v} carries no green arrow")
+        heights[v] = v[1] - shifts[component[v]]
+    return heights
 
 
 def reference_build_butterfly(t, U):
@@ -192,7 +237,7 @@ def reference_build_butterfly(t, U):
         column_bottoms=cb,
         vertices=frozenset(vertices),
         arrows=tuple(arrows),
-        heights=butterfly._equivariant_heights(vertices, arrows),
+        heights=reference_heights(vertices, arrows),
     )
 
 
@@ -217,7 +262,6 @@ def test_cached_lattices_match_reference_build(monkeypatch):
         for u in range(1, t.base.n_blue + 1):
             bf = butterfly.build_butterfly(t, u)
             assert bf.to_json() == reference_build_butterfly(t, u).to_json()
-            assert bf.column_bottoms == butterfly.column_bottoms(t, u)
         assert butterfly.fiber_weights(t) == reference_fiber_weights(t)
         cached.append(butterfly.assemble_fixed_point(t).to_json())
     monkeypatch.setattr(butterfly, "build_butterfly", reference_build_butterfly)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bowvariety import cli
-from bowvariety.algebra import MAX_DEGREE
+from bowvariety.algebra import MAX_DEGREE, MAX_DIGITS
 from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
 
 
@@ -263,6 +263,11 @@ def test_bad_options_exit_2_without_traceback():
             "'U7' is not a blue line (N=3)"
         ),
         ("parse", "0/10"): "first and last black labels must be 0: 0/10",
+        # '²' passes str.isdigit but not int(): only ASCII digits are digits
+        ("parse", "0/²\\0"): "expected a black-line label (at position 2)",
+        ("butterfly", "0/1\\1\\1/0", "--point", "D1", "--blue", "U²"): (
+            "'U²' is not a blue line"
+        ),
     }
     for argv in (
         ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
@@ -312,23 +317,48 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+TOO_LONG = f"a coefficient of more than {MAX_DIGITS} digits"
+
+
 @pytest.mark.parametrize(
-    "entry, message",
+    "q, entry, message",
     [
-        ("t5-t1", "restrictions[P1][P1]: 't5' is not a variable (N=2)"),
-        ("t1^3", "R[P1][P1] = t1^3 is not homogeneous of degree 1"),
-        # quoted as written: 2^20000 has more digits than Python converts to text
-        ("2^20000", "R[P1][P1] = 2^20000 is not homogeneous of degree 1"),
+        ("P1", "t5-t1", "restrictions[P1][P1]: 't5' is not a variable (N=2)"),
+        ("P1", "t1^3", "R[P1][P1] = t1^3 is not homogeneous of degree 1"),
+        # 2^20000 has more digits than Python converts to text
+        ("P1", "2^20000", f"restrictions[P1][P1]: {TOO_LONG} (at position 7)"),
         (
+            "P1",
             f"t1^{MAX_DEGREE + 1}",
             f"restrictions[P1][P1]: degree {MAX_DEGREE + 1} is past the limit {MAX_DEGREE}",
         ),
+        # each of these ended in a ValueError traceback: an int past Python's
+        # int-to-text limit, or a digit that int() does not read
+        (
+            "P1",
+            "9" * 5000 + "*t1",
+            f"restrictions[P1][P1]: an integer of more than {MAX_DIGITS} digits (at position 0)",
+        ),
+        ("P1", "2^20000*t1", f"restrictions[P1][P1]: {TOO_LONG} (at position 7)"),
+        ("P2", "2^20000*(t1-t2)", f"restrictions[P1][P2]: {TOO_LONG} (at position 7)"),
+        ("P1", "3^100000000", f"restrictions[P1][P1]: {TOO_LONG} (at position 11)"),
+        ("P1", "t²-t1+h", "restrictions[P1][P1]: expected a digit (at position 1)"),
     ],
-    ids=["unknown-variable", "not-homogeneous", "long-constant", "past-degree-limit"],
+    ids=[
+        "unknown-variable",
+        "not-homogeneous",
+        "long-constant",
+        "past-degree-limit",
+        "long-literal",
+        "power-on-diagonal",
+        "power-off-diagonal",
+        "huge-power",
+        "ascii-digits",
+    ],
 )
-def test_bad_restriction_entry_names_its_problem(tmp_path, entry, message):
+def test_bad_restriction_entry_names_its_problem(tmp_path, q, entry, message):
     raw = json.loads((FIXTURES / "tstar_p1_chamber12.json").read_text())
-    raw["restrictions"]["P1"]["P1"] = entry
+    raw["restrictions"]["P1"][q] = entry
     path = tmp_path / "entry.json"
     path.write_text(json.dumps(raw))
     proc = run_subprocess("stab", "--data", str(path))
@@ -360,7 +390,7 @@ def run_fuzzed(*argv):
 
 
 dsl_text = st.one_of(
-    st.text(alphabet="0123/\\ x", max_size=10),
+    st.text(alphabet="0123/\\ x²", max_size=10),
     st.lists(
         st.tuples(st.sampled_from("/\\"), st.integers(min_value=0, max_value=3)),
         min_size=1,
@@ -368,7 +398,7 @@ dsl_text = st.one_of(
     ).map(lambda cs: "0" + "".join(c + str(n) for c, n in cs[:-1]) + cs[-1][0] + "0"),
 )
 chamber_text = st.one_of(
-    st.text(alphabet="0123456789,-+ x", max_size=8),
+    st.text(alphabet="0123456789,-+ x²", max_size=8),
     st.lists(st.integers(min_value=-1, max_value=5), max_size=4).map(
         lambda xs: ",".join(map(str, xs))
     ),
@@ -377,7 +407,9 @@ json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(min_value=-2, max_value=4)
-    | st.sampled_from(["", "D1", "P1", "U1", "V2", "U7", "t1-t2", "(t1", "t9", "h^2"]),
+    | st.sampled_from(
+        ["", "D1", "P1", "U1", "V2", "U7", "X2", "U²", "t1-t2", "(t1", "t9", "t²", "h^2"]
+    ),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["D1", "P1", "P2", "id", "x"]), inner, max_size=3),
     max_leaves=6,

@@ -73,6 +73,19 @@ def test_schema_invalid_point(fixtures_dir):
         envelope.load_attraction_data(raw)
 
 
+def test_schema_rejects_unknown_line_names_and_non_ascii_digits(fixtures_dir):
+    # 'X2' read as the red line V2, and '²' passed str.isdigit but not int()
+    for ties in ([["X2", "U1"], ["U1", "V1"]], [["V²", "U1"], ["U1", "V1"]]):
+        raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
+        raw["points"][0]["ties"] = ties
+        with pytest.raises(errors.SchemaError, match="is not a colored line"):
+            envelope.load_attraction_data(raw)
+    raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
+    raw["restrictions"]["P1"]["P1"] = "t²-t1+h"
+    with pytest.raises(errors.SchemaError, match=r"restrictions\[P1\]\[P1\]: expected a digit"):
+        envelope.load_attraction_data(raw)
+
+
 def test_schema_unknown_point_in_restrictions(fixtures_dir):
     raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
     raw["restrictions"]["P1"]["P9"] = "h"
