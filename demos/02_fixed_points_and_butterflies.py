@@ -33,9 +33,10 @@ def main():
     # height less max(d_{U^-} - 1, 0), one shift per butterfly, which puts
     # the green-in target at 0 and the green-out source at 1.  The fiber over
     # a black line X_j then has one weight t_U + height*h per vertex in
-    # column j, across all blue lines U, listed here as pairs (U, height).
+    # column j, across all blue lines U, listed here as pairs (U, height);
+    # the heights of a column differ, so each weight occurs once.
     for j, weights in butterfly.fiber_weights(t).items():
-        print(f"  weights of W_{j}: {sorted(weights.elements())}")
+        print(f"  weights of W_{j}: {sorted(weights)}")
     print()
 
     # Assemble the matrices and run the full verification report:

@@ -385,12 +385,14 @@ class Poly:
 # every Poly it returns renders.
 MAX_DIGITS = 4300
 _COEFF_BOUND = 10**MAX_DIGITS
+_COEFF_BITS = _COEFF_BOUND.bit_length()
 
 
 class _Tokens:
-    def __init__(self, src):
+    def __init__(self, src, degree):
         self.src = src
         self.pos = 0
+        self.degree = degree
 
     def peek(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -411,6 +413,12 @@ class _Tokens:
         if self.pos - start > MAX_DIGITS:
             raise errors.SyntaxError(f"an integer of more than {MAX_DIGITS} digits", start)
         return int(self.src[start : self.pos])
+
+    def check_degree(self, degree):
+        """Refuse a product or power of this degree before it is computed
+        (past MAX_DEGREE, Poly raises DegreeLimit itself)."""
+        if self.degree < degree <= MAX_DEGREE:
+            raise errors.HomogeneityViolation(f"degree {degree} is past {self.degree}")
 
     def bounded(self, p):
         """p, unless a coefficient has more than MAX_DIGITS digits."""
@@ -437,7 +445,9 @@ def _parse_term(tok, nvars):
     p = _parse_factor(tok, nvars)
     while tok.peek() == "*":
         tok.pos += 1
-        p = tok.bounded(p * _parse_factor(tok, nvars))
+        q = _parse_factor(tok, nvars)
+        tok.check_degree(p.degree() + q.degree())
+        p = tok.bounded(p * q)
     return p
 
 
@@ -446,12 +456,13 @@ def _parse_factor(tok, nvars):
     if tok.peek() == "^":
         tok.pos += 1
         n = tok.take_uint()
-        # the least and the greatest monomial of p^n carry c^n for the
-        # coefficients c of those of p, and |c|^n >= 2^((bits(c) - 1) * n)
-        c = max(abs(p.terms[min(p.terms)]), abs(p.terms[max(p.terms)])) if p else 0
-        if (c.bit_length() - 1) * n >= _COEFF_BOUND.bit_length():
+        tok.check_degree(p.degree() * n)
+        # a coefficient of p^n is at most s^n, s the sum of the |c| of p, and
+        # s^n >= 2^((bits(s) - 1) * n): s^n is computed only if it is short
+        s = sum(map(abs, p.terms.values()))
+        if s > 1 and ((s.bit_length() - 1) * n >= _COEFF_BITS or s**n >= _COEFF_BOUND):
             tok.error(f"a coefficient of more than {MAX_DIGITS} digits")
-        return tok.bounded(p**n)
+        return p**n
     return p
 
 
@@ -480,9 +491,11 @@ def _parse_atom(tok, nvars):
     tok.error(f"unexpected character {c!r}")
 
 
-def poly_parse(expr, nvars):
-    """Parse an expression in t1..tN, h into canonical :class:`Poly` form."""
-    tok = _Tokens(expr)
+def poly_parse(expr, nvars, degree=MAX_DEGREE):
+    """Parse an expression in t1..tN, h into canonical :class:`Poly` form.
+    A product or power of degree past ``degree`` raises HomogeneityViolation,
+    and a power whose coefficients could pass MAX_DIGITS digits SyntaxError."""
+    tok = _Tokens(expr, degree)
     p = _parse_expr(tok, nvars)
     if tok.peek() is not None:
         tok.error("trailing input")

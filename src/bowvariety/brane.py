@@ -10,6 +10,8 @@ X_{k+1}.
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass
 
 from . import errors
@@ -20,6 +22,11 @@ BLUE = "b"
 
 @dataclass(frozen=True)
 class BraneDiagram:
+    """Black labels and colors.  The line positions, names and DSL string are
+    tabled on first use (:func:`_build_tables`) in the instance ``__dict__``,
+    not in a field, so equality and hashing see only ``blacks`` and ``colors``.
+    """
+
     blacks: tuple  # d_1 .. d_{M+N+1}
     colors: tuple  # length M+N, entries RED/BLUE
 
@@ -54,16 +61,27 @@ class BraneDiagram:
     # -- indexing ---------------------------------------------------------
     # Positions are 1-based indices into the colored-line sequence.
 
+    @functools.cached_property
+    def _tables(self):
+        return _build_tables(self)
+
     def red_positions(self):
         """Positions of V_1, V_2, ... (right-to-left numbering)."""
-        return [k + 1 for k in reversed(range(len(self.colors))) if self.colors[k] == RED]
+        return list(self._tables.red)
 
     def blue_positions(self):
         """Positions of U_1, U_2, ... (left-to-right numbering)."""
-        return [k + 1 for k in range(len(self.colors)) if self.colors[k] == BLUE]
+        return list(self._tables.blue)
+
+    def _index(self, pos):
+        if not 1 <= pos <= len(self.colors):
+            raise errors.UnknownLine(
+                f"{pos!r} is not a colored position of {render(self)} (1..{len(self.colors)})"
+            )
+        return pos - 1
 
     def color_at(self, pos):
-        return self.colors[pos - 1]
+        return self.colors[self._index(pos)]
 
     def label(self, j):
         """Black label d_j, 1-based."""
@@ -71,20 +89,32 @@ class BraneDiagram:
 
     def line_name(self, pos):
         """Name ("U3"/"V1") of the colored line at a 1-based position."""
-        if self.color_at(pos) == BLUE:
-            return f"U{self.blue_positions().index(pos) + 1}"
-        return f"V{self.red_positions().index(pos) + 1}"
+        return self._tables.names[self._index(pos)]
 
     def position_of(self, name):
         """Position of a colored line given its name ("U2", "V1")."""
         kind, idx = name[:1], name[1:]
-        table = {"U": self.blue_positions, "V": self.red_positions}.get(kind, list)()
+        table = {"U": self._tables.blue, "V": self._tables.red}.get(kind, ())
         if not (idx.isascii() and idx.isdigit() and 1 <= int(idx) <= len(table)):
             raise errors.UnknownLine(f"{name!r} is not a colored line of {render(self)}")
         return table[int(idx) - 1]
 
     def __repr__(self):
         return f"BraneDiagram({render(self)!r})"
+
+
+# positions of U_1, U_2, ... and of V_1, V_2, ...; names[pos - 1] of the line at pos
+_Tables = collections.namedtuple("_Tables", "blue red names dsl")
+
+
+def _build_tables(d):
+    n = len(d.colors)
+    blue = tuple(k for k in range(1, n + 1) if d.colors[k - 1] == BLUE)
+    red = tuple(k for k in range(n, 0, -1) if d.colors[k - 1] == RED)
+    names = {p: f"U{u}" for u, p in enumerate(blue, 1)} | {p: f"V{v}" for v, p in enumerate(red, 1)}
+    marks = ("/" if c == RED else "\\" for c in d.colors)
+    dsl = str(d.blacks[0]) + "".join(m + str(x) for m, x in zip(marks, d.blacks[1:]))
+    return _Tables(blue, red, tuple(names[p] for p in range(1, n + 1)), dsl)
 
 
 def parse(src):
@@ -120,35 +150,20 @@ def parse(src):
 
 def render(d):
     """Canonical DSL string of a diagram (inverse of parse)."""
-    out = [str(d.blacks[0])]
-    for c, label in zip(d.colors, d.blacks[1:]):
-        out.append("/" if c == RED else "\\")
-        out.append(str(label))
-    return "".join(out)
+    return d._tables.dsl
 
 
 def admissible(d):
     """d_j <= d_{j-1} + d_{j+1} + 1 at every red-black-blue or blue-black-red
     junction."""
-    for j in range(2, len(d.blacks)):
-        left, right = d.color_at(j - 1), d.color_at(j)
-        if left != right:
-            if d.label(j) > d.label(j - 1) + d.label(j + 1) + 1:
-                return False
-    return True
+    b, c = d.blacks, d.colors  # c[i - 1], c[i] flank the black line b[i]
+    return all(b[i] <= b[i - 1] + b[i + 1] + 1 for i in range(1, len(c)) if c[i - 1] != c[i])
 
 
 def sdeg(d):
     """Separation degree: number of (blue, red) pairs with the blue strictly
     left of the red."""
-    count = 0
-    blues_seen = 0
-    for c in d.colors:
-        if c == BLUE:
-            blues_seen += 1
-        else:
-            count += blues_seen
-    return count
+    return sum(d.colors[:k].count(BLUE) for k, c in enumerate(d.colors) if c == RED)
 
 
 def separated(d):
@@ -169,9 +184,7 @@ def hw_transition(d, k):
     a, mid, b = d.label(k), d.label(k + 1), d.label(k + 2)
     new_mid = a + b + 1 - mid
     if new_mid < 0:
-        raise errors.NegativeLabel(
-            f"move at {k} gives label {new_mid} (inadmissible input)"
-        )
+        raise errors.NegativeLabel(f"move at {k} gives label {new_mid} (inadmissible input)")
     blacks = list(d.blacks)
     blacks[k] = new_mid
     colors = list(d.colors)

@@ -58,7 +58,8 @@ def load_attraction_data(source):
 
     Structural validation: triangularity of R against the declared order,
     diagonal entries equal to the computed e(T^-), homogeneity of degree
-    dim/2 for every nonzero entry.
+    dim/2 for every nonzero entry, decided for a product or power of higher
+    degree before it is computed.
     """
     if isinstance(source, (str, Path)):
         text = str(source)
@@ -116,6 +117,12 @@ def load_attraction_data(source):
     if sorted(order) != sorted(points):
         _schema_error("order must list every point id exactly once")
 
+    tangents = {p: tangent.tangent_character(t, p) for p, t in points.items()}
+    dims = {tc.char.total() for tc in tangents.values()}
+    if len(dims) != 1:
+        raise errors.InconsistentDimension(str(sorted(dims)))
+    dim = dims.pop()
+
     if not isinstance(raw["restrictions"], dict):
         _schema_error("restrictions must be an object")
     restrictions = {}
@@ -129,19 +136,19 @@ def load_attraction_data(source):
             if not isinstance(expr, str):
                 _schema_error(f"restrictions[{p}][{q}] must be a string")
             try:
-                out[q] = algebra.poly_parse(expr, nvars)
+                out[q] = entry = algebra.poly_parse(expr, nvars, dim // 2)
             except (errors.SyntaxError, errors.DegreeLimit) as exc:
                 _schema_error(f"restrictions[{p}][{q}]: {exc}")
+            except errors.HomogeneityViolation:
+                entry = None
+            if entry is None or not (entry.is_zero() or entry.is_homogeneous(dim // 2)):
+                raise errors.HomogeneityViolation(  # quoted as the file writes it
+                    f"R[{p}][{q}] = {expr} is not homogeneous of degree {dim // 2}"
+                )
         unknown = set(row) - set(order)
         if unknown:
             _schema_error(f"restrictions[{p}] mentions unknown points {unknown}")
         restrictions[p] = out
-
-    tangents = {p: tangent.tangent_character(t, p) for p, t in points.items()}
-    dims = {tc.char.total() for tc in tangents.values()}
-    if len(dims) != 1:
-        raise errors.InconsistentDimension(str(sorted(dims)))
-    dim = dims.pop()
 
     minus_euler, full_euler = {}, {}
     for p, tc in tangents.items():
@@ -154,11 +161,6 @@ def load_attraction_data(source):
             entry = restrictions[p][q]
             if qi > pi and not entry.is_zero():
                 raise errors.TriangularityViolation(f"R[{p}][{q}] != 0")
-            if not entry.is_zero() and not entry.is_homogeneous(dim // 2):
-                expr = raw["restrictions"][p][q]  # quoted as the file writes it
-                raise errors.HomogeneityViolation(
-                    f"R[{p}][{q}] = {expr} is not homogeneous of degree {dim // 2}"
-                )
         if restrictions[p][p] != minus_euler[p].expand():
             raise errors.DiagonalMismatch(
                 f"R[{p}][{p}] = {restrictions[p][p].render()}, "

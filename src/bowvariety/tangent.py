@@ -11,6 +11,7 @@ classes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import algebra, brane, butterfly, errors, tie
@@ -41,27 +42,57 @@ class ChamberSplit:
     minus: algebra.Character
 
 
-def _add_shifted(targets, fiber, shifts):
-    """Add c * h^s * fiber to ``targets``, a dict of (u, m) meaning t_u + m*h,
-    for each (s, c) in ``shifts``."""
-    for (u, m), n in fiber.items():
-        for s, c in shifts:
-            key = (u, m + s)
-            targets[key] = targets.get(key, 0) + c * n
+PLAN_CACHE_SIZE = 128  # a sweep pass meets 98 color sequences, flag 1
 
 
-def _add_products(acc, src, targets):
-    """Add the character of Hom(src, targets) = src^v * targets to ``acc``.
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(colors):
+    """Per black line X: ``(X, sources, u)``.  ``sources`` pairs each fiber
+    W_Y in the target sum of W_X with its ``(h-shift, coefficient)`` pairs;
+    ``u`` is the blue line with X = U+ (0 if none), whose t_U joins the sum
+    and whose Hom(t_U, W_{U-}) is added."""
+    padded = (None, *colors, None)  # padded[p]: the line between X_p and X_{p+1}
+    blue = {p: u for u, p in enumerate((p for p, c in enumerate(padded) if c == brane.BLUE), 1)}
+    plan = []
+    for x in range(1, len(colors) + 2):
+        left, right = padded[x - 1], padded[x]
+        b_x = (left == brane.BLUE) + (right == brane.BLUE)
+        sources = [(x, ((0, -1), (1, b_x - 1)) if b_x != 1 else ((0, -1),))]
+        if left == brane.BLUE:  # X = U+
+            # the triangle relation B^-A - AB^+ + ab lives in h Hom(W_{U+}, W_{U-})
+            sources.append((x - 1, ((0, 1), (1, -1))))
+        elif left == brane.RED:  # X = V+
+            sources.append((x - 1, ((1, 1),)))
+        if right == brane.RED:  # X = V-
+            sources.append((x + 1, ((0, 1),)))
+        plan.append((x, tuple(sources), blue.get(x - 1, 0)))
+    return tuple(plan)
 
-    ``src`` and ``targets`` map (u, m), meaning t_u + m*h, to multiplicities
-    (zero ones are skipped); ``acc`` is keyed by weights (i, j, m), with every
-    weight of zero A-part (i == j) filed under (0, 0, m).
-    """
-    targets = [(bm, c) for bm, c in targets.items() if c]
-    for (a, ma), na in src.items():
-        for (b, mb), nb in targets:
-            key = (b, a, mb - ma) if a != b else (0, 0, mb - ma)
-            acc[key] = acc.get(key, 0) + na * nb
+
+def _terms(t):
+    """Multiplicities (zeros included) of the tangent character at t by
+    weight (i, j, m), zero A-parts filed under (0, 0, m): :func:`_plan` run."""
+    fibers = butterfly.fiber_weights(t)
+    acc = {}
+    get = acc.get
+    for x, sources, u in _plan(t.base.colors):
+        targets = {(u, 1): 1} if u else {}  # the target sum of W_X: (b, m) is t_b + m*h
+        tget = targets.get
+        for y, shifts in sources:
+            for (b, m), n in fibers[y].items():
+                for s, c in shifts:
+                    key = b, m + s
+                    targets[key] = tget(key, 0) + c * n
+        targets = [(b, m, n) for (b, m), n in targets.items() if n]
+        for (a, ma), na in fibers[x].items():  # Hom(W_X, targets) = W_X^v * targets
+            for b, mb, nb in targets:
+                key = (b, a, mb - ma) if a != b else (0, 0, mb - ma)
+                acc[key] = get(key, 0) + na * nb
+        if u:  # Hom(t_U, W_{U-})
+            for (b, mb), nb in fibers[x - 1].items():
+                key = (b, u, mb) if b != u else (0, 0, mb)
+                acc[key] = get(key, 0) + nb
+    return acc
 
 
 def tangent_character(t, point_id):
@@ -77,40 +108,21 @@ def tangent_character(t, point_id):
     from the fiber weights (b_X counts the blue lines U with X = U^- or
     X = U^+).  The formula is linear in the target, so the terms are grouped
     by source fiber: the targets of W_X, with their h-shifts and
-    coefficients, are summed into one dict first (across a blue line most of
-    W_{U-} cancels against W_{U+}), and W_X is multiplied by that sum once.
+    coefficients, are summed first (across a blue line most of W_{U-}
+    cancels against W_{U+}), and W_X is multiplied by that sum once.  Which
+    fibers enter each sum depends only on the colors, so it is planned once
+    per color sequence (:func:`_plan`) and run in one loop (:func:`_terms`).
     Then checks effectiveness, the t_i - t_j + m*h weight form, and
     stability under w -> h - w.
     """
-    d = t.base
-    fibers = butterfly.fiber_weights(t)
-    colors = [None, *d.colors, None]  # colors[p]: the line between X_p and X_{p+1}
-    blue = {p: u for u, p in enumerate(d.blue_positions(), start=1)}
-    acc = {}
-    for x, w in fibers.items():
-        left, right = colors[x - 1], colors[x]
-        b_x = (left == brane.BLUE) + (right == brane.BLUE)
-        targets = {}
-        _add_shifted(targets, w, ((0, -1), (1, b_x - 1)) if b_x != 1 else ((0, -1),))
-        if left == brane.BLUE:  # X = U+
-            # the triangle relation B^-A - AB^+ + ab lives in h Hom(W_{U+}, W_{U-})
-            tu, wm = {(blue[x - 1], 0): 1}, fibers[x - 1]
-            _add_shifted(targets, wm, ((0, 1), (1, -1)))
-            _add_shifted(targets, tu, ((1, 1),))
-            _add_products(acc, tu, wm)  # Hom(t_U, W_{U-})
-        elif left == brane.RED:  # X = V+
-            _add_shifted(targets, fibers[x - 1], ((1, 1),))
-        if right == brane.RED:  # X = V-
-            _add_shifted(targets, fibers[x + 1], ((0, 1),))
-        _add_products(acc, w, targets)
-    char = algebra.Character(d.n_blue, acc)
-
+    char = algebra.Character(t.base.n_blue, _terms(t))
+    terms = char.terms
     if not char.is_effective():
         raise errors.NonEffective(char.render())
-    bad = [w for w in char.terms if w[0] == w[1]]
+    bad = [w for w in terms if w[0] == w[1]]
     if bad:
         raise errors.BadWeightForm(algebra.render_weight(min(bad)))
-    if char.involution_image() != char:
+    if any(terms.get((j, i, 1 - m)) != n for (i, j, m), n in terms.items()):
         raise errors.BrokenSymplecticInvolution(char.render())
     return TangentCharacter(point_id, char)
 

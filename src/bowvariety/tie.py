@@ -28,10 +28,8 @@ class TieDiagram:
 
     def named_ties(self):
         """Ties as [left name, right name] pairs, canonically sorted."""
-        return [
-            [self.base.line_name(l), self.base.line_name(r)]
-            for l, r in self.sorted_ties()
-        ]
+        name = self.base.line_name
+        return [[name(l), name(r)] for l, r in self.sorted_ties()]
 
     def cover_count(self, j):
         """Number of ties covering black line X_j."""
@@ -90,60 +88,60 @@ def is_valid(t):
 def enumerate_tie_diagrams(d):
     """All tie diagrams of an admissible diagram, canonically ordered.
 
-    Depth-first backtracking over candidate red/blue pairs in lexicographic
-    order, pruning as soon as a black line is over- or under-coverable.
-    Canonical order of the output is lexicographic on the sorted tie list.
+    Depth-first backtracking over the candidate red/blue pairs in
+    lexicographic order, each included before it is left out.  ``need``
+    counts the ties a black line still lacks and ``left`` the undecided
+    candidates that cover it; a step changes both only on the lines its
+    candidate covers, so only those are checked for being over- or
+    under-coverable.  The canonical order, lexicographic on the sorted tie
+    list, is the search order: two results first differ at a candidate one
+    of them includes, and that one sorts first unless the other's list ends
+    there, a proper subset of a tie diagram with the same cover counts,
+    which cannot be since every tie covers a black line.
     """
-    n_black = len(d.blacks)
+    colors = d.colors
+    n = len(colors)
     candidates = [
-        (l, r)
-        for l in range(1, d.n_colored + 1)
-        for r in range(l + 1, d.n_colored + 1)
-        if d.color_at(l) != d.color_at(r)
+        (l, r) for l in range(1, n + 1) for r in range(l + 1, n + 1) if colors[l - 1] != colors[r - 1]
     ]
-    candidates.sort()
-    n_cand = len(candidates)
-
-    # remaining[i][j] = how many candidates with index >= i cover black X_j
-    remaining = [[0] * (n_black + 1)]
-    for l, r in reversed(candidates):
-        row = list(remaining[-1])
-        for j in range(l + 1, r + 1):
-            row[j - 1] += 1
-        remaining.append(row)
-    remaining.reverse()
-
+    spans = [range(l, r) for l, r in candidates]  # 0-based black lines X_{l+1} .. X_r
     need = list(d.blacks)
-    found = []
-    chosen = []
-
-    def feasible(i):
-        row = remaining[i]
-        for j in range(n_black):
-            if need[j] < 0 or need[j] > row[j]:
-                return False
-        return True
+    left = [0] * len(need)
+    for span in spans:
+        for j in span:
+            left[j] += 1
+    if any(nd > lf for nd, lf in zip(need, left)):
+        return []
+    n_cand = len(candidates)
+    found, chosen = [], []
 
     def rec(i):
-        if not feasible(i):
-            return
-        if i == n_cand:
+        if i == n_cand:  # 0 <= need <= left = 0 on every black line
             found.append(TieDiagram(d, frozenset(chosen)))
             return
-        l, r = candidates[i]
-        # include the candidate first: lexicographically smaller tie lists
-        # contain earlier pairs, but plain DFS plus a final sort is simplest
-        chosen.append((l, r))
-        for j in range(l, r):
-            need[j] -= 1
-        rec(i + 1)
-        chosen.pop()
-        for j in range(l, r):
-            need[j] += 1
-        rec(i + 1)
+        span = spans[i]
+        for j in span:
+            left[j] -= 1
+        for j in span:
+            if not need[j]:
+                break
+        else:  # include: each line it covers still lacks a tie
+            for j in span:
+                need[j] -= 1
+            chosen.append(candidates[i])
+            rec(i + 1)
+            chosen.pop()
+            for j in span:
+                need[j] += 1
+        for j in span:
+            if need[j] > left[j]:
+                break
+        else:  # leave out: the others can still cover each line it covers
+            rec(i + 1)
+        for j in span:
+            left[j] += 1
 
     rec(0)
-    found.sort(key=lambda t: t.sorted_ties())
     return found
 
 
@@ -157,22 +155,9 @@ def hw_match(t, k):
     except errors.BowError as exc:
         raise errors.IllegalMove(str(exc)) from exc
 
-    def remap(pos):
-        if pos == k:
-            return k + 1
-        if pos == k + 1:
-            return k
-        return pos
-
-    new_ties = set()
-    for l, r in t.ties:
-        l2, r2 = sorted((remap(l), remap(r)))
-        new_ties.add((l2, r2))
-    moved = (k, k + 1)
-    if moved in new_ties:
-        new_ties.remove(moved)
-    else:
-        new_ties.add(moved)
+    swap = {k: k + 1, k + 1: k}
+    new_ties = {tuple(sorted((swap.get(l, l), swap.get(r, r)))) for l, r in t.ties}
+    new_ties ^= {(k, k + 1)}  # toggle the tie between the moved lines
     result = TieDiagram(new_base, frozenset(new_ties))
     report = is_valid(result)
     if not report.ok:
@@ -186,10 +171,7 @@ def render_ascii(t):
     d = t.base
     base_str = brane.render(d)
     # x-coordinate of each colored line inside base_str
-    xs = []
-    for i, c in enumerate(base_str):
-        if c in "/\\":
-            xs.append(i)
+    xs = [i for i, c in enumerate(base_str) if c in "/\\"]
     width = len(base_str)
     above = [p for p in t.sorted_ties() if d.color_at(p[0]) == brane.RED]
     below = [p for p in t.sorted_ties() if d.color_at(p[0]) == brane.BLUE]

@@ -256,6 +256,38 @@ def test_poly_parse_rejects_coefficients_python_cannot_print():
         poly_parse("10^4299*10+t1", 2)
 
 
+def test_poly_parse_decides_a_power_by_the_sum_of_its_coefficients():
+    # the extreme coefficients of (t1^2 + 10^4000*t1*t2 + t2^2) are 1, but
+    # each coefficient of its n-th power is at most (sum |c|)^n, and its
+    # middle ones grow towards 10^508000: the full power ran for minutes
+    past = f"a coefficient of more than {algebra.MAX_DIGITS} digits"
+    for text in ("(t1^2+10^4000*t1*t2+t2^2)^127", "(t1-10^2000*t2+h)^3"):
+        start = time.perf_counter()
+        with pytest.raises(errors.SyntaxError, match=past):
+            poly_parse(text, 2)
+        assert time.perf_counter() - start < 1.0, text
+    # a constant power is exact, and 1^n is 1 for any n
+    assert poly_parse("(t1-10^2000*t2+h)^2", 2) == poly_parse("t1-10^2000*t2+h", 2) ** 2
+    assert poly_parse("1^100000000*(-1)^100000001", 2) == poly_parse("-1", 2)
+
+
+def test_poly_parse_decides_products_and_powers_by_the_expected_degree():
+    # (t1+...+t5+h)^24 has 118,755 terms and took 6.9 s in full
+    start = time.perf_counter()
+    with pytest.raises(errors.HomogeneityViolation, match="^degree 24 is past 4$"):
+        poly_parse("(t1+t2+t3+t4+t5+h)^24", 5, 4)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(errors.HomogeneityViolation, match="^degree 5 is past 4$"):
+        poly_parse("(t1+h)^2*(t2-t3)^3", 5, 4)
+    # the limit of the packed fields comes first, and only products and
+    # powers are bounded: a sum of degree 5 is left to the caller
+    top = algebra.MAX_DEGREE
+    with pytest.raises(errors.DegreeLimit, match=f"^degree {top + 1} is past the limit {top}$"):
+        poly_parse(f"t1^{top + 1}", 5, 4)
+    assert poly_parse("(t1+h)^2*(t2-t3)^2 + t4", 5, 4).degree() == 4
+    assert poly_parse("t1^5 + h", 5, 5).degree() == 5
+
+
 def test_poly_render_round_trip_golden():
     p = poly_parse("(t1-t3)*(t3-t2+h)", 3)
     assert poly_parse(p.render(), 3) == p

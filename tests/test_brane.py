@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bowvariety import brane, errors, tie
-from conftest import EXAMPLE_3BLUE, TSTAR_P1, diagram_strings, sweep_diagrams
+from conftest import (
+    EXAMPLE_3BLUE,
+    FLAG,
+    TSTAR_P1,
+    admissible_diagrams,
+    diagram_strings,
+    sweep_diagrams,
+)
 
 
 def test_parse_render_round_trip():
@@ -34,6 +41,61 @@ def test_parse_counts_and_positions():
     for name in ("X2", "u2", "U", "U0", "U4", "V4", "U²", "V-1", "UU1"):
         with pytest.raises(errors.UnknownLine, match="is not a colored line"):
             d.position_of(name)
+
+
+def test_tables_match_list_index_computation():
+    # the tables against the list scans they replace, at every position
+    for d in admissible_diagrams(5, 3):
+        blue = [k + 1 for k in range(d.n_colored) if d.colors[k] == brane.BLUE]
+        red = [k + 1 for k in reversed(range(d.n_colored)) if d.colors[k] == brane.RED]
+        assert d.blue_positions() == blue
+        assert d.red_positions() == red
+        for pos in range(1, d.n_colored + 1):
+            if d.color_at(pos) == brane.BLUE:
+                name = f"U{blue.index(pos) + 1}"
+            else:
+                name = f"V{red.index(pos) + 1}"
+            assert d.line_name(pos) == name
+            assert d.position_of(name) == pos
+        dsl = str(d.blacks[0]) + "".join(
+            ("/" if c == brane.RED else "\\") + str(x) for c, x in zip(d.colors, d.blacks[1:])
+        )
+        assert brane.render(d) == dsl
+
+
+def test_positions_out_of_range_are_unknown_lines():
+    # position 0 read the last line, and line_name(0) raised a bare ValueError
+    d = brane.parse(EXAMPLE_3BLUE)
+    for pos in (0, -1, 7, 100):
+        for method in (d.color_at, d.line_name):
+            with pytest.raises(
+                errors.UnknownLine,
+                match=rf"^{pos} is not a colored position of 0/1\\1/2\\2\\2/0 \(1..6\)$",
+            ):
+                method(pos)
+
+
+def test_tables_are_built_once_per_diagram(monkeypatch):
+    built = []
+    build = brane._build_tables
+
+    def counting(d):
+        built.append(d)
+        return build(d)
+
+    monkeypatch.setattr(brane, "_build_tables", counting)
+    d = brane.parse(FLAG)
+    points = tie.enumerate_tie_diagrams(d)
+    for t in points:
+        t.to_json()
+    for _ in range(3):
+        d.blue_positions(), d.red_positions(), brane.render(d), d.position_of("U7")
+    assert len(built) == 1 and built[0] is d
+    # the tables are not fields: equality and hashing ignore them
+    fresh = brane.BraneDiagram(d.blacks, d.colors)
+    assert "_tables" not in vars(fresh)
+    assert fresh == d and hash(fresh) == hash(d)
+    assert len(built) == 1
 
 
 def test_parse_errors():

@@ -272,7 +272,7 @@ def test_cached_lattices_are_not_aliased():
     t = big_tie_diagram()
     fibers = butterfly.fiber_weights(t)
     expected = {j: Counter(w) for j, w in fibers.items()}
-    fibers[5][2, 0] += 7
+    fibers[5][2, 0] = fibers[5].get((2, 0), 0) + 7
     fibers[6].clear()
     assert butterfly.fiber_weights(t) == expected
 

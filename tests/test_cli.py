@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from bowvariety import cli
 from bowvariety.algebra import MAX_DEGREE, MAX_DIGITS
-from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1
+from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, tstar_module
 
 
 def run_cli(*argv):
@@ -365,6 +366,28 @@ def test_bad_restriction_entry_names_its_problem(tmp_path, q, entry, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "n, entry",
+    [(2, "(t1^2+10^4000*t1*t2+t2^2)^127"), (5, "(t1+t2+t3+t4+t5+h)^24")],
+    ids=["coefficient-growth", "term-growth"],
+)
+def test_powers_past_half_the_dimension_exit_2_at_once(tmp_path, n, entry):
+    # both ran for minutes before anything checked their degree
+    raw = tstar_module().attraction_data(n)
+    p = raw["order"][0]
+    raw["restrictions"][p][p] = entry
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    code, out = run_cli("stab", "--data", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    proc = run_subprocess("stab", "--data", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: R[{p}][{p}] = {entry} is not homogeneous of degree {n - 1}\n"
 
 
 def test_non_integral_attraction_data_exits_2_without_traceback():

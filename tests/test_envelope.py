@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
@@ -112,6 +113,23 @@ def test_homogeneity_violation(fixtures_dir):
     raw["restrictions"]["P1"]["P2"] = "t1-t2+h^2"
     with pytest.raises(errors.HomogeneityViolation):
         envelope.load_attraction_data(raw)
+
+
+def test_schema_decides_powers_past_half_the_dimension_at_once(fixtures_dir):
+    # each ran for minutes: the middle coefficients of the first grow towards
+    # 10^508000, and the second expands to 118,755 terms in five variables
+    cases = (
+        (fixture_dict(fixtures_dir, "tstar_p1_chamber12.json"), "(t1^2+10^4000*t1*t2+t2^2)^127", 1),
+        (tstar_module().attraction_data(5), "(t1+t2+t3+t4+t5+h)^24", 4),
+    )
+    for raw, expr, half in cases:
+        p = raw["order"][0]
+        raw["restrictions"][p][p] = expr
+        start = time.perf_counter()
+        with pytest.raises(errors.HomogeneityViolation) as exc:
+            envelope.load_attraction_data(raw)
+        assert time.perf_counter() - start < 1.0, expr
+        assert str(exc.value) == f"R[{p}][{p}] = {expr} is not homogeneous of degree {half}"
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,18 @@ def test_tangent_character_builds_each_butterfly_once():
     assert info.misses == len(keys) and info.hits == hits + 24 * d.n_blue
 
 
+def test_tangent_plan_is_built_once_per_color_sequence():
+    points = [t_ for d in sweep_diagrams() for t_ in tie.enumerate_tie_diagrams(d)]
+    points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    colors = {t_.base.colors for t_ in points}
+    assert len(colors) == 98 + 1 <= tangent.PLAN_CACHE_SIZE
+    tangent._plan.cache_clear()
+    for t_ in points:
+        tangent.tangent_character(t_, "D")
+    info = tangent._plan.cache_info()
+    assert info.misses == len(colors) and info.hits == len(points) - len(colors)
+
+
 def test_corrupted_fibers_are_rejected(monkeypatch):
     # at the first T*P^1 point each of X2, X3, X4 carries one vertex (U1, 0);
     # dropping it over X3 leaves a negative multiplicity, over X4 a weight h,
@@ -169,7 +181,7 @@ def test_corrupted_fibers_are_rejected(monkeypatch):
 
         def corrupted(t_, j=j, vertex=vertex):
             fibers = fiber_weights(t_)
-            fibers[j][vertex] -= 1
+            fibers[j][vertex] = fibers[j].get(vertex, 0) - 1
             return fibers
 
         monkeypatch.setattr(butterfly, "fiber_weights", corrupted)
@@ -181,17 +193,19 @@ def test_corrupted_fibers_are_rejected(monkeypatch):
 def test_asymmetric_character_is_rejected(monkeypatch):
     # A fiber corruption that breaks the symmetry appears always to leave a
     # weight of zero A-part, which the weight-form check rejects first, so
-    # add a stray weight t1 - t2 with the products of each source instead.
+    # add a stray weight t1 - t2 to the accumulated terms instead.
     t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
-    add_products = tangent._add_products
+    terms = tangent._terms
 
-    def add_products_with_stray_weight(acc, *args):
-        add_products(acc, *args)
+    def terms_with_stray_weight(t_):
+        acc = terms(t_)
         acc[1, 2, 0] = acc.get((1, 2, 0), 0) + 1
+        return acc
 
-    monkeypatch.setattr(tangent, "_add_products", add_products_with_stray_weight)
-    with pytest.raises(errors.BrokenSymplecticInvolution):
+    monkeypatch.setattr(tangent, "_terms", terms_with_stray_weight)
+    with pytest.raises(errors.BrokenSymplecticInvolution) as exc:
         tangent.tangent_character(t_, "D1")
+    assert str(exc.value) == "2*(t1-t2) + -t1+t2+h"
 
 
 def reference_multiplicities(t_):

@@ -5,9 +5,11 @@ import pytest
 from bowvariety import brane, errors, tie
 from conftest import (
     EXAMPLE_3BLUE,
+    FLAG,
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
+    sweep_diagrams,
 )
 
 
@@ -45,6 +47,66 @@ def test_enumeration_is_lexicographically_sorted():
         keys = [t.sorted_ties() for t in points]
         assert keys == sorted(keys)
         assert len(set(map(tuple, keys))) == len(keys)
+
+
+def reference_enumerate(d):
+    """The enumeration as it was before its counts were kept per black line
+    and updated in place: a table of the candidates left per index, every
+    black line rechecked at every node, and a final sort."""
+    n_black = len(d.blacks)
+    candidates = [
+        (l, r)
+        for l in range(1, d.n_colored + 1)
+        for r in range(l + 1, d.n_colored + 1)
+        if d.color_at(l) != d.color_at(r)
+    ]
+    n_cand = len(candidates)
+    # remaining[i][j] = how many candidates with index >= i cover black X_j
+    remaining = [[0] * (n_black + 1)]
+    for l, r in reversed(candidates):
+        row = list(remaining[-1])
+        for j in range(l + 1, r + 1):
+            row[j - 1] += 1
+        remaining.append(row)
+    remaining.reverse()
+    need = list(d.blacks)
+    found = []
+    chosen = []
+
+    def feasible(i):
+        row = remaining[i]
+        return all(0 <= need[j] <= row[j] for j in range(n_black))
+
+    def rec(i):
+        if not feasible(i):
+            return
+        if i == n_cand:
+            found.append(tie.TieDiagram(d, frozenset(chosen)))
+            return
+        l, r = candidates[i]
+        chosen.append((l, r))
+        for j in range(l, r):
+            need[j] -= 1
+        rec(i + 1)
+        chosen.pop()
+        for j in range(l, r):
+            need[j] += 1
+        rec(i + 1)
+
+    rec(0)
+    found.sort(key=lambda t: t.sorted_ties())
+    return found
+
+
+def test_enumeration_matches_reference_in_order():
+    # same tie diagrams in the same order, so the same D<k> ids
+    diagrams = [*sweep_diagrams(), brane.parse(FLAG), *admissible_diagrams(6, 3)]
+    points = 0
+    for d in diagrams:
+        got = tie.enumerate_tie_diagrams(d)
+        assert got == reference_enumerate(d), d
+        points += len(got)
+    assert points == 1610 + 840 + 13978
 
 
 def test_every_enumerated_diagram_is_valid():
