@@ -15,6 +15,7 @@ cancel weights from their denominators.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import errors
@@ -122,18 +123,6 @@ class Character:
 
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
-
-    def _merge(self, other, sign):
-        out = dict(self.terms)
-        for w, n in other.terms.items():
-            out[w] = out.get(w, 0) + sign * n
-        return Character(self.nvars, out)
-
-    def __add__(self, other):
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        return self._merge(other, -1)
 
     def involution_image(self):
         """The image under the symplectic pairing w -> h - w."""
@@ -382,8 +371,11 @@ class Poly:
 #
 # Python converts ints to and from text only up to MAX_DIGITS digits (its
 # default limit), so the parser rejects a longer literal or coefficient, and
-# every Poly it returns renders.
+# every Poly it returns renders.  It also refuses a product or power that
+# could have more than MAX_TERMS terms before computing it: p*q has at most
+# T_p*T_q terms, and p^n at most C(T_p+n-1, n), T_p being the terms of p.
 MAX_DIGITS = 4300
+MAX_TERMS = 10_000
 _COEFF_BOUND = 10**MAX_DIGITS
 _COEFF_BITS = _COEFF_BOUND.bit_length()
 
@@ -420,6 +412,11 @@ class _Tokens:
         if self.degree < degree <= MAX_DEGREE:
             raise errors.HomogeneityViolation(f"degree {degree} is past {self.degree}")
 
+    def check_terms(self, bound):
+        """Refuse a product or power that could have more than MAX_TERMS terms."""
+        if bound > MAX_TERMS:
+            self.error(f"a product that could have more than {MAX_TERMS} terms")
+
     def bounded(self, p):
         """p, unless a coefficient has more than MAX_DIGITS digits."""
         if any(abs(c) >= _COEFF_BOUND for c in p.terms.values()):
@@ -447,6 +444,7 @@ def _parse_term(tok, nvars):
         tok.pos += 1
         q = _parse_factor(tok, nvars)
         tok.check_degree(p.degree() + q.degree())
+        tok.check_terms(len(p.terms) * len(q.terms))
         p = tok.bounded(p * q)
     return p
 
@@ -462,6 +460,7 @@ def _parse_factor(tok, nvars):
         s = sum(map(abs, p.terms.values()))
         if s > 1 and ((s.bit_length() - 1) * n >= _COEFF_BITS or s**n >= _COEFF_BOUND):
             tok.error(f"a coefficient of more than {MAX_DIGITS} digits")
+        tok.check_terms(math.comb(len(p.terms) + n - 1, n))
         return p**n
     return p
 
@@ -494,7 +493,7 @@ def _parse_atom(tok, nvars):
 def poly_parse(expr, nvars, degree=MAX_DEGREE):
     """Parse an expression in t1..tN, h into canonical :class:`Poly` form.
     A product or power of degree past ``degree`` raises HomogeneityViolation,
-    and a power whose coefficients could pass MAX_DIGITS digits SyntaxError."""
+    and one that could pass MAX_DIGITS digits or MAX_TERMS terms SyntaxError."""
     tok = _Tokens(expr, degree)
     p = _parse_expr(tok, nvars)
     if tok.peek() is not None:

@@ -167,12 +167,11 @@ class FixedPointData:
     ``bases[j]`` lists the labels (u, i, jj) spanning the fiber W_{X_j},
     ordered by (u, jj), jj being the equivariant height.  ``per_blue["U<u>"]``
     holds A, Bplus, Bminus, a, b; ``per_red["V<m>"]`` holds C and D, and
-    :meth:`at` finds either by position.  Assembly writes the integer entries
-    0 and +-1; an edited matrix may hold other ints or Fractions.
+    :meth:`at` finds either by position.  Entries are 0 and +-1 as assembled,
+    other ints or Fractions once edited; no butterflies are kept.
     """
 
     tie_diagram: tie.TieDiagram
-    butterflies: dict  # blue index -> ButterflyData
     bases: dict  # black index j -> list of (u, i, jj)
     per_blue: dict
     per_red: dict
@@ -210,67 +209,62 @@ class FixedPointData:
         }
 
 
-# Where assembly files an arrow out of the column over X_a: (position of the
-# colored line it crosses, less a; operator; entry).  A black arrow feeds the
-# B blocks of both flanking lines that are blue.
-_FILING = {
-    "blue": ((-1, "A", 1),),
-    "violet": ((-1, "C", 1),),
-    "red": ((0, "D", 1),),
-    "black": ((-1, "Bplus", -1), (0, "Bminus", -1)),
+# The operators of the colored line at position p: (codomain, domain, height
+# step, entry).  A fiber is an offset from X_p, or None for the external C of
+# a blue line U, whose one basis line is (U, height 0).  A graded operator
+# takes the basis line (U, m) only to lines (U, m + step).  Assembly writes
+# ``entry`` for each arrow between its fibers: the minus signs on B^+, B^- and
+# b make the triangle relation B^-A - AB^+ + ab = 0 hold.
+_OPERATORS = {
+    brane.BLUE: {
+        "A": (0, 1, 0, 1),
+        "Bplus": (1, 1, -1, -1),
+        "Bminus": (0, 0, -1, -1),
+        "a": (0, None, 0, 1),
+        "b": (None, 1, -1, -1),
+    },
+    brane.RED: {"C": (0, 1, -1, 1), "D": (1, 0, 0, 1)},
 }
 
 
 def assemble_fixed_point(t):
     """Build all butterflies of a tie diagram and the block matrices they
-    span.  Each arrow is filed under the colored line it crosses (see
-    ``_FILING``): blue arrows populate A, violet C, red D, black -B^+/-B^-,
-    and green arrows populate a and b."""
+    span.  An arrow from a vertex over X_a to one over X_b (or to or from
+    the external node) is an entry of every operator from W_{X_a} to
+    W_{X_b} (see ``_OPERATORS``): blue arrows populate A, violet C, red D,
+    black -B^+/-B^- of each flanking blue line, and green arrows a and -b."""
     d = t.base
     n = len(d.blacks)
     butterflies = {u: build_butterfly(t, u) for u in range(1, d.n_blue + 1)}
 
     # columns run bottom-up and each butterfly has one height shift, so the
-    # labels come out ordered by (u, height), each (u, height) once
-    bases = {
-        j: [(u, i, bf.heights[i, jj]) for u, bf in butterflies.items() for i, jj in bf.column(j)]
-        for j in range(1, n + 1)
-    }
-    index = {j: {(u, h): k for k, (u, _i, h) in enumerate(bases[j])} for j in bases}
+    # labels come out ordered by (u, height), each (u, height) once; place[u]
+    # takes a vertex of the butterfly of U_u to its fiber and its index there
+    bases = {j: [] for j in range(1, n + 1)}
+    place = {u: {EXTERNAL: (EXTERNAL, 0)} for u in butterflies}
+    for j, labels in bases.items():
+        for u, bf in butterflies.items():
+            for v in bf.column(j):
+                place[u][v] = (j, len(labels))
+                labels.append((u, v[0], bf.heights[v]))
 
-    ops = {}  # colored position -> the operators of its line
-    for p in range(1, n):
-        lo, hi = len(bases[p]), len(bases[p + 1])
-        shapes = (
-            {"A": (lo, hi), "Bplus": (hi, hi), "Bminus": (lo, lo), "a": (lo, 1), "b": (1, hi)}
-            if d.color_at(p) == brane.BLUE
-            else {"C": (lo, hi), "D": (hi, lo)}
-        )
-        ops[p] = {key: linalg.Mat.zero(*shape) for key, shape in shapes.items()}
+    dims = {EXTERNAL: 1, **{j: len(labels) for j, labels in bases.items()}}
+    ops = {p: {} for p in range(1, n)}  # colored position -> its line's operators
+    route = {}  # (source fiber, target fiber) -> [(operator, entry)]
+    for p in ops:
+        fiber = {0: p, 1: p + 1, None: EXTERNAL}
+        for key, (cod, dom, _step, entry) in _OPERATORS[d.color_at(p)].items():
+            mat = ops[p][key] = linalg.Mat(dims[fiber[cod]], dims[fiber[dom]])
+            route.setdefault((fiber[dom], fiber[cod]), []).append((mat, entry))
 
     for u, bf in butterflies.items():
-        J = bf.J
-        for color, src, tgt in bf.arrows:
-            if color == "green":
-                if src == EXTERNAL:
-                    ops[J]["a"][index[J][u, bf.heights[tgt]], 0] = 1
-                else:
-                    # the minus sign makes the triangle relation
-                    # B^-A - AB^+ + ab = 0 hold alongside the sign
-                    # convention of the black arrows in B^+/B^-
-                    ops[J]["b"][0, index[J + 1][u, bf.heights[src]]] = -1
-                continue
-            a = src[0] + J
-            col = index[a][u, bf.heights[src]]
-            row = index[tgt[0] + J][u, bf.heights[tgt]]
-            for offset, key, entry in _FILING[color]:
-                mat = ops.get(a + offset, {}).get(key)
-                if mat is not None:
-                    mat[row, col] += entry
+        for _color, src, tgt in bf.arrows:
+            (a, col), (b, row) = place[u][src], place[u][tgt]
+            for mat, entry in route[a, b]:
+                mat[row, col] += entry
 
     return FixedPointData(
         tie_diagram=t,
-        butterflies=butterflies,
         bases=bases,
         per_blue={d.line_name(p): ops[p] for p in d.blue_positions()},
         per_red={d.line_name(q): ops[q] for q in d.red_positions()},
@@ -316,10 +310,7 @@ class VerificationReport:
         return all(c.ok for c in self.checks)
 
     def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        return {c.name: c for c in self.checks}[name]
 
     def render(self):
         lines = []
@@ -328,6 +319,25 @@ class VerificationReport:
             lines.append(f"{c.name:<16} {status}")
             lines.extend(f"    {m}" for m in c.messages)
         return "\n".join(lines)
+
+
+def _operator_entries(f):
+    """Every operator of ``f`` that has nonzero entries, with them, read
+    through ``_OPERATORS`` in one scan that stability and grading share:
+    (line name, key, height step, [(row vertex, column vertex), ...]).  A
+    vertex is (u, black line, height), read off ``f.bases``; the external
+    one of U is (U, None, 0)."""
+    d = f.base
+    ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
+    for p, color in enumerate(d.colors, start=1):
+        name = d.line_name(p)
+        lines = {0: ids[p], 1: ids[p + 1]}
+        lines[None] = [(int(name[1:]), None, 0)] if color == brane.BLUE else []
+        ops = f.at(p)
+        for key, (cod, dom, step, _entry) in _OPERATORS[color].items():
+            nonzero = ops[key].support(lines[cod], lines[dom])
+            if nonzero:
+                yield name, key, step, nonzero
 
 
 def _check_moment_map(f):
@@ -376,36 +386,34 @@ def _check_s1_s2(f):
     return result
 
 
-def _check_stability(f):
+def _check_stability(f, entries):
     """Search for a destabilizing graded subspace.
 
-    Fibers are multiplicity-free torus representations, so any destabilizing
-    subspace may be taken to be spanned by basis labels.  A candidate T must
-    contain Im a_U, be closed under every arrow (operator invariance), and
-    every A_U must induce an isomorphism on the quotients; the point is
-    stable iff no proper such T exists.  The search is exact: it visits once
-    every arrow-closed set containing the closure of the green arrows that
-    can still balance, |W_{U-}/T| = |W_{U+}/T| for every U.  Below a node,
-    each side S of each U keeps between |S & outside| and |S - inside|
-    labels outside T; a node where these two ranges do not meet is dropped.
+    Vertices are basis lines, edges the nonzero ``entries`` of every operator
+    but a and b (see :func:`_operator_entries`).  A candidate T must contain
+    the lines a_U hits, be closed under the edges, and every A_U must induce
+    an isomorphism on the quotients; the point is stable iff no proper such
+    T exists.  When grading passes, every operator respects the
+    multiplicity-free torus grading, so a destabilizing subspace may be taken
+    to be spanned by basis lines, and the search is exact: it visits once
+    every operator-closed set containing the closure of Im a that can still
+    balance, |W_{U-}/T| = |W_{U+}/T| for every U.  Below a node, each side S
+    of each U keeps between |S & outside| and |S - inside| labels outside T;
+    a node where these two ranges do not meet is dropped.
     """
     result = CheckResult("stability", True)
-    # global vertex ids (u, absolute column, height) and the arrow digraph
-    succ, pred = {}, {}
-    greens = []
-    for u, bf in f.butterflies.items():
-        for (i, _jj), height in bf.heights.items():
-            succ[(u, i + bf.J, height)] = []
-            pred[(u, i + bf.J, height)] = []
-        for color, src, tgt in bf.arrows:
-            if color == "green":
-                if src == EXTERNAL:
-                    greens.append((u, bf.J, bf.heights[tgt]))
-                continue
-            s = (u, src[0] + bf.J, bf.heights[src])
-            t_ = (u, tgt[0] + bf.J, bf.heights[tgt])
-            succ[s].append(t_)
-            pred[t_].append(s)
+    # vertex ids (u, black line, height) per fiber, and the operator digraph
+    ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
+    succ = {v: [] for fiber in ids.values() for v in fiber}
+    pred = {v: [] for v in succ}
+    seeds = []
+    for _name, key, _step, nonzero in entries:
+        if key == "a":
+            seeds += [row for row, _col in nonzero]
+        elif key != "b":
+            for t_, s in nonzero:
+                succ[s].append(t_)
+                pred[t_].append(s)
 
     def closure(seed, edges):
         out = set(seed)
@@ -418,11 +426,7 @@ def _check_stability(f):
         return out
 
     # per blue U: the vertex ids of the bases of W_{U-} and W_{U+}, and A_U
-    ids = {j: [(bu, j, h) for bu, _i, h in labels] for j, labels in f.bases.items()}
-    blocks = [
-        (ids[p], ids[p + 1], f.per_blue[f"U{u}"]["A"].data)
-        for u, p in enumerate(f.base.blue_positions(), start=1)
-    ]
+    blocks = [(ids[p], ids[p + 1], f.at(p)["A"].data) for p in f.base.blue_positions()]
     sides = [(set(minus), set(plus)) for minus, plus, _a in blocks]
 
     def quotients_iso(chosen):
@@ -440,12 +444,12 @@ def _check_stability(f):
     # everything v reaches, or T misses v and so every ancestor of v.  The
     # included set stays closed under succ and the excluded one under pred,
     # so neither branch can contradict the other side: every leaf is a
-    # distinct arrow-closed set.  Each branch carries the index from which
+    # distinct operator-closed set.  Each branch carries the index from which
     # to look for its first undecided vertex.
     vertices = sorted(succ)
     reach = {v: closure([v], succ) for v in vertices}
     ancestors = {v: closure([v], pred) for v in vertices}
-    stack = [(closure(greens, succ), set(), 0)]
+    stack = [(closure(seeds, succ), set(), 0)]
     while stack:
         inside, outside, k = stack.pop()
         # no leaf below can balance: drop the node
@@ -510,34 +514,13 @@ def _check_nilpotency(f):
     return result
 
 
-def _check_grading(f):
+def _check_grading(entries):
+    """Every nonzero entry of an operator takes a basis line (U, m) to a line
+    (U, m + step), step being the operator's height step in ``_OPERATORS``."""
     result = CheckResult("grading", True)
-
-    def entries_respect(mat, dom, cod, dj, tag):
-        for r in range(mat.rows):
-            for c in range(mat.cols):
-                if mat.data[r][c]:
-                    cu, _ci, cj = f.bases[dom][c]
-                    ru, _ri, rj = f.bases[cod][r]
-                    if cu != ru or rj != cj + dj:
-                        result.fail(f"{tag} breaks the grading")
-                        return
-
-    for u, p in enumerate(f.base.blue_positions(), start=1):
-        ops = f.per_blue[f"U{u}"]
-        entries_respect(ops["A"], p + 1, p, 0, f"A_U{u}")
-        entries_respect(ops["Bplus"], p + 1, p + 1, -1, f"B+_U{u}")
-        entries_respect(ops["Bminus"], p, p, -1, f"B-_U{u}")
-        for r in range(ops["a"].rows):
-            if ops["a"].data[r][0] and f.bases[p][r][:: 2] != (u, 0):
-                result.fail(f"a_U{u} must hit the height-0 line of its own component")
-        for c in range(ops["b"].cols):
-            if ops["b"].data[0][c] and f.bases[p + 1][c][:: 2] != (u, 1):
-                result.fail(f"b_U{u} must read the height-1 line of its own component")
-    for m, q in enumerate(f.base.red_positions(), start=1):
-        ops = f.per_red[f"V{m}"]
-        entries_respect(ops["C"], q + 1, q, -1, f"C_V{m}")
-        entries_respect(ops["D"], q, q + 1, 0, f"D_V{m}")
+    for name, key, step, nonzero in entries:
+        if any(ru != cu or rh != ch + step for (ru, _r, rh), (cu, _c, ch) in nonzero):
+            result.fail(f"{key}_{name} breaks the grading")
     return result
 
 
@@ -547,7 +530,7 @@ def verify_fixed_point(f):
     Checks: (1) moment map and triangle relation, (2) the kernel/cokernel
     conditions S1 and S2 per blue line, as the rank of an observability and
     of a controllability (Krylov) matrix, (3) absence of destabilizing
-    graded subspaces, searched exactly over every arrow-closed candidate
+    graded subspaces, searched exactly over every operator-closed candidate
     that can still balance |W_{U-}/T| = |W_{U+}/T| for every blue U,
     whatever the size of the point, (4) injectivity/surjectivity of the
     junction maps, as ranks, (5) nilpotency exponents on separated diagrams,
@@ -556,14 +539,15 @@ def verify_fixed_point(f):
     diagrams that are not separated).  Failures are report entries, never
     exceptions.
     """
+    entries = list(_operator_entries(f))
     return VerificationReport(
         checks=[
             _check_moment_map(f),
             _check_s1_s2(f),
-            _check_stability(f),
+            _check_stability(f, entries),
             _check_junctions(f),
             _check_nilpotency(f),
-            _check_grading(f),
+            _check_grading(entries),
         ]
     )
 
@@ -573,8 +557,7 @@ def render_ascii(bf):
     per vertex, with the arrow list underneath."""
     d = bf.tie_diagram.base
     n = len(d.blacks)
-    cols = {j: bf.column(j) for j in range(1, n + 1)}
-    heights = [jj for col in cols.values() for _i, jj in col]
+    heights = [jj for _i, jj in bf.vertices]
     lines = [f"butterfly of {bf.blue} on {brane.render(d)} (J = {bf.J})"]
     if heights:
         for jj in range(max(heights), min(heights) - 1, -1):

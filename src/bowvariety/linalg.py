@@ -10,6 +10,7 @@ with integer elimination.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -28,10 +29,6 @@ class Mat:
             self.data = [list(row) for row in data]
             if len(self.data) != rows or any(len(r) != cols for r in self.data):
                 raise ValueError("shape mismatch")
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n):
@@ -106,6 +103,11 @@ class Mat:
 
     def is_zero(self):
         return all(not x for row in self.data for x in row)
+
+    def support(self, rows, cols):
+        """(row label, column label) of every nonzero entry, row by row, given
+        a label for each row and each column."""
+        return [(r, c) for r, row in zip(rows, self.data) if any(row) for c in compress(cols, row)]
 
     def shape(self):
         return (self.rows, self.cols)

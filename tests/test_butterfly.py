@@ -316,6 +316,36 @@ def test_verify_detects_broken_moment_map():
     assert not report.check("moment-map").ok
 
 
+# each operator of the line at position p as (codomain, domain, height step):
+# fibers are offsets from X_p, and None is the external line (U, height 0)
+GRADED = {
+    "A": (0, 1, 0),
+    "Bplus": (1, 1, -1),
+    "Bminus": (0, 0, -1),
+    "a": (0, None, 0),
+    "b": (None, 1, -1),
+    "C": (0, 1, -1),
+    "D": (1, 0, 0),
+}
+
+
+def off_grade_cell(f, key):
+    """The first (line position, row, column) of ``key`` whose entry would
+    join lines of different blue components, or break the height step."""
+    cod, dom, step = GRADED[key]
+    for p in range(1, len(f.base.blacks)):
+        name = f.base.line_name(p)
+        if key not in f.at(p):
+            continue
+        lines = {x: [(u, h) for u, _i, h in f.bases[p + x]] for x in (0, 1)}
+        lines[None] = [(int(name[1:]), 0)] if name[0] == "U" else []
+        for r, (ru, rh) in enumerate(lines[cod]):
+            for c, (cu, ch) in enumerate(lines[dom]):
+                if (ru, rh) != (cu, ch + step):
+                    return p, r, c
+    return None
+
+
 def test_verify_detects_broken_grading():
     d = brane.parse(EXAMPLE_3BLUE)
     t = tie.enumerate_tie_diagrams(d)[2]
@@ -325,29 +355,108 @@ def test_verify_detects_broken_grading():
     assert ops.rows == ops.cols == 2
     ops[0, 1] = ops[0, 1] + 7
     report = butterfly.verify_fixed_point(f)
-    assert not report.check("grading").ok
+    assert report.check("grading").messages == ["A_U2 breaks the grading"]
+    # one off-grade entry in each of the seven operators, each on its own
+    # copy of a point where every operator is nonempty somewhere
+    for key in GRADED:
+        f = butterfly.assemble_fixed_point(big_tie_diagram())
+        assert butterfly.verify_fixed_point(f).ok
+        p, r, c = off_grade_cell(f, key)
+        f.at(p)[key][r, c] = 1
+        check = butterfly.verify_fixed_point(f).check("grading")
+        assert check.messages == [f"{key}_{f.base.line_name(p)} breaks the grading"], key
 
 
 def without_greens(f):
-    """The fixed point with every green arrow dropped from its butterflies."""
-    for u, bf in f.butterflies.items():
-        arrows = tuple(a for a in bf.arrows if a[0] != "green")
-        f.butterflies[u] = dataclasses.replace(bf, arrows=arrows)
+    """The fixed point with every a_U and b_U zeroed."""
+    for ops in f.per_blue.values():
+        for key in ("a", "b"):
+            ops[key] = linalg.Mat(ops[key].rows, ops[key].cols)
     return f
+
+
+# the operators an arrow out of the column over X_a is filed under, as
+# (position of the colored line, less a; operator)
+FILED = {
+    "blue": ((-1, "A"),),
+    "violet": ((-1, "C"),),
+    "red": ((0, "D"),),
+    "black": ((-1, "Bplus"), (0, "Bminus")),
+}
+
+
+def butterflies(f):
+    return [butterfly.build_butterfly(f.tie_diagram, u) for u in range(1, f.base.n_blue + 1)]
+
+
+def arrow_entries(f, bf, arrow):
+    """The operator entries (line position, operator, row, column) that
+    assembly writes for one arrow of the butterfly ``bf``."""
+    u = int(bf.blue[1:])
+
+    def line(v):
+        j = v[0] + bf.J
+        return j, [(bu, h) for bu, _i, h in f.bases[j]].index((u, bf.heights[v]))
+
+    color, src, tgt = arrow
+    if src == butterfly.EXTERNAL:
+        return [(bf.J, "a", line(tgt)[1], 0)]
+    a, col = line(src)
+    if tgt == butterfly.EXTERNAL:
+        return [(bf.J, "b", 0, col)]
+    row = line(tgt)[1]
+    lines = range(1, len(f.base.blacks))
+    return [
+        (a + off, key, row, col)
+        for off, key in FILED[color]
+        if a + off in lines and key in f.at(a + off)
+    ]
+
+
+def zeroing(f, entries):
+    """A copy of ``f`` with the given operator entries set to 0."""
+    g = dataclasses.replace(
+        f,
+        per_blue={name: dict(ops) for name, ops in f.per_blue.items()},
+        per_red={name: dict(ops) for name, ops in f.per_red.items()},
+    )
+    for p, key, r, c in entries:
+        ops = g.at(p)
+        ops[key] = linalg.Mat(ops[key].rows, ops[key].cols, ops[key].data)
+        ops[key][r, c] = 0
+    return g
+
+
+def operator_digraph(f):
+    """The basis lines (u, black line, height) with an edge for each nonzero
+    entry of A, B^+, B^-, C and D, and the lines that a_U hits."""
+    ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
+    succ = {v: [] for vs in ids.values() for v in vs}
+
+    def edges(mat, dom, cod):
+        for r, row in enumerate(mat.data):
+            for c, x in enumerate(row):
+                if x:
+                    succ[ids[dom][c]].append(ids[cod][r])
+
+    seeds = []
+    for p in f.base.blue_positions():
+        ops = f.at(p)
+        edges(ops["A"], p + 1, p)
+        edges(ops["Bplus"], p + 1, p + 1)
+        edges(ops["Bminus"], p, p)
+        seeds += [ids[p][r] for r, row in enumerate(ops["a"].data) if row[0]]
+    for q in f.base.red_positions():
+        edges(f.at(q)["C"], q + 1, q)
+        edges(f.at(q)["D"], q, q + 1)
+    return succ, seeds
 
 
 def bitmask_stable(f):
     """Reference search: every subset of the basis lines outside the closure
-    of the green arrows (exponential, so small points only)."""
-    succ, mandatory = {}, set()
-    for u, bf in f.butterflies.items():
-        ids = {v: (u, v[0] + bf.J, h) for v, h in bf.heights.items()}
-        succ.update((w, []) for w in ids.values())
-        for color, src, tgt in bf.arrows:
-            if src == butterfly.EXTERNAL:
-                mandatory.add(ids[tgt])
-            elif color != "green":
-                succ[ids[src]].append(ids[tgt])
+    of Im a (exponential, so small points only)."""
+    succ, seeds = operator_digraph(f)
+    mandatory = set(seeds)
     while any(w not in mandatory for v in mandatory for w in succ[v]):
         mandatory |= {w for v in mandatory for w in succ[v]}
     free = sorted(set(succ) - mandatory)
@@ -372,9 +481,9 @@ def quotient_iso(f, u, chosen):
 
 
 def test_stability_matches_bitmask_reference():
-    # every point of the small sweep as it is and with one or two arrows of
-    # a butterfly dropped (which may destabilize it), and the T*P^1 points
-    # without green arrows
+    # every point of the small sweep as it is and with the entries of one or
+    # two of its arrows zeroed (which may destabilize it), and the T*P^1
+    # points without a and b
     points = [
         butterfly.assemble_fixed_point(t)
         for d in admissible_diagrams(4, 2)
@@ -382,11 +491,9 @@ def test_stability_matches_bitmask_reference():
     ]
     cases = list(points)
     for f in points:
-        for u, bf in f.butterflies.items():
-            for drop in itertools.combinations_with_replacement(bf.arrows, 2):
-                arrows = tuple(a for a in bf.arrows if a not in drop)
-                dropped = {**f.butterflies, u: dataclasses.replace(bf, arrows=arrows)}
-                cases.append(dataclasses.replace(f, butterflies=dropped))
+        arrows = [(bf, arrow) for bf in butterflies(f) for arrow in bf.arrows]
+        for drop in itertools.combinations_with_replacement(arrows, 2):
+            cases.append(zeroing(f, [e for bf, arrow in drop for e in arrow_entries(f, bf, arrow)]))
     cases += [
         without_greens(butterfly.assemble_fixed_point(t))
         for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))
@@ -400,26 +507,21 @@ def test_stability_matches_bitmask_reference():
     assert verdicts[True] > 700 and verdicts[False] > 300
 
 
+def stability(f):
+    """The stability check alone."""
+    return butterfly._check_stability(f, list(butterfly._operator_entries(f)))
+
+
 def reference_stability(f):
-    """The stability search as first written on arrow-closed sets: it
+    """The stability search as first written, on the operator digraph: it
     rescans the sorted vertices for the first undecided one at every branch
     and rebuilds the label ids of the quotients at every leaf."""
     result = butterfly.CheckResult("stability", True)
-    succ, pred = {}, {}
-    greens = []
-    for u, bf in f.butterflies.items():
-        for (i, _jj), height in bf.heights.items():
-            succ[(u, i + bf.J, height)] = []
-            pred[(u, i + bf.J, height)] = []
-        for color, src, tgt in bf.arrows:
-            if color == "green":
-                if src == butterfly.EXTERNAL:
-                    greens.append((u, bf.J, bf.heights[tgt]))
-                continue
-            s = (u, src[0] + bf.J, bf.heights[src])
-            t_ = (u, tgt[0] + bf.J, bf.heights[tgt])
-            succ[s].append(t_)
-            pred[t_].append(s)
+    succ, greens = operator_digraph(f)
+    pred = {v: [] for v in succ}
+    for v, targets in succ.items():
+        for w in targets:
+            pred[w].append(v)
 
     def closure(seed, edges):
         out = set(seed)
@@ -468,19 +570,18 @@ def reference_stability(f):
 
 
 def dropping_each_arrow(f):
-    """Copies of ``f`` with one non-green butterfly arrow dropped."""
-    for u, bf in f.butterflies.items():
+    """Copies of ``f``, each with the entries of one non-green butterfly
+    arrow zeroed."""
+    for bf in butterflies(f):
         for arrow in bf.arrows:
             if arrow[0] != "green":
-                arrows = tuple(a for a in bf.arrows if a != arrow)
-                dropped = {**f.butterflies, u: dataclasses.replace(bf, arrows=arrows)}
-                yield dataclasses.replace(f, butterflies=dropped)
+                yield zeroing(f, arrow_entries(f, bf, arrow))
 
 
 def test_stability_matches_reference_search():
     # the criterion-3 sweep, the 24 verified flag points, and faulty copies:
-    # the first 300 sweep points and D36 of the flag with one arrow dropped,
-    # and the T*P^1 points without green arrows
+    # the first 300 sweep points and D36 of the flag with the entries of one
+    # arrow zeroed, and the T*P^1 points without a and b
     sweep = [
         butterfly.assemble_fixed_point(t)
         for d in sweep_diagrams()
@@ -498,10 +599,10 @@ def test_stability_matches_reference_search():
         for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))
     ]
     for f in sweep + flag + faulty:
-        got, ref = butterfly._check_stability(f), reference_stability(f)
+        got, ref = stability(f), reference_stability(f)
         assert (got.ok, got.skipped, got.messages) == (ref.ok, ref.skipped, ref.messages)
-    assert len(sweep) == 1610 and all(butterfly._check_stability(f).ok for f in sweep + flag)
-    destabilized = [f for f in faulty if not butterfly._check_stability(f).ok]
+    assert len(sweep) == 1610 and all(stability(f).ok for f in sweep + flag)
+    destabilized = [f for f in faulty if not stability(f).ok]
     assert len(faulty) == 804 and len(destabilized) == 274
     assert any(f.base == flag[1].base for f in destabilized)
 
@@ -520,7 +621,7 @@ def test_stability_prunes_unbalanced_subtrees(monkeypatch):
     monkeypatch.setattr(butterfly.linalg, "rank", counting_rank)
     points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
     for k in range(0, 840, 35):
-        assert butterfly._check_stability(butterfly.assemble_fixed_point(points[k])).ok
+        assert stability(butterfly.assemble_fixed_point(points[k])).ok
     assert len(calls) == 0
 
 
@@ -540,6 +641,28 @@ def test_verify_detects_missing_green_arrows():
         assert not butterfly.verify_fixed_point(f).check("stability").ok
 
 
+def test_stability_reads_the_a_maps():
+    # zeroing every a_U leaves the butterflies as they were, so only a check
+    # that reads the matrices can see it: of the 1,610 sweep points, 1,200
+    # have a nonzero a, and 363 of them are destabilized once it is zeroed
+    points = [
+        butterfly.assemble_fixed_point(t)
+        for d in sweep_diagrams()
+        for t in tie.enumerate_tie_diagrams(d)
+    ]
+    with_a = [f for f in points if any(not ops["a"].is_zero() for ops in f.per_blue.values())]
+    for f in with_a:
+        for ops in f.per_blue.values():
+            ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
+    failed = []
+    for f in with_a:
+        got, ref = stability(f), reference_stability(f)
+        assert (got.ok, got.messages) == (ref.ok, ref.messages)
+        if not got.ok:
+            failed.append(f)
+    assert len(points) == 1610 and len(with_a) == 1200 and len(failed) == 363
+
+
 def test_verify_detects_broken_nilpotency():
     (t,) = tie.enumerate_tie_diagrams(brane.parse("0/1/2\\2\\0"))
     f = butterfly.assemble_fixed_point(t)
@@ -553,8 +676,8 @@ def test_verify_detects_zero_a_maps():
     t = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
     f = butterfly.assemble_fixed_point(t)
     for ops in f.per_blue.values():
-        ops["A"] = linalg.Mat.zero(ops["A"].rows, ops["A"].cols)
-        ops["a"] = linalg.Mat.zero(ops["a"].rows, ops["a"].cols)
+        ops["A"] = linalg.Mat(ops["A"].rows, ops["A"].cols)
+        ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
     report = butterfly.verify_fixed_point(f)
     assert not report.check("s1-s2").ok
     assert not report.check("junctions").ok
@@ -567,7 +690,7 @@ def test_verify_detects_s1_alone():
     f = butterfly.assemble_fixed_point(t)
     name = next(n for n, ops in f.per_blue.items() if not ops["a"].is_zero())
     ops = f.per_blue[name]
-    ops["A"] = linalg.Mat.zero(ops["A"].rows, ops["A"].cols)
+    ops["A"] = linalg.Mat(ops["A"].rows, ops["A"].cols)
     report = butterfly.verify_fixed_point(f)
     assert report.check("s1-s2").messages == [f"S1 fails at {name}"]
 
@@ -579,7 +702,7 @@ def test_verify_detects_s2_alone():
     name = next(n for n, ops in f.per_blue.items() if ops["a"].is_zero())
     ops = f.per_blue[name]
     assert ops["b"].shape() == (1, 1)
-    ops["A"] = linalg.Mat.zero(ops["A"].rows, ops["A"].cols)
+    ops["A"] = linalg.Mat(ops["A"].rows, ops["A"].cols)
     ops["b"] = linalg.Mat(1, 1, [[1]])
     report = butterfly.verify_fixed_point(f)
     assert report.check("s1-s2").messages == [f"S2 fails at {name}"]
@@ -709,8 +832,10 @@ def test_mat_shapes_and_products():
     p = a * b
     assert (p.rows, p.cols) == (2, 2)
     assert p.data == [[Fraction(1), Fraction(2)], [Fraction(1), Fraction(2)]]
-    z = linalg.Mat.zero(0, 3) * linalg.Mat.zero(3, 2)
+    z = linalg.Mat(0, 3) * linalg.Mat(3, 2)
     assert (z.rows, z.cols) == (0, 2) and z.is_zero()
+    assert a.support("xy", "pqr") == [("x", "p"), ("x", "q"), ("y", "q"), ("y", "r")]
+    assert z.support([], "ab") == [] and linalg.Mat(2, 2).support("xy", "pq") == []
 
 
 def test_rank_kernel_image():
@@ -732,7 +857,7 @@ def test_subspace_operations():
     shift = linalg.Mat(3, 3, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     assert linalg.krylov_rank([e1], shift) == 3
     assert linalg.krylov_rank([e2], shift) == 2
-    assert linalg.krylov_rank([e1, e3], linalg.Mat.zero(3, 3)) == 2
+    assert linalg.krylov_rank([e1, e3], linalg.Mat(3, 3)) == 2
     assert linalg.krylov_rank([], shift) == 0
     assert linalg.krylov_rank([[0, 0, 0]], shift) == 0
 

@@ -30,3 +30,44 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top == "bowvariety" or top in sys.stdlib_module_names, (path.name, name)
+
+
+def private_definitions(tree):
+    """(name, node) of every underscore-prefixed module-level name, and of
+    every private method or class attribute, that ``tree`` defines."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for member in (node, *members):
+            if isinstance(member, (ast.FunctionDef, ast.ClassDef)):
+                names = [member.name]
+            elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+                targets = member.targets if isinstance(member, ast.Assign) else [member.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.endswith("__"):
+                    yield name, member
+
+
+def test_every_private_name_is_used():
+    # a helper that a refactor leaves behind has no reference in the package
+    # outside its own definition
+    sources = sorted(Path(bowvariety.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in sources]
+    uses = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.attr, []).append(node)
+            elif isinstance(node, ast.alias):
+                uses.setdefault(node.name, []).append(node)
+    unused = []
+    for path, tree in zip(sources, trees):
+        for name, definition in private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in uses.get(name, [])):
+                unused.append(f"{path.name}: {name}")
+    assert not unused
