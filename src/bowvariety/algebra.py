@@ -171,16 +171,6 @@ def _unit(nvars, i):
     return 1 << (nvars + 1) * WIDTH | 1 << (nvars - i) * WIDTH
 
 
-def pack(exps):
-    """The packed monomial of the exponent tuple ``(e_1, ..., e_N, e_h)``."""
-    n = len(exps) - 1
-    if min(exps) < 0:
-        raise ValueError(f"negative exponent in {tuple(exps)}")
-    if sum(exps) > MAX_DEGREE:
-        raise errors.DegreeLimit(f"degree {sum(exps)} is past the limit {MAX_DEGREE}")
-    return sum(x * _unit(n, (i + 1) % (n + 1)) for i, x in enumerate(exps))
-
-
 def unpack(e, nvars):
     """The exponent tuple ``(e_1, ..., e_N, e_h)`` of the packed monomial ``e``."""
     return tuple(e >> (nvars - i) * WIDTH & MAX_DEGREE for i in (*range(1, nvars + 1), 0))

@@ -167,8 +167,9 @@ class FixedPointData:
     ``bases[j]`` lists the labels (u, i, jj) spanning the fiber W_{X_j},
     ordered by (u, jj), jj being the equivariant height.  ``per_blue["U<u>"]``
     holds A, Bplus, Bminus, a, b; ``per_red["V<m>"]`` holds C and D, and
-    :meth:`at` finds either by position.  Entries are 0 and +-1 as assembled,
-    other ints or Fractions once edited; no butterflies are kept.
+    :meth:`at` finds either by position.  Operators are sparse
+    :class:`linalg.Mat` rows with no stored zeros: one entry, +-1, per arrow as
+    assembled, any int or Fraction once edited.  No butterflies are kept.
     """
 
     tie_diagram: tie.TieDiagram
@@ -190,7 +191,11 @@ class FixedPointData:
 
     def to_json(self):
         def mat_json(m):
-            return [[str(x) for x in row] for row in m.data]
+            rows = [["0"] * m.cols for _ in range(m.rows)]
+            for i, row in m.entries.items():
+                for j, x in row.items():
+                    rows[i][j] = str(x)
+            return rows
 
         return {
             "tie": self.tie_diagram.to_json(),
@@ -250,18 +255,19 @@ def assemble_fixed_point(t):
 
     dims = {EXTERNAL: 1, **{j: len(labels) for j, labels in bases.items()}}
     ops = {p: {} for p in range(1, n)}  # colored position -> its line's operators
-    route = {}  # (source fiber, target fiber) -> [(operator, entry)]
+    route = {}  # (source fiber, target fiber) -> [(operator rows, entry)]
     for p in ops:
         fiber = {0: p, 1: p + 1, None: EXTERNAL}
         for key, (cod, dom, _step, entry) in _OPERATORS[d.color_at(p)].items():
             mat = ops[p][key] = linalg.Mat(dims[fiber[cod]], dims[fiber[dom]])
-            route.setdefault((fiber[dom], fiber[cod]), []).append((mat, entry))
+            route.setdefault((fiber[dom], fiber[cod]), []).append((mat.entries, entry))
 
+    # no two arrows join the same two vertices, so each entry is written once
     for u, bf in butterflies.items():
         for _color, src, tgt in bf.arrows:
             (a, col), (b, row) = place[u][src], place[u][tgt]
-            for mat, entry in route[a, b]:
-                mat[row, col] += entry
+            for rows, entry in route[a, b]:
+                rows.setdefault(row, {})[col] = entry
 
     return FixedPointData(
         tie_diagram=t,
@@ -326,7 +332,8 @@ def _operator_entries(f):
     through ``_OPERATORS`` in one scan that stability and grading share:
     (line name, key, height step, [(row vertex, column vertex), ...]).  A
     vertex is (u, black line, height), read off ``f.bases``; the external
-    one of U is (U, None, 0)."""
+    one of U is (U, None, 0).  The operators keep sparse rows, so the scan
+    costs one step per operator and one per nonzero entry."""
     d = f.base
     ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
     for p, color in enumerate(d.colors, start=1):
@@ -335,33 +342,35 @@ def _operator_entries(f):
         lines[None] = [(int(name[1:]), None, 0)] if color == brane.BLUE else []
         ops = f.at(p)
         for key, (cod, dom, step, _entry) in _OPERATORS[color].items():
-            nonzero = ops[key].support(lines[cod], lines[dom])
-            if nonzero:
-                yield name, key, step, nonzero
+            if ops[key].entries:
+                yield name, key, step, ops[key].support(lines[cod], lines[dom])
 
 
 def _check_moment_map(f):
     d = f.base
     result = CheckResult("moment-map", True)
-    for j in range(2, len(d.blacks)):
-        left, right = d.color_at(j - 1), d.color_at(j)
-        lop, rop = f.at(j - 1), f.at(j)
+    lines = [(d.color_at(p), f.at(p)) for p in range(1, len(d.blacks))]
+    for j, ((left, lop), (right, rop)) in enumerate(itertools.pairwise(lines), start=2):
         if left == brane.BLUE and right == brane.BLUE:
-            expr = rop["Bminus"] - lop["Bplus"]
+            zero = rop["Bminus"] == lop["Bplus"]
         elif left == brane.RED and right == brane.RED:
-            expr = lop["D"] * lop["C"] - rop["C"] * rop["D"]
+            zero = lop["D"] * lop["C"] == rop["C"] * rop["D"]
         elif left == brane.RED:
-            expr = lop["D"] * lop["C"] + rop["Bminus"]
+            zero = (lop["D"] * lop["C"] + rop["Bminus"]).is_zero()
         else:
-            expr = -(rop["C"] * rop["D"]) - lop["Bplus"]
-        if not expr.is_zero():
+            zero = (rop["C"] * rop["D"] + lop["Bplus"]).is_zero()
+        if not zero:
             result.fail(f"moment map nonzero at X{j}")
 
     for name, ops in f.per_blue.items():
-        expr = ops["Bminus"] * ops["A"] - ops["A"] * ops["Bplus"] + ops["a"] * ops["b"]
-        if not expr.is_zero():
+        if ops["Bminus"] * ops["A"] + ops["a"] * ops["b"] != ops["A"] * ops["Bplus"]:
             result.fail(f"triangle relation fails at {name}")
     return result
+
+
+def _rows(*mats):
+    """The nonzero rows of the matrices stacked (columns, of transposes)."""
+    return [row for m in mats for row in m.entries.values()]
 
 
 def _check_s1_s2(f):
@@ -374,14 +383,13 @@ def _check_s1_s2(f):
         # kernel of the observability matrix [A; b] (B^+)^k, k = 0, 1, ...;
         # it is zero iff the rows of [A; b] and their images under
         # v -> v B^+ span the dual of W^+.
-        bplus_t = linalg.Mat(bplus.cols, bplus.rows, bplus.columns())
-        rows = ops["A"].data + ops["b"].data
-        if linalg.krylov_rank(rows, bplus_t) != bplus.rows:
+        if linalg.krylov_rank(_rows(ops["A"], ops["b"]), bplus) != bplus.rows:
             result.fail(f"S1 fails at {name}")
         # S2: the Krylov closure of Im A + Im a under B^- is W^- iff the
-        # columns of [A | a] and their images under B^- span W^-
-        cols = ops["A"].columns() + ops["a"].columns()
-        if linalg.krylov_rank(cols, bminus) != bminus.rows:
+        # columns of [A | a] and their images under B^- span W^-, that is
+        # the rows of the transposes under v -> v (B^-)^T
+        cols = _rows(ops["A"].transpose(), ops["a"].transpose())
+        if linalg.krylov_rank(cols, bminus.transpose()) != bminus.rows:
             result.fail(f"S2 fails at {name}")
     return result
 
@@ -426,16 +434,19 @@ def _check_stability(f, entries):
         return out
 
     # per blue U: the vertex ids of the bases of W_{U-} and W_{U+}, and A_U
-    blocks = [(ids[p], ids[p + 1], f.at(p)["A"].data) for p in f.base.blue_positions()]
+    blocks = [(ids[p], ids[p + 1], f.at(p)["A"].entries) for p in f.base.blue_positions()]
     sides = [(set(minus), set(plus)) for minus, plus, _a in blocks]
 
     def quotients_iso(chosen):
         for minus, plus, a_rows in blocks:
             comp_minus = [k for k, v in enumerate(minus) if v not in chosen]
-            comp_plus = [k for k, v in enumerate(plus) if v not in chosen]
+            comp_plus = {k for k, v in enumerate(plus) if v not in chosen}
             if len(comp_minus) != len(comp_plus):
                 return False
-            induced = [[a_rows[r][c] for c in comp_plus] for r in comp_minus]
+            induced = (
+                {c: x for c, x in a_rows.get(r, {}).items() if c in comp_plus}
+                for r in comp_minus
+            )
             if linalg.rank(induced) != len(comp_minus):
                 return False
         return True
@@ -445,10 +456,10 @@ def _check_stability(f, entries):
     # included set stays closed under succ and the excluded one under pred,
     # so neither branch can contradict the other side: every leaf is a
     # distinct operator-closed set.  Each branch carries the index from which
-    # to look for its first undecided vertex.
+    # to look for its first undecided vertex.  The closures of a vertex are
+    # found when it is first branched on.
     vertices = sorted(succ)
-    reach = {v: closure([v], succ) for v in vertices}
-    ancestors = {v: closure([v], pred) for v in vertices}
+    reach, ancestors = {}, {}
     stack = [(closure(seeds, succ), set(), 0)]
     while stack:
         inside, outside, k = stack.pop()
@@ -462,6 +473,8 @@ def _check_stability(f, entries):
             k += 1
         if k < len(vertices):
             v = vertices[k]
+            if v not in reach:
+                reach[v], ancestors[v] = closure([v], succ), closure([v], pred)
             stack.append((inside, outside | ancestors[v], k + 1))
             stack.append((inside | reach[v], outside, k + 1))
         elif len(inside) < len(vertices) and quotients_iso(inside):
@@ -473,19 +486,17 @@ def _check_stability(f, entries):
 def _check_junctions(f):
     result = CheckResult("junctions", True)
     d = f.base
-    for j in range(2, len(d.blacks)):
-        left, right = d.color_at(j - 1), d.color_at(j)
+    lines = [(d.color_at(p), f.at(p)) for p in range(1, len(d.blacks))]
+    for j, ((left, lop), (right, rop)) in enumerate(itertools.pairwise(lines), start=2):
         if left == right:
             continue
-        lop, rop = f.at(j - 1), f.at(j)
         if left == brane.BLUE:
             # X_j = U^+ = V^-: (A_U, D_V, b_U) must be injective on W_j
-            rows = lop["A"].data + rop["D"].data + lop["b"].data
-            if linalg.rank(rows) != f.dim(j):
+            if linalg.rank(_rows(lop["A"], rop["D"], lop["b"])) != f.dim(j):
                 result.fail(f"junction map not injective at X{j}")
         else:
             # X_j = V^+ = U^-: [D_V | A_U | a_U] must be surjective onto W_j
-            cols = lop["D"].columns() + rop["A"].columns() + rop["a"].columns()
+            cols = _rows(lop["D"].transpose(), rop["A"].transpose(), rop["a"].transpose())
             if linalg.rank(cols) != f.dim(j):
                 result.fail(f"junction map not surjective at X{j}")
     return result

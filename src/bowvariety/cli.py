@@ -268,10 +268,7 @@ def run(argv=None, out=None):
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.verb](args, out)
-    except errors.BowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_EXIT
-    except OSError as exc:  # an unreadable --data path
+    except (errors.BowError, OSError) as exc:  # OSError: an unreadable --data path
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
 

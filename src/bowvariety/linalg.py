@@ -1,98 +1,77 @@
 """Small exact linear algebra used by fixed-point verification.
 
-:class:`Mat` is a dense matrix with an explicit shape, so that
-zero-dimensional fibers (empty bases) compose correctly.  Its entries are
-kept as given: assembly writes the integers 0 and +-1, and a Fraction
-written into a matrix stays a Fraction.  Every subspace question the checks
-ask is a rank, computed exactly by :func:`rank` and :func:`krylov_rank`
-with integer elimination.
+:class:`Mat` has an explicit shape, so that zero-dimensional fibers compose
+correctly, and sparse signed rows ``{row: {col: value}}`` with no stored
+zeros: assembly writes one entry, +-1, per butterfly arrow, so every
+operation here pays per nonzero, not per cell.  Entries stay as given (int or
+Fraction).  Every subspace question the checks ask is an exact rank, by
+integer elimination on sparse rows (:func:`rank`, :func:`krylov_rank`).
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from math import gcd, lcm
-from operator import mul
+
+_NO_ROW = {}  # read-only stand-in for a zero row
 
 
 class Mat:
-    """Dense exact matrix with explicit shape (rows x cols)."""
+    """Exact rows x cols matrix: ``entries[i][j]`` is the entry at (i, j) if
+    it is nonzero, and a zero row is absent.  The constructor takes
+    ``entries`` as they are: they must hold no zero and no empty row."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows, cols, data=None):
+    def __init__(self, rows, cols, entries=None):
         self.rows = rows
         self.cols = cols
-        if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            self.data = [list(row) for row in data]
-            if len(self.data) != rows or any(len(r) != cols for r in self.data):
-                raise ValueError("shape mismatch")
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        self.entries = {} if entries is None else entries
 
     def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+        return self.entries.get(ij[0], _NO_ROW).get(ij[1], 0)
 
     def __setitem__(self, ij, value):
-        self.data[ij[0]][ij[1]] = value
+        """Write one entry; writing 0 removes it, and an emptied row."""
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
+        if value:
+            self.entries.setdefault(i, {})[j] = value
+        elif j in self.entries.get(i, _NO_ROW):
+            del self.entries[i][j]
+            if not self.entries[i]:
+                del self.entries[i]
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.data == other.data
+            and self.entries == other.entries
         )
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
-    def __neg__(self):
-        return Mat(self.rows, self.cols, [[-x for x in r] for r in self.data])
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = {i: dict(row) for i, row in self.entries.items()}
+        for i, row in other.entries.items():
+            acc = out.setdefault(i, {})
+            for j, y in row.items():
+                acc[j] = acc.get(j, 0) + y
+        out = {i: {j: x for j, x in row.items() if x} for i, row in out.items()}
+        return Mat(self.rows, self.cols, {i: row for i, row in out.items() if row})
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ValueError(f"cannot compose {self.shape()} with {other.shape()}")
-            out = Mat(self.rows, other.cols)
-            for i in range(self.rows):
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a:
-                        row = other.data[k]
-                        orow = out.data[i]
-                        for j in range(other.cols):
-                            orow[j] += a * row[j]
-            return out
-        return Mat(
-            self.rows, self.cols, [[x * other for x in r] for r in self.data]
-        )
-
-    __rmul__ = __mul__
+        if self.cols != other.rows:
+            raise ValueError(f"cannot compose {self.cols} columns with {other.rows} rows")
+        if not (self.entries and other.entries):  # most operator products
+            return Mat(self.rows, other.cols)
+        out = {i: _row_times(row, other.entries) for i, row in self.entries.items()}
+        return Mat(self.rows, other.cols, {i: row for i, row in out.items() if row})
 
     def power(self, n):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
-        out = Mat.identity(self.rows)
+        out = Mat(self.rows, self.rows, {i: {i: 1} for i in range(self.rows)})
         base = self
         while n:
             if n & 1:
@@ -102,28 +81,32 @@ class Mat:
         return out
 
     def is_zero(self):
-        return all(not x for row in self.data for x in row)
+        return not self.entries
 
     def support(self, rows, cols):
-        """(row label, column label) of every nonzero entry, row by row, given
-        a label for each row and each column."""
-        return [(r, c) for r, row in zip(rows, self.data) if any(row) for c in compress(cols, row)]
+        """(row label, column label) of every nonzero entry, in storage
+        order, given a label for each row and each column."""
+        return [(rows[i], cols[j]) for i, row in self.entries.items() for j in row]
 
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+    def transpose(self):
+        out = {}
+        for i, row in self.entries.items():
+            for j, x in row.items():
+                out.setdefault(j, {})[i] = x
+        return Mat(self.cols, self.rows, out)
 
     def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, {self.data})"
+        return f"Mat({self.rows}x{self.cols}, {self.entries})"
 
-    def _same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(f"shape mismatch {self.shape()} vs {other.shape()}")
+
+def _row_times(v, rows):
+    """The sparse row vector ``v`` times the matrix with sparse ``rows``,
+    without zeros."""
+    out = {}
+    for k, x in v.items():
+        for j, y in rows.get(k, _NO_ROW).items():
+            out[j] = out.get(j, 0) + x * y
+    return {j: x for j, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -131,36 +114,54 @@ class Mat:
 
 
 class _Echelon:
-    """Integer rows in echelon form: each row is zero at the pivot columns of
-    the rows before it and nonzero at its own pivot."""
+    """Sparse integer rows in echelon form, keyed by their leading (least)
+    column: each row is zero at the leading columns of the rows before it."""
 
     __slots__ = ("pivots",)
 
     def __init__(self):
-        self.pivots = []  # of (column, row)
+        self.pivots = {}  # leading column -> row {column: int}
 
     def add(self, vector):
-        """Reduce ``vector`` and keep it if it is independent of the rows
-        already kept; return whether it was kept."""
-        den = lcm(*(x.denominator for x in vector))
-        row = [x.numerator * (den // x.denominator) for x in vector]
-        for col, prow in self.pivots:
-            c = row[col]
-            if c:
-                p = prow[col]
-                row = [p * x - c * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:
+        """Reduce the sparse row ``vector`` and keep it if it is independent
+        of the rows already kept; return whether it was kept.
+
+        A kept row is zero left of its lead, so eliminating at the least
+        pivot column c the row meets changes it only right of c: each pivot
+        row is used at most once, and a row that meets no pivot column (often
+        a unit row) is kept as it is, read and never written.
+        """
+        row = vector
+        for x in row.values():
+            if type(x) is not int:
+                den = lcm(*(x.denominator for x in row.values()))
+                row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+                break
+        pivots = self.pivots
+        hits = [j for j in row if j in pivots]
+        while hits:
+            col = min(hits)
+            c, prow = row[col], pivots[col]
+            row = {j: prow[col] * x for j, x in row.items()}
+            for j, y in prow.items():
+                x = row.get(j, 0) - c * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+            hits = [j for j in row if j in pivots]
+        if not row:
             return False
-        self.pivots.append((col, row))
+        pivots[min(row)] = row
         return True
 
 
 def rank(rows):
-    """Exact rank of a list of row vectors with int or Fraction entries.
+    """Exact rank of sparse row vectors ``{column: value}`` with int or
+    Fraction entries.
 
     Each row is scaled to integers and reduced fraction-free against the rows
     kept so far, then divided by the gcd of its entries, so entries stay
@@ -171,8 +172,9 @@ def rank(rows):
 
 
 def krylov_rank(vectors, m):
-    """Dimension of the smallest subspace that contains ``vectors`` and is
-    mapped into itself by the square :class:`Mat` ``m``, acting as v -> m v.
+    """Dimension of the smallest subspace that contains the sparse row
+    ``vectors`` and is mapped into itself by the square :class:`Mat` ``m``,
+    acting as v -> v m.
 
     Only the vectors that raised the rank are mapped again: if they span the
     subspace modulo the previous one, their images span the next one modulo
@@ -181,6 +183,6 @@ def krylov_rank(vectors, m):
     echelon = _Echelon()
     new = [v for v in vectors if echelon.add(v)]
     while new:
-        images = ([sum(map(mul, row, v)) for row in m.data] for v in new)
+        images = (_row_times(v, m.entries) for v in new)
         new = [w for w in images if echelon.add(w)]
     return len(echelon.pivots)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bowvariety import algebra, brane
+from bowvariety import algebra, brane, errors
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "bowvariety" / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
@@ -108,3 +108,14 @@ def hw_twist(char, k, dm):
     for (i, j, m), mult in char.terms.items():
         out[i, j, m + dm * ((i == k) - (j == k))] += mult
     return algebra.Character(char.nvars, out)
+
+
+def pack(exps):
+    """The packed monomial of the exponent tuple ``(e_1, ..., e_N, e_h)``:
+    the inverse of ``algebra.unpack``, for building test polynomials."""
+    n = len(exps) - 1
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {tuple(exps)}")
+    if sum(exps) > algebra.MAX_DEGREE:
+        raise errors.DegreeLimit(f"degree {sum(exps)} is past the limit {algebra.MAX_DEGREE}")
+    return sum(x * algebra._unit(n, (i + 1) % (n + 1)) for i, x in enumerate(exps))

@@ -20,14 +20,13 @@ from bowvariety.algebra import (
     Poly,
     RationalFn,
     integer_ratio_mod_h,
-    pack,
     poly_parse,
     render_weight,
     unpack,
     weight_poly,
     weight_sort_key,
 )
-from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, hw_twist, tstar_module
+from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, hw_twist, pack, tstar_module
 
 # ---------------------------------------------------------------------------
 # weights: (i, j, m) keys against a general linear form

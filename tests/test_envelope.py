@@ -8,7 +8,7 @@ import time
 import pytest
 
 from bowvariety import algebra, envelope, errors
-from conftest import DATA, tstar_module
+from conftest import DATA, pack, tstar_module
 
 
 def load_fixture(fixtures_dir, name):
@@ -323,7 +323,7 @@ def perturbed_gammas(data, rng, count):
         gamma = dict(rng.choice(bases))
         exps = tuple(rng.randint(0, 1) for _ in range(nvars)) + (rng.randint(0, 2),)
         p = rng.choice(data.order)
-        mono = algebra.Poly(nvars, {algebra.pack(exps): rng.choice([-2, -1, 1, 3])})
+        mono = algebra.Poly(nvars, {pack(exps): rng.choice([-2, -1, 1, 3])})
         factors = list(data.full_euler[p].factors)
         drop = rng.choice([None, None, len(factors), rng.randrange(len(factors))])
         if drop is not None:

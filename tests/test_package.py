@@ -50,13 +50,13 @@ def private_definitions(tree):
                     yield name, member
 
 
-def test_every_private_name_is_used():
-    # a helper that a refactor leaves behind has no reference in the package
-    # outside its own definition
+def package_trees():
+    """(path, syntax tree) of every module of the package, and the nodes
+    that read each name: a loaded name or attribute, or an imported one."""
     sources = sorted(Path(bowvariety.__file__).parent.glob("*.py"))
-    trees = [ast.parse(path.read_text(), str(path)) for path in sources]
+    trees = [(path, ast.parse(path.read_text(), str(path))) for path in sources]
     uses = {}
-    for tree in trees:
+    for _path, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.setdefault(node.id, []).append(node)
@@ -64,10 +64,48 @@ def test_every_private_name_is_used():
                 uses.setdefault(node.attr, []).append(node)
             elif isinstance(node, ast.alias):
                 uses.setdefault(node.name, []).append(node)
-    unused = []
-    for path, tree in zip(sources, trees):
-        for name, definition in private_definitions(tree):
-            inside = {id(node) for node in ast.walk(definition)}
-            if all(id(node) in inside for node in uses.get(name, [])):
-                unused.append(f"{path.name}: {name}")
+    return trees, uses
+
+
+def used_outside(name, definition, uses):
+    inside = {id(node) for node in ast.walk(definition)}
+    return any(id(node) not in inside for node in uses.get(name, []))
+
+
+def test_every_private_name_is_used():
+    # a helper that a refactor leaves behind has no reference in the package
+    # outside its own definition
+    trees, uses = package_trees()
+    unused = [
+        f"{path.name}: {name}"
+        for path, tree in trees
+        for name, definition in private_definitions(tree)
+        if not used_outside(name, definition, uses)
+    ]
+    assert not unused
+
+
+def linalg_public_definitions(tree):
+    """(name, node) of every public function of ``linalg``, and of every
+    public method and slot of ``linalg.Mat``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and node.name == "Mat":
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member.name, member
+                elif isinstance(member, ast.Assign) and member.targets[0].id == "__slots__":
+                    for slot in member.value.elts:
+                        yield slot.value, member
+
+
+def test_every_public_name_of_linalg_is_used():
+    # the operators are sparse rows; a dense-only helper (a list of columns,
+    # say) that nothing in the package calls must not linger in linalg
+    trees, uses = package_trees()
+    (tree,) = [tree for path, tree in trees if path.name == "linalg.py"]
+    names = list(linalg_public_definitions(tree))
+    assert {"rank", "krylov_rank", "entries", "support", "transpose"} <= {n for n, _ in names}
+    unused = [name for name, definition in names if not used_outside(name, definition, uses)]
     assert not unused
