@@ -33,16 +33,17 @@ def main():
     # height less max(d_{U^-} - 1, 0), one shift per butterfly, which puts
     # the green-in target at 0 and the green-out source at 1.  The fiber over
     # a black line X_j then has one weight t_U + height*h per vertex in
-    # column j, across all blue lines U, listed here as pairs (U, height);
-    # the heights of a column differ, so each weight occurs once.
-    for j, weights in butterfly.fiber_weights(t).items():
-        print(f"  weights of W_{j}: {sorted(weights)}")
+    # column j, across all blue lines U: the basis labels (U, i, height) of
+    # the assembled W_j, listed here as pairs (U, height); the heights of a
+    # column differ, so each weight occurs once.
+    f = butterfly.assemble_fixed_point(t)
+    for j, labels in f.bases.items():
+        print(f"  weights of W_{j}: {sorted((u, height) for u, _i, height in labels)}")
     print()
 
-    # Assemble the matrices and run the full verification report:
+    # Run the full verification report on the assembled matrices:
     # moment map + triangle relations, the two stability criteria,
     # graded stability, junction conditions, nilpotency, and torus grading.
-    f = butterfly.assemble_fixed_point(t)
     report = butterfly.verify_fixed_point(f)
     print("verification at D1:")
     print(report.render())

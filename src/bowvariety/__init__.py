@@ -31,7 +31,6 @@ from .butterfly import (
     FixedPointData,
     assemble_fixed_point,
     build_butterfly,
-    fiber_weights,
     verify_fixed_point,
 )
 from .envelope import (
@@ -86,7 +85,6 @@ __all__ = [
     "hw_match",
     "build_butterfly",
     "assemble_fixed_point",
-    "fiber_weights",
     "verify_fixed_point",
     "tangent_character",
     "dimension",

@@ -109,14 +109,16 @@ class Character:
     """Finite integer-multiplicity multiset of weights (additive notation).
 
     Negative multiplicities are legal mid-computation (virtual characters);
-    finished tangent characters must be effective.
+    finished tangent characters must be effective.  ``terms`` holds no zero
+    and keeps the canonical order of :func:`weight_sort_key`, sorted once
+    here: its readers rely on it, and code that writes ``terms`` keeps it.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars, terms=None):
+    def __init__(self, nvars, terms=()):
         self.nvars = nvars
-        self.terms = {w: n for w, n in dict(terms or {}).items() if n}
+        self.terms = {w: terms[w] for w in sorted(terms, key=weight_sort_key) if terms[w]}
 
     def __bool__(self):
         return bool(self.terms)
@@ -135,18 +137,14 @@ class Character:
         """Total multiplicity = dimension of the represented space."""
         return sum(self.terms.values())
 
-    def sorted_terms(self):
-        """(weight, multiplicity) pairs in the canonical weight order."""
-        return sorted(self.terms.items(), key=lambda wn: weight_sort_key(wn[0]))
-
     def weights(self):
         """All weights with multiplicity, canonically sorted."""
-        return [w for w, n in self.sorted_terms() for _ in range(n)]
+        return [w for w, n in self.terms.items() for _ in range(n)]
 
     def render(self):
         return " + ".join(
             render_weight(w) if n == 1 else f"{n}*({render_weight(w)})"
-            for w, n in self.sorted_terms()
+            for w, n in self.terms.items()
         ) or "0"
 
     def __repr__(self):
@@ -307,9 +305,6 @@ class Poly:
         e = max(self.terms)
         return e, self.terms[e]
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), reverse=True)
-
     def _render_monomial(self, e):
         *ts, h = unpack(e, self.nvars)
         parts = []
@@ -329,7 +324,7 @@ class Poly:
         if not self.terms:
             return "0"
         out = ""
-        for e, c in self.sorted_terms():
+        for e, c in sorted(self.terms.items(), reverse=True):
             mono = self._render_monomial(e)
             mag = abs(c)
             if mono and mag == 1:
@@ -551,15 +546,13 @@ class FactoredClass:
         )
 
     @classmethod
-    def one(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
     def from_character(cls, char):
         """Euler class of an effective character: product of its weights."""
         if not char.is_effective():
             raise errors.NonEffective(char.render())
-        return cls(char.nvars, 1, list(char.terms.items()))
+        e = cls(char.nvars)
+        e.factors = tuple(char.terms.items())  # distinct, positive, in canonical order
+        return e
 
     def is_zero(self):
         return self.constant == 0 or any(i == j and not m for (i, j, m), _ in self.factors)
@@ -640,7 +633,7 @@ class RationalFn:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = FactoredClass.one(num.nvars)
+            den = FactoredClass(num.nvars)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         # cancel linear denominator factors that exactly divide the numerator

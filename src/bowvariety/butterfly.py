@@ -277,20 +277,6 @@ def assemble_fixed_point(t):
     )
 
 
-def fiber_weights(t):
-    """Torus weights of every fiber W_{X_j}: ``{j: {(u, m): 1}}``, one weight
-    t_u + m*h per butterfly vertex over X_j, m being its equivariant height.
-    The heights of a column are distinct, so every multiplicity is 1.  Reads
-    the shared lattices of :func:`_lattice`, the ones :func:`build_butterfly`
-    wraps, into fresh plain dicts."""
-    d = t.base
-    fibers = {j: {} for j in range(1, len(d.blacks) + 1)}
-    for u, J in enumerate(d.blue_positions(), start=1):
-        for j, height in _lattice(d.colors, J, _cover_counts(t, J))[4]:
-            fibers[j][u, height] = 1
-    return fibers
-
-
 # ---------------------------------------------------------------------------
 # verification
 

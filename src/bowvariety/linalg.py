@@ -28,7 +28,10 @@ class Mat:
         self.entries = {} if entries is None else entries
 
     def __getitem__(self, ij):
-        return self.entries.get(ij[0], _NO_ROW).get(ij[1], 0)
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
+        return self.entries.get(i, _NO_ROW).get(j, 0)
 
     def __setitem__(self, ij, value):
         """Write one entry; writing 0 removes it, and an emptied row."""

@@ -4,9 +4,11 @@ classes.
 The tangent character is computed by hamiltonian-reduction bookkeeping over
 the fiber characters: triangle slots and red slots contribute Hom-characters,
 the moment-map target carries an extra h, and the gauge directions are
-subtracted at weights 0 and h.  Weights are the ``(i, j, m)`` keys of
-:mod:`algebra`, meaning t_i - t_j + m*h, from the bookkeeping to the Euler
-classes.
+subtracted at weights 0 and h.  It is bilinear in the fibers, each a sum of
+butterfly columns, so it splits into blocks, one per ordered pair of blue
+lines, memoized on the cached plan of the color sequence.  Weights are the
+``(i, j, m)`` keys of :mod:`algebra`, meaning t_i - t_j + m*h, from the
+bookkeeping to the Euler classes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class TangentCharacter:
 
     def to_json(self):
         weights = []
-        for (i, j, m), n in self.char.sorted_terms():
+        for (i, j, m), n in self.char.terms.items():
             a = [0] * self.char.nvars
             if i != j:
                 a[i - 1], a[j - 1] = 1, -1
@@ -47,13 +49,12 @@ PLAN_CACHE_SIZE = 128  # a sweep pass meets 98 color sequences, flag 1
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(colors):
-    """Per black line X: ``(X, sources, u)``.  ``sources`` pairs each fiber
-    W_Y in the target sum of W_X with its ``(h-shift, coefficient)`` pairs;
-    ``u`` is the blue line with X = U+ (0 if none), whose t_U joins the sum
-    and whose Hom(t_U, W_{U-}) is added."""
+    """``(steps, lattices, rows, shapes)`` for a color sequence.
+    ``steps[X - 1]`` pairs each fiber W_Y in the target sum of W_X with its
+    ``(h-shift, coefficient)`` pairs.  The block memos of :func:`_terms` live,
+    and are bounded, with this cached plan."""
     padded = (None, *colors, None)  # padded[p]: the line between X_p and X_{p+1}
-    blue = {p: u for u, p in enumerate((p for p, c in enumerate(padded) if c == brane.BLUE), 1)}
-    plan = []
+    steps = []
     for x in range(1, len(colors) + 2):
         left, right = padded[x - 1], padded[x]
         b_x = (left == brane.BLUE) + (right == brane.BLUE)
@@ -65,33 +66,67 @@ def _plan(colors):
             sources.append((x - 1, ((1, 1),)))
         if right == brane.RED:  # X = V-
             sources.append((x + 1, ((0, 1),)))
-        plan.append((x, tuple(sources), blue.get(x - 1, 0)))
-    return tuple(plan)
+        steps.append(tuple(sources))
+    return tuple(steps), {}, [], {}
+
+
+def _columns(colors, J, cc):
+    """The butterfly of the blue line U at position J as columns ``{X: {m: 1}}``:
+    its part t_U * (sum of h^m) of each fiber W_X, one m per vertex over X."""
+    columns = {}
+    for x, m in butterfly._lattice(colors, J, cc)[4]:
+        columns.setdefault(x, {})[m] = 1
+    return columns
+
+
+def _block(colors, steps, a, b):
+    """The ``(m, n)``, n != 0, of the weights t_b - t_a + m*h from the blue
+    lines with lattice keys a = (J_a, cover counts) and b: the plan with
+    every W_X restricted to a and every target to b, plus Hom(t_a, W_{U_a-})
+    restricted to b."""
+    fa, fb = _columns(colors, *a), _columns(colors, *b)
+    acc = {}
+    for x, wx in fa.items():  # Hom(W_X, targets) = W_X^v * targets
+        targets = {1: 1} if x == b[0] + 1 else {}  # t_b * h at X = U_b+
+        for y, shifts in steps[x - 1]:
+            for mb, nb in fb.get(y, {}).items():
+                for s, c in shifts:
+                    targets[mb + s] = targets.get(mb + s, 0) + c * nb
+        for ma, na in wx.items():
+            for mb, nb in targets.items():
+                acc[mb - ma] = acc.get(mb - ma, 0) + na * nb
+    for mb, nb in fb.get(a[0], {}).items():  # Hom(t_a, W_{U_a-})
+        acc[mb] = acc.get(mb, 0) + nb
+    return tuple((m, n) for m, n in acc.items() if n)
 
 
 def _terms(t):
-    """Multiplicities (zeros included) of the tangent character at t by
-    weight (i, j, m), zero A-parts filed under (0, 0, m): :func:`_plan` run."""
-    fibers = butterfly.fiber_weights(t)
+    """Multiplicities of the tangent character at t by weight (i, j, m), zero
+    A-parts summed under (0, 0, m): one :func:`_block` per ordered pair (a, b)
+    of blue lines, memoized at ``rows[index of a][index of b]``, each lattice
+    key (J, cover counts) interned to an index.  Few blocks are distinct (3 of
+    the 917 of the flag diagram), so each value is kept once, in ``shapes``."""
+    colors = t.base.colors
+    steps, lattices, rows, shapes = _plan(colors)
+    keys = []  # per blue line: (lattice key, interned index)
+    for J in t.base.blue_positions():
+        key = J, butterfly._cover_counts(t, J)
+        if key not in lattices:
+            lattices[key] = len(rows)
+            rows.append([])
+        keys.append((key, lattices[key]))
     acc = {}
-    get = acc.get
-    for x, sources, u in _plan(t.base.colors):
-        targets = {(u, 1): 1} if u else {}  # the target sum of W_X: (b, m) is t_b + m*h
-        tget = targets.get
-        for y, shifts in sources:
-            for (b, m), n in fibers[y].items():
-                for s, c in shifts:
-                    key = b, m + s
-                    targets[key] = tget(key, 0) + c * n
-        targets = [(b, m, n) for (b, m), n in targets.items() if n]
-        for (a, ma), na in fibers[x].items():  # Hom(W_X, targets) = W_X^v * targets
-            for b, mb, nb in targets:
-                key = (b, a, mb - ma) if a != b else (0, 0, mb - ma)
-                acc[key] = get(key, 0) + na * nb
-        if u:  # Hom(t_U, W_{U-})
-            for (b, mb), nb in fibers[x - 1].items():
-                key = (b, u, mb) if b != u else (0, 0, mb)
-                acc[key] = get(key, 0) + nb
+    for a, (ka, ia) in enumerate(keys, start=1):
+        row = rows[ia]
+        for b, (kb, ib) in enumerate(keys, start=1):
+            if ib >= len(row):
+                row.extend([None] * (ib + 1 - len(row)))
+            if row[ib] is None:
+                block = _block(colors, steps, ka, kb)
+                row[ib] = shapes.setdefault(block, block)
+            for m, n in row[ib]:
+                w = (b, a, m) if a != b else (0, 0, m)
+                acc[w] = acc.get(w, 0) + n
     return acc
 
 
@@ -106,14 +141,15 @@ def tangent_character(t, point_id):
       + sum over black X of ((b_X - 1) h - 1) Hom(W_X, W_X)
 
     from the fiber weights (b_X counts the blue lines U with X = U^- or
-    X = U^+).  The formula is linear in the target, so the terms are grouped
-    by source fiber: the targets of W_X, with their h-shifts and
-    coefficients, are summed first (across a blue line most of W_{U-}
-    cancels against W_{U+}), and W_X is multiplied by that sum once.  Which
-    fibers enter each sum depends only on the colors, so it is planned once
-    per color sequence (:func:`_plan`) and run in one loop (:func:`_terms`).
-    Then checks effectiveness, the t_i - t_j + m*h weight form, and
-    stability under w -> h - w.
+    X = U^+).  The formula is linear in the target, so the targets of W_X,
+    with their h-shifts and coefficients, are summed first (across a blue line
+    most of W_{U-} cancels against W_{U+}), as planned once per color
+    sequence (:func:`_plan`).  It is linear in the source too, and each fiber
+    is a sum of butterfly columns, so the character is a sum of blocks, one
+    per ordered pair (a, b) of blue lines: W_X restricted to t_a, the targets
+    to t_b.  A block depends only on the two butterfly lattices and is
+    memoized on the cached plan (:func:`_terms`).  Then checks effectiveness,
+    the t_i - t_j + m*h weight form, and stability under w -> h - w.
     """
     char = algebra.Character(t.base.n_blue, _terms(t))
     terms = char.terms
@@ -170,7 +206,7 @@ def chamber_split(tc, pi):
         i, j, _ = w
         if i == j:
             raise errors.DegenerateWeight(algebra.render_weight(w))
-        (plus if rank[i] < rank[j] else minus).terms[w] = n
+        (plus if rank[i] < rank[j] else minus).terms[w] = n  # in canonical order
     return ChamberSplit(pi, plus, minus)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bowvariety import algebra, brane, errors
+from bowvariety import algebra, brane, butterfly, errors
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "bowvariety" / "fixtures"
 DATA = Path(__file__).resolve().parent / "data"
@@ -108,6 +108,18 @@ def hw_twist(char, k, dm):
     for (i, j, m), mult in char.terms.items():
         out[i, j, m + dm * ((i == k) - (j == k))] += mult
     return algebra.Character(char.nvars, out)
+
+
+def fiber_weights(t):
+    """Torus weights of every fiber W_{X_j}: ``{j: {(u, m): 1}}``, one weight
+    t_u + m*h per butterfly vertex over X_j, m being its equivariant height,
+    read from the shared lattices of ``butterfly._lattice`` into fresh dicts."""
+    d = t.base
+    fibers = {j: {} for j in range(1, len(d.blacks) + 1)}
+    for u, J in enumerate(d.blue_positions(), start=1):
+        for j, height in butterfly._lattice(d.colors, J, butterfly._cover_counts(t, J))[4]:
+            fibers[j][u, height] = 1
+    return fibers
 
 
 def pack(exps):

@@ -512,6 +512,34 @@ polys = st.dictionaries(
 ).map(lambda terms: Poly(2, {pack(e): Fraction(c) for e, c in terms.items()}))
 
 
+character_terms = st.dictionaries(
+    st.sampled_from(KEYS), st.integers(min_value=-3, max_value=3), max_size=12
+).map(Counter)
+
+
+def in_canonical_order(char):
+    return list(char.terms) == sorted(char.terms, key=weight_sort_key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(character_terms, st.integers(min_value=1, max_value=4), st.permutations((1, 2, 3, 4)))
+def test_character_terms_iterate_in_canonical_order(terms, k, pi):
+    # every Character keeps the weight_sort_key order that its readers
+    # (render, weights, to_json, FactoredClass) rely on without sorting
+    char = Character(4, terms)
+    assert in_canonical_order(char) and 0 not in char.terms.values()
+    assert char.terms == {w: n for w, n in terms.items() if n}
+    assert in_canonical_order(char.involution_image())
+    assert in_canonical_order(hw_twist(char, k, 1))
+    tc = tangent.TangentCharacter("X", Character(4, {w: n for w, n in terms.items() if w[0]}))
+    split = tangent.chamber_split(tc, pi)
+    assert in_canonical_order(split.plus) and in_canonical_order(split.minus)
+    effective = Character(4, {w: abs(n) for w, n in terms.items()})
+    # the sorted construction that from_character skipped
+    sorted_class = FactoredClass(4, 1, list(effective.terms.items()))
+    assert FactoredClass.from_character(effective) == sorted_class
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys)
 def test_poly_render_parse_round_trip(p):

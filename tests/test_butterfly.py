@@ -20,6 +20,7 @@ from conftest import (
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
+    fiber_weights,
     sweep_diagrams,
 )
 from dense import (
@@ -132,14 +133,14 @@ def test_fiber_character_point_diagram():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
     # one vertex over X2: the weight t1 + h
-    fibers = butterfly.fiber_weights(t)
+    fibers = fiber_weights(t)
     assert fibers == {1: Counter(), 2: Counter({(1, 1): 1}), 3: Counter()}
 
 
 def test_fiber_characters_match_labels():
     # the fiber weights are the (u, height) labels of the assembled basis
     for t in tie.enumerate_tie_diagrams(brane.parse(EXAMPLE_3BLUE)):
-        fibers = butterfly.fiber_weights(t)
+        fibers = fiber_weights(t)
         f = butterfly.assemble_fixed_point(t)
         assert set(fibers) == set(f.bases)
         for j, labels in f.bases.items():
@@ -274,7 +275,7 @@ def test_cached_lattices_match_reference_build(monkeypatch):
         for u in range(1, t.base.n_blue + 1):
             bf = butterfly.build_butterfly(t, u)
             assert bf.to_json() == reference_build_butterfly(t, u).to_json()
-        assert butterfly.fiber_weights(t) == reference_fiber_weights(t)
+        assert fiber_weights(t) == reference_fiber_weights(t)
         cached.append(butterfly.assemble_fixed_point(t).to_json())
     monkeypatch.setattr(butterfly, "build_butterfly", reference_build_butterfly)
     assert cached == [butterfly.assemble_fixed_point(t).to_json() for t in points]
@@ -282,11 +283,11 @@ def test_cached_lattices_match_reference_build(monkeypatch):
 
 def test_cached_lattices_are_not_aliased():
     t = big_tie_diagram()
-    fibers = butterfly.fiber_weights(t)
+    fibers = fiber_weights(t)
     expected = {j: Counter(w) for j, w in fibers.items()}
     fibers[5][2, 0] = fibers[5].get((2, 0), 0) + 7
     fibers[6].clear()
-    assert butterfly.fiber_weights(t) == expected
+    assert fiber_weights(t) == expected
 
     bf = butterfly.build_butterfly(t, "U2")
     v = next(iter(bf.vertices))
@@ -872,6 +873,19 @@ def test_writing_zero_removes_the_entry():
         m[2, 0] = 1
     with pytest.raises(IndexError):
         m[0, -1] = 1
+
+
+def test_reading_outside_the_shape_raises():
+    # an absent entry inside the shape reads 0; outside it, as for writing,
+    # the index is an error, not a silent 0
+    m = linalg.Mat(2, 2)
+    m[1, 0] = 3
+    assert (m[1, 0], m[0, 1], m[1, 1]) == (3, 0, 0)
+    for ij in ((5, 5), (-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(IndexError, match=r"is outside a 2x2 matrix"):
+            m[ij]
+    with pytest.raises(IndexError):
+        linalg.Mat(0, 3)[0, 0]
 
 
 def test_rank_kernel_image():

@@ -109,3 +109,68 @@ def test_every_public_name_of_linalg_is_used():
     assert {"rank", "krylov_rank", "entries", "support", "transpose"} <= {n for n, _ in names}
     unused = [name for name, definition in names if not used_outside(name, definition, uses)]
     assert not unused
+
+
+def unbounded_memos(tree):
+    """Lines of the memos in ``tree`` that no module-level ``*_CACHE_SIZE``
+    constant bounds: every ``functools.cache``, and every ``lru_cache`` not
+    called as ``lru_cache(maxsize=<such a name>)``."""
+    sizes = {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_CACHE_SIZE")
+    }
+    modules, imported = {"functools"}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            imported |= {a.asname or a.name: a.name for a in node.names}
+    bounded = {
+        id(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and not node.args
+        and [k.arg for k in node.keywords] == ["maxsize"]
+        and isinstance(node.keywords[0].value, ast.Name)
+        and node.keywords[0].value.id in sizes
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            name = node.attr
+        elif isinstance(node, ast.Name) and node.id in imported:
+            name = imported[node.id]
+        else:
+            continue
+        if name == "cache" or name == "lru_cache" and id(node) not in bounded:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_memo_is_bounded_by_a_cache_size_constant():
+    # a memo lives as long as the process: each one names its bound, so that
+    # no cache grows with the inputs a long run meets
+    trees, uses = package_trees()
+    found = {path.name: unbounded_memos(tree) for path, tree in trees}
+    assert not {name: lines for name, lines in found.items() if lines}
+    assert len(uses["lru_cache"]) >= 2  # the lattices and the tangent plans
+
+
+def test_unbounded_memos_are_found():
+    def memo(source):
+        return unbounded_memos(ast.parse(source))
+
+    body = "\ndef f(x):\n    return x\n"
+    assert memo("import functools\n@functools.cache" + body) == [2]
+    assert memo("import functools\n@functools.lru_cache(maxsize=None)" + body) == [2]
+    assert memo("import functools\n@functools.lru_cache" + body) == [2]
+    assert memo("from functools import lru_cache\n@lru_cache()" + body) == [2]
+    assert memo("from functools import cache as keep\n@keep" + body) == [2]
+    assert memo("import functools\nSIZE = 8\n@functools.lru_cache(maxsize=SIZE)" + body) == [3]
+    assert memo("import functools\nF_CACHE_SIZE = 8\n@functools.lru_cache(F_CACHE_SIZE)" + body) == [3]
+    assert memo("import functools as ft\nF_CACHE_SIZE = 8\n@ft.lru_cache(maxsize=F_CACHE_SIZE)" + body) == []
+    local = "import functools\ndef g():\n    F_CACHE_SIZE = 8\n"
+    assert memo(local + "    return functools.lru_cache(maxsize=F_CACHE_SIZE)(len)\n") == [4]

@@ -11,6 +11,7 @@ from conftest import (
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
+    fiber_weights,
     sweep_diagrams,
 )
 
@@ -131,7 +132,8 @@ def test_tangent_invariants_on_sweep():
 def test_tangent_character_builds_each_butterfly_once():
     # every butterfly goes through the cached lattice, built once per
     # distinct (J, cover counts) key; a point assembled after its tangent
-    # builds nothing new
+    # builds nothing new.  The tangent blocks are memoized on the plan by the
+    # same keys: 917 of the 35 * 35 ordered pairs occur in 840 * 49 lookups.
     d = brane.parse(FLAG)
     points = tie.enumerate_tie_diagrams(d)
     keys = {
@@ -141,9 +143,14 @@ def test_tangent_character_builds_each_butterfly_once():
     }
     assert len(points) == 840 and len(keys) == 35
     butterfly._lattice.cache_clear()
+    tangent._plan.cache_clear()
     for k, t_ in enumerate(points, start=1):
         tangent.tangent_character(t_, f"D{k}")
     assert butterfly._lattice.cache_info().misses == len(keys)
+    _steps, lattices, rows, shapes = tangent._plan(d.colors)
+    assert set(lattices) == keys and len(rows) == len(keys)
+    assert sum(block is not None for row in rows for block in row) == 917
+    assert len(shapes) == 3  # the 917 blocks take 3 distinct values, each kept once
     hits = butterfly._lattice.cache_info().hits
     for t_ in points[::35]:
         butterfly.assemble_fixed_point(t_)
@@ -168,26 +175,35 @@ def test_corrupted_fibers_are_rejected(monkeypatch):
     # dropping it over X3 leaves a negative multiplicity, over X4 a weight h,
     # and dropping a vertex (U1, 2) that X1 lacks leaves -2*h and 3*h.  The
     # messages, with their weights of zero A-part, were recorded before
-    # weights became (i, j, m) keys.
+    # weights became (i, j, m) keys.  The corruption goes into the lattice
+    # columns of U1 that the blocks read; the blocks are memoized on the
+    # cached plan, so it is dropped around every case.
     t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
-    fiber_weights = butterfly.fiber_weights
+    u1 = t_.base.blue_positions()[0]
+    columns = tangent._columns
     cases = (
-        (3, (1, 0), errors.NonEffective, "-1*(0) + -t1+t2+h"),
-        (4, (1, 0), errors.BadWeightForm, "h"),
-        (1, (1, 2), errors.NonEffective,
+        (3, 0, errors.NonEffective, "-1*(0) + -t1+t2+h"),
+        (4, 0, errors.BadWeightForm, "h"),
+        (1, 2, errors.NonEffective,
          "-1*(-2*h) + -1*(0) + t1-t2 + -t1+t2+h + -1*(h) + -1*(3*h)"),
     )
-    for j, vertex, error, message in cases:
+    try:
+        for j, height, error, message in cases:
 
-        def corrupted(t_, j=j, vertex=vertex):
-            fibers = fiber_weights(t_)
-            fibers[j][vertex] = fibers[j].get(vertex, 0) - 1
-            return fibers
+            def corrupted(colors, J, cc, j=j, height=height):
+                out = columns(colors, J, cc)
+                if J == u1:
+                    column = out.setdefault(j, {})
+                    column[height] = column.get(height, 0) - 1
+                return out
 
-        monkeypatch.setattr(butterfly, "fiber_weights", corrupted)
-        with pytest.raises(error) as exc:
-            tangent.tangent_character(t_, "D1")
-        assert str(exc.value) == message
+            tangent._plan.cache_clear()
+            monkeypatch.setattr(tangent, "_columns", corrupted)
+            with pytest.raises(error) as exc:
+                tangent.tangent_character(t_, "D1")
+            assert str(exc.value) == message
+    finally:
+        tangent._plan.cache_clear()
 
 
 def test_asymmetric_character_is_rejected(monkeypatch):
@@ -213,7 +229,7 @@ def reference_multiplicities(t_):
     term-by-term bookkeeping: one Hom product per term of the formula in
     :func:`tangent.tangent_character` (78 products per flag point)."""
     d = t_.base
-    fibers = butterfly.fiber_weights(t_)
+    fibers = fiber_weights(t_)
     acc = Counter()
 
     def hom(src, tgt, m, sign):
@@ -242,10 +258,12 @@ def reference_multiplicities(t_):
 
 
 def test_merged_bookkeeping_matches_term_by_term_reference():
-    # the products grouped by source fiber against one product per term
+    # the butterfly-pair blocks against one product per term of the formula,
+    # from a cold plan, so every block is computed here
     points = [t_ for d in sweep_diagrams() for t_ in tie.enumerate_tie_diagrams(d)]
     flag = tie.enumerate_tie_diagrams(brane.parse(FLAG))
     assert len(points) == 1610 and len(flag) == 840
+    tangent._plan.cache_clear()
     for t_ in points + flag:
         got = tangent.tangent_character(t_, "D").char.terms
         assert got == reference_multiplicities(t_), t_
