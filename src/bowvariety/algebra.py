@@ -359,8 +359,11 @@ class Poly:
 # every Poly it returns renders.  It also refuses a product or power that
 # could have more than MAX_TERMS terms before computing it: p*q has at most
 # T_p*T_q terms, and p^n at most C(T_p+n-1, n), T_p being the terms of p.
+# Each level of parentheses costs four frames of Python's recursion limit
+# (1,000 by default), so nesting past MAX_NESTING is refused as well.
 MAX_DIGITS = 4300
 MAX_TERMS = 10_000
+MAX_NESTING = 100
 _COEFF_BOUND = 10**MAX_DIGITS
 _COEFF_BITS = _COEFF_BOUND.bit_length()
 
@@ -370,6 +373,7 @@ class _Tokens:
         self.src = src
         self.pos = 0
         self.degree = degree
+        self.depth = 0  # of the parentheses open at pos
 
     def peek(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -455,11 +459,15 @@ def _parse_atom(tok, nvars):
     if c is None:
         tok.error("unexpected end of expression")
     if c == "(":
+        if tok.depth == MAX_NESTING:
+            tok.error(f"parentheses nested more than {MAX_NESTING} deep")
         tok.pos += 1
+        tok.depth += 1
         p = _parse_expr(tok, nvars)
         if tok.peek() != ")":
             tok.error("expected ')'")
         tok.pos += 1
+        tok.depth -= 1
         return p
     if c == "h":
         tok.pos += 1
@@ -478,7 +486,7 @@ def _parse_atom(tok, nvars):
 def poly_parse(expr, nvars, degree=MAX_DEGREE):
     """Parse an expression in t1..tN, h into canonical :class:`Poly` form.
     A product or power of degree past ``degree`` raises HomogeneityViolation,
-    and one that could pass MAX_DIGITS digits or MAX_TERMS terms SyntaxError."""
+    and input past MAX_DIGITS, MAX_TERMS or MAX_NESTING SyntaxError."""
     tok = _Tokens(expr, degree)
     p = _parse_expr(tok, nvars)
     if tok.peek() is not None:

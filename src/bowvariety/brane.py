@@ -14,10 +14,11 @@ import collections
 import functools
 from dataclasses import dataclass
 
-from . import errors
+from . import algebra, errors
 
 RED = "r"
 BLUE = "b"
+_LABEL_BOUND = 10**algebra.MAX_DIGITS  # the least label Python cannot write as text
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,8 @@ class BraneDiagram:
             raise ValueError("label/color length mismatch")
         if any(d < 0 for d in self.blacks):
             raise errors.NegativeLabel(str(self.blacks))
+        if max(self.blacks) >= _LABEL_BOUND:
+            raise errors.LabelLimit(f"a black label of more than {algebra.MAX_DIGITS} digits")
         if self.blacks[0] != 0 or self.blacks[-1] != 0:
             raise errors.BoundaryNotZero(
                 f"first and last black labels must be 0: {render(self)}"
@@ -132,6 +135,8 @@ def parse(src):
             pos += 1
         if pos == start:
             raise errors.SyntaxError("expected a black-line label", pos)
+        if pos - start > algebra.MAX_DIGITS:
+            raise errors.SyntaxError(f"a label of more than {algebra.MAX_DIGITS} digits", start)
         blacks.append(int(src[start:pos]))
         if pos == n:
             break

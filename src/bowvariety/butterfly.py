@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import brane, errors, linalg, tie
 
@@ -52,13 +52,6 @@ class ButterflyData:
     vertices: frozenset  # of (i, j)
     arrows: tuple  # of (color, source, target)
     heights: types.MappingProxyType  # read-only: vertex -> equivariant height
-
-    def column(self, j_abs):
-        """Vertices in the column over black line X_{j_abs}, bottom-up."""
-        d = self.cover_counts[j_abs - 1]
-        c = self.column_bottoms[j_abs - 1]
-        i = j_abs - self.J
-        return [(i, jj) for jj in range(c, c + d)]
 
     def to_json(self):
         return {
@@ -166,8 +159,8 @@ class FixedPointData:
 
     ``bases[j]`` lists the labels (u, i, jj) spanning the fiber W_{X_j},
     ordered by (u, jj), jj being the equivariant height.  ``per_blue["U<u>"]``
-    holds A, Bplus, Bminus, a, b; ``per_red["V<m>"]`` holds C and D, and
-    :meth:`at` finds either by position.  Operators are sparse
+    holds A, Bplus, Bminus, a, b; ``per_red["V<m>"]`` holds C and D
+    (:func:`verify_fixed_point` tables them by position).  Operators are sparse
     :class:`linalg.Mat` rows with no stored zeros: one entry, +-1, per arrow as
     assembled, any int or Fraction once edited.  No butterflies are kept.
     """
@@ -180,14 +173,6 @@ class FixedPointData:
     @property
     def base(self):
         return self.tie_diagram.base
-
-    def dim(self, j):
-        return len(self.bases[j])
-
-    def at(self, pos):
-        """The operators of the colored line at position ``pos``."""
-        name = self.base.line_name(pos)
-        return (self.per_blue if name[0] == "U" else self.per_red)[name]
 
     def to_json(self):
         def mat_json(m):
@@ -242,16 +227,16 @@ def assemble_fixed_point(t):
     n = len(d.blacks)
     butterflies = {u: build_butterfly(t, u) for u in range(1, d.n_blue + 1)}
 
-    # columns run bottom-up and each butterfly has one height shift, so the
-    # labels come out ordered by (u, height), each (u, height) once; place[u]
-    # takes a vertex of the butterfly of U_u to its fiber and its index there
+    # u ascends, each lattice is walked by column, bottom-up, and has one
+    # height shift, so each fiber's labels come out ordered by (u, height), each
+    # once; place[u] takes a vertex of U_u's butterfly to its fiber and index
     bases = {j: [] for j in range(1, n + 1)}
     place = {u: {EXTERNAL: (EXTERNAL, 0)} for u in butterflies}
-    for j, labels in bases.items():
-        for u, bf in butterflies.items():
-            for v in bf.column(j):
-                place[u][v] = (j, len(labels))
-                labels.append((u, v[0], bf.heights[v]))
+    for u, bf in butterflies.items():
+        for v in sorted(bf.vertices):
+            j = v[0] + bf.J
+            place[u][v] = (j, len(bases[j]))
+            bases[j].append((u, v[0], bf.heights[v]))
 
     dims = {EXTERNAL: 1, **{j: len(labels) for j, labels in bases.items()}}
     ops = {p: {} for p in range(1, n)}  # colored position -> its line's operators
@@ -282,18 +267,6 @@ def assemble_fixed_point(t):
 
 
 @dataclass
-class CheckResult:
-    name: str
-    ok: bool
-    skipped: bool = False
-    messages: list = field(default_factory=list)
-
-    def fail(self, msg):
-        self.ok = False
-        self.messages.append(msg)
-
-
-@dataclass
 class VerificationReport:
     checks: list
 
@@ -313,30 +286,36 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _operator_entries(f):
-    """Every operator of ``f`` that has nonzero entries, with them, read
-    through ``_OPERATORS`` in one scan that stability and grading share:
-    (line name, key, height step, [(row vertex, column vertex), ...]).  A
-    vertex is (u, black line, height), read off ``f.bases``; the external
-    one of U is (U, None, 0).  The operators keep sparse rows, so the scan
-    costs one step per operator and one per nonzero entry."""
+def _tables(f):
+    """The tables the checks read, built per call and not kept on ``f`` (an
+    edited copy would read stale ones): ``lines[p - 1]`` is (name, color,
+    operators) of the colored line at position p, and ``ids[j]`` the vertex
+    ids (u, black line, height) of the basis of W_{X_j}."""
     d = f.base
+    ops = f.per_blue | f.per_red
+    names = map(d.line_name, range(1, len(d.colors) + 1))
+    lines = [(name, color, ops[name]) for name, color in zip(names, d.colors)]
     ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
-    for p, color in enumerate(d.colors, start=1):
-        name = d.line_name(p)
-        lines = {0: ids[p], 1: ids[p + 1]}
-        lines[None] = [(int(name[1:]), None, 0)] if color == brane.BLUE else []
-        ops = f.at(p)
+    return lines, ids
+
+
+def _operator_entries(lines, ids):
+    """Every operator that has nonzero entries, with them, read through
+    ``_OPERATORS`` in one scan that stability and grading share: (line name,
+    key, height step, [(row vertex, column vertex), ...]), a vertex being one
+    of ``ids`` or U's external one, (U, None, 0).  The rows are sparse, so the
+    scan costs one step per operator and one per nonzero entry."""
+    for p, (name, color, ops) in enumerate(lines, start=1):
+        fibers = {0: ids[p], 1: ids[p + 1]}
+        fibers[None] = [(int(name[1:]), None, 0)] if color == brane.BLUE else []
         for key, (cod, dom, step, _entry) in _OPERATORS[color].items():
             if ops[key].entries:
-                yield name, key, step, ops[key].support(lines[cod], lines[dom])
+                yield name, key, step, ops[key].support(fibers[cod], fibers[dom])
 
 
-def _check_moment_map(f):
-    d = f.base
-    result = CheckResult("moment-map", True)
-    lines = [(d.color_at(p), f.at(p)) for p in range(1, len(d.blacks))]
-    for j, ((left, lop), (right, rop)) in enumerate(itertools.pairwise(lines), start=2):
+def _check_moment_map(f, lines):
+    result = errors.CheckResult("moment-map")
+    for j, ((_, left, lop), (_, right, rop)) in enumerate(itertools.pairwise(lines), start=2):
         if left == brane.BLUE and right == brane.BLUE:
             zero = rop["Bminus"] == lop["Bplus"]
         elif left == brane.RED and right == brane.RED:
@@ -362,7 +341,7 @@ def _rows(*mats):
 def _check_s1_s2(f):
     """S1 and S2 per blue line, each as one rank (observability and
     controllability of the pairs (B^+, [A; b]) and (B^-, [A | a]))."""
-    result = CheckResult("s1-s2", True)
+    result = errors.CheckResult("s1-s2")
     for name, ops in f.per_blue.items():
         bplus, bminus = ops["Bplus"], ops["Bminus"]
         # S1: the largest B^+-invariant subspace of ker A  cap  ker b is the
@@ -380,7 +359,7 @@ def _check_s1_s2(f):
     return result
 
 
-def _check_stability(f, entries):
+def _check_stability(lines, ids, entries):
     """Search for a destabilizing graded subspace.
 
     Vertices are basis lines, edges the nonzero ``entries`` of every operator
@@ -395,9 +374,7 @@ def _check_stability(f, entries):
     of each U keeps between |S & outside| and |S - inside| labels outside T;
     a node where these two ranges do not meet is dropped.
     """
-    result = CheckResult("stability", True)
-    # vertex ids (u, black line, height) per fiber, and the operator digraph
-    ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
+    result = errors.CheckResult("stability")
     succ = {v: [] for fiber in ids.values() for v in fiber}
     pred = {v: [] for v in succ}
     seeds = []
@@ -420,7 +397,10 @@ def _check_stability(f, entries):
         return out
 
     # per blue U: the vertex ids of the bases of W_{U-} and W_{U+}, and A_U
-    blocks = [(ids[p], ids[p + 1], f.at(p)["A"].entries) for p in f.base.blue_positions()]
+    blocks = [
+        (ids[p], ids[p + 1], ops["A"].entries)
+        for p, (_name, color, ops) in enumerate(lines, start=1) if color == brane.BLUE
+    ]
     sides = [(set(minus), set(plus)) for minus, plus, _a in blocks]
 
     def quotients_iso(chosen):
@@ -469,27 +449,23 @@ def _check_stability(f, entries):
     return result
 
 
-def _check_junctions(f):
-    result = CheckResult("junctions", True)
-    d = f.base
-    lines = [(d.color_at(p), f.at(p)) for p in range(1, len(d.blacks))]
-    for j, ((left, lop), (right, rop)) in enumerate(itertools.pairwise(lines), start=2):
-        if left == right:
-            continue
-        if left == brane.BLUE:
+def _check_junctions(lines, ids):
+    result = errors.CheckResult("junctions")
+    for j, ((_, left, lop), (_, right, rop)) in enumerate(itertools.pairwise(lines), start=2):
+        if (left, right) == (brane.BLUE, brane.RED):
             # X_j = U^+ = V^-: (A_U, D_V, b_U) must be injective on W_j
-            if linalg.rank(_rows(lop["A"], rop["D"], lop["b"])) != f.dim(j):
+            if linalg.rank(_rows(lop["A"], rop["D"], lop["b"])) != len(ids[j]):
                 result.fail(f"junction map not injective at X{j}")
-        else:
+        elif (left, right) == (brane.RED, brane.BLUE):
             # X_j = V^+ = U^-: [D_V | A_U | a_U] must be surjective onto W_j
             cols = _rows(lop["D"].transpose(), rop["A"].transpose(), rop["a"].transpose())
-            if linalg.rank(cols) != f.dim(j):
+            if linalg.rank(cols) != len(ids[j]):
                 result.fail(f"junction map not surjective at X{j}")
     return result
 
 
 def _check_nilpotency(f):
-    result = CheckResult("nilpotency", True)
+    result = errors.CheckResult("nilpotency")
     d = f.base
     if not brane.separated(d):
         result.skipped = True
@@ -514,7 +490,7 @@ def _check_nilpotency(f):
 def _check_grading(entries):
     """Every nonzero entry of an operator takes a basis line (U, m) to a line
     (U, m + step), step being the operator's height step in ``_OPERATORS``."""
-    result = CheckResult("grading", True)
+    result = errors.CheckResult("grading")
     for name, key, step, nonzero in entries:
         if any(ru != cu or rh != ch + step for (ru, _r, rh), (cu, _c, ch) in nonzero):
             result.fail(f"{key}_{name} breaks the grading")
@@ -536,13 +512,14 @@ def verify_fixed_point(f):
     diagrams that are not separated).  Failures are report entries, never
     exceptions.
     """
-    entries = list(_operator_entries(f))
+    lines, ids = _tables(f)
+    entries = list(_operator_entries(lines, ids))
     return VerificationReport(
         checks=[
-            _check_moment_map(f),
+            _check_moment_map(f, lines),
             _check_s1_s2(f),
-            _check_stability(f, entries),
-            _check_junctions(f),
+            _check_stability(lines, ids, entries),
+            _check_junctions(lines, ids),
             _check_nilpotency(f),
             _check_grading(entries),
         ]

@@ -204,8 +204,8 @@ def _cmd_pair(args, out):
     ok = all(e == int(i == j) for i, row in enumerate(gram) for j, e in enumerate(row))
     poly_report = envelope.check_polynomiality(stabs, op_stabs, data, op_data)
     order_report = envelope.opposite_order_check(data, op_data)
-    for name, report in (("polynomiality", poly_report), ("order", order_report)):
-        out.write(f"{name}: {'pass' if report.ok else 'FAIL'}\n")
+    for report in (poly_report, order_report):
+        out.write(f"{report.name}: {'pass' if report.ok else 'FAIL'}\n")
         for msg in report.messages:
             out.write(f"  {msg}\n")
         ok = ok and report.ok

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,7 +68,7 @@ def load_attraction_data(source):
                 with open(source) as fh:
                     text = fh.read()
             raw = json.loads(text)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             _schema_error(f"malformed JSON: {exc}")
     else:
         raw = source
@@ -108,7 +108,7 @@ def load_attraction_data(source):
             _schema_error(f"point {pid} ties: {exc}")
         report = tie.is_valid(t)
         if not report.ok:
-            _schema_error(f"point {pid}: {'; '.join(report.violations)}")
+            _schema_error(f"point {pid}: {'; '.join(report.messages)}")
         points[pid] = t
 
     if not _is_list_of(raw["order"], str):
@@ -283,16 +283,6 @@ def _check_paired(data, op_data):
         )
 
 
-@dataclass
-class CheckReport:
-    ok: bool = True
-    messages: list = field(default_factory=list)
-
-    def fail(self, msg):
-        self.ok = False
-        self.messages.append(msg)
-
-
 def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     """Check that (Stab(p) * gamma, Stab_op(q)) is a polynomial for every
     p, q and every test class gamma.
@@ -320,7 +310,7 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
         {kp: r * simple[kp[0]][kp[1]] for kp, r in restricted(o.restrictions).items() if r}
         for o in op_stabs
     ]
-    report = CheckReport()
+    report = errors.CheckResult("polynomiality")
     for s in stabs:
         s_res = restricted(s.restrictions)
         for k, gamma in enumerate(gammas):
@@ -396,7 +386,7 @@ def opposite_order_check(data, op_data):
     """The partial order read off the R-support of one chamber must be the
     exact reverse of the other chamber's."""
     _check_paired(data, op_data)
-    report = CheckReport()
+    report = errors.CheckResult("order")
 
     def support(d):
         return {(p, q) for p in d.order for q in d.order if p != q and d.restrictions[p][q]}

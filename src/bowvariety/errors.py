@@ -1,10 +1,28 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and the one verdict type shared by all modules.
 
-Everything derives from :class:`BowError` so callers can catch the whole
-family at once.  Verification routines generally *report* failures instead of
-raising; exceptions are reserved for malformed input and for internal
-inconsistencies that should never occur on valid data.
+Everything raised derives from :class:`BowError`.  Checks *report* failures
+in a :class:`CheckResult` instead of raising: the six fixed-point checks,
+tie-diagram validity, polynomiality and the opposite-order check.
+Exceptions are reserved for malformed input and for internal inconsistencies
+that should never occur on valid data.
 """
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class CheckResult:
+    """The verdict of one named check: ``ok`` until a failure is recorded,
+    ``skipped`` when the check could not run."""
+
+    name: str
+    ok: bool = True
+    skipped: bool = False
+    messages: list = field(default_factory=list)
+
+    def fail(self, msg):
+        self.ok = False
+        self.messages.append(msg)
 
 
 class BowError(Exception):
@@ -30,6 +48,10 @@ class UnknownVariable(SyntaxError):
 
 class DegreeLimit(BowError):
     """A total degree past ``algebra.MAX_DEGREE``, the most a packed exponent field holds."""
+
+
+class LabelLimit(BowError):
+    """A black label of more than ``algebra.MAX_DIGITS`` digits, too long to write as text."""
 
 
 class BoundaryNotZero(BowError):

@@ -5,7 +5,8 @@ correctly, and sparse signed rows ``{row: {col: value}}`` with no stored
 zeros: assembly writes one entry, +-1, per butterfly arrow, so every
 operation here pays per nonzero, not per cell.  Entries stay as given (int or
 Fraction).  Every subspace question the checks ask is an exact rank, by
-integer elimination on sparse rows (:func:`rank`, :func:`krylov_rank`).
+integer elimination on sparse rows (:func:`rank`, :func:`krylov_rank`), each
+call keeping its echelon rows in a plain dict of pivots (:func:`_reduce`).
 """
 
 from __future__ import annotations
@@ -116,50 +117,41 @@ def _row_times(v, rows):
 # ranks
 
 
-class _Echelon:
-    """Sparse integer rows in echelon form, keyed by their leading (least)
-    column: each row is zero at the leading columns of the rows before it."""
+def _reduce(pivots, row):
+    """Reduce the sparse row ``row`` against ``pivots`` and keep it there if
+    it is independent of the rows already kept; return whether it was kept.
 
-    __slots__ = ("pivots",)
-
-    def __init__(self):
-        self.pivots = {}  # leading column -> row {column: int}
-
-    def add(self, vector):
-        """Reduce the sparse row ``vector`` and keep it if it is independent
-        of the rows already kept; return whether it was kept.
-
-        A kept row is zero left of its lead, so eliminating at the least
-        pivot column c the row meets changes it only right of c: each pivot
-        row is used at most once, and a row that meets no pivot column (often
-        a unit row) is kept as it is, read and never written.
-        """
-        row = vector
-        for x in row.values():
-            if type(x) is not int:
-                den = lcm(*(x.denominator for x in row.values()))
-                row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-                break
-        pivots = self.pivots
+    ``pivots`` maps the leading (least) column of each kept integer row to the
+    row, which is zero at the leading columns of the rows before it.  A kept
+    row is zero left of its lead, so eliminating at the least pivot column c
+    the row meets changes it only right of c: each pivot row is used at most
+    once, and a row that meets no pivot column (often a unit row) is kept as
+    it is, read and never written.
+    """
+    for x in row.values():
+        if type(x) is not int:
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            break
+    hits = [j for j in row if j in pivots]
+    while hits:
+        col = min(hits)
+        c, prow = row[col], pivots[col]
+        row = {j: prow[col] * x for j, x in row.items()}
+        for j, y in prow.items():
+            x = row.get(j, 0) - c * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: x // g for j, x in row.items()}
         hits = [j for j in row if j in pivots]
-        while hits:
-            col = min(hits)
-            c, prow = row[col], pivots[col]
-            row = {j: prow[col] * x for j, x in row.items()}
-            for j, y in prow.items():
-                x = row.get(j, 0) - c * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-            g = gcd(*row.values())
-            if g > 1:
-                row = {j: x // g for j, x in row.items()}
-            hits = [j for j in row if j in pivots]
-        if not row:
-            return False
-        pivots[min(row)] = row
-        return True
+    if not row:
+        return False
+    pivots[min(row)] = row
+    return True
 
 
 def rank(rows):
@@ -170,8 +162,8 @@ def rank(rows):
     kept so far, then divided by the gcd of its entries, so entries stay
     bounded without any rational arithmetic.
     """
-    echelon = _Echelon()
-    return sum(echelon.add(row) for row in rows)
+    pivots = {}
+    return sum(_reduce(pivots, row) for row in rows)
 
 
 def krylov_rank(vectors, m):
@@ -183,9 +175,9 @@ def krylov_rank(vectors, m):
     subspace modulo the previous one, their images span the next one modulo
     the current one, so the closure stops when a round adds nothing.
     """
-    echelon = _Echelon()
-    new = [v for v in vectors if echelon.add(v)]
+    pivots = {}
+    new = [v for v in vectors if _reduce(pivots, v)]
     while new:
         images = (_row_times(v, m.entries) for v in new)
-        new = [w for w in images if echelon.add(w)]
-    return len(echelon.pivots)
+        new = [w for w in images if _reduce(pivots, w)]
+    return len(pivots)

@@ -10,7 +10,7 @@ l < r; the pair covers the black lines X_{l+1} .. X_r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import brane, errors
 
@@ -53,35 +53,27 @@ def from_names(base, named):
     return TieDiagram(base, frozenset(ties))
 
 
-@dataclass
-class ValidityReport:
-    ok: bool
-    violations: list = field(default_factory=list)
-
-
 def is_valid(t):
-    """Check the tie-diagram axioms; returns a :class:`ValidityReport`.
+    """Check the tie-diagram axioms; returns an :class:`errors.CheckResult`
+    named ``tie-diagram`` with one message per violated axiom.
 
     Axioms: every tie joins one red and one blue line, left strictly before
     right, and each black line X is covered exactly d_X times.
     """
-    report = ValidityReport(ok=True)
+    report = errors.CheckResult("tie-diagram")
     d = t.base
     for l, r in sorted(t.ties):
         if not (1 <= l < r <= d.n_colored):
-            report.violations.append(f"tie ({l},{r}) out of range")
+            report.fail(f"tie ({l},{r}) out of range")
         elif d.color_at(l) == d.color_at(r):
-            report.violations.append(
+            report.fail(
                 f"tie ({d.line_name(l)},{d.line_name(r)}) joins two "
                 f"{'red' if d.color_at(l) == brane.RED else 'blue'} lines"
             )
     for j in range(1, len(d.blacks) + 1):
         got = t.cover_count(j)
         if got != d.label(j):
-            report.violations.append(
-                f"black line X{j}: covered {got} times, label is {d.label(j)}"
-            )
-    report.ok = not report.violations
+            report.fail(f"black line X{j}: covered {got} times, label is {d.label(j)}")
     return report
 
 
@@ -161,7 +153,7 @@ def hw_match(t, k):
     result = TieDiagram(new_base, frozenset(new_ties))
     report = is_valid(result)
     if not report.ok:
-        raise errors.IllegalMove("; ".join(report.violations))
+        raise errors.IllegalMove("; ".join(report.messages))
     return result
 
 

@@ -227,6 +227,11 @@ def test_poly_parse_errors():
     ):
         with pytest.raises(errors.SyntaxError, match=problem):
             poly_parse(text, 2)
+    # each level of parentheses is four frames: 300 raised RecursionError
+    n = algebra.MAX_NESTING
+    for text in ("(" * (n + 1) + "t1" + ")" * (n + 1), "(" * 5000 + "t1" + ")" * 5000):
+        with pytest.raises(errors.SyntaxError, match=f"nested more than {n} deep .at position {n}"):
+            poly_parse(text, 2)
 
 
 def test_poly_parse_rejects_coefficients_python_cannot_print():
@@ -300,6 +305,13 @@ def test_poly_parse_refuses_products_past_the_term_limit():
     # disjoint variables
     assert math.comb(6 + 13 - 1, 13) == len(poly_parse(f"{s}^13", 5).terms) <= limit
     assert len(poly_parse("(t1+t2)^99*(t3+t4)^99", 5).terms) == 100 * 100 == limit
+
+
+def test_poly_parse_reads_parentheses_up_to_the_nesting_limit():
+    # depth is the parentheses open at once, not all of them
+    n = algebra.MAX_NESTING
+    assert poly_parse("(" * n + "t1-t2" + ")" * n, 2) == poly_parse("t1-t2", 2)
+    assert poly_parse("+".join(["(" * n + "t1" + ")" * n] * 3), 2) == poly_parse("3*t1", 2)
 
 
 def test_poly_render_round_trip_golden():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bowvariety import brane, errors, tie
+from bowvariety.algebra import MAX_DIGITS
 from conftest import (
     EXAMPLE_3BLUE,
     FLAG,
@@ -14,9 +15,11 @@ from conftest import (
     sweep_diagrams,
 )
 
+LARGEST = "9" * MAX_DIGITS  # the longest label Python writes as text
+
 
 def test_parse_render_round_trip():
-    for s in (EXAMPLE_3BLUE, TSTAR_P1, "0\\1/0", "0/1/2/3\\3/5\\4/2\\2/0"):
+    for s in (EXAMPLE_3BLUE, TSTAR_P1, "0\\1/0", "0/1/2/3\\3/5\\4/2\\2/0", f"0/{LARGEST}\\0"):
         assert brane.render(brane.parse(s)) == s
 
 
@@ -109,6 +112,12 @@ def test_parse_errors():
         brane.parse("1/0")
     with pytest.raises(errors.NegativeLabel):
         brane.BraneDiagram((0, -1, 0), (brane.RED, brane.BLUE))
+    # every diagram renders: a label past Python's int-to-text limit is
+    # refused whether it is read or given (LARGEST, of MAX_DIGITS digits, renders)
+    with pytest.raises(errors.SyntaxError, match=f"more than {MAX_DIGITS} digits .at position 2"):
+        brane.parse(f"0/9{LARGEST}\\0")
+    with pytest.raises(errors.LabelLimit):
+        brane.BraneDiagram((0, 10**MAX_DIGITS, 0), (brane.RED, brane.BLUE))
 
 
 def test_admissible():
@@ -155,6 +164,8 @@ def test_hw_transition_errors():
         brane.hw_transition(d, 0)
     with pytest.raises(errors.NegativeLabel):
         brane.hw_transition(brane.parse("0/2\\0"), 1)
+    with pytest.raises(errors.LabelLimit):  # the label between becomes 2 * LARGEST + 1
+        brane.hw_transition(brane.parse(f"0/{LARGEST}\\0/{LARGEST}\\0"), 2)
 
 
 def test_separate_terminates_in_sdeg_moves():

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bowvariety import cli
-from bowvariety.algebra import MAX_DEGREE, MAX_DIGITS
+from bowvariety.algebra import MAX_DEGREE, MAX_DIGITS, MAX_NESTING
 from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, tstar_module
 
 
@@ -269,6 +269,13 @@ def test_bad_options_exit_2_without_traceback():
         ("butterfly", "0/1\\1\\1/0", "--point", "D1", "--blue", "U²"): (
             "'U²' is not a blue line"
         ),
+        # labels past Python's int-to-text limit, read or made by a move
+        ("parse", "0/" + "1" * 5000 + "\\0"): (
+            f"a label of more than {MAX_DIGITS} digits (at position 2)"
+        ),
+        ("hw", "0/{0}\\0/{0}\\0".format("9" * MAX_DIGITS), "--at", "2"): (
+            f"a black label of more than {MAX_DIGITS} digits"
+        ),
     }
     for argv in (
         ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
@@ -303,6 +310,10 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         "chamber": json.dumps({**good, "chamber": [1, "2"]}),
         "restrictions": json.dumps({**good, "restrictions": []}),
         "points": json.dumps({**good, "points": [], "order": []}),
+        # past the JSON decoder's nesting limit: a RecursionError, not a traceback
+        "nested": "[" * 200000,
+        # a label past Python's int-to-text limit
+        "diagram": json.dumps({**good, "diagram": "0/" + "1" * 5000 + "\\0"}),
     }
     for field, text in cases.items():
         path = tmp_path / f"{field}.json"
@@ -312,7 +323,7 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
-        assert ("JSON" if field == "malformed" else field) in proc.stderr
+        assert ("JSON" if field in ("malformed", "nested") else field) in proc.stderr
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
@@ -344,6 +355,13 @@ TOO_LONG = f"a coefficient of more than {MAX_DIGITS} digits"
         ("P2", "2^20000*(t1-t2)", f"restrictions[P1][P2]: {TOO_LONG} (at position 7)"),
         ("P1", "3^100000000", f"restrictions[P1][P1]: {TOO_LONG} (at position 11)"),
         ("P1", "t²-t1+h", "restrictions[P1][P1]: expected a digit (at position 1)"),
+        # nested 5,000 deep it ended in a RecursionError traceback
+        (
+            "P1",
+            "(" * 5000 + "t1-t2" + ")" * 5000,
+            f"restrictions[P1][P1]: parentheses nested more than {MAX_NESTING} deep"
+            f" (at position {MAX_NESTING})",
+        ),
     ],
     ids=[
         "unknown-variable",
@@ -355,6 +373,7 @@ TOO_LONG = f"a coefficient of more than {MAX_DIGITS} digits"
         "power-off-diagonal",
         "huge-power",
         "ascii-digits",
+        "deep-parentheses",
     ],
 )
 def test_bad_restriction_entry_names_its_problem(tmp_path, q, entry, message):

@@ -283,7 +283,7 @@ def reference_check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     if gammas is None:
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
-    report = envelope.CheckReport()
+    report = errors.CheckResult("polynomiality")
     for s in stabs:
         for k, gamma in enumerate(gammas):
             u = {p: s.restrictions[p] * gamma[p] for p in data.order}

@@ -50,13 +50,15 @@ def private_definitions(tree):
                     yield name, member
 
 
-def package_trees():
+def package_trees(*readers):
     """(path, syntax tree) of every module of the package, and the nodes
-    that read each name: a loaded name or attribute, or an imported one."""
+    that read each name there and in the modules of the ``readers``
+    directories: a loaded name or attribute, or an imported one."""
     sources = sorted(Path(bowvariety.__file__).parent.glob("*.py"))
     trees = [(path, ast.parse(path.read_text(), str(path))) for path in sources]
+    others = [path for folder in readers for path in sorted(folder.glob("*.py"))]
     uses = {}
-    for _path, tree in trees:
+    for tree in [tree for _path, tree in trees] + [ast.parse(p.read_text(), str(p)) for p in others]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.setdefault(node.id, []).append(node)
@@ -85,29 +87,32 @@ def test_every_private_name_is_used():
     assert not unused
 
 
-def linalg_public_definitions(tree):
-    """(name, node) of every public function of ``linalg``, and of every
-    public method and slot of ``linalg.Mat``."""
+def public_definitions(tree):
+    """(name, node) of every public module-level function and class that
+    ``tree`` defines, and of every public method and slot of its classes."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node
-        elif isinstance(node, ast.ClassDef) and node.name == "Mat":
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield member.name, member
-                elif isinstance(member, ast.Assign) and member.targets[0].id == "__slots__":
-                    for slot in member.value.elts:
-                        yield slot.value, member
+        for member in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                yield member.name, member
+            elif isinstance(member, ast.Assign) and getattr(member.targets[0], "id", "") == "__slots__":
+                for slot in member.value.elts:
+                    yield slot.value, member
 
 
-def test_every_public_name_of_linalg_is_used():
-    # the operators are sparse rows; a dense-only helper (a list of columns,
-    # say) that nothing in the package calls must not linger in linalg
-    trees, uses = package_trees()
-    (tree,) = [tree for path, tree in trees if path.name == "linalg.py"]
-    names = list(linalg_public_definitions(tree))
-    assert {"rank", "krylov_rank", "entries", "support", "transpose"} <= {n for n, _ in names}
-    unused = [name for name, definition in names if not used_outside(name, definition, uses)]
+def test_every_public_name_is_used():
+    # a public function, class or method that nothing in the package, the
+    # demos or the benchmark reads is left over from a refactor: the tests
+    # alone do not keep it (a dense-only helper, say, now that operators are
+    # sparse rows)
+    root = Path(__file__).resolve().parent.parent
+    trees, uses = package_trees(root / "demos", root / "perfbench")
+    names = [(path.name, name, node) for path, tree in trees for name, node in public_definitions(tree)]
+    found = {name for _file, name, _node in names}
+    assert {"rank", "krylov_rank", "entries", "support", "transpose", "CheckResult"} <= found
+    assert {"verify_fixed_point", "involution_image", "render", "fail"} <= found
+    unused = [f"{file}: {name}" for file, name, node in names if not used_outside(name, node, uses)]
     assert not unused
 
 

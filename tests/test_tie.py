@@ -119,15 +119,15 @@ def test_is_valid_reports_cover_count_violations():
     d = brane.parse(TSTAR_P1)
     report = tie.is_valid(tie.TieDiagram(d, frozenset()))
     assert not report.ok
-    assert any("X2" in v for v in report.violations)
-    assert any("X3" in v for v in report.violations)
+    assert any("X2" in v for v in report.messages)
+    assert any("X3" in v for v in report.messages)
 
 
 def test_is_valid_reports_same_color_ties():
     d = brane.parse(EXAMPLE_3BLUE)
     report = tie.is_valid(tie.TieDiagram(d, frozenset({(2, 4)})))
     assert not report.ok
-    assert any("two blue" in v for v in report.violations)
+    assert any("two blue" in v for v in report.messages)
 
 
 def test_from_names_round_trip():
