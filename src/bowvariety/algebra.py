@@ -15,6 +15,8 @@ cancel weights from their denominators.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,6 +37,12 @@ def weight_sort_key(w):
     return (m, 0, 0, 0)
 
 
+# Each output memo below keeps at most this many values: a flag pass renders
+# 84 weights in 168 terms 45,360 times, a sweep pass expands 338 Euler classes
+OUTPUT_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=OUTPUT_CACHE_SIZE)
 def render_weight(w):
     """``t1-t3+2*h``, ``-t1+t2-h``; a zero A-part prints ``h``, ``-2*h``, ``0``."""
     i, j, m = w
@@ -43,6 +51,15 @@ def render_weight(w):
         body = "h" if m in (1, -1) else f"{abs(m)}*h"
         out += f"-{body}" if m < 0 else f"+{body}" if out else body
     return out or "0"
+
+
+@functools.lru_cache(maxsize=OUTPUT_CACHE_SIZE)
+def _term_text(w, n, factor=False):
+    """The term ``n*(w)`` of a character, or the ``factor`` ``(w)^n`` of a product."""
+    text = render_weight(w)
+    if factor:
+        return f"({text})" if n == 1 else f"({text})^{n}"
+    return text if n == 1 else f"{n}*({text})"
 
 
 def weight_poly(w, nvars):
@@ -142,10 +159,7 @@ class Character:
         return [w for w, n in self.terms.items() for _ in range(n)]
 
     def render(self):
-        return " + ".join(
-            render_weight(w) if n == 1 else f"{n}*({render_weight(w)})"
-            for w, n in self.terms.items()
-        ) or "0"
+        return " + ".join(itertools.starmap(_term_text, self.terms.items())) or "0"
 
     def __repr__(self):
         return f"Character({self.render()})"
@@ -183,9 +197,10 @@ def _coeff(a, c=1):
 
 
 class Poly:
-    """Exact polynomial in t_1..t_N, h over Q: packed monomial -> nonzero coefficient."""
+    """Exact polynomial in t_1..t_N, h over Q: packed monomial -> nonzero coefficient.
+    Nothing writes ``terms`` after ``__init__``, so a Poly is shared and keeps its rendering."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_text")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -321,8 +336,8 @@ class Poly:
         Terms appear in descending canonical order; the heaviest variable h
         is written first inside each monomial.
         """
-        if not self.terms:
-            return "0"
+        if hasattr(self, "_text"):
+            return self._text
         out = ""
         for e, c in sorted(self.terms.items(), reverse=True):
             mono = self._render_monomial(e)
@@ -337,7 +352,8 @@ class Poly:
                 out = body if c > 0 else f"-{body}"
             else:
                 out += f" + {body}" if c > 0 else f" - {body}"
-        return out
+        self._text = out or "0"
+        return self._text
 
     def __repr__(self):
         return f"Poly({self.render()})"
@@ -566,10 +582,7 @@ class FactoredClass:
         return self.constant == 0 or any(i == j and not m for (i, j, m), _ in self.factors)
 
     def expand(self):
-        p = Poly.const(self.nvars, self.constant)
-        for w, exp in self.factors:
-            p = p * weight_poly(w, self.nvars) ** exp
-        return p
+        return _expand(self.nvars, self.constant, self.factors)
 
     def __mul__(self, other):
         if isinstance(other, FactoredClass):
@@ -593,16 +606,19 @@ class FactoredClass:
     def render(self):
         if self.is_zero():
             return "0"
-        parts = []
-        if self.constant != 1 or not self.factors:
-            parts.append(str(self.constant))
-        for w, exp in self.factors:
-            body = f"({render_weight(w)})"
-            parts.append(body if exp == 1 else f"{body}^{exp}")
-        return "*".join(parts)
+        parts = [str(self.constant)] if self.constant != 1 or not self.factors else []
+        return "*".join(parts + [_term_text(w, exp, True) for w, exp in self.factors])
 
     def __repr__(self):
         return f"FactoredClass({self.render()})"
+
+
+@functools.lru_cache(maxsize=OUTPUT_CACHE_SIZE)
+def _expand(nvars, constant, factors):
+    p = Poly.const(nvars, constant)
+    for w, exp in factors:
+        p = p * weight_poly(w, nvars) ** exp
+    return p
 
 
 def integer_ratio_mod_h(p, e):

@@ -98,7 +98,9 @@ class BraneDiagram:
         """Position of a colored line given its name ("U2", "V1")."""
         kind, idx = name[:1], name[1:]
         table = {"U": self._tables.blue, "V": self._tables.red}.get(kind, ())
-        if not (idx.isascii() and idx.isdigit() and 1 <= int(idx) <= len(table)):
+        # int() reads at most MAX_DIGITS digits, and no diagram has that many lines
+        digits = len(idx) <= algebra.MAX_DIGITS and idx.isascii() and idx.isdigit()
+        if not (digits and 1 <= int(idx) <= len(table)):
             raise errors.UnknownLine(f"{name!r} is not a colored line of {render(self)}")
         return table[int(idx) - 1]
 

@@ -16,6 +16,7 @@ import types
 from dataclasses import dataclass
 
 from . import brane, errors, linalg, tie
+from .algebra import MAX_DIGITS
 
 EXTERNAL = "*"  # the external node of green arrows
 
@@ -23,7 +24,8 @@ EXTERNAL = "*"  # the external node of green arrows
 def _blue_index(d, U):
     """Normalize a blue-line argument ("U2" or 2) to a 1-based index."""
     if isinstance(U, str):
-        if not (U.startswith("U") and U[1:].isascii() and U[1:].isdigit()):
+        # int() reads at most MAX_DIGITS digits, and no diagram has that many lines
+        if len(U) > MAX_DIGITS or not (U.startswith("U") and U[1:].isascii() and U[1:].isdigit()):
             raise errors.UnknownLine(f"{U!r} is not a blue line")
         U = int(U[1:])
     if not 1 <= U <= d.n_blue:
@@ -176,10 +178,11 @@ class FixedPointData:
 
     def to_json(self):
         def mat_json(m):
-            rows = [["0"] * m.cols for _ in range(m.rows)]
+            rows = [["0"] * m.cols] * m.rows  # the rows without entries share one list
             for i, row in m.entries.items():
+                rows[i] = dense = rows[i].copy()
                 for j, x in row.items():
-                    rows[i][j] = str(x)
+                    dense[j] = str(x)
             return rows
 
         return {
@@ -293,8 +296,7 @@ def _tables(f):
     ids (u, black line, height) of the basis of W_{X_j}."""
     d = f.base
     ops = f.per_blue | f.per_red
-    names = map(d.line_name, range(1, len(d.colors) + 1))
-    lines = [(name, color, ops[name]) for name, color in zip(names, d.colors)]
+    lines = [(name, color, ops[name]) for name, color in zip(d._tables.names, d.colors)]
     ids = {j: [(u, j, h) for u, _i, h in labels] for j, labels in f.bases.items()}
     return lines, ids
 

@@ -27,9 +27,9 @@ class TieDiagram:
         return sorted(self.ties)
 
     def named_ties(self):
-        """Ties as [left name, right name] pairs, canonically sorted."""
-        name = self.base.line_name
-        return [[name(l), name(r)] for l, r in self.sorted_ties()]
+        """Ties as [left name, right name] pairs, canonically sorted (positions 1..n)."""
+        names = self.base._tables.names
+        return [[names[l - 1], names[r - 1]] for l, r in self.sorted_ties()]
 
     def cover_count(self, j):
         """Number of ties covering black line X_j."""

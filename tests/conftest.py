@@ -131,3 +131,39 @@ def pack(exps):
     if sum(exps) > algebra.MAX_DEGREE:
         raise errors.DegreeLimit(f"degree {sum(exps)} is past the limit {algebra.MAX_DEGREE}")
     return sum(x * algebra._unit(n, (i + 1) % (n + 1)) for i, x in enumerate(exps))
+
+
+# Unmemoized references for the output memos of ``algebra`` and for tie names
+# read from the line table: the same formatting and expansion, computed afresh
+# on every call, and every name looked up through ``line_name``.
+
+
+def reference_render_character(char):
+    render = algebra.render_weight.__wrapped__
+    return " + ".join(
+        render(w) if n == 1 else f"{n}*({render(w)})" for w, n in char.terms.items()
+    ) or "0"
+
+
+def reference_render_factored(e):
+    if e.is_zero():
+        return "0"
+    parts = []
+    if e.constant != 1 or not e.factors:
+        parts.append(str(e.constant))
+    for w, exp in e.factors:
+        body = f"({algebra.render_weight.__wrapped__(w)})"
+        parts.append(body if exp == 1 else f"{body}^{exp}")
+    return "*".join(parts)
+
+
+def reference_expand(e):
+    p = algebra.Poly.const(e.nvars, e.constant)
+    for w, exp in e.factors:
+        p = p * algebra.weight_poly(w, e.nvars) ** exp
+    return p
+
+
+def reference_tie_json(t):
+    name = t.base.line_name
+    return {"diagram": brane.render(t.base), "ties": [[name(l), name(r)] for l, r in sorted(t.ties)]}

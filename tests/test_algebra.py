@@ -26,7 +26,17 @@ from bowvariety.algebra import (
     weight_poly,
     weight_sort_key,
 )
-from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, hw_twist, pack, tstar_module
+from conftest import (
+    DATA,
+    EXAMPLE_3BLUE,
+    FIXTURES,
+    TSTAR_P1,
+    hw_twist,
+    pack,
+    reference_expand,
+    reference_render_factored,
+    tstar_module,
+)
 
 # ---------------------------------------------------------------------------
 # weights: (i, j, m) keys against a general linear form
@@ -959,3 +969,36 @@ def test_products_past_the_degree_limit_raise():
         pack((top, 0, 1))
     with pytest.raises(errors.DegreeLimit):
         poly_parse(f"t1^{top - 1} * (t2 + h)^2", 2)
+
+
+def test_equal_factored_classes_share_one_expansion():
+    # the expansion memo is keyed by value: equal classes built apart return
+    # one Poly, and a class over more variables its own
+    a = FactoredClass(3, 2, [((1, 2, 0), 1), ((2, 3, 1), 2)])
+    b = FactoredClass(3, 2, [((2, 3, 1), 1), ((1, 2, 0), 1), ((2, 3, 1), 1)])
+    assert a == b and a is not b
+    assert a.expand() is b.expand()
+    assert a.expand() == reference_expand(a) == reference_expand(b)
+    assert a.render() == b.render() == reference_render_factored(b) == "2*(t1-t2)*(t2-t3+h)^2"
+    wider = FactoredClass(4, 2, a.factors)
+    assert wider.expand().nvars == 4 and wider.expand() != a.expand()
+    assert wider.expand().render() == a.expand().render()
+
+
+def test_cached_poly_render_matches_a_fresh_one():
+    # each Poly keeps its own rendering: polynomials of equal shape, and the
+    # sums made from them, render as fresh ones do
+    cases = {
+        "0": ("0", "0"),
+        "7": ("7", "14"),
+        "t1-t2+h": ("h + t1 - t2", "2*h + 2*t1 - 2*t2"),
+        "t2-t3+h": ("h + t2 - t3", "2*h + 2*t2 - 2*t3"),
+        "-t1^2*h + 5": ("-h*t1^2 + 5", "-2*h*t1^2 + 10"),
+    }
+    polys = {text: poly_parse(text, 3) for text in cases}
+    for _ in range(2):
+        for text, (once, twice) in cases.items():
+            p = polys[text]
+            assert p.render() == once == Poly(3, dict(p.terms)).render()
+            assert p.render() is p.render()
+            assert (p + p).render() == twice and (p * 1).render() == once

@@ -44,6 +44,12 @@ def test_parse_counts_and_positions():
     for name in ("X2", "u2", "U", "U0", "U4", "V4", "U²", "V-1", "UU1"):
         with pytest.raises(errors.UnknownLine, match="is not a colored line"):
             d.position_of(name)
+    # a number past Python's int-to-text limit is refused by its length, and a
+    # long run of leading zeros is read like any other
+    for name in ("U" + "1" * 5000, "V" + "1" * (MAX_DIGITS + 1)):
+        with pytest.raises(errors.UnknownLine, match="is not a colored line"):
+            d.position_of(name)
+    assert d.position_of("U" + "0" * (MAX_DIGITS - 1) + "2") == 4
 
 
 def test_tables_match_list_index_computation():

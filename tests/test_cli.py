@@ -276,6 +276,10 @@ def test_bad_options_exit_2_without_traceback():
         ("hw", "0/{0}\\0/{0}\\0".format("9" * MAX_DIGITS), "--at", "2"): (
             f"a black label of more than {MAX_DIGITS} digits"
         ),
+        # a line number past Python's int-to-text limit: refused by its length
+        ("butterfly", "0/1\\1\\1/0", "--point", "D1", "--blue", "U" + "1" * 5000): (
+            f"'U{'1' * 5000}' is not a blue line"
+        ),
     }
     for argv in (
         ("tangent", "0/1\\1\\0", "--chamber", "1,3"),
@@ -314,6 +318,10 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         "nested": "[" * 200000,
         # a label past Python's int-to-text limit
         "diagram": json.dumps({**good, "diagram": "0/" + "1" * 5000 + "\\0"}),
+        # a tie name past it: the message names the line, not int()'s limit
+        "ties": json.dumps(
+            {**good, "points": [{**good["points"][0], "ties": [["V2", "U" + "1" * 5000]]}]}
+        ),
     }
     for field, text in cases.items():
         path = tmp_path / f"{field}.json"
@@ -324,6 +332,8 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert ("JSON" if field in ("malformed", "nested") else field) in proc.stderr
+        if field == "ties":
+            assert "is not a colored line" in proc.stderr and "limit" not in proc.stderr
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

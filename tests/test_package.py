@@ -50,15 +50,11 @@ def private_definitions(tree):
                     yield name, member
 
 
-def package_trees(*readers):
-    """(path, syntax tree) of every module of the package, and the nodes
-    that read each name there and in the modules of the ``readers``
-    directories: a loaded name or attribute, or an imported one."""
-    sources = sorted(Path(bowvariety.__file__).parent.glob("*.py"))
-    trees = [(path, ast.parse(path.read_text(), str(path))) for path in sources]
-    others = [path for folder in readers for path in sorted(folder.glob("*.py"))]
+def name_uses(trees):
+    """The nodes that read each name in the syntax ``trees``: a loaded name
+    or attribute, or an imported one."""
     uses = {}
-    for tree in [tree for _path, tree in trees] + [ast.parse(p.read_text(), str(p)) for p in others]:
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 uses.setdefault(node.id, []).append(node)
@@ -66,7 +62,16 @@ def package_trees(*readers):
                 uses.setdefault(node.attr, []).append(node)
             elif isinstance(node, ast.alias):
                 uses.setdefault(node.name, []).append(node)
-    return trees, uses
+    return uses
+
+
+def package_trees(*readers):
+    """(path, syntax tree) of every module of the package, and the nodes
+    that read each name there and in the ``readers`` source files."""
+    sources = sorted(Path(bowvariety.__file__).parent.glob("*.py"))
+    trees = [(path, ast.parse(path.read_text(), str(path))) for path in sources]
+    others = [ast.parse(path.read_text(), str(path)) for path in readers]
+    return trees, name_uses([tree for _path, tree in trees] + others)
 
 
 def used_outside(name, definition, uses):
@@ -101,19 +106,50 @@ def public_definitions(tree):
                     yield slot.value, member
 
 
+def unused_public_names(trees, uses):
+    """``file: name`` of each public definition in the ``(path, tree)`` pairs
+    that no node of ``uses`` outside its own definition reads."""
+    return [
+        f"{path.name}: {name}"
+        for path, tree in trees
+        for name, node in public_definitions(tree)
+        if not used_outside(name, node, uses)
+    ]
+
+
+# The programs that call the library: the demos and the benchmark's workloads.
+# The benchmark's harness (its runner, recorder and tests) reads attributes of
+# its own, such as ``args.trace``, that would keep a library name of the same
+# spelling alive, and the tests alone do not keep a name.
+ROOT = Path(__file__).resolve().parent.parent
+READERS = [
+    *sorted((ROOT / "demos").glob("*.py")),
+    ROOT / "perfbench" / "workloads.py",
+    ROOT / "perfbench" / "tstar.py",
+]
+
+
 def test_every_public_name_is_used():
     # a public function, class or method that nothing in the package, the
-    # demos or the benchmark reads is left over from a refactor: the tests
-    # alone do not keep it (a dense-only helper, say, now that operators are
-    # sparse rows)
-    root = Path(__file__).resolve().parent.parent
-    trees, uses = package_trees(root / "demos", root / "perfbench")
-    names = [(path.name, name, node) for path, tree in trees for name, node in public_definitions(tree)]
-    found = {name for _file, name, _node in names}
+    # demos or the benchmark's workloads reads is left over from a refactor
+    # (a dense-only helper, say, now that operators are sparse rows)
+    trees, uses = package_trees(*READERS)
+    found = {name for _path, tree in trees for name, _node in public_definitions(tree)}
     assert {"rank", "krylov_rank", "entries", "support", "transpose", "CheckResult"} <= found
     assert {"verify_fixed_point", "involution_image", "render", "fail"} <= found
-    unused = [f"{file}: {name}" for file, name, node in names if not used_outside(name, node, uses)]
-    assert not unused
+    assert len(READERS) == 6 and all(path.exists() for path in READERS)
+    assert not unused_public_names(trees, uses)
+
+
+def test_names_read_only_by_the_harness_are_found():
+    # a library name that only the benchmark's runner reads, as ``args.trace``
+    # reads ``trace``, is unused
+    library = [(Path("linalg.py"), ast.parse("class Mat:\n    def trace(self):\n        return 0\n"))]
+    workload = ast.parse("from bowvariety import linalg\nlinalg.Mat()\n")
+    runner = ast.parse("args = parse()\nif args.trace:\n    pass\n")
+    trees = [tree for _path, tree in library]
+    assert unused_public_names(library, name_uses(trees + [workload])) == ["linalg.py: trace"]
+    assert unused_public_names(library, name_uses(trees + [workload, runner])) == []
 
 
 def unbounded_memos(tree):
@@ -161,7 +197,9 @@ def test_every_memo_is_bounded_by_a_cache_size_constant():
     trees, uses = package_trees()
     found = {path.name: unbounded_memos(tree) for path, tree in trees}
     assert not {name: lines for name, lines in found.items() if lines}
-    assert len(uses["lru_cache"]) >= 2  # the lattices and the tangent plans
+    # the lattices, the tangent plans, the weight and term texts and the
+    # Euler-class expansions
+    assert len(uses["lru_cache"]) >= 5
 
 
 def test_unbounded_memos_are_found():

@@ -12,6 +12,10 @@ from conftest import (
     TSTAR_P1,
     admissible_diagrams,
     fiber_weights,
+    reference_expand,
+    reference_render_character,
+    reference_render_factored,
+    reference_tie_json,
     sweep_diagrams,
 )
 
@@ -311,3 +315,32 @@ def test_tangent_to_json():
     assert sorted(
         (tuple(w["a"]), w["m"], w["mult"]) for w in blob["weights"]
     ) == sorted([((1, -1), 0, 1), ((-1, 1), 1, 1)])
+
+
+def test_memoized_outputs_match_unmemoized_references():
+    # every output that the weight, term and expansion memos and the name
+    # table format, against unmemoized references: from cold memos, then
+    # again from warm ones, in the two extreme chambers by turns.  Expansion
+    # runs on the sweep only: a flag Euler class is a product of 18 forms in
+    # 9 variables
+    points = [t_ for d in sweep_diagrams() for t_ in tie.enumerate_tie_diagrams(d)]
+    flag = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    assert len(points) == 1610 and len(flag) == 840
+    for memo in (algebra.render_weight, algebra._term_text, algebra._expand):
+        memo.cache_clear()
+    for _ in range(2):
+        for k, t_ in enumerate(points + flag):
+            assert t_.to_json() == reference_tie_json(t_)
+            tc = tangent.tangent_character(t_, "D")
+            assert tc.char.render() == reference_render_character(tc.char)
+            n = tc.char.nvars
+            split = tangent.chamber_split(tc, range(1, n + 1) if k % 2 else range(n, 0, -1))
+            for half in (split.plus, split.minus):
+                assert half.render() == reference_render_character(half)
+            e = tangent.euler_class(split.minus)
+            assert e.render() == reference_render_factored(e)
+            if k < len(points):
+                expanded = reference_expand(e)
+                assert e.expand() == expanded
+                assert e.expand().render() == expanded.render() == e.expand().render()
+    assert algebra._term_text.cache_info().hits > algebra._term_text.cache_info().misses
