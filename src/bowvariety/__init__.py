@@ -47,7 +47,6 @@ from .errors import BowError
 from .tangent import (
     TangentCharacter,
     chamber_split,
-    dimension,
     euler_class,
     tangent_character,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "assemble_fixed_point",
     "verify_fixed_point",
     "tangent_character",
-    "dimension",
     "chamber_split",
     "euler_class",
     "load_attraction_data",

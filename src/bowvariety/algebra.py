@@ -143,10 +143,6 @@ class Character:
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
 
-    def involution_image(self):
-        """The image under the symplectic pairing w -> h - w."""
-        return Character(self.nvars, {(j, i, 1 - m): n for (i, j, m), n in self.terms.items()})
-
     def is_effective(self):
         return all(m > 0 for m in self.terms.values())
 
@@ -569,15 +565,6 @@ class FactoredClass:
             sorted(merged.items(), key=lambda we: weight_sort_key(we[0]))
         )
 
-    @classmethod
-    def from_character(cls, char):
-        """Euler class of an effective character: product of its weights."""
-        if not char.is_effective():
-            raise errors.NonEffective(char.render())
-        e = cls(char.nvars)
-        e.factors = tuple(char.terms.items())  # distinct, positive, in canonical order
-        return e
-
     def is_zero(self):
         return self.constant == 0 or any(i == j and not m for (i, j, m), _ in self.factors)
 
@@ -703,10 +690,6 @@ class RationalFn:
         other = self._coerce(other)
         num = self.num * other.den.expand() + other.num * self.den.expand()
         return RationalFn(num, self.den * other.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
 
     def render(self):
         if self.is_polynomial():

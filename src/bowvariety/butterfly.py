@@ -277,9 +277,6 @@ class VerificationReport:
     def ok(self):
         return all(c.ok for c in self.checks)
 
-    def check(self, name):
-        return {c.name: c for c in self.checks}[name]
-
     def render(self):
         lines = []
         for c in self.checks:

@@ -1,13 +1,15 @@
 """Command-line interface: every pipeline stage as a verb.
 
 Exit codes: 0 success, 1 usage error, 2 input validation failure,
-3 verification/check failure.
+3 verification/check failure, 141 (128 + SIGPIPE) when the output was closed
+early, as ``| head -1`` closes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
@@ -16,6 +18,7 @@ from . import algebra, brane, butterfly, envelope, errors, tangent, tie
 USAGE_EXIT = 1
 INPUT_EXIT = 2
 CHECK_EXIT = 3
+PIPE_EXIT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,7 +153,7 @@ def _cmd_tangent(args, out):
         points = [(args.point, _point(d, args.point))]
     for pid, t in points:
         tc = tangent.tangent_character(t, pid)
-        out.write(f"{pid}: {{{', '.join(map(algebra.render_weight, tc.weights()))}}}\n")
+        out.write(f"{pid}: {{{', '.join(map(algebra.render_weight, tc.char.weights()))}}}\n")
         if chamber is not None:
             split = tangent.chamber_split(tc, chamber)
             out.write(f"  plus:  {split.plus.render()}\n")
@@ -268,10 +271,16 @@ def run(argv=None, out=None):
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.verb](args, out)
-    except (errors.BowError, OSError) as exc:  # OSError: an unreadable --data path
+    except errors.BowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
 
 
 def main():
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:  # the Python docs' recipe: no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = PIPE_EXIT
+    raise SystemExit(code)

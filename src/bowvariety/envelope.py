@@ -39,10 +39,6 @@ class AttractionData:
         return self.order.index(p)
 
 
-def _schema_error(msg):
-    raise errors.SchemaError(msg)
-
-
 def _is_list_of(value, kind):
     """A JSON list whose items are all of ``kind`` (booleans are not ints)."""
     return isinstance(value, list) and all(
@@ -69,53 +65,55 @@ def load_attraction_data(source):
                     text = fh.read()
             raw = json.loads(text)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            _schema_error(f"malformed JSON: {exc}")
+            raise errors.SchemaError(f"malformed JSON: {exc}")
+        except OSError as exc:
+            raise errors.SchemaError(f"cannot read {text}: {exc.strerror}")
     else:
         raw = source
     if not isinstance(raw, dict):
-        _schema_error("top level must be an object")
+        raise errors.SchemaError("top level must be an object")
     for key in ("diagram", "chamber", "points", "order", "restrictions"):
         if key not in raw:
-            _schema_error(f"missing key {key!r}")
+            raise errors.SchemaError(f"missing key {key!r}")
 
     if not isinstance(raw["diagram"], str):
-        _schema_error("diagram must be a DSL string")
+        raise errors.SchemaError("diagram must be a DSL string")
     try:
         diagram = brane.parse(raw["diagram"])
     except errors.BowError as exc:
-        _schema_error(f"bad diagram: {exc}")
+        raise errors.SchemaError(f"bad diagram: {exc}")
     nvars = diagram.n_blue
     if not _is_list_of(raw["chamber"], int):
-        _schema_error("chamber must be a list of integers")
+        raise errors.SchemaError("chamber must be a list of integers")
     chamber = tuple(raw["chamber"])
     if sorted(chamber) != list(range(1, nvars + 1)):
-        _schema_error(f"chamber {chamber} is not a permutation of 1..{nvars}")
+        raise errors.SchemaError(f"chamber {chamber} is not a permutation of 1..{nvars}")
 
     if not isinstance(raw["points"], list) or not raw["points"]:
-        _schema_error("points must be a non-empty list")
+        raise errors.SchemaError("points must be a non-empty list")
     points = {}
     for entry in raw["points"]:
         if not isinstance(entry, dict) or "id" not in entry or "ties" not in entry:
-            _schema_error("each point needs 'id' and 'ties'")
+            raise errors.SchemaError("each point needs 'id' and 'ties'")
         pid = entry["id"]
         if not isinstance(pid, str):
-            _schema_error(f"point id {pid!r} must be a string")
+            raise errors.SchemaError(f"point id {pid!r} must be a string")
         if pid in points:
-            _schema_error(f"duplicate point id {pid!r}")
+            raise errors.SchemaError(f"duplicate point id {pid!r}")
         try:
             t = tie.from_names(diagram, entry["ties"])
         except (LookupError, TypeError, ValueError) as exc:
-            _schema_error(f"point {pid} ties: {exc}")
+            raise errors.SchemaError(f"point {pid} ties: {exc}")
         report = tie.is_valid(t)
         if not report.ok:
-            _schema_error(f"point {pid}: {'; '.join(report.messages)}")
+            raise errors.SchemaError(f"point {pid}: {'; '.join(report.messages)}")
         points[pid] = t
 
     if not _is_list_of(raw["order"], str):
-        _schema_error("order must be a list of point ids")
+        raise errors.SchemaError("order must be a list of point ids")
     order = list(raw["order"])
     if sorted(order) != sorted(points):
-        _schema_error("order must list every point id exactly once")
+        raise errors.SchemaError("order must list every point id exactly once")
 
     tangents = {p: tangent.tangent_character(t, p) for p, t in points.items()}
     dims = {tc.char.total() for tc in tangents.values()}
@@ -124,21 +122,21 @@ def load_attraction_data(source):
     dim = dims.pop()
 
     if not isinstance(raw["restrictions"], dict):
-        _schema_error("restrictions must be an object")
+        raise errors.SchemaError("restrictions must be an object")
     restrictions = {}
     for p in order:
         row = raw["restrictions"].get(p, {})
         if not isinstance(row, dict):
-            _schema_error(f"restrictions[{p}] must be an object")
+            raise errors.SchemaError(f"restrictions[{p}] must be an object")
         out = {}
         for q in order:
             expr = row.get(q, "0")
             if not isinstance(expr, str):
-                _schema_error(f"restrictions[{p}][{q}] must be a string")
+                raise errors.SchemaError(f"restrictions[{p}][{q}] must be a string")
             try:
                 out[q] = entry = algebra.poly_parse(expr, nvars, dim // 2)
             except (errors.SyntaxError, errors.DegreeLimit) as exc:
-                _schema_error(f"restrictions[{p}][{q}]: {exc}")
+                raise errors.SchemaError(f"restrictions[{p}][{q}]: {exc}")
             except errors.HomogeneityViolation:
                 entry = None
             if entry is None or not (entry.is_zero() or entry.is_homogeneous(dim // 2)):
@@ -147,7 +145,7 @@ def load_attraction_data(source):
                 )
         unknown = set(row) - set(order)
         if unknown:
-            _schema_error(f"restrictions[{p}] mentions unknown points {unknown}")
+            raise errors.SchemaError(f"restrictions[{p}] mentions unknown points {unknown}")
         restrictions[p] = out
 
     minus_euler, full_euler = {}, {}

@@ -1,14 +1,14 @@
 """Equivariant tangent characters at fixed points, chamber splits, Euler
 classes.
 
-The tangent character is computed by hamiltonian-reduction bookkeeping over
-the fiber characters: triangle slots and red slots contribute Hom-characters,
-the moment-map target carries an extra h, and the gauge directions are
-subtracted at weights 0 and h.  It is bilinear in the fibers, each a sum of
-butterfly columns, so it splits into blocks, one per ordered pair of blue
-lines, memoized on the cached plan of the color sequence.  Weights are the
-``(i, j, m)`` keys of :mod:`algebra`, meaning t_i - t_j + m*h, from the
-bookkeeping to the Euler classes.
+A bow variety is a hamiltonian reduction, so the tangent character at a fixed
+point is T = M - N - gl(W): the operator spaces, less the moment-map and
+triangle equations, less the gauge directions, with the operators and their
+height steps read off ``butterfly._OPERATORS``.  T is bilinear in the fibers,
+each a sum of butterfly columns, so it splits into blocks, one per ordered
+pair of blue lines, memoized on the cached plan of the color sequence.
+Weights are the ``(i, j, m)`` keys of :mod:`algebra`, meaning t_i - t_j + m*h,
+from the bookkeeping to the Euler classes.
 """
 
 from __future__ import annotations
@@ -16,16 +16,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import algebra, brane, butterfly, errors, tie
+from . import algebra, brane, butterfly, errors
 
 
 @dataclass
 class TangentCharacter:
     point: str
     char: algebra.Character  # keyed by weights (i, j, m): t_i - t_j + m*h
-
-    def weights(self):
-        return self.char.weights()
 
     def to_json(self):
         weights = []
@@ -44,36 +41,43 @@ class ChamberSplit:
     minus: algebra.Character
 
 
-PLAN_CACHE_SIZE = 128  # a sweep pass meets 98 color sequences, flag 1
+PLAN_CACHE_SIZE = 128  # a sweep pass meets 98 color sequences, flag 1; 73 targets in all
+# one copy of each target (Y, shifts) of the plans, the first met: tuple(t) is t
+_shared = functools.lru_cache(maxsize=PLAN_CACHE_SIZE)(tuple)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(colors):
     """``(steps, lattices, rows, shapes)`` for a color sequence.
-    ``steps[X - 1]`` pairs each fiber W_Y in the target sum of W_X with its
-    ``(h-shift, coefficient)`` pairs.  The block memos of :func:`_terms` live,
-    and are bounded, with this cached plan."""
-    padded = (None, *colors, None)  # padded[p]: the line between X_p and X_{p+1}
-    steps = []
-    for x in range(1, len(colors) + 2):
-        left, right = padded[x - 1], padded[x]
-        b_x = (left == brane.BLUE) + (right == brane.BLUE)
-        sources = [(x, ((0, -1), (1, b_x - 1)) if b_x != 1 else ((0, -1),))]
-        if left == brane.BLUE:  # X = U+
-            # the triangle relation B^-A - AB^+ + ab lives in h Hom(W_{U+}, W_{U-})
-            sources.append((x - 1, ((0, 1), (1, -1))))
-        elif left == brane.RED:  # X = V+
-            sources.append((x - 1, ((1, 1),)))
-        if right == brane.RED:  # X = V-
-            sources.append((x + 1, ((0, 1),)))
-        steps.append(tuple(sources))
-    return tuple(steps), {}, [], {}
+    ``steps[X]`` pairs each target Y of the fiber X with the ``(h-shift,
+    coefficient)`` pairs of Hom(W_X, h^shift W_Y) in T.  A fiber is a black line
+    X or ``(None, p)``, the external line t_U of the blue line U at position p.
+    The block memos of :func:`_terms` live, and are bounded, with this cached plan."""
+    # the terms (domain, codomain, h-shift, coefficient) of T = M - N - gl(W):
+    # End(W_X) in gl(W), and h End(W_X) in N for the moment map at X
+    homs = [(x, x, s, -1) for x in range(1, len(colors) + 2) for s in (0, 1)]
+    for p, color in enumerate(colors, start=1):
+        fiber = {0: p, 1: p + 1, None: (None, p)}
+        for cod, dom, step, _entry in butterfly._OPERATORS[color].values():
+            homs.append((fiber[dom], fiber[cod], -step, 1))  # M: h^-step Hom(dom, cod)
+        if color == brane.BLUE:  # N: the triangle, in h Hom(W_{U+}, W_{U-})
+            homs.append((p + 1, p, 1, -1))
+    targets = {}  # source fiber -> target fiber -> h-shift -> coefficient
+    for dom, cod, shift, c in homs:
+        shifts = targets.setdefault(dom, {}).setdefault(cod, {})
+        shifts[shift] = shifts.get(shift, 0) + c
+    steps = {
+        x: tuple(_shared((y, tuple((s, c) for s, c in sh.items() if c))) for y, sh in ys.items())
+        for x, ys in targets.items()
+    }
+    return steps, {}, [], {}
 
 
 def _columns(colors, J, cc):
     """The butterfly of the blue line U at position J as columns ``{X: {m: 1}}``:
-    its part t_U * (sum of h^m) of each fiber W_X, one m per vertex over X."""
-    columns = {}
+    its part t_U * (sum of h^m) of each fiber W_X, one m per vertex over X,
+    and of the external line, ``(None, J)``, the one vertex (U, 0)."""
+    columns = {(None, J): {0: 1}}
     for x, m in butterfly._lattice(colors, J, cc)[4]:
         columns.setdefault(x, {})[m] = 1
     return columns
@@ -82,21 +86,18 @@ def _columns(colors, J, cc):
 def _block(colors, steps, a, b):
     """The ``(m, n)``, n != 0, of the weights t_b - t_a + m*h from the blue
     lines with lattice keys a = (J_a, cover counts) and b: the plan with
-    every W_X restricted to a and every target to b, plus Hom(t_a, W_{U_a-})
-    restricted to b."""
+    every source fiber restricted to a and every target to b."""
     fa, fb = _columns(colors, *a), _columns(colors, *b)
     acc = {}
     for x, wx in fa.items():  # Hom(W_X, targets) = W_X^v * targets
-        targets = {1: 1} if x == b[0] + 1 else {}  # t_b * h at X = U_b+
-        for y, shifts in steps[x - 1]:
+        targets = {}
+        for y, shifts in steps[x]:
             for mb, nb in fb.get(y, {}).items():
                 for s, c in shifts:
                     targets[mb + s] = targets.get(mb + s, 0) + c * nb
         for ma, na in wx.items():
             for mb, nb in targets.items():
                 acc[mb - ma] = acc.get(mb - ma, 0) + na * nb
-    for mb, nb in fb.get(a[0], {}).items():  # Hom(t_a, W_{U_a-})
-        acc[mb] = acc.get(mb, 0) + nb
     return tuple((m, n) for m, n in acc.items() if n)
 
 
@@ -133,21 +134,22 @@ def _terms(t):
 def tangent_character(t, point_id):
     """Tangent character at the fixed point ``point_id`` of a tie diagram.
 
-    Builds the virtual character, with Hom(S, T) = S^v * T,
+    The virtual character T = M - N - gl(W) of the hamiltonian reduction,
+    from the fiber weights, with Hom(S, T) = S^v * T:
 
-        sum over blue U of  [ (1 - h) Hom(W_{U+}, W_{U-})
-                              + Hom(t_U, W_{U-}) + h Hom(W_{U+}, t_U) ]
-      + sum over red V of   [ h Hom(W_{V+}, W_{V-}) + Hom(W_{V-}, W_{V+}) ]
-      + sum over black X of ((b_X - 1) h - 1) Hom(W_X, W_X)
+      M     = sum over the operators (codomain, domain, height step s) of
+              ``butterfly._OPERATORS`` of h^-s Hom(W_domain, W_codomain),
+              the external fiber of the blue line U being t_U
+      N     = sum over blue U of h Hom(W_{U+}, W_{U-})  (the triangle relation)
+            + sum over black X of h End(W_X)           (the moment map)
+      gl(W) = sum over black X of End(W_X)
 
-    from the fiber weights (b_X counts the blue lines U with X = U^- or
-    X = U^+).  The formula is linear in the target, so the targets of W_X,
-    with their h-shifts and coefficients, are summed first (across a blue line
-    most of W_{U-} cancels against W_{U+}), as planned once per color
-    sequence (:func:`_plan`).  It is linear in the source too, and each fiber
-    is a sum of butterfly columns, so the character is a sum of blocks, one
-    per ordered pair (a, b) of blue lines: W_X restricted to t_a, the targets
-    to t_b.  A block depends only on the two butterfly lattices and is
+    T is linear in the target, so the targets of each fiber are summed first,
+    once per color sequence (:func:`_plan`): across a blue line most of
+    W_{U-} cancels against W_{U+}.  It is linear in the source too, and each
+    fiber is a sum of butterfly columns, so T is a sum of blocks, one per
+    ordered pair (a, b) of blue lines: the sources restricted to t_a, the
+    targets to t_b.  A block depends only on the two butterfly lattices and is
     memoized on the cached plan (:func:`_terms`).  Then checks effectiveness,
     the t_i - t_j + m*h weight form, and stability under w -> h - w.
     """
@@ -161,24 +163,6 @@ def tangent_character(t, point_id):
     if any(terms.get((j, i, 1 - m)) != n for (i, j, m), n in terms.items()):
         raise errors.BrokenSymplecticInvolution(char.render())
     return TangentCharacter(point_id, char)
-
-
-def dimension(d):
-    """Tangent dimension of the bow variety, read off at the fixed points.
-
-    All fixed points must agree; disagreement signals corrupted input.
-    """
-    points = tie.enumerate_tie_diagrams(d)
-    if not points:
-        raise errors.EmptyVariety(
-            f"the variety of {brane.render(d)} is empty: it has no tie diagrams"
-        )
-    dims = set()
-    for k, t in enumerate(points, start=1):
-        dims.add(tangent_character(t, f"D{k}").char.total())
-    if len(dims) != 1:
-        raise errors.InconsistentDimension(f"{sorted(dims)} on {d!r}")
-    return dims.pop()
 
 
 def check_chamber(pi, nvars):
@@ -213,4 +197,8 @@ def chamber_split(tc, pi):
 def euler_class(char):
     """Equivariant Euler class of an effective character: the product of its
     weights, kept in factored form."""
-    return algebra.FactoredClass.from_character(char)
+    if not char.is_effective():
+        raise errors.NonEffective(char.render())
+    e = algebra.FactoredClass(char.nvars)
+    e.factors = tuple(char.terms.items())  # distinct, positive, in canonical order
+    return e

@@ -22,6 +22,10 @@ class TieDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "ties", frozenset(tuple(t) for t in self.ties))
+        n = self.base.n_colored
+        for l, r in self.ties:  # named_ties reads names by position
+            if not 1 <= l < r <= n:
+                raise errors.UnknownLine(f"tie {(l, r)} is not (l, r) with 1 <= l < r <= {n}")
 
     def sorted_ties(self):
         return sorted(self.ties)
@@ -63,9 +67,7 @@ def is_valid(t):
     report = errors.CheckResult("tie-diagram")
     d = t.base
     for l, r in sorted(t.ties):
-        if not (1 <= l < r <= d.n_colored):
-            report.fail(f"tie ({l},{r}) out of range")
-        elif d.color_at(l) == d.color_at(r):
+        if d.color_at(l) == d.color_at(r):
             report.fail(
                 f"tie ({d.line_name(l)},{d.line_name(r)}) joins two "
                 f"{'red' if d.color_at(l) == brane.RED else 'blue'} lines"

@@ -20,6 +20,11 @@ POINT_DIAGRAM = "0\\1/0"
 FLAG = "0/1/2/3/4\\4\\4\\4\\4\\4\\4\\4/0"
 
 
+def involution_image(char):
+    """The image of a character under the symplectic pairing w -> h - w."""
+    return algebra.Character(char.nvars, {(j, i, 1 - m): n for (i, j, m), n in char.terms.items()})
+
+
 @pytest.fixture
 def fixtures_dir():
     return FIXTURES

@@ -115,9 +115,8 @@ def test_criterion_4_tangent_characters():
     for k, t in enumerate(points, start=1):
         tc = tangent.tangent_character(t, f"D{k}")
         key = frozenset(map(tuple, t.named_ties()))
-        assert set(tc.weights()) == expected[key]
-        assert len(tc.weights()) == 4
-    assert tangent.dimension(d) == 4
+        assert set(tc.char.weights()) == expected[key]
+        assert len(tc.char.weights()) == tc.char.total() == 4
 
     # structural invariants on a sweep (tangent_character raises on failure)
     for d in sweep_diagrams():

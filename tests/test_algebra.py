@@ -32,6 +32,7 @@ from conftest import (
     FIXTURES,
     TSTAR_P1,
     hw_twist,
+    involution_image,
     pack,
     reference_expand,
     reference_render_factored,
@@ -122,9 +123,9 @@ def test_weight_render():
 
 def test_weight_involution():
     for w in KEYS:
-        image = only_weight(Character(4, {w: 1}).involution_image())
+        image = only_weight(involution_image(Character(4, {w: 1})))
         assert Linear.of(image, 4) == Linear.of(w, 4).involution(), w
-        assert only_weight(Character(4, {image: 1}).involution_image()) == w
+        assert only_weight(involution_image(Character(4, {image: 1}))) == w
 
 
 def test_weight_substitute_is_torus_twist():
@@ -194,7 +195,7 @@ def test_character_effectiveness():
 
 def test_character_involution_image():
     a = Character(2, Counter([(1, 2, 0), (2, 1, 1)]))
-    assert a.involution_image() == a
+    assert involution_image(a) == a
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ def test_exact_divide():
 
 def test_factored_class_expand():
     char = Character(2, Counter([(1, 2, 0), (2, 1, 1)]))
-    e = FactoredClass.from_character(char)
+    e = tangent.euler_class(char)
     assert e.expand() == poly_parse("(t1-t2)*(t2-t1+h)", 2)
     assert e.expand().is_homogeneous(2)
 
@@ -381,7 +382,7 @@ def test_factored_class_expand():
 def test_factored_class_rejects_virtual_characters():
     virtual = Character(2, {(1, 2, 0): 1, (2, 1, 0): -1})
     with pytest.raises(errors.NonEffective):
-        FactoredClass.from_character(virtual)
+        tangent.euler_class(virtual)
 
 
 def test_integer_ratio_mod_h():
@@ -505,7 +506,7 @@ def test_rational_fn_arithmetic():
     # 1/(t1-t2) + 1/(t2-t1) = 0
     total = RationalFn(one, den1) + RationalFn(one, den2)
     assert total.is_zero()
-    assert (RationalFn(one, den1) * poly_parse("t1-t2", 2)) == 1
+    assert RationalFn(one * poly_parse("t1-t2", 2), den1) == 1
 
 
 def test_rational_fn_is_unhashable():
@@ -551,15 +552,15 @@ def test_character_terms_iterate_in_canonical_order(terms, k, pi):
     char = Character(4, terms)
     assert in_canonical_order(char) and 0 not in char.terms.values()
     assert char.terms == {w: n for w, n in terms.items() if n}
-    assert in_canonical_order(char.involution_image())
+    assert in_canonical_order(involution_image(char))
     assert in_canonical_order(hw_twist(char, k, 1))
     tc = tangent.TangentCharacter("X", Character(4, {w: n for w, n in terms.items() if w[0]}))
     split = tangent.chamber_split(tc, pi)
     assert in_canonical_order(split.plus) and in_canonical_order(split.minus)
     effective = Character(4, {w: abs(n) for w, n in terms.items()})
-    # the sorted construction that from_character skipped
+    # the sorted construction that euler_class skipped
     sorted_class = FactoredClass(4, 1, list(effective.terms.items()))
-    assert FactoredClass.from_character(effective) == sorted_class
+    assert tangent.euler_class(effective) == sorted_class
 
 
 @settings(max_examples=60, deadline=None)
@@ -731,7 +732,9 @@ def test_rational_functions_keep_coefficients_clean(p, w, c, k):
     den = FactoredClass(2, c, [(w, 1), ((1, 2, 1), 1)])
     r = RationalFn(p * weight_poly(w, 2) ** k, den)
     s = RationalFn(p + 1, FactoredClass(2, 1, [(w, 2)]))
-    for x in (r, s, r + s, r * s, r * 3, r + Fraction(1, 2)):
+    # products are built in the numerator and the denominator
+    r_s, r_3 = RationalFn(r.num * s.num, r.den * s.den), RationalFn(r.num * 3, r.den)
+    for x in (r, s, r + s, r_s, r_3, r + Fraction(1, 2)):
         assert_clean(x.num)
         assert x.den.constant == 1 and type(x.den.constant) is int
 

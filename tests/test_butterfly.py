@@ -48,6 +48,11 @@ BIG_TIES = [
 ]
 
 
+def verdict(report, name):
+    """The result of the check ``name`` in a verification report."""
+    return {c.name: c for c in report.checks}[name]
+
+
 def big_tie_diagram():
     d = brane.parse(BIG_DIAGRAM)
     t = tie.TieDiagram(d, frozenset(BIG_TIES))
@@ -297,7 +302,7 @@ def test_cached_lattices_are_not_aliased():
     before = bf.to_json()
     assert before["arrows"]
     f = without_greens(butterfly.assemble_fixed_point(t))
-    assert not butterfly.verify_fixed_point(f).check("stability").ok
+    assert not verdict(butterfly.verify_fixed_point(f), "stability").ok
     dropped = dataclasses.replace(bf, arrows=bf.arrows[1:])
     assert dropped.arrows != bf.arrows
     assert butterfly.build_butterfly(t, "U2").to_json() == before
@@ -318,7 +323,7 @@ def test_verify_big_diagram():
     report = butterfly.verify_fixed_point(f)
     for check in report.checks:
         assert check.ok, report.render()
-    assert not report.check("stability").skipped
+    assert not verdict(report, "stability").skipped
 
 
 def test_verify_detects_broken_moment_map():
@@ -327,7 +332,7 @@ def test_verify_detects_broken_moment_map():
     f = butterfly.assemble_fixed_point(t)
     f.per_blue["U1"]["Bplus"][0, 0] = Fraction(5)
     report = butterfly.verify_fixed_point(f)
-    assert not report.check("moment-map").ok
+    assert not verdict(report, "moment-map").ok
 
 
 # each operator of the line at position p as (codomain, domain, height step):
@@ -375,7 +380,7 @@ def test_verify_detects_broken_grading():
     assert ops.rows == ops.cols == 2
     ops[0, 1] = ops[0, 1] + 7
     report = butterfly.verify_fixed_point(f)
-    assert report.check("grading").messages == ["A_U2 breaks the grading"]
+    assert verdict(report, "grading").messages == ["A_U2 breaks the grading"]
     # one off-grade entry in each of the seven operators, each on its own
     # copy of a point where every operator is nonempty somewhere
     for key in GRADED:
@@ -383,7 +388,7 @@ def test_verify_detects_broken_grading():
         assert butterfly.verify_fixed_point(f).ok
         p, r, c = off_grade_cell(f, key)
         ops_at(f, p)[key][r, c] = 1
-        check = butterfly.verify_fixed_point(f).check("grading")
+        check = verdict(butterfly.verify_fixed_point(f), "grading")
         assert check.messages == [f"{key}_{f.base.line_name(p)} breaks the grading"], key
 
 
@@ -521,7 +526,7 @@ def test_stability_matches_bitmask_reference():
     ]
     verdicts = Counter()
     for f in cases:
-        check = butterfly.verify_fixed_point(f).check("stability")
+        check = verdict(butterfly.verify_fixed_point(f), "stability")
         assert not check.skipped
         assert check.ok == bitmask_stable(f), brane.render(f.base)
         verdicts[check.ok] += 1
@@ -653,14 +658,14 @@ def test_stability_runs_on_large_flag_points():
     points = tie.enumerate_tie_diagrams(brane.parse("0/1/2/3/4\\4\\4\\4\\4\\4\\4\\4/0"))
     for k in (1, 421):
         f = butterfly.assemble_fixed_point(points[k - 1])
-        check = butterfly.verify_fixed_point(f).check("stability")
+        check = verdict(butterfly.verify_fixed_point(f), "stability")
         assert check.ok and not check.skipped, f"D{k}: {check.messages}"
 
 
 def test_verify_detects_missing_green_arrows():
     for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1)):
         f = without_greens(butterfly.assemble_fixed_point(t))
-        assert not butterfly.verify_fixed_point(f).check("stability").ok
+        assert not verdict(butterfly.verify_fixed_point(f), "stability").ok
 
 
 def test_stability_reads_the_a_maps():
@@ -691,7 +696,7 @@ def test_verify_detects_broken_nilpotency():
     assert butterfly.verify_fixed_point(f).ok
     n = f.per_blue["U1"]["Bminus"].rows
     f.per_blue["U1"]["Bminus"] = sparse(n, n, DenseMat.identity(n).data)
-    check = butterfly.verify_fixed_point(f).check("nilpotency")
+    check = verdict(butterfly.verify_fixed_point(f), "nilpotency")
     assert not check.ok and not check.skipped
 
 
@@ -702,8 +707,8 @@ def test_verify_detects_zero_a_maps():
         ops["A"] = linalg.Mat(ops["A"].rows, ops["A"].cols)
         ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
     report = butterfly.verify_fixed_point(f)
-    assert not report.check("s1-s2").ok
-    assert not report.check("junctions").ok
+    assert not verdict(report, "s1-s2").ok
+    assert not verdict(report, "junctions").ok
 
 
 def test_verify_detects_s1_alone():
@@ -715,7 +720,7 @@ def test_verify_detects_s1_alone():
     ops = f.per_blue[name]
     ops["A"] = linalg.Mat(ops["A"].rows, ops["A"].cols)
     report = butterfly.verify_fixed_point(f)
-    assert report.check("s1-s2").messages == [f"S1 fails at {name}"]
+    assert verdict(report, "s1-s2").messages == [f"S1 fails at {name}"]
 
 
 def test_verify_detects_s2_alone():
@@ -728,7 +733,7 @@ def test_verify_detects_s2_alone():
     ops["A"] = linalg.Mat(ops["A"].rows, ops["A"].cols)
     ops["b"] = sparse(1, 1, [[1]])
     report = butterfly.verify_fixed_point(f)
-    assert report.check("s1-s2").messages == [f"S2 fails at {name}"]
+    assert verdict(report, "s1-s2").messages == [f"S2 fails at {name}"]
 
 
 # the iterative subspace algorithm that checked S1/S2 before they became one
@@ -834,7 +839,7 @@ def test_nilpotency_skipped_on_unseparated_diagrams():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
     report = butterfly.verify_fixed_point(butterfly.assemble_fixed_point(t))
-    assert report.check("nilpotency").skipped
+    assert verdict(report, "nilpotency").skipped
 
 
 def test_fixed_point_json_entries_are_exact():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bowvariety import cli
 from bowvariety.algebra import MAX_DEGREE, MAX_DIGITS, MAX_NESTING
-from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, TSTAR_P1, tstar_module
+from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, FLAG, TSTAR_P1, tstar_module
 
 
 def run_cli(*argv):
@@ -252,9 +252,32 @@ def test_empty_variety_verbs():
     )
 
 
-def test_missing_data_file():
+def test_missing_data_file(capsys):
     code, _ = run_cli("stab", "--data", "/nonexistent/file.json")
     assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cannot read /nonexistent/file.json: No such file or directory\n"
+    )
+
+
+def test_closed_output_pipe_ends_quietly():
+    # the reader closes the pipe after one line of 334 kB of output, far past
+    # a pipe's buffer: the next write fails, and the CLI ends without a
+    # message and with an exit code that is not the input-error code
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bowvariety", "fixed-points", FLAG, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert first == "[\n"
+    assert "error:" not in err and "Traceback" not in err
+    assert code == cli.PIPE_EXIT != cli.INPUT_EXIT
 
 
 def test_bad_options_exit_2_without_traceback():
@@ -336,7 +359,7 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
             assert "is not a colored line" in proc.stderr and "limit" not in proc.stderr
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 TOO_LONG = f"a coefficient of more than {MAX_DIGITS} digits"

@@ -136,7 +136,7 @@ def test_every_public_name_is_used():
     trees, uses = package_trees(*READERS)
     found = {name for _path, tree in trees for name, _node in public_definitions(tree)}
     assert {"rank", "krylov_rank", "entries", "support", "transpose", "CheckResult"} <= found
-    assert {"verify_fixed_point", "involution_image", "render", "fail"} <= found
+    assert {"verify_fixed_point", "is_effective", "render", "fail"} <= found
     assert len(READERS) == 6 and all(path.exists() for path in READERS)
     assert not unused_public_names(trees, uses)
 

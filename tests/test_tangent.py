@@ -12,6 +12,7 @@ from conftest import (
     TSTAR_P1,
     admissible_diagrams,
     fiber_weights,
+    involution_image,
     reference_expand,
     reference_render_character,
     reference_render_factored,
@@ -55,8 +56,8 @@ def test_tstar_p1_tangents():
 def test_point_diagram_is_zero_dimensional():
     d = brane.parse(POINT_DIAGRAM)
     (t_,) = tie.enumerate_tie_diagrams(d)
-    assert not tangent.tangent_character(t_, "D1").char
-    assert tangent.dimension(d) == 0
+    tc = tangent.tangent_character(t_, "D1")
+    assert not tc.char and tc.char.total() == 0
 
 
 def test_three_blue_tangent_table():
@@ -105,14 +106,8 @@ def test_three_blue_tangent_table():
 
 
 def test_three_blue_dimension():
-    assert tangent.dimension(brane.parse(EXAMPLE_3BLUE)) == 4
-    assert tangent.dimension(brane.parse(TSTAR_P1)) == 2
-
-
-def test_dimension_of_an_empty_variety_is_an_error():
-    with pytest.raises(errors.EmptyVariety) as exc:
-        tangent.dimension(brane.parse("0\\3/2/0"))
-    assert str(exc.value) == "the variety of 0\\3/2/0 is empty: it has no tie diagrams"
+    for diagram, dim in ((EXAMPLE_3BLUE, 4), (TSTAR_P1, 2)):
+        assert {tc.char.total() for tc in by_tie_sets(diagram).values()} == {dim}
 
 
 def test_tangent_invariants_on_sweep():
@@ -126,7 +121,7 @@ def test_tangent_invariants_on_sweep():
             tc = tangent.tangent_character(t_, f"D{k}")
             char = tc.char
             assert char.is_effective()
-            assert char.involution_image() == char
+            assert involution_image(char) == char
             # every weight is t_i - t_j + m*h with i != j, as chamber_split needs
             assert all(i != j for i, j, _ in char.terms)
             dims.add(char.total())
@@ -210,6 +205,30 @@ def test_corrupted_fibers_are_rejected(monkeypatch):
         tangent._plan.cache_clear()
 
 
+def test_the_operator_table_is_the_one_source(monkeypatch):
+    # the plan reads M off butterfly._OPERATORS: one blue height step moved
+    # down by one breaks the character at the first T*P^1 point (the red
+    # operators of T*P^1 touch only zero fibers).  The table and the plans
+    # built from the edited one are restored after every case.
+    t_ = tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))[0]
+    before = tangent.tangent_character(t_, "D1").char
+    blue = butterfly._OPERATORS[brane.BLUE]
+    assert set(blue) == {"A", "Bplus", "Bminus", "a", "b"}
+    try:
+        for key, (cod, dom, step, entry) in list(blue.items()):
+            monkeypatch.setitem(blue, key, (cod, dom, step - 1, entry))
+            tangent._plan.cache_clear()
+            with pytest.raises(errors.NonEffective) as exc:
+                tangent.tangent_character(t_, "D1")
+            if key == "A":
+                assert str(exc.value) == "-2*(0) + t1-t2 + -t1+t2+h + 2*(h)"
+            monkeypatch.undo()
+    finally:
+        monkeypatch.undo()
+        tangent._plan.cache_clear()
+    assert tangent.tangent_character(t_, "D1").char == before
+
+
 def test_asymmetric_character_is_rejected(monkeypatch):
     # A fiber corruption that breaks the symmetry appears always to leave a
     # weight of zero A-part, which the weight-form check rejects first, so
@@ -282,7 +301,7 @@ def test_chamber_split_partitions():
             assert Counter(split.plus.terms) + Counter(split.minus.terms) == tc.char.terms
             # symplectic involution exchanges the two halves
             assert split.plus.total() == split.minus.total() == 2
-            assert split.plus.involution_image() == split.minus
+            assert involution_image(split.plus) == split.minus
 
 
 def test_chamber_split_golden():

@@ -130,6 +130,19 @@ def test_is_valid_reports_same_color_ties():
     assert any("two blue" in v for v in report.messages)
 
 
+def test_ties_outside_the_colored_lines_are_refused():
+    # a tie (l, r) needs 1 <= l < r <= n: positions 0 and 5 name no line of
+    # T*P^1, and (2, 1) runs right to left; (1, 4), its two ends, is built,
+    # and is_valid reports that it joins two red lines
+    d = brane.parse(TSTAR_P1)
+    for bad in ((0, 2), (2, 1), (2, 2), (1, 5)):
+        with pytest.raises(errors.UnknownLine) as exc:
+            tie.TieDiagram(d, {bad})
+        assert str(exc.value) == f"tie {bad} is not (l, r) with 1 <= l < r <= 4"
+    report = tie.is_valid(tie.TieDiagram(d, {(1, 4)}))
+    assert any("joins two red" in v for v in report.messages)
+
+
 def test_from_names_round_trip():
     d = brane.parse(EXAMPLE_3BLUE)
     for t in tie.enumerate_tie_diagrams(d):
