@@ -27,7 +27,7 @@ def main():
     print(tie.render_ascii(t))
     bf = butterfly.build_butterfly(t, "U2")
     print(f"butterfly of U2 at D1 (cover counts {list(bf.cover_counts)}):")
-    print(butterfly.render_ascii(bf))
+    print(butterfly.render_ascii(bf, d))
 
     # Each butterfly vertex carries an equivariant height: its lattice
     # height less max(d_{U^-} - 1, 0), one shift per butterfly, which puts

@@ -303,13 +303,10 @@ class Poly:
         terms = {e: c for e, c in self.terms.items() if not e >> shift & MAX_DEGREE}
         return Poly(self.nvars, terms)
 
-    def is_homogeneous(self, d=None):
-        if not self.terms:
-            return True
-        degs = {e >> (self.nvars + 1) * WIDTH for e in self.terms}
-        if len(degs) != 1:
-            return False
-        return d is None or degs == {d}
+    def is_homogeneous(self, d):
+        """Every term has degree d (so the zero polynomial has every degree)."""
+        shift = (self.nvars + 1) * WIDTH
+        return all(e >> shift == d for e in self.terms)
 
     def leading(self):
         """Leading (packed monomial, coefficient) in the canonical term order."""

@@ -16,38 +16,24 @@ import types
 from dataclasses import dataclass
 
 from . import brane, errors, linalg, tie
-from .algebra import MAX_DIGITS
 
 EXTERNAL = "*"  # the external node of green arrows
 
 
-def _blue_index(d, U):
-    """Normalize a blue-line argument ("U2" or 2) to a 1-based index."""
-    if isinstance(U, str):
-        # int() reads at most MAX_DIGITS digits, and no diagram has that many lines
-        if len(U) > MAX_DIGITS or not (U.startswith("U") and U[1:].isascii() and U[1:].isdigit()):
-            raise errors.UnknownLine(f"{U!r} is not a blue line")
-        U = int(U[1:])
-    if not 1 <= U <= d.n_blue:
-        raise errors.UnknownLine(f"'U{U}' is not a blue line (N={d.n_blue})")
-    return U
-
-
 @dataclass(frozen=True)
 class ButterflyData:
-    """One butterfly: the (tie diagram, blue line) lattice with its arrows.
+    """The butterfly of one blue line: its lattice with its arrows.
 
     Vertices are (i, j) with i the column position relative to the black
     line U^- (absolute index J) and j the height.  Arrows are
     (color, source, target) with green arrows using the node "*".  The
     equivariant height of every vertex is j - max(d_{U^-} - 1, 0), one shift
-    for the whole lattice (see :func:`_lattice`).  The lattice is a function
-    of (colors, J, cover counts), shared read-only between tie diagrams;
-    only ``tie_diagram`` differs per call.
+    for the whole lattice.  The ties enter only through the cover counts, so
+    one object, cached by :func:`_lattice`, is shared read-only by every tie
+    diagram with the same ties at U.
     """
 
-    tie_diagram: tie.TieDiagram
-    blue: str
+    blue: str  # the name U<u> of the line
     J: int  # absolute index of the black line U^-
     cover_counts: tuple  # d_{D,U,X} per black line, 1-based via [j-1]
     column_bottoms: tuple  # c_{D,U,X} per black line
@@ -87,10 +73,10 @@ LATTICE_CACHE_SIZE = 128  # a sweep diagram needs at most 12 lattices, flag 35
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _lattice(colors, J, cc):
-    """(column bottoms, vertices, arrows, read-only equivariant heights,
-    (absolute column, height) per vertex) of the blue line at position J.
-    The ties enter only through the cover counts cc, so one cached lattice,
-    immutable in every part, serves all tie diagrams with the same ties at U.
+    """The butterfly of the blue line at position J.  The ties enter only
+    through the cover counts cc, so one cached :class:`ButterflyData`,
+    immutable in every part, is shared by all tie diagrams with the same ties
+    at U.
 
     An equivariant height is the lattice height less max(d_{U^-} - 1, 0).
     Heights are fixed up to a constant on each connected component of the
@@ -136,23 +122,20 @@ def _lattice(colors, J, cc):
 
     shift = max(cc[J - 1] - 1, 0)
     heights = types.MappingProxyType({v: v[1] - shift for v in vertices})
-    pairs = tuple((i + J, height) for (i, _jj), height in heights.items())
-    return tuple(cb), frozenset(vertices), tuple(arrows), heights, pairs
+    blue = f"U{colors[:J].count(brane.BLUE)}"
+    return ButterflyData(blue, J, cc, tuple(cb), frozenset(vertices), tuple(arrows), heights)
 
 
 def build_butterfly(t, U):
-    """The butterfly of the blue line U at t.  Its lattice is a function of
-    (colors, J, cover counts), shared read-only through :func:`_lattice` by
-    every tie diagram with the same ties at U; only ``tie_diagram`` differs.
-    Its ``cover_counts`` are d_{D,U,X} and its ``column_bottoms`` c_{D,U,X},
-    per black line; every height is the lattice height less max(d_{U^-} - 1, 0).
-    """
+    """The butterfly of the blue line named U (as "U2") at t: the object that
+    :func:`_lattice` caches, shared read-only by every tie diagram with the
+    same ties at U.  Its ``cover_counts`` are d_{D,U,X} and its
+    ``column_bottoms`` c_{D,U,X}, per black line."""
     d = t.base
-    u = _blue_index(d, U)
-    J = d.blue_positions()[u - 1]
-    cc = _cover_counts(t, J)
-    cb, vertices, arrows, heights, _pairs = _lattice(d.colors, J, cc)
-    return ButterflyData(t, f"U{u}", J, cc, cb, vertices, arrows, heights)
+    J = d.position_of(U)
+    if d.color_at(J) != brane.BLUE:
+        raise errors.UnknownLine(f"{U!r} is not a blue line of {brane.render(d)}")
+    return _lattice(d.colors, J, _cover_counts(t, J))
 
 
 @dataclass
@@ -221,14 +204,17 @@ _OPERATORS = {
 
 
 def assemble_fixed_point(t):
-    """Build all butterflies of a tie diagram and the block matrices they
-    span.  An arrow from a vertex over X_a to one over X_b (or to or from
-    the external node) is an entry of every operator from W_{X_a} to
+    """The block matrices spanned by the cached butterflies (:func:`_lattice`)
+    of a tie diagram.  An arrow from a vertex over X_a to one over X_b (or to
+    or from the external node) is an entry of every operator from W_{X_a} to
     W_{X_b} (see ``_OPERATORS``): blue arrows populate A, violet C, red D,
     black -B^+/-B^- of each flanking blue line, and green arrows a and -b."""
     d = t.base
     n = len(d.blacks)
-    butterflies = {u: build_butterfly(t, u) for u in range(1, d.n_blue + 1)}
+    butterflies = {
+        u: _lattice(d.colors, J, _cover_counts(t, J))
+        for u, J in enumerate(d.blue_positions(), start=1)
+    }
 
     # u ascends, each lattice is walked by column, bottom-up, and has one
     # height shift, so each fiber's labels come out ordered by (u, height), each
@@ -525,10 +511,9 @@ def verify_fixed_point(f):
     )
 
 
-def render_ascii(bf):
-    """Dot plot of a butterfly: columns over the black lines, one character
-    per vertex, with the arrow list underneath."""
-    d = bf.tie_diagram.base
+def render_ascii(bf, d):
+    """Dot plot of a butterfly of the diagram d: columns over the black lines,
+    one character per vertex, with the arrow list underneath."""
     n = len(d.blacks)
     heights = [jj for _i, jj in bf.vertices]
     lines = [f"butterfly of {bf.blue} on {brane.render(d)} (J = {bf.J})"]

@@ -119,7 +119,7 @@ def _cmd_butterfly(args, out):
     if args.json:
         out.write(json.dumps(bf.to_json(), indent=2) + "\n")
     else:
-        out.write(butterfly.render_ascii(bf) + "\n")
+        out.write(butterfly.render_ascii(bf, d) + "\n")
     return 0
 
 

@@ -26,7 +26,6 @@ class AttractionData:
     points: dict  # id -> TieDiagram
     order: list  # ids, minimal first
     restrictions: dict  # p -> q -> Poly  (R[p][q] = restriction of [L_p] at q)
-    tangents: dict  # id -> TangentCharacter
     minus_euler: dict  # id -> FactoredClass e(T_q^-)
     full_euler: dict  # id -> FactoredClass e(T_q)
     dim: int
@@ -47,10 +46,8 @@ def _is_list_of(value, kind):
 
 
 def load_attraction_data(source):
-    """Load and validate attraction data from a path, JSON text or a dict.
-
-    A string whose first non-space character is ``{`` or ``[`` is JSON text;
-    any other string or path names a file.
+    """Load and validate attraction data from a file (a path or its name as
+    a string) or from a dict.
 
     Structural validation: triangularity of R against the declared order,
     diagonal entries equal to the computed e(T^-), homogeneity of degree
@@ -58,16 +55,15 @@ def load_attraction_data(source):
     degree before it is computed.
     """
     if isinstance(source, (str, Path)):
-        text = str(source)
         try:
-            if not text.lstrip().startswith(("{", "[")):
-                with open(source) as fh:
-                    text = fh.read()
-            raw = json.loads(text)
+            with open(source) as fh:
+                raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise errors.SchemaError(f"malformed JSON: {exc}")
         except OSError as exc:
-            raise errors.SchemaError(f"cannot read {text}: {exc.strerror}")
+            raise errors.SchemaError(f"cannot read {source}: {exc.strerror}")
+        except ValueError as exc:  # a NUL byte in the name
+            raise errors.SchemaError(f"cannot read {source!r}: {exc}")
     else:
         raw = source
     if not isinstance(raw, dict):
@@ -139,7 +135,7 @@ def load_attraction_data(source):
                 raise errors.SchemaError(f"restrictions[{p}][{q}]: {exc}")
             except errors.HomogeneityViolation:
                 entry = None
-            if entry is None or not (entry.is_zero() or entry.is_homogeneous(dim // 2)):
+            if entry is None or not entry.is_homogeneous(dim // 2):
                 raise errors.HomogeneityViolation(  # quoted as the file writes it
                     f"R[{p}][{q}] = {expr} is not homogeneous of degree {dim // 2}"
                 )
@@ -171,7 +167,6 @@ def load_attraction_data(source):
         points=points,
         order=order,
         restrictions=restrictions,
-        tangents=tangents,
         minus_euler=minus_euler,
         full_euler=full_euler,
         dim=dim,

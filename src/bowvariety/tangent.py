@@ -78,8 +78,8 @@ def _columns(colors, J, cc):
     its part t_U * (sum of h^m) of each fiber W_X, one m per vertex over X,
     and of the external line, ``(None, J)``, the one vertex (U, 0)."""
     columns = {(None, J): {0: 1}}
-    for x, m in butterfly._lattice(colors, J, cc)[4]:
-        columns.setdefault(x, {})[m] = 1
+    for (i, _jj), m in butterfly._lattice(colors, J, cc).heights.items():
+        columns.setdefault(i + J, {})[m] = 1
     return columns
 
 

@@ -122,8 +122,9 @@ def fiber_weights(t):
     d = t.base
     fibers = {j: {} for j in range(1, len(d.blacks) + 1)}
     for u, J in enumerate(d.blue_positions(), start=1):
-        for j, height in butterfly._lattice(d.colors, J, butterfly._cover_counts(t, J))[4]:
-            fibers[j][u, height] = 1
+        bf = butterfly._lattice(d.colors, J, butterfly._cover_counts(t, J))
+        for (i, _jj), height in bf.heights.items():
+            fibers[i + J][u, height] = 1
     return fibers
 
 

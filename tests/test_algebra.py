@@ -332,7 +332,7 @@ def test_poly_render_round_trip_golden():
 
 def test_poly_homogeneity_and_degree():
     assert poly_parse("t1*t2 + h^2", 2).is_homogeneous(2)
-    assert not poly_parse("t1 + h^2", 2).is_homogeneous()
+    assert not any(poly_parse("t1 + h^2", 2).is_homogeneous(d) for d in range(4))
     assert poly_parse("t1^3", 1).is_homogeneous(3)
     assert Poly(2).is_homogeneous(5)
 
@@ -932,7 +932,9 @@ def test_packed_kernel_matches_tuple_references(case):
         if terms:
             assert unpack(x.leading()[0], n) == max(terms, key=tuple_key)
             assert x.degree() == max(map(sum, terms))
-        assert x.is_homogeneous() == (len({sum(e) for e in terms}) <= 1)
+        degrees = {sum(e) for e in terms}
+        for deg in degrees | {0}:
+            assert x.is_homogeneous(deg) == (degrees <= {deg})
         assert unpacked(algebra.restrict(x, key)) == tuple_restrict(terms, n, key)
         assert unpacked(x.mod_h()) == tuple_restrict(terms, n, (0, 0, 1))
     assert unpacked(p * q) == tuple_mul(a, b)

@@ -64,7 +64,7 @@ def test_cover_counts_golden():
     t = big_tie_diagram()
     cc = butterfly.build_butterfly(t, "U2").cover_counts
     assert cc == (0, 1, 2, 2, 2, 3, 2, 1, 1, 0)
-    assert butterfly.build_butterfly(t, 2).cover_counts == cc
+    assert butterfly._cover_counts(t, t.base.position_of("U2")) == cc
 
 
 def test_column_bottoms_golden():
@@ -74,11 +74,31 @@ def test_column_bottoms_golden():
 
 
 def test_blue_index_errors():
+    # the name is resolved by the one parser of line names, and a red line
+    # is refused with its name and the diagram
     t = big_tie_diagram()
-    with pytest.raises(KeyError):
-        butterfly.build_butterfly(t, "V1")
-    with pytest.raises(KeyError):
-        butterfly.build_butterfly(t, 9)
+    for name in ("V1", "V4"):
+        with pytest.raises(errors.UnknownLine, match=f"^'{name}' is not a blue line of 0/1/2/3"):
+            butterfly.build_butterfly(t, name)
+    with pytest.raises(errors.UnknownLine, match="^'U9' is not a colored line of 0/1/2/3"):
+        butterfly.build_butterfly(t, "U9")
+
+
+def test_equal_ties_at_a_blue_line_share_one_butterfly():
+    # the butterfly depends only on the ties at its line: two flag points
+    # with the same cover counts at U get the same cached object
+    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    d = points[0].base
+    for name in ("U1", "U4", "U7"):
+        J = d.position_of(name)
+        by_counts = {}
+        for t in points:
+            by_counts.setdefault(butterfly._cover_counts(t, J), []).append(t)
+        shared = [ts for ts in by_counts.values() if len(ts) > 1]
+        assert shared
+        for first, *others in shared:
+            bf = butterfly.build_butterfly(first, name)
+            assert all(butterfly.build_butterfly(t, name) is bf for t in others)
 
 
 def test_butterfly_columns_match_counts():
@@ -95,14 +115,14 @@ def test_butterfly_columns_match_counts():
 def test_butterfly_column_at_own_blue_starts_at_zero():
     for t in tie.enumerate_tie_diagrams(brane.parse(EXAMPLE_3BLUE)):
         for u in range(1, 4):
-            bf = butterfly.build_butterfly(t, u)
+            bf = butterfly.build_butterfly(t, f"U{u}")
             assert bf.column_bottoms[bf.J - 1] == 0
 
 
 def test_butterfly_green_arrows():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
-    bf = butterfly.build_butterfly(t, 1)
+    bf = butterfly.build_butterfly(t, "U1")
     greens = [a for a in bf.arrows if a[0] == "green"]
     # d_{U^-} = 0 < d_{U^+} = 1: only the outgoing green arrow exists
     assert greens == [("green", (1, 1), butterfly.EXTERNAL)]
@@ -114,7 +134,7 @@ def test_butterfly_json_and_ascii_smoke():
     blob = bf.to_json()
     assert blob["blue"] == "U2"
     assert blob["coverCounts"] == [0, 1, 2, 2, 2, 3, 2, 1, 1, 0]
-    art = butterfly.render_ascii(bf)
+    art = butterfly.render_ascii(bf, t.base)
     assert "U2" in art and "o" in art
 
 
@@ -159,25 +179,26 @@ def test_fiber_characters_match_labels():
 # heights come from a search over the connected components of the arrows.
 
 
-def reference_columns(t, U):
-    d = t.base
-    J = d.blue_positions()[butterfly._blue_index(d, U) - 1]
-    n = len(d.blacks)
-    steps = [0] * n
+def reference_cover_counts(t, J):
+    steps = [0] * len(t.base.blacks)
     for l, r in t.ties:
         if l == J or r == J:
             steps[l] += 1
             steps[r] -= 1
-    cc = tuple(itertools.accumulate(steps))
+    return tuple(itertools.accumulate(steps))
+
+
+def reference_column_bottoms(colors, J, cc):
+    n = len(cc)
     c = [0] * n
     for j in range(J + 1, n + 1):
         c[j - 1] = cc[J] - cc[j - 1] + (1 if cc[J - 1] == 0 else 0)
     for j in range(J - 1, 0, -1):
-        if d.color_at(j) == brane.BLUE or cc[j - 1] + 1 == cc[j]:
+        if colors[j - 1] == brane.BLUE or cc[j - 1] + 1 == cc[j]:
             c[j - 1] = c[j]
         else:
             c[j - 1] = c[j] - 1
-    return J, cc, tuple(c)
+    return tuple(c)
 
 
 def reference_heights(vertices, arrows):
@@ -223,19 +244,17 @@ def reference_heights(vertices, arrows):
     return heights
 
 
-def reference_build_butterfly(t, U):
-    d = t.base
-    u = butterfly._blue_index(d, U)
-    J, cc, cb = reference_columns(t, u)
-    n = len(d.blacks)
+def reference_lattice(colors, J, cc):
+    cb = reference_column_bottoms(colors, J, cc)
+    n = len(cc)
     vertices = {
         (j - J, jj) for j in range(1, n + 1) for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1])
     }
     arrows = []
     for i, jj in sorted(vertices):
         a = i + J
-        left = d.color_at(a - 1) if a >= 2 else None
-        right = d.color_at(a) if a <= n else None
+        left = colors[a - 2] if a >= 2 else None
+        right = colors[a - 1] if a <= n else None
         if (left == brane.BLUE or right == brane.BLUE) and (i, jj - 1) in vertices:
             arrows.append(("black", (i, jj), (i, jj - 1)))
         if left == brane.BLUE and (i - 1, jj) in vertices:
@@ -249,8 +268,7 @@ def reference_build_butterfly(t, U):
     if cc[J - 1] < cc[J]:
         arrows.append(("green", (1, cb[J] + cc[J - 1]), butterfly.EXTERNAL))
     return butterfly.ButterflyData(
-        tie_diagram=t,
-        blue=f"U{u}",
+        blue=f"U{sum(c == brane.BLUE for c in colors[:J])}",
         J=J,
         cover_counts=cc,
         column_bottoms=cb,
@@ -260,11 +278,17 @@ def reference_build_butterfly(t, U):
     )
 
 
+def reference_build_butterfly(t, U):
+    d = t.base
+    J = d.blue_positions()[int(U[1:]) - 1]
+    return reference_lattice(d.colors, J, reference_cover_counts(t, J))
+
+
 def reference_fiber_weights(t):
     d = t.base
     fibers = {j: Counter() for j in range(1, len(d.blacks) + 1)}
-    for u in range(1, d.n_blue + 1):
-        bf = reference_build_butterfly(t, u)
+    for u, J in enumerate(d.blue_positions(), start=1):
+        bf = reference_lattice(d.colors, J, reference_cover_counts(t, J))
         for v, height in bf.heights.items():
             fibers[v[0] + bf.J][(u, height)] += 1
     return fibers
@@ -272,18 +296,20 @@ def reference_fiber_weights(t):
 
 def test_cached_lattices_match_reference_build(monkeypatch):
     # every criterion-3 sweep point and every flag point: butterflies, fiber
-    # weights and assembled matrices equal those of the uncached build
+    # weights and assembled matrices equal those of the uncached build, which
+    # drives assembly in place of the cached lattices
     points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
     points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
     assert len(points) == 1610 + 840
     cached = []
     for t in points:
         for u in range(1, t.base.n_blue + 1):
-            bf = butterfly.build_butterfly(t, u)
-            assert bf.to_json() == reference_build_butterfly(t, u).to_json()
+            bf = butterfly.build_butterfly(t, f"U{u}")
+            assert bf.to_json() == reference_build_butterfly(t, f"U{u}").to_json()
         assert fiber_weights(t) == reference_fiber_weights(t)
         cached.append(butterfly.assemble_fixed_point(t).to_json())
-    monkeypatch.setattr(butterfly, "build_butterfly", reference_build_butterfly)
+    monkeypatch.setattr(butterfly, "_cover_counts", reference_cover_counts)
+    monkeypatch.setattr(butterfly, "_lattice", reference_lattice)
     assert cached == [butterfly.assemble_fixed_point(t).to_json() for t in points]
 
 
@@ -411,7 +437,8 @@ FILED = {
 
 
 def butterflies(f):
-    return [butterfly.build_butterfly(f.tie_diagram, u) for u in range(1, f.base.n_blue + 1)]
+    names = [f"U{u}" for u in range(1, f.base.n_blue + 1)]
+    return [butterfly.build_butterfly(f.tie_diagram, name) for name in names]
 
 
 def arrow_entries(f, bf, arrow):

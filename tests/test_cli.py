@@ -284,13 +284,16 @@ def test_bad_options_exit_2_without_traceback():
     # the messages that name their problem, word for word
     says = {
         ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "U7"): (
-            "'U7' is not a blue line (N=3)"
+            "'U7' is not a colored line of 0/1\\1/2\\2\\2/0"
+        ),
+        ("butterfly", EXAMPLE_3BLUE, "--point", "D1", "--blue", "V1"): (
+            "'V1' is not a blue line of 0/1\\1/2\\2\\2/0"
         ),
         ("parse", "0/10"): "first and last black labels must be 0: 0/10",
         # '²' passes str.isdigit but not int(): only ASCII digits are digits
         ("parse", "0/²\\0"): "expected a black-line label (at position 2)",
         ("butterfly", "0/1\\1\\1/0", "--point", "D1", "--blue", "U²"): (
-            "'U²' is not a blue line"
+            "'U²' is not a colored line of 0/1\\1\\1/0"
         ),
         # labels past Python's int-to-text limit, read or made by a move
         ("parse", "0/" + "1" * 5000 + "\\0"): (
@@ -301,7 +304,7 @@ def test_bad_options_exit_2_without_traceback():
         ),
         # a line number past Python's int-to-text limit: refused by its length
         ("butterfly", "0/1\\1\\1/0", "--point", "D1", "--blue", "U" + "1" * 5000): (
-            f"'U{'1' * 5000}' is not a blue line"
+            f"'U{'1' * 5000}' is not a colored line of 0/1\\1\\1/0"
         ),
     }
     for argv in (

@@ -34,23 +34,32 @@ def test_load_three_blue_fixture(fixtures_dir):
     assert data.restrictions["D1"]["D5"].is_zero()
 
 
-def test_load_accepts_json_text_and_dicts(fixtures_dir):
+def test_load_accepts_json_text_and_dicts(fixtures_dir, tmp_path, monkeypatch):
+    # a str or a Path always names a file, whatever its first character, and
+    # a dict is the data itself
     raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
-    from_dict = envelope.load_attraction_data(raw)
-    from_text = envelope.load_attraction_data(json.dumps(raw))
-    assert from_dict.order == from_text.order == ["P2", "P1"]
-    from_padded = envelope.load_attraction_data("\n  " + json.dumps(raw))
-    assert from_padded.order == ["P2", "P1"]
+    assert envelope.load_attraction_data(raw).order == ["P2", "P1"]
+    monkeypatch.chdir(tmp_path)
+    for name in ("{p1}.json", "[p1].json", " {p1}.json"):
+        (tmp_path / name).write_text(json.dumps(raw))
+        assert envelope.load_attraction_data(name).order == ["P2", "P1"]
+        assert envelope.load_attraction_data(tmp_path / name).order == ["P2", "P1"]
 
 
-def test_json_text_that_is_not_an_object_is_a_schema_error():
-    # JSON text is recognised by its first non-space character, never opened
-    # as a file name
-    for text in (" [1]", "[]", '\t["P1"]'):
+def test_json_text_that_is_not_an_object_is_a_schema_error(tmp_path):
+    for k, text in enumerate((" [1]", "[]", '\t["P1"]')):
+        (tmp_path / f"{k}.json").write_text(text)
         with pytest.raises(errors.SchemaError, match="top level must be an object"):
-            envelope.load_attraction_data(text)
+            envelope.load_attraction_data(tmp_path / f"{k}.json")
+    (tmp_path / "cut.json").write_text(" [1,")
     with pytest.raises(errors.SchemaError, match="malformed JSON"):
-        envelope.load_attraction_data(" [1,")
+        envelope.load_attraction_data(tmp_path / "cut.json")
+    # JSON text given as a string is a file name, and no such file exists
+    with pytest.raises(errors.SchemaError, match="^cannot read .*No such file or directory$"):
+        envelope.load_attraction_data(' {"diagram": "0/1\\\\1/0"}')
+    # a name that no file can have is refused as unreadable, not let through
+    with pytest.raises(errors.SchemaError, match=r"^cannot read 'a\\x00b': embedded null byte$"):
+        envelope.load_attraction_data("a\0b")
 
 
 def test_schema_missing_key(fixtures_dir):

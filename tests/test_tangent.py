@@ -136,7 +136,7 @@ def test_tangent_character_builds_each_butterfly_once():
     d = brane.parse(FLAG)
     points = tie.enumerate_tie_diagrams(d)
     keys = {
-        (J, butterfly.build_butterfly(t_, u).cover_counts)
+        (J, butterfly.build_butterfly(t_, f"U{u}").cover_counts)
         for t_ in points
         for u, J in enumerate(d.blue_positions(), start=1)
     }
