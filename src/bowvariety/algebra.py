@@ -262,9 +262,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         other = self._coerce(other)
         degree = self.degree() + other.degree()
@@ -661,10 +658,6 @@ class RationalFn:
             num = num * _coeff(1, den.constant)
         self.num = num
         self.den = FactoredClass(num.nvars, 1, kept)
-
-    @classmethod
-    def const(cls, nvars, c):
-        return cls(Poly.const(nvars, c))
 
     def is_polynomial(self):
         return not self.den.factors

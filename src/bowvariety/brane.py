@@ -96,6 +96,8 @@ class BraneDiagram:
 
     def position_of(self, name):
         """Position of a colored line given its name ("U2", "V1")."""
+        if not isinstance(name, str):  # an index is not a name: U2, not 2
+            raise errors.UnknownLine(f"{name!r} is not a colored line name of {render(self)}")
         kind, idx = name[:1], name[1:]
         table = {"U": self._tables.blue, "V": self._tables.red}.get(kind, ())
         # int() reads at most MAX_DIGITS digits, and no diagram has that many lines

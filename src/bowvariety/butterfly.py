@@ -344,6 +344,51 @@ def _check_s1_s2(f):
     return result
 
 
+def _closure(seed, edges):
+    out = set(seed)
+    stack = list(seed)
+    while stack:
+        for w in edges[stack.pop()]:
+            if w not in out:
+                out.add(w)
+                stack.append(w)
+    return out
+
+
+def _search(order, inside, sides, succ, pred, quotients_iso):
+    """The first operator-closed T that holds ``inside``, misses a vertex of
+    ``order`` and passes ``quotients_iso``, or None; the vertices not in
+    ``order`` count as in T.  Branch on the first undecided v: T holds v and
+    all v reaches, or misses v and all its ancestors.  The included set
+    stays closed under succ, the excluded one under pred, so every leaf is a
+    distinct closed set, proper iff it excludes a vertex.  A branch carries
+    the index of its next vertex; the closures of a vertex are found when it
+    is first branched on.  Below a node, each side S of a ``sides`` pair
+    keeps between |S & outside| and |S - inside| labels outside T; a node
+    where the ranges of a pair do not meet reaches no balanced leaf and is
+    dropped.
+    """
+    reach, ancestors = {}, {}
+    stack = [(inside, set(), 0)]
+    while stack:
+        inside, outside, k = stack.pop()
+        for m, p in sides:  # a loop, not any(): no generator per node
+            if len(m & outside) > len(p - inside) or len(p & outside) > len(m - inside):
+                break
+        else:
+            while k < len(order) and (order[k] in inside or order[k] in outside):
+                k += 1
+            if k < len(order):
+                v = order[k]
+                if v not in reach:
+                    reach[v], ancestors[v] = _closure([v], succ), _closure([v], pred)
+                stack.append((inside, outside | ancestors[v], k + 1))
+                stack.append((inside | reach[v], outside, k + 1))
+            elif outside and quotients_iso(succ.keys() - outside):
+                return succ.keys() - outside
+    return None
+
+
 def _check_stability(lines, ids, entries):
     """Search for a destabilizing graded subspace.
 
@@ -355,9 +400,18 @@ def _check_stability(lines, ids, entries):
     multiplicity-free torus grading, so a destabilizing subspace may be taken
     to be spanned by basis lines, and the search is exact: it visits once
     every operator-closed set containing the closure of Im a that can still
-    balance, |W_{U-}/T| = |W_{U+}/T| for every U.  Below a node, each side S
-    of each U keeps between |S & outside| and |S - inside| labels outside T;
-    a node where these two ranges do not meet is dropped.
+    balance, |W_{U-}/T| = |W_{U+}/T| for every U (see :func:`_search`).
+
+    The search runs once per blue index u (the first field of a vertex id)
+    that has lines outside the closure of Im a, with every line of the other
+    indices in T and each side cut to u: a sum of searches, not one over
+    their product.  This is exact when no edge joins two indices: if T
+    destabilizes and misses part of u, so does T & u with every other line,
+    which is closed and holds the seeds, as each A_U acts on the quotient as
+    the direct sum of its u-parts; and a candidate of u is one of the point.
+    One search covers the whole point when an edge joins two indices (only
+    edited matrices have one) or at most one index is left, and it runs
+    again when an index is destabilized, so the message names its set.
     """
     result = errors.CheckResult("stability")
     succ = {v: [] for fiber in ids.values() for v in fiber}
@@ -370,16 +424,6 @@ def _check_stability(lines, ids, entries):
             for t_, s in nonzero:
                 succ[s].append(t_)
                 pred[t_].append(s)
-
-    def closure(seed, edges):
-        out = set(seed)
-        stack = list(seed)
-        while stack:
-            for w in edges[stack.pop()]:
-                if w not in out:
-                    out.add(w)
-                    stack.append(w)
-        return out
 
     # per blue U: the vertex ids of the bases of W_{U-} and W_{U+}, and A_U
     blocks = [
@@ -402,34 +446,22 @@ def _check_stability(lines, ids, entries):
                 return False
         return True
 
-    # Branch on the first undecided vertex v: either T contains v and so
-    # everything v reaches, or T misses v and so every ancestor of v.  The
-    # included set stays closed under succ and the excluded one under pred,
-    # so neither branch can contradict the other side: every leaf is a
-    # distinct operator-closed set.  Each branch carries the index from which
-    # to look for its first undecided vertex.  The closures of a vertex are
-    # found when it is first branched on.
-    vertices = sorted(succ)
-    reach, ancestors = {}, {}
-    stack = [(closure(seeds, succ), set(), 0)]
-    while stack:
-        inside, outside, k = stack.pop()
-        # no leaf below can balance: drop the node
-        if any(
-            len(m & outside) > len(p - inside) or len(p & outside) > len(m - inside)
-            for m, p in sides
-        ):
-            continue
-        while k < len(vertices) and (vertices[k] in inside or vertices[k] in outside):
-            k += 1
-        if k < len(vertices):
-            v = vertices[k]
-            if v not in reach:
-                reach[v], ancestors[v] = closure([v], succ), closure([v], pred)
-            stack.append((inside, outside | ancestors[v], k + 1))
-            stack.append((inside | reach[v], outside, k + 1))
-        elif len(inside) < len(vertices) and quotients_iso(inside):
-            result.fail(f"destabilizing subspace of dimension {len(inside)} found")
+    start = _closure(seeds, succ)
+    rest = sorted(succ.keys() - start)
+    searches = [(rest, sides)]
+    # rest is sorted by u: it spans two indices iff its ends do
+    if rest and rest[0][0] != rest[-1][0] and all(w[0] == v[0] for v in succ for w in succ[v]):
+        searches = []
+        for _u, members in itertools.groupby(rest, key=lambda v: v[0]):
+            group = set(members)
+            cut = [(m & group, p & group) for m, p in sides]
+            searches.append((sorted(group), [(m, p) for m, p in cut if m or p]))
+    for order, balance in searches:
+        found = _search(order, start, balance, succ, pred, quotients_iso)
+        if found is not None:
+            if len(searches) > 1:  # name the set the whole search finds
+                found = _search(rest, start, sides, succ, pred, quotients_iso)
+            result.fail(f"destabilizing subspace of dimension {len(found)} found")
             return result
     return result
 
@@ -489,13 +521,13 @@ def verify_fixed_point(f):
     conditions S1 and S2 per blue line, as the rank of an observability and
     of a controllability (Krylov) matrix, (3) absence of destabilizing
     graded subspaces, searched exactly over every operator-closed candidate
-    that can still balance |W_{U-}/T| = |W_{U+}/T| for every blue U,
-    whatever the size of the point, (4) injectivity/surjectivity of the
-    junction maps, as ranks, (5) nilpotency exponents on separated diagrams,
-    (6) torus grading of every operator.  Ranks are exact, by integer
-    elimination (:func:`linalg.rank`).  Only nilpotency can be skipped (on
-    diagrams that are not separated).  Failures are report entries, never
-    exceptions.
+    that can still balance |W_{U-}/T| = |W_{U+}/T| for every blue U, one
+    blue index at a time unless an entry joins two, (4) injectivity and
+    surjectivity of the junction maps, as ranks, (5) nilpotency exponents on
+    separated diagrams, (6) torus grading of every operator.  Ranks are
+    exact, by integer elimination (:func:`linalg.rank`).  Only nilpotency
+    can be skipped (on diagrams that are not separated).  Failures are
+    report entries, never exceptions.
     """
     lines, ids = _tables(f)
     entries = list(_operator_entries(lines, ids))

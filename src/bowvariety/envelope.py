@@ -87,7 +87,7 @@ def load_attraction_data(source):
 
     if not isinstance(raw["points"], list) or not raw["points"]:
         raise errors.SchemaError("points must be a non-empty list")
-    points = {}
+    points, owners = {}, {}  # owners: ties -> the first point id that carries them
     for entry in raw["points"]:
         if not isinstance(entry, dict) or "id" not in entry or "ties" not in entry:
             raise errors.SchemaError("each point needs 'id' and 'ties'")
@@ -103,6 +103,8 @@ def load_attraction_data(source):
         report = tie.is_valid(t)
         if not report.ok:
             raise errors.SchemaError(f"point {pid}: {'; '.join(report.messages)}")
+        if owners.setdefault(t.ties, pid) != pid:
+            raise errors.SchemaError(f"duplicate tie diagram: points {owners[t.ties]!r} and {pid!r}")
         points[pid] = t
 
     if not _is_list_of(raw["order"], str):
@@ -241,7 +243,7 @@ def _verify_axioms(stab, data):
 def virtual_pairing(u, v, data, points=None):
     """Virtual intersection pairing of two restriction vectors:
     sum over fixed points p of u_p * v_p / e(T_p) (over ``points`` if given)."""
-    total = algebra.RationalFn.const(data.nvars, 0)
+    total = algebra.RationalFn(algebra.Poly.const(data.nvars, 0))
     for p in points or data.order:
         num = u[p] * v[p]
         if not num.is_zero():

@@ -92,7 +92,7 @@ def _block(colors, steps, a, b):
     for x, wx in fa.items():  # Hom(W_X, targets) = W_X^v * targets
         targets = {}
         for y, shifts in steps[x]:
-            for mb, nb in fb.get(y, {}).items():
+            for mb, nb in fb[y].items() if y in fb else ():  # b's butterfly may miss y
                 for s, c in shifts:
                     targets[mb + s] = targets.get(mb + s, 0) + c * nb
         for ma, na in wx.items():

@@ -50,6 +50,10 @@ def test_parse_counts_and_positions():
         with pytest.raises(errors.UnknownLine, match="is not a colored line"):
             d.position_of(name)
     assert d.position_of("U" + "0" * (MAX_DIGITS - 1) + "2") == 4
+    # an index or any other non-string is refused as a name, not with a TypeError
+    for name in (2, None, b"U2", ("U2",)):
+        with pytest.raises(errors.UnknownLine, match="is not a colored line name"):
+            d.position_of(name)
 
 
 def test_tables_match_list_index_computation():

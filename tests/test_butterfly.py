@@ -82,6 +82,9 @@ def test_blue_index_errors():
             butterfly.build_butterfly(t, name)
     with pytest.raises(errors.UnknownLine, match="^'U9' is not a colored line of 0/1/2/3"):
         butterfly.build_butterfly(t, "U9")
+    # the position of U2 is not its name
+    with pytest.raises(errors.UnknownLine, match="^2 is not a colored line name of 0/1/2/3"):
+        butterfly.build_butterfly(t, 2)
 
 
 def test_equal_ties_at_a_blue_line_share_one_butterfly():
@@ -715,6 +718,72 @@ def test_stability_reads_the_a_maps():
         if not got.ok:
             failed.append(f)
     assert len(points) == 1610 and len(with_a) == 1200 and len(failed) == 363
+
+
+def recording_searches(monkeypatch):
+    """Patch ``butterfly._search`` to record, per call, the blue indices of
+    the vertices it branches on and the nodes it visits: each node reads its
+    balance pairs once, so a node is one iteration of them."""
+    calls = []
+    search = butterfly._search
+
+    class Counted(list):
+        def __iter__(self):
+            calls[-1][1] += 1
+            return super().__iter__()
+
+    def recording(order, inside, sides, *args):
+        calls.append([{v[0] for v in order}, 0])
+        return search(order, inside, Counted(sides), *args)
+
+    monkeypatch.setattr(butterfly, "_search", recording)
+    return calls
+
+
+def test_stability_searches_each_blue_index_alone(monkeypatch):
+    # no entry of the 24 verified flag points joins two blue indices, so each
+    # index with lines outside the closure of Im a is searched alone: 864
+    # nodes in all, where one search of each whole point visits 2,886
+    calls = recording_searches(monkeypatch)
+    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    for k in range(0, 840, 35):
+        first = len(calls)
+        assert stability(butterfly.assemble_fixed_point(points[k])).ok
+        assert len(calls) - first > 1
+        assert all(len(indices) == 1 for indices, _nodes in calls[first:])
+    assert sum(nodes for _indices, nodes in calls) == 864
+
+
+def with_entry(f, p, key, r, c):
+    """A copy of ``f`` with the entry (r, c) of ``key`` at position p set to 1."""
+    g = zeroing(f, [])
+    ops = ops_at(g, p)
+    ops[key] = copied(ops[key])
+    ops[key][r, c] = 1
+    return g
+
+
+def test_stability_searches_the_whole_point_when_an_entry_joins_two_indices(monkeypatch):
+    # D36 of the flag, and a copy of it destabilized by a dropped arrow, each
+    # with one graded C entry that joins a line of U1 to one of U3: the split
+    # would not be exact, so one search branches on every index at once, and
+    # the verdict and message are the reference search's
+    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    f = butterfly.assemble_fixed_point(points[35])
+    unstable = next(g for g in dropping_each_arrow(f) if not stability(g).ok)
+    calls = recording_searches(monkeypatch)
+    verdicts = []
+    for g, p in ((f, 3), (unstable, 2), (unstable, 3)):
+        h = with_entry(g, p, "C", 0, 1)
+        _lines, ids = butterfly._tables(h)
+        row, col = ids[p][0], ids[p + 1][1]  # C takes W_{X_(p+1)} to W_{X_p}
+        assert (row[0], col[0]) == (1, 3)
+        calls.clear()
+        got, ref = stability(h), reference_stability(h)
+        assert (got.ok, got.messages) == (ref.ok, ref.messages)
+        assert len(calls) == 1 and len(calls[0][0]) > 1
+        verdicts.append(got.ok)
+    assert verdicts == [True, True, False]
 
 
 def test_verify_detects_broken_nilpotency():

@@ -348,6 +348,10 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         "ties": json.dumps(
             {**good, "points": [{**good["points"][0], "ties": [["V2", "U" + "1" * 5000]]}]}
         ),
+        # two ids for one fixed point: P2 carries the ties of P1
+        "duplicate": json.dumps(
+            {**good, "points": [good["points"][0], {**good["points"][0], "id": "P2"}]}
+        ),
     }
     for field, text in cases.items():
         path = tmp_path / f"{field}.json"
@@ -360,6 +364,8 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         assert ("JSON" if field in ("malformed", "nested") else field) in proc.stderr
         if field == "ties":
             assert "is not a colored line" in proc.stderr and "limit" not in proc.stderr
+        if field == "duplicate":
+            assert proc.stderr == "error: duplicate tie diagram: points 'P1' and 'P2'\n"
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"

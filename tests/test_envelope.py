@@ -83,6 +83,16 @@ def test_schema_invalid_point(fixtures_dir):
         envelope.load_attraction_data(raw)
 
 
+def test_schema_rejects_two_ids_for_one_tie_diagram(fixtures_dir):
+    # the same ties under two ids, in either order of the ties: one fixed
+    # point listed twice, and the message names both ids
+    raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
+    first = raw["points"][0]
+    raw["points"][1] = {"id": "P2", "ties": first["ties"][::-1]}
+    with pytest.raises(errors.SchemaError, match="^duplicate tie diagram: points 'P1' and 'P2'$"):
+        envelope.load_attraction_data(raw)
+
+
 def test_schema_rejects_unknown_line_names_and_non_ascii_digits(fixtures_dir):
     # 'X2' read as the red line V2, and '²' passed str.isdigit but not int()
     for ties in ([["X2", "U1"], ["U1", "V1"]], [["V²", "U1"], ["U1", "V1"]]):
