@@ -232,9 +232,6 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -581,9 +578,6 @@ class FactoredClass:
             and self.factors == other.factors
         )
 
-    def __hash__(self):
-        return hash((self.constant, self.factors))
-
     def render(self):
         if self.is_zero():
             return "0"
@@ -605,27 +599,20 @@ def _expand(nvars, constant, factors):
 def integer_ratio_mod_h(p, e):
     """The integer a with modH(p) = a * modH(expand(e)) (Cor-style ratio).
 
-    Mod h every weight t_i - t_j + m*h of e is the linear form t_i - t_j, so
-    modH(p) is divided by each form in turn and then by e's constant.
-    Raises :class:`errors.NotProportional` when no such integer exists.
+    Mod h every weight t_i - t_j + m*h of e is the linear form t_i - t_j,
+    and :class:`RationalFn` cancels these forms from modH(p).  Raises
+    :class:`errors.NotProportional` when no such integer exists.
     """
     if not e.constant or any(i == j for (i, j, _), _ in e.factors):
         raise ValueError("denominator vanishes mod h")
-    num = q = p.mod_h()
-    if num.is_zero():
-        return 0
-    for (i, j, _), exp in e.factors:
-        form = weight_poly((i, j, 0), e.nvars)
-        for _ in range(exp):
-            q = _divide_linear(q, form)
-            if q is None:
-                raise errors.NotProportional(
-                    f"{num.render()} vs {e.expand().mod_h().render()}"
-                )
-    q = q * _coeff(1, e.constant)
-    if not q.is_constant():
-        raise errors.NotProportional(f"ratio {q.render()} is not constant")
-    c = q.constant_value()
+    num = p.mod_h()
+    forms = [((i, j, 0), exp) for (i, j, _), exp in e.factors]
+    q = RationalFn(num, FactoredClass(e.nvars, e.constant, forms))
+    if not q.is_polynomial():
+        raise errors.NotProportional(f"{num.render()} vs {e.expand().mod_h().render()}")
+    if not q.num.is_constant():
+        raise errors.NotProportional(f"ratio {q.num.render()} is not constant")
+    c = q.num.constant_value()
     if c.denominator != 1:
         raise errors.NotProportional(f"ratio {c} is not an integer")
     return int(c)
@@ -661,9 +648,6 @@ class RationalFn:
 
     def is_polynomial(self):
         return not self.den.factors
-
-    def is_zero(self):
-        return self.num.is_zero()
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):

@@ -403,15 +403,16 @@ def _check_stability(lines, ids, entries):
     balance, |W_{U-}/T| = |W_{U+}/T| for every U (see :func:`_search`).
 
     The search runs once per blue index u (the first field of a vertex id)
-    that has lines outside the closure of Im a, with every line of the other
-    indices in T and each side cut to u: a sum of searches, not one over
-    their product.  This is exact when no edge joins two indices: if T
-    destabilizes and misses part of u, so does T & u with every other line,
-    which is closed and holds the seeds, as each A_U acts on the quotient as
-    the direct sum of its u-parts; and a candidate of u is one of the point.
-    One search covers the whole point when an edge joins two indices (only
-    edited matrices have one) or at most one index is left, and it runs
-    again when an index is destabilized, so the message names its set.
+    with lines outside the closure of Im a, from the last index down, with
+    every line of the other indices in T and each side cut to u.  This is
+    exact when no edge joins two indices: each A_U is block-diagonal in u,
+    so T destabilizes iff its part in each index passes that index's test,
+    as every line of an index always does.  A search over the whole point
+    branches in ascending (u, line) order, taking a line before leaving it,
+    so the first set it finds holds every line outside the last index u*
+    with a destabilizing proper part, and in u* the first set of u*'s own
+    search: the set found here first.  When an edge joins two indices (only
+    edited matrices have one), one search branches on every pending line.
     """
     result = errors.CheckResult("stability")
     succ = {v: [] for fiber in ids.values() for v in fiber}
@@ -448,19 +449,15 @@ def _check_stability(lines, ids, entries):
 
     start = _closure(seeds, succ)
     rest = sorted(succ.keys() - start)
-    searches = [(rest, sides)]
-    # rest is sorted by u: it spans two indices iff its ends do
-    if rest and rest[0][0] != rest[-1][0] and all(w[0] == v[0] for v in succ for w in succ[v]):
-        searches = []
-        for _u, members in itertools.groupby(rest, key=lambda v: v[0]):
-            group = set(members)
-            cut = [(m & group, p & group) for m, p in sides]
-            searches.append((sorted(group), [(m, p) for m, p in cut if m or p]))
-    for order, balance in searches:
+    groups = [rest]
+    if all(w[0] == v[0] for v in succ for w in succ[v]):  # no edge joins two indices
+        groups = [list(members) for _u, members in itertools.groupby(rest, key=lambda v: v[0])]
+    for order in reversed(groups):
+        group = set(order)
+        cut = [(m & group, p & group) for m, p in sides]
+        balance = [(m, p) for m, p in cut if m or p]
         found = _search(order, start, balance, succ, pred, quotients_iso)
         if found is not None:
-            if len(searches) > 1:  # name the set the whole search finds
-                found = _search(rest, start, sides, succ, pred, quotients_iso)
             result.fail(f"destabilizing subspace of dimension {len(found)} found")
             return result
     return result
@@ -522,12 +519,12 @@ def verify_fixed_point(f):
     of a controllability (Krylov) matrix, (3) absence of destabilizing
     graded subspaces, searched exactly over every operator-closed candidate
     that can still balance |W_{U-}/T| = |W_{U+}/T| for every blue U, one
-    blue index at a time unless an entry joins two, (4) injectivity and
-    surjectivity of the junction maps, as ranks, (5) nilpotency exponents on
-    separated diagrams, (6) torus grading of every operator.  Ranks are
-    exact, by integer elimination (:func:`linalg.rank`).  Only nilpotency
-    can be skipped (on diagrams that are not separated).  Failures are
-    report entries, never exceptions.
+    blue index at a time, the last first, unless an entry joins two, (4)
+    injectivity and surjectivity of the junction maps, as ranks, (5)
+    nilpotency exponents on separated diagrams, (6) torus grading of every
+    operator.  Ranks are exact, by integer elimination (:func:`linalg.rank`).
+    Only nilpotency can be skipped (on diagrams that are not separated).
+    Failures are report entries, never exceptions.
     """
     lines, ids = _tables(f)
     entries = list(_operator_entries(lines, ids))

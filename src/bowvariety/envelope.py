@@ -49,10 +49,10 @@ def load_attraction_data(source):
     """Load and validate attraction data from a file (a path or its name as
     a string) or from a dict.
 
-    Structural validation: triangularity of R against the declared order,
-    diagonal entries equal to the computed e(T^-), homogeneity of degree
-    dim/2 for every nonzero entry, decided for a product or power of higher
-    degree before it is computed.
+    Structural validation: one point per tie diagram of the diagram,
+    triangularity of R against the declared order, diagonal entries equal to
+    the computed e(T^-), homogeneity of degree dim/2 for every nonzero entry,
+    decided for a product or power of higher degree before it is computed.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -106,6 +106,9 @@ def load_attraction_data(source):
         if owners.setdefault(t.ties, pid) != pid:
             raise errors.SchemaError(f"duplicate tie diagram: points {owners[t.ties]!r} and {pid!r}")
         points[pid] = t
+    for t in tie.enumerate_tie_diagrams(diagram):
+        if t.ties not in owners:
+            raise errors.SchemaError(f"missing tie diagram: {t.named_ties()}")
 
     if not _is_list_of(raw["order"], str):
         raise errors.SchemaError("order must be a list of point ids")

@@ -505,7 +505,7 @@ def test_rational_fn_arithmetic():
     one = Poly.const(2, 1)
     # 1/(t1-t2) + 1/(t2-t1) = 0
     total = RationalFn(one, den1) + RationalFn(one, den2)
-    assert total.is_zero()
+    assert total == 0
     assert RationalFn(one * poly_parse("t1-t2", 2), den1) == 1
 
 
@@ -520,6 +520,11 @@ def test_rational_fn_is_unhashable():
         hash(a)
     with pytest.raises(TypeError):
         {a, b}
+    # nothing keys a set or a memo by a Poly or a FactoredClass, so neither
+    # defines a hash beside its ==
+    for value in (one, a.den, FactoredClass(2, 3, [((1, 2, 1), 2)])):
+        with pytest.raises(TypeError):
+            hash(value)
 
 
 # ---------------------------------------------------------------------------

@@ -754,6 +754,44 @@ def test_stability_searches_each_blue_index_alone(monkeypatch):
     assert sum(nodes for _indices, nodes in calls) == 864
 
 
+def pending_indices(f):
+    """The blue indices with basis lines outside the closure of Im a."""
+    succ, seeds = operator_digraph(f)
+    closed = set(seeds)
+    while any(w not in closed for v in closed for w in succ[v]):
+        closed |= {w for v in closed for w in succ[v]}
+    return {v[0] for v in succ if v not in closed}
+
+
+def test_stability_names_the_set_from_one_blue_index(monkeypatch):
+    # the 363 sweep points that zeroing a destabilizes: searched from the
+    # last blue index down, the first set found is the whole search's, so
+    # every search branches on one index, none is rerun over the whole point
+    # to name the set, and verdict and message are the reference search's
+    points = [
+        butterfly.assemble_fixed_point(t)
+        for d in sweep_diagrams()
+        for t in tie.enumerate_tie_diagrams(d)
+    ]
+    with_a = [f for f in points if any(not ops["a"].is_zero() for ops in f.per_blue.values())]
+    for f in with_a:
+        for ops in f.per_blue.values():
+            ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
+    calls = recording_searches(monkeypatch)
+    failed = 0
+    for f in with_a:
+        calls.clear()
+        got = stability(f)
+        if got.ok:
+            continue
+        failed += 1
+        ref = reference_stability(f)
+        assert (got.ok, got.messages) == (ref.ok, ref.messages)
+        assert all(len(indices) == 1 for indices, _nodes in calls)
+        assert len(calls) <= len(pending_indices(f))
+    assert failed == 363
+
+
 def with_entry(f, p, key, r, c):
     """A copy of ``f`` with the entry (r, c) of ``key`` at position p set to 1."""
     g = zeroing(f, [])

@@ -352,6 +352,15 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         "duplicate": json.dumps(
             {**good, "points": [good["points"][0], {**good["points"][0], "id": "P2"}]}
         ),
+        # no point for the second fixed point: P1 alone, consistent by itself
+        "missing": json.dumps(
+            {
+                **good,
+                "points": good["points"][:1],
+                "order": ["P1"],
+                "restrictions": {"P1": {"P1": good["restrictions"]["P1"]["P1"]}},
+            }
+        ),
     }
     for field, text in cases.items():
         path = tmp_path / f"{field}.json"
@@ -366,6 +375,8 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
             assert "is not a colored line" in proc.stderr and "limit" not in proc.stderr
         if field == "duplicate":
             assert proc.stderr == "error: duplicate tie diagram: points 'P1' and 'P2'\n"
+        if field == "missing":
+            assert proc.stderr == "error: missing tie diagram: [['V2', 'U2'], ['U2', 'V1']]\n"
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
