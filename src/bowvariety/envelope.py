@@ -87,6 +87,7 @@ def load_attraction_data(source):
 
     if not isinstance(raw["points"], list) or not raw["points"]:
         raise errors.SchemaError("points must be a non-empty list")
+    fixed = {t.ties: t for t in tie.enumerate_tie_diagrams(diagram)}  # in enumeration order
     points, owners = {}, {}  # owners: ties -> the first point id that carries them
     for entry in raw["points"]:
         if not isinstance(entry, dict) or "id" not in entry or "ties" not in entry:
@@ -100,14 +101,13 @@ def load_attraction_data(source):
             t = tie.from_names(diagram, entry["ties"])
         except (LookupError, TypeError, ValueError) as exc:
             raise errors.SchemaError(f"point {pid} ties: {exc}")
-        report = tie.is_valid(t)
-        if not report.ok:
-            raise errors.SchemaError(f"point {pid}: {'; '.join(report.messages)}")
+        if t.ties not in fixed:  # no tie diagram: is_valid names the broken axioms
+            raise errors.SchemaError(f"point {pid}: {'; '.join(tie.is_valid(t).messages)}")
         if owners.setdefault(t.ties, pid) != pid:
             raise errors.SchemaError(f"duplicate tie diagram: points {owners[t.ties]!r} and {pid!r}")
         points[pid] = t
-    for t in tie.enumerate_tie_diagrams(diagram):
-        if t.ties not in owners:
+    for ties, t in fixed.items():
+        if ties not in owners:
             raise errors.SchemaError(f"missing tie diagram: {t.named_ties()}")
 
     if not _is_list_of(raw["order"], str):

@@ -10,6 +10,8 @@ l < r; the pair covers the black lines X_{l+1} .. X_r.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from . import brane, errors
@@ -79,63 +81,67 @@ def is_valid(t):
     return report
 
 
+PLAN_CACHE_SIZE = 32  # sweep: 220 color sequences, 371 runs, 312 builds (256 entries: 220, 277 KB)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(colors):
+    """``(candidates, spans, capacity, width, left, guard)`` of a color
+    sequence: the red/blue pairs (l, r) in lexicographic order, the span of
+    each (a 1 in the field of every black line it covers), how many cover
+    each line, the field width, those counts packed, and the guard bits."""
+    pairs = itertools.combinations(range(1, len(colors) + 1), 2)  # lexicographic
+    candidates = tuple((l, r) for l, r in pairs if colors[l - 1] != colors[r - 1])
+    # (l, r) covers the 0-based black lines l .. r-1
+    capacity = tuple(sum(l <= j < r for l, r in candidates) for j in range(len(colors) + 1))
+    width = max(capacity).bit_length() + 1
+    spans = tuple(sum(1 << j * width for j in range(l, r)) for l, r in candidates)
+    guard = sum(1 << j * width + width - 1 for j in range(len(capacity)))
+    return candidates, spans, capacity, width, sum(spans), guard
+
+
 def enumerate_tie_diagrams(d):
     """All tie diagrams of an admissible diagram, canonically ordered.
 
     Depth-first backtracking over the candidate red/blue pairs in
     lexicographic order, each included before it is left out.  ``need``
-    counts the ties a black line still lacks and ``left`` the undecided
-    candidates that cover it; a step changes both only on the lines its
-    candidate covers, so only those are checked for being over- or
-    under-coverable.  The canonical order, lexicographic on the sorted tie
-    list, is the search order: two results first differ at a candidate one
-    of them includes, and that one sorts first unless the other's list ends
-    there, a proper subset of a tie diagram with the same cover counts,
-    which cannot be since every tie covers a black line.
+    (ties a black line still lacks) and ``left`` (undecided candidates that
+    cover it) are ints with one field per black line, each wide enough that
+    its counts fit below its top bit, the guard bit g.  A field of
+    ``(x | guard) - y`` holds x + g - y, positive as y < g, so no field
+    borrows from the next, and it keeps its guard bit iff x >= y: so
+    ``(x | guard) - y & guard == guard`` tests x >= y on all fields at once.
+    A step includes its candidate if ``need >= span`` and leaves it out if
+    ``left - span >= need``.  As ``need <= left`` at every node and a step
+    lowers ``left`` only on its candidate's lines, these whole-word tests
+    are the line-by-line tests on those lines, so the search tree and its
+    order do not change.  The order of the sorted tie lists is the search
+    order: two results first differ at a candidate one includes, which
+    sorts first unless the other's list ends there, a proper subset of a
+    tie diagram with the same cover counts, impossible as every tie covers
+    a black line.  A label above its capacity returns ``[]`` unpacked.
     """
-    colors = d.colors
-    n = len(colors)
-    candidates = [
-        (l, r) for l in range(1, n + 1) for r in range(l + 1, n + 1) if colors[l - 1] != colors[r - 1]
-    ]
-    spans = [range(l, r) for l, r in candidates]  # 0-based black lines X_{l+1} .. X_r
-    need = list(d.blacks)
-    left = [0] * len(need)
-    for span in spans:
-        for j in span:
-            left[j] += 1
-    if any(nd > lf for nd, lf in zip(need, left)):
+    candidates, spans, capacity, width, left, guard = _plan(d.colors)
+    if any(x > c for x, c in zip(d.blacks, capacity)):
         return []
+    need = sum(x << j * width for j, x in enumerate(d.blacks))
     n_cand = len(candidates)
     found, chosen = [], []
 
-    def rec(i):
+    def rec(i, need, left):
         if i == n_cand:  # 0 <= need <= left = 0 on every black line
             found.append(TieDiagram(d, frozenset(chosen)))
             return
         span = spans[i]
-        for j in span:
-            left[j] -= 1
-        for j in span:
-            if not need[j]:
-                break
-        else:  # include: each line it covers still lacks a tie
-            for j in span:
-                need[j] -= 1
+        left -= span
+        if (need | guard) - span & guard == guard:  # include
             chosen.append(candidates[i])
-            rec(i + 1)
+            rec(i + 1, need - span, left)
             chosen.pop()
-            for j in span:
-                need[j] += 1
-        for j in span:
-            if need[j] > left[j]:
-                break
-        else:  # leave out: the others can still cover each line it covers
-            rec(i + 1)
-        for j in span:
-            left[j] += 1
+        if (left | guard) - need & guard == guard:  # leave out
+            rec(i + 1, need, left)
 
-    rec(0)
+    rec(0, need, left)
     return found
 
 
@@ -166,17 +172,11 @@ def render_ascii(t):
     base_str = brane.render(d)
     # x-coordinate of each colored line inside base_str
     xs = [i for i, c in enumerate(base_str) if c in "/\\"]
-    width = len(base_str)
     above = [p for p in t.sorted_ties() if d.color_at(p[0]) == brane.RED]
     below = [p for p in t.sorted_ties() if d.color_at(p[0]) == brane.BLUE]
 
     def arc_row(l, r):
-        row = [" "] * width
-        for x in range(xs[l - 1], xs[r - 1] + 1):
-            row[x] = "-"
-        row[xs[l - 1]] = "+"
-        row[xs[r - 1]] = "+"
-        return "".join(row).rstrip()
+        return " " * xs[l - 1] + "+" + "-" * (xs[r - 1] - xs[l - 1] - 1) + "+"
 
     lines = [arc_row(l, r) for l, r in reversed(above)]
     lines.append(base_str)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bowvariety import algebra, envelope, errors
+from bowvariety import algebra, envelope, errors, tie
 from conftest import DATA, pack, tstar_module
 
 
@@ -81,6 +81,41 @@ def test_schema_invalid_point(fixtures_dir):
     raw["points"][0]["ties"] = [["V2", "U1"]]
     with pytest.raises(errors.SchemaError):
         envelope.load_attraction_data(raw)
+
+
+def test_loader_enumerates_once_and_asks_is_valid_only_for_messages(fixtures_dir, monkeypatch):
+    # the enumerated tie diagrams decide every point; is_valid runs only for
+    # a point outside them, to name what is wrong (messages as recorded
+    # before the enumeration decided)
+    calls = {"enumerate": 0, "is_valid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tie, "enumerate_tie_diagrams", counted("enumerate", tie.enumerate_tie_diagrams))
+    monkeypatch.setattr(tie, "is_valid", counted("is_valid", tie.is_valid))
+    for name in ("tstar_p1_chamber12.json", "tstar_p2_chamber123.json", "example54_chamber321.json"):
+        load_fixture(fixtures_dir, name)
+    assert calls == {"enumerate": 3, "is_valid": 0}
+    cases = {
+        (("V2", "U1"),): "black line X3: covered 0 times, label is 1; "
+        "black line X4: covered 0 times, label is 1",
+        (("V2", "V1"), ("U1", "V1")): "tie (V2,V1) joins two red lines; "
+        "black line X3: covered 2 times, label is 1; black line X4: covered 2 times, label is 1",
+        (): "black line X2: covered 0 times, label is 1; black line X3: covered 0 times, "
+        "label is 1; black line X4: covered 0 times, label is 1",
+    }
+    for ties, message in cases.items():
+        raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
+        raw["points"][1]["ties"] = [list(t) for t in ties]
+        with pytest.raises(errors.SchemaError) as exc:
+            envelope.load_attraction_data(raw)
+        assert str(exc.value) == f"point P2: {message}"
+    assert calls == {"enumerate": 6, "is_valid": 3}
 
 
 def test_schema_rejects_two_ids_for_one_tie_diagram(fixtures_dir):

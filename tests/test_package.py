@@ -203,9 +203,9 @@ def test_every_memo_is_bounded_by_a_cache_size_constant():
     trees, uses = package_trees()
     found = {path.name: unbounded_memos(tree) for path, tree in trees}
     assert not {name: lines for name, lines in found.items() if lines}
-    # the lattices, the tangent plans, the weight and term texts and the
-    # Euler-class expansions
-    assert len(uses["lru_cache"]) >= 5
+    # the lattices, the tangent plans, the weight and term texts, the
+    # Euler-class expansions and the tie plans
+    assert len(uses["lru_cache"]) >= 6
 
 
 def test_unbounded_memos_are_found():

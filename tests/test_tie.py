@@ -1,14 +1,20 @@
 """Tie diagrams: validity, enumeration, Hanany-Witten matching."""
 
-import pytest
+import itertools
+import time
 
-from bowvariety import brane, errors, tie
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bowvariety import algebra, brane, errors, tie
 from conftest import (
     EXAMPLE_3BLUE,
     FLAG,
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
+    random_admissible_diagrams,
     sweep_diagrams,
 )
 
@@ -107,6 +113,96 @@ def test_enumeration_matches_reference_in_order():
         assert got == reference_enumerate(d), d
         points += len(got)
     assert points == 1610 + 840 + 13978
+
+
+def capacities(colors):
+    """How many red/blue pairs (l, r) cover each black line X_{j+1}: those
+    with l <= j < r."""
+    n = len(colors)
+    return [
+        sum(colors[l - 1] != colors[r - 1] for l in range(1, j + 1) for r in range(j + 1, n + 1))
+        for j in range(n + 1)
+    ]
+
+
+R, B = brane.RED, brane.BLUE
+
+
+@st.composite
+def labels_near_capacity(draw):
+    """Colors, one color alone included, and black labels each at its line's
+    capacity, one past it, or below it: the packed kernel's edge cases."""
+    colors = draw(st.lists(st.sampled_from((R, B)), min_size=1, max_size=7))
+    inner = [
+        draw(st.sampled_from((cap, cap + 1)) | st.integers(0, cap))
+        for cap in capacities(colors)[1:-1]
+    ]
+    return tuple(colors), (0, *inner, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels_near_capacity())
+@example(((R, B, B, B), (0, 3, 2, 1, 0)))  # every label at capacity; X2's 3 = 0b11 fills its field
+@example(((R, B, B, B), (0, 4, 2, 1, 0)))  # one past the capacity of X2
+@example(((R,) + (B,) * 7, (0, 7, 6, 5, 4, 3, 2, 1, 0)))  # 7 = 0b111 ties over X2
+@example(((R, R, B, B), (0, 2, 4, 2, 0)))  # capacity 4 = 0b100 over X3
+@example(((B, B, R), (0, 1, 2, 0)))
+def test_packed_enumeration_matches_reference_near_capacity(case):
+    colors, blacks = case
+    d = brane.BraneDiagram(blacks, colors)
+    _candidates, _spans, capacity, width, _left, _guard = tie._plan(colors)
+    assert list(capacity) == capacities(colors)
+    assert max(capacity).bit_length() == width - 1  # every capacity fits below its guard bit
+    got = tie.enumerate_tie_diagrams(d)
+    assert got == reference_enumerate(d)
+    if any(x > c for x, c in zip(blacks, capacity)):
+        assert got == []
+
+
+def test_one_color_has_no_candidates():
+    for colors in ((R,), (B, B), (R, R, R)):
+        assert tie._plan(colors)[0] == ()
+        (empty,) = tie.enumerate_tie_diagrams(brane.BraneDiagram((0,) * (len(colors) + 1), colors))
+        assert empty.ties == frozenset()
+    assert tie.enumerate_tie_diagrams(brane.parse("0/1/0")) == []
+    assert tie.enumerate_tie_diagrams(brane.parse("0\\2\\1\\0")) == []
+
+
+def test_a_label_past_every_capacity_returns_before_it_is_packed():
+    # the longest label a diagram holds, MAX_DIGITS digits, is past the
+    # capacity of any line; it returns [] without becoming a field
+    largest = 10**algebra.MAX_DIGITS - 1
+    for dsl in (f"0/{largest}\\0", f"0/1/{largest}\\2\\1\\0", f"0/{largest}\\{largest}/0"):
+        d = brane.parse(dsl)
+        start = time.perf_counter()
+        assert tie.enumerate_tie_diagrams(d) == []
+        assert time.perf_counter() - start < 0.1
+        assert reference_enumerate(d) == []
+
+
+def test_plan_is_built_once_per_run_of_equal_colors():
+    # the criterion-3 diagrams in the order a sweep pass meets them, repeats
+    # included: 6,906 diagrams, 220 color sequences in 371 runs of equal colors
+    diagrams = list(
+        itertools.chain(
+            admissible_diagrams(5, 3),
+            random_admissible_diagrams(seed=7, trials=400, min_colored=5, max_colored=8, max_label=3),
+        )
+    )
+    runs = [colors for colors, _run in itertools.groupby(d.colors for d in diagrams)]
+    assert (len(diagrams), len(set(runs)), len(runs)) == (6906, 220, 371)
+    tie._plan.cache_clear()
+    colors = None
+    for d in diagrams:
+        misses = tie._plan.cache_info().misses
+        tie.enumerate_tie_diagrams(d)
+        if d.colors == colors:  # a run reuses the plan its first diagram built
+            assert tie._plan.cache_info().misses == misses
+        colors = d.colors
+    # the bound and the count its comment states: sequences that recur
+    # within 32 others are not rebuilt
+    assert tie.PLAN_CACHE_SIZE == 32
+    assert tie._plan.cache_info().misses == 312
 
 
 def test_every_enumerated_diagram_is_valid():
