@@ -137,9 +137,6 @@ class Character:
         self.nvars = nvars
         self.terms = {w: terms[w] for w in sorted(terms, key=weight_sort_key) if terms[w]}
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return isinstance(other, Character) and self.terms == other.terms
 
@@ -301,6 +298,11 @@ class Poly:
         """Every term has degree d (so the zero polynomial has every degree)."""
         shift = (self.nvars + 1) * WIDTH
         return all(e >> shift == d for e in self.terms)
+
+    def evaluate(self, point):
+        """The exact value at ``point`` = (t_1, ..., t_N, h), ints or Fractions."""
+        n = self.nvars
+        return sum(c * math.prod(map(pow, point, unpack(e, n))) for e, c in self.terms.items())
 
     def leading(self):
         """Leading (packed monomial, coefficient) in the canonical term order."""
@@ -561,6 +563,12 @@ class FactoredClass:
 
     def expand(self):
         return _expand(self.nvars, self.constant, self.factors)
+
+    def evaluate(self, point):
+        """The exact value at ``point`` = (t_1, ..., t_N, h)."""
+        ts, h = (0, *point[:-1]), point[-1]
+        values = ((ts[i] - ts[j] + m * h) ** n for (i, j, m), n in self.factors)
+        return self.constant * math.prod(values)
 
     def __mul__(self, other):
         if isinstance(other, FactoredClass):

@@ -5,10 +5,17 @@ fixtures): computing them requires per-chart geometry that does not reduce to
 the diagram combinatorics.  Everything downstream is exact: the recursion
 producing stable-envelope coefficient vectors, the three envelope axioms, the
 virtual intersection pairing, orthogonality and order-duality checks.
+
+Pairings are decided one hyperplane at a time.  A test class that restricts
+to one polynomial at every point of a hyperplane factors out of the residue
+there, and a gram entry shown free of poles has degree 0, so it is the
+constant read off one exact evaluation.  Where the data does not show either
+fact, the residue is summed from products, or the entry in full.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -260,14 +267,55 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     Rows and columns are both indexed by data.order, so the orthogonality
     theorem asserts the identity matrix; deviations mean the two data files
     are inconsistent (reported by the caller's checks).
+
+    An entry is certified when its gamma = 1 residue vanishes on every simple
+    hyperplane and it keeps no pole on a repeated one (the tests of
+    :func:`check_polynomiality`), so that it is a polynomial, and when every
+    restriction is homogeneous of degree dim/2 and every e(T_p) has degree
+    dim, so that each term u_p * v_p / e(T_p) has degree 0.  A polynomial of
+    degree 0 is a constant: its value at any rational point off the zeros of
+    the e(T_p) (:func:`_evaluation_point`), summed there with ints and
+    Fractions.  Every other entry is the :func:`virtual_pairing` sum.
     """
     _check_paired(data, op_data)
     by_point = {s.point: s.restrictions for s in stabs}
     op_by_point = {s.point: s.restrictions for s in op_stabs}
-    return [
-        [virtual_pairing(by_point[p], op_by_point[q], data) for q in data.order]
-        for p in data.order
-    ]
+    us = [by_point[p] for p in data.order]
+    vs = [op_by_point[q] for q in data.order]
+    simple, repeated = _hyperplanes(data)
+    poles = _residues(us, vs, simple)[2]
+    point = _evaluation_point(data)
+    euler = {p: e.evaluate(point) for p, e in data.full_euler.items()}
+    degrees = {sum(n for _, n in e.factors) for e in data.full_euler.values()}
+    exact = degrees == {data.dim} and all(euler.values())
+
+    def values(vec):  # None unless every entry is homogeneous of degree dim/2
+        if exact and all(r.is_homogeneous(data.dim // 2) for r in vec.values()):
+            return {p: vec[p].evaluate(point) for p in data.order}
+        return None
+
+    u_at, v_at = [values(u) for u in us], [values(v) for v in vs]
+    gram = []
+    for u, a, row in zip(us, u_at, poles):
+        gram.append([])
+        for v, b, pole in zip(vs, v_at, row):
+            if a is None or b is None or pole or _repeated_pole(u, v, data, repeated):
+                gram[-1].append(virtual_pairing(u, v, data))
+            else:
+                value = sum(Fraction(a[p] * b[p], euler[p]) for p in data.order)
+                gram[-1].append(algebra.RationalFn(algebra.Poly.const(data.nvars, value)))
+    return gram
+
+
+def _evaluation_point(data):
+    """``(t_1, ..., t_N, h) = (1000, 1000^2, ..., 1000^N, h)`` for the least
+    h >= 7 at which no factor t_i - t_j + m*h of any e(T_p) vanishes.  With
+    m != 0 a factor vanishes at one h at most, with m = 0 at none (t_i != t_j)
+    unless it is the zero weight, which no h misses."""
+    ts = [0] + [1000**i for i in range(1, data.nvars + 1)]
+    factors = {w for e in data.full_euler.values() for w, _ in e.factors}
+    roots = {Fraction(ts[j] - ts[i], m) for i, j, m in factors if m}
+    return (*ts[1:], next(h for h in itertools.count(7) if h not in roots))
 
 
 def _check_paired(data, op_data):
@@ -291,39 +339,54 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     One hyperplane H at a time: by localization only the points whose e(T_p)
     contains H can give a pole along H.  If each carries H once, the residue
     test of :func:`_hyperplanes` decides on Stab(p)|_p, gamma_p and
-    Stab_op(q)|_p, each restricted to H once per call; else the sum over H's
-    points must keep no H in its denominator.  Failures are summed in full.
+    Stab_op(q)|_p restricted to H, and the gamma = 1 residue is found once per
+    (p, q, H).  Where gamma_p|_H is one polynomial g at every point on H, the
+    residue for gamma is g times it, and polynomials on H form an integral
+    domain: it vanishes iff g = 0 or the gamma = 1 residue does, with no
+    product formed.  A global class agrees so along each torus-invariant
+    curve (the GKM condition), but gamma is input, so where it does not
+    agree the residue is summed from products.  On a hyperplane that some
+    e(T_p) carries twice, the sum over its points must keep no H in its
+    denominator.  Failures are summed in full.
     """
     _check_paired(data, op_data)
     if gammas is None:
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
     simple, repeated = _hyperplanes(data)
-
-    def restricted(vec):
-        return {(key, p): algebra.restrict(vec[p], key) for key in simple for p in simple[key]}
-
-    gamma_res = [restricted(gamma) for gamma in gammas]
-    op_res = [
-        {kp: r * simple[kp[0]][kp[1]] for kp, r in restricted(o.restrictions).items() if r}
-        for o in op_stabs
-    ]
+    s_res, op_res, poles = _residues(
+        [s.restrictions for s in stabs], [o.restrictions for o in op_stabs], simple
+    )
+    factored = []  # per gamma: its restrictions, the H where it is one g != 0, the H where not
+    for gamma in gammas:
+        g_res = _restricted(gamma, simple)
+        live, mixed = set(), []
+        for key, points in simple.items():
+            g = g_res[key, next(iter(points))]
+            if any(g_res[key, p] != g for p in points):
+                mixed.append(key)
+            elif g:
+                live.add(key)
+        factored.append((g_res, live, mixed))
     report = errors.CheckResult("polynomiality")
-    for s in stabs:
-        s_res = restricted(s.restrictions)
+    for s, a1, s_poles in zip(stabs, s_res, poles):
         for k, gamma in enumerate(gammas):
-            a = {kp: r * gamma_res[k][kp] for kp, r in s_res.items() if r and gamma_res[k][kp]}
+            g_res, live, mixed = factored[k]
+            a = {
+                (key, p): a1[key, p] * g_res[key, p]
+                for key in mixed
+                for p in simple[key]
+                if (key, p) in a1 and g_res[key, p]
+            }
             u = None
-            for o, b in zip(op_stabs, op_res):
-                ok = all(_residue_vanishes(key, ms, a, b) for key, ms in simple.items())
+            for o, b, pole in zip(op_stabs, op_res, s_poles):
+                ok = live.isdisjoint(pole) and all(
+                    _residue_vanishes(key, simple[key], a, b) for key in mixed
+                )
                 if repeated or not ok:
                     if u is None:
                         u = {p: s.restrictions[p] * gamma[p] for p in data.order}
-                    ok = ok and not any(
-                        algebra.hyperplane(w)[0] == key
-                        for key, points in repeated.items()
-                        for w, _ in virtual_pairing(u, o.restrictions, data, points).den.factors
-                    )
+                    ok = ok and not _repeated_pole(u, o.restrictions, data, repeated)
                 if not ok:
                     pairing = virtual_pairing(u, o.restrictions, data)
                     report.fail(
@@ -331,6 +394,38 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
                         f"{pairing.render()} is not polynomial"
                     )
     return report
+
+
+def _restricted(vec, simple):
+    """``{(key, p): vec[p] on H(key)}`` over the points p of each simple hyperplane."""
+    return {(key, p): algebra.restrict(vec[p], key) for key in simple for p in simple[key]}
+
+
+def _residues(us, vs, simple):
+    """The nonzero restrictions of each vector u of ``us`` to the simple
+    hyperplanes, those of each v of ``vs`` times M_p, and for each pair
+    (u, v) the set of simple hyperplanes on which the residue of their
+    pairing does not vanish."""
+    u_res = [{kp: r for kp, r in _restricted(u, simple).items() if r} for u in us]
+    v_res = [
+        {kp: r * simple[kp[0]][kp[1]] for kp, r in _restricted(v, simple).items() if r}
+        for v in vs
+    ]
+    poles = [
+        [{key for key, ms in simple.items() if not _residue_vanishes(key, ms, a, b)} for b in v_res]
+        for a in u_res
+    ]
+    return u_res, v_res, poles
+
+
+def _repeated_pole(u, v, data, repeated):
+    """Whether the pairing of ``u`` and ``v``, summed over the points of each
+    repeated hyperplane, keeps that hyperplane in its denominator."""
+    return any(
+        algebra.hyperplane(w)[0] == key
+        for key, points in repeated.items()
+        for w, _ in virtual_pairing(u, v, data, points).den.factors
+    )
 
 
 def _hyperplanes(data):

@@ -28,24 +28,6 @@ class Mat:
         self.cols = cols
         self.entries = {} if entries is None else entries
 
-    def __getitem__(self, ij):
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
-        return self.entries.get(i, _NO_ROW).get(j, 0)
-
-    def __setitem__(self, ij, value):
-        """Write one entry; writing 0 removes it, and an emptied row."""
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"({i}, {j}) is outside a {self.rows}x{self.cols} matrix")
-        if value:
-            self.entries.setdefault(i, {})[j] = value
-        elif j in self.entries.get(i, _NO_ROW):
-            del self.entries[i][j]
-            if not self.entries[i]:
-                del self.entries[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)

@@ -128,6 +128,22 @@ def fiber_weights(t):
     return fibers
 
 
+def entry(m, i, j, value=None):
+    """Entry (i, j) of the ``linalg.Mat`` ``m``, after writing ``value`` there
+    if one is given.  Writing 0 removes the entry, and a row it empties, so an
+    edited matrix stores no zero.  An index outside the shape raises
+    IndexError, for reading and writing alike."""
+    if not (0 <= i < m.rows and 0 <= j < m.cols):
+        raise IndexError(f"({i}, {j}) is outside a {m.rows}x{m.cols} matrix")
+    if value:
+        m.entries.setdefault(i, {})[j] = value
+    elif value is not None and j in m.entries.get(i, {}):
+        del m.entries[i][j]
+        if not m.entries[i]:
+            del m.entries[i]
+    return m.entries.get(i, {}).get(j, 0)
+
+
 def pack(exps):
     """The packed monomial of the exponent tuple ``(e_1, ..., e_N, e_h)``:
     the inverse of ``algebra.unpack``, for building test polynomials."""

@@ -7,6 +7,7 @@ from math import gcd, lcm
 from operator import mul
 
 from bowvariety import linalg
+from conftest import entry
 
 
 class DenseMat:
@@ -141,7 +142,7 @@ def sparse(rows, cols, data):
         raise ValueError("shape mismatch")
     for i, row in enumerate(data):
         for j, x in enumerate(row):
-            m[i, j] = x
+            entry(m, i, j, x)
     return m
 
 

@@ -20,6 +20,7 @@ from conftest import (
     POINT_DIAGRAM,
     TSTAR_P1,
     admissible_diagrams,
+    entry,
     fiber_weights,
     sweep_diagrams,
 )
@@ -359,7 +360,7 @@ def test_verify_detects_broken_moment_map():
     d = brane.parse(TSTAR_P1)
     t = tie.enumerate_tie_diagrams(d)[0]
     f = butterfly.assemble_fixed_point(t)
-    f.per_blue["U1"]["Bplus"][0, 0] = Fraction(5)
+    entry(f.per_blue["U1"]["Bplus"], 0, 0, Fraction(5))
     report = butterfly.verify_fixed_point(f)
     assert not verdict(report, "moment-map").ok
 
@@ -407,7 +408,7 @@ def test_verify_detects_broken_grading():
     # connect two basis lines with different labels through A_U2
     ops = f.per_blue["U2"]["A"]
     assert ops.rows == ops.cols == 2
-    ops[0, 1] = ops[0, 1] + 7
+    entry(ops, 0, 1, entry(ops, 0, 1) + 7)
     report = butterfly.verify_fixed_point(f)
     assert verdict(report, "grading").messages == ["A_U2 breaks the grading"]
     # one off-grade entry in each of the seven operators, each on its own
@@ -416,7 +417,7 @@ def test_verify_detects_broken_grading():
         f = butterfly.assemble_fixed_point(big_tie_diagram())
         assert butterfly.verify_fixed_point(f).ok
         p, r, c = off_grade_cell(f, key)
-        ops_at(f, p)[key][r, c] = 1
+        entry(ops_at(f, p)[key], r, c, 1)
         check = verdict(butterfly.verify_fixed_point(f), "grading")
         assert check.messages == [f"{key}_{f.base.line_name(p)} breaks the grading"], key
 
@@ -478,7 +479,7 @@ def zeroing(f, entries):
     for p, key, r, c in entries:
         ops = ops_at(g, p)
         ops[key] = copied(ops[key])
-        ops[key][r, c] = 0
+        entry(ops[key], r, c, 0)
     return g
 
 
@@ -797,7 +798,7 @@ def with_entry(f, p, key, r, c):
     g = zeroing(f, [])
     ops = ops_at(g, p)
     ops[key] = copied(ops[key])
-    ops[key][r, c] = 1
+    entry(ops[key], r, c, 1)
     return g
 
 
@@ -946,8 +947,8 @@ def edited(f, rng):
         return f
     name, key = rng.choice(choices)
     mat = copied(f.per_blue[name][key])
-    ij = rng.randrange(mat.rows), rng.randrange(mat.cols)
-    mat[ij] = rng.choice([x for x in (0, 1, -1, 2) if x != mat[ij]])
+    i, j = rng.randrange(mat.rows), rng.randrange(mat.cols)
+    entry(mat, i, j, rng.choice([x for x in (0, 1, -1, 2) if x != entry(mat, i, j)]))
     per_blue = {**f.per_blue, name: {**f.per_blue[name], key: mat}}
     return dataclasses.replace(f, per_blue=per_blue)
 
@@ -1005,34 +1006,34 @@ def test_writing_zero_removes_the_entry():
     # a stored zero would be a false edge for stability and a false failure
     # for grading: zeroing an entry leaves the matrix a fresh one would be
     m = linalg.Mat(2, 3)
-    m[1, 2] = 5
-    m[0, 0] = Fraction(1, 2)
+    entry(m, 1, 2, 5)
+    entry(m, 0, 0, Fraction(1, 2))
     assert sorted(m.support("xy", "pqr")) == [("x", "p"), ("y", "r")]
-    m[1, 2] = 0
-    m[0, 0] = Fraction(0)
-    m[0, 1] = 0  # zeroing an absent entry changes nothing
+    entry(m, 1, 2, 0)
+    entry(m, 0, 0, Fraction(0))
+    entry(m, 0, 1, 0)  # zeroing an absent entry changes nothing
     assert m.support("xy", "pqr") == [] and m.is_zero()
     assert m == linalg.Mat(2, 3) and m.entries == {}
     assert m + sparse(2, 3, [[0, 1, 0], [0, 0, 0]]) == sparse(2, 3, [[0, 1, 0], [0, 0, 0]])
-    m[0, 1] = -1
+    entry(m, 0, 1, -1)
     assert (m + sparse(2, 3, [[0, 1, 0], [0, 0, 0]])).entries == {}
     with pytest.raises(IndexError):
-        m[2, 0] = 1
+        entry(m, 2, 0, 1)
     with pytest.raises(IndexError):
-        m[0, -1] = 1
+        entry(m, 0, -1, 1)
 
 
 def test_reading_outside_the_shape_raises():
     # an absent entry inside the shape reads 0; outside it, as for writing,
     # the index is an error, not a silent 0
     m = linalg.Mat(2, 2)
-    m[1, 0] = 3
-    assert (m[1, 0], m[0, 1], m[1, 1]) == (3, 0, 0)
-    for ij in ((5, 5), (-1, 0), (0, -1), (2, 0), (0, 2)):
+    entry(m, 1, 0, 3)
+    assert (entry(m, 1, 0), entry(m, 0, 1), entry(m, 1, 1)) == (3, 0, 0)
+    for i, j in ((5, 5), (-1, 0), (0, -1), (2, 0), (0, 2)):
         with pytest.raises(IndexError, match=r"is outside a 2x2 matrix"):
-            m[ij]
+            entry(m, i, j)
     with pytest.raises(IndexError):
-        linalg.Mat(0, 3)[0, 0]
+        entry(linalg.Mat(0, 3), 0, 0)
 
 
 def test_rank_kernel_image():

@@ -57,7 +57,7 @@ def test_point_diagram_is_zero_dimensional():
     d = brane.parse(POINT_DIAGRAM)
     (t_,) = tie.enumerate_tie_diagrams(d)
     tc = tangent.tangent_character(t_, "D1")
-    assert not tc.char and tc.char.total() == 0
+    assert tc.char.terms == {} and tc.char.total() == 0
 
 
 def test_three_blue_tangent_table():
