@@ -96,8 +96,18 @@ def restrict_weight(w, key):
 
 def restrict(p, key):
     """``p`` on the hyperplane ``H(key) = 0``: ``t_i -> t_j - m*h`` for the key
-    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``.  Horner's rule on the powers of
-    t_i: ``sum_k t_i^k P_k = (...(P_K * s + P_{K-1}) * s + ...) + P_0``."""
+    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``.  A Poly never changes, so each
+    restriction is kept on ``p`` and computed once per key."""
+    if not hasattr(p, "_restrictions"):
+        p._restrictions = {}
+    if key not in p._restrictions:
+        p._restrictions[key] = _horner(p, key)
+    return p._restrictions[key]
+
+
+def _horner(p, key):
+    """:func:`restrict` by Horner's rule on the powers of t_i:
+    ``sum_k t_i^k P_k = (...(P_K * s + P_{K-1}) * s + ...) + P_0``."""
     i, j, m = key
     if i == j:
         return p.mod_h()
@@ -191,9 +201,10 @@ def _coeff(a, c=1):
 
 class Poly:
     """Exact polynomial in t_1..t_N, h over Q: packed monomial -> nonzero coefficient.
-    Nothing writes ``terms`` after ``__init__``, so a Poly is shared and keeps its rendering."""
+    Nothing writes ``terms`` after ``__init__``, so a Poly is shared and keeps
+    its rendering and its restrictions to hyperplanes (:func:`restrict`)."""
 
-    __slots__ = ("nvars", "terms", "_text")
+    __slots__ = ("nvars", "terms", "_text", "_restrictions")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -419,11 +430,11 @@ class _Tokens:
 
 
 def _parse_expr(tok, nvars):
-    sign = 1
-    if tok.peek() == "-":
-        tok.pos += 1
-        sign = -1
-    p = _parse_term(tok, nvars) * sign
+    negate = tok.peek() == "-"
+    tok.pos += negate  # past the sign
+    p = _parse_term(tok, nvars)
+    if negate:
+        p = -p
     while tok.peek() in ("+", "-"):
         op = tok.peek()
         tok.pos += 1

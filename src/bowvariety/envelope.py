@@ -15,6 +15,7 @@ fact, the residue is summed from products, or the entry in full.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -43,6 +44,11 @@ class AttractionData:
 
     def rank(self, p):
         return self.order.index(p)
+
+    @functools.cached_property
+    def hyperplanes(self):
+        """``(simple, repeated)`` of :func:`_hyperplanes`, computed on first use."""
+        return _hyperplanes(self)
 
 
 def _is_list_of(value, kind):
@@ -163,9 +169,8 @@ def load_attraction_data(source):
         full_euler[p] = tangent.euler_class(tc.char)
 
     for pi, p in enumerate(order):
-        for qi, q in enumerate(order):
-            entry = restrictions[p][q]
-            if qi > pi and not entry.is_zero():
+        for q in order[pi + 1 :]:
+            if not restrictions[p][q].is_zero():
                 raise errors.TriangularityViolation(f"R[{p}][{q}] != 0")
         if restrictions[p][p] != minus_euler[p].expand():
             raise errors.DiagonalMismatch(
@@ -275,14 +280,16 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     dim, so that each term u_p * v_p / e(T_p) has degree 0.  A polynomial of
     degree 0 is a constant: its value at any rational point off the zeros of
     the e(T_p) (:func:`_evaluation_point`), summed there with ints and
-    Fractions.  Every other entry is the :func:`virtual_pairing` sum.
+    Fractions.  Every other entry is the :func:`virtual_pairing` sum.  The
+    hyperplanes, kept on ``data``, and the restrictions, kept on each Poly,
+    are shared with :func:`check_polynomiality`.
     """
     _check_paired(data, op_data)
     by_point = {s.point: s.restrictions for s in stabs}
     op_by_point = {s.point: s.restrictions for s in op_stabs}
     us = [by_point[p] for p in data.order]
     vs = [op_by_point[q] for q in data.order]
-    simple, repeated = _hyperplanes(data)
+    simple, repeated = data.hyperplanes
     poles = _residues(us, vs, simple)[2]
     point = _evaluation_point(data)
     euler = {p: e.evaluate(point) for p, e in data.full_euler.items()}
@@ -319,10 +326,18 @@ def _evaluation_point(data):
 
 
 def _check_paired(data, op_data):
-    if brane.render(data.diagram) != brane.render(op_data.diagram):
+    """Refuse data that do not pair, such as an id that names two tie diagrams:
+    the opposite restrictions are read at the points of ``data.hyperplanes``."""
+    if data.diagram != op_data.diagram:
         raise errors.ChamberMismatch("different diagrams")
     if sorted(data.points) != sorted(op_data.points):
         raise errors.ChamberMismatch("different point sets")
+    for p in data.order:
+        if data.points[p] != op_data.points[p]:
+            raise errors.ChamberMismatch(
+                f"point {p} has ties {data.points[p].named_ties()} and "
+                f"{op_data.points[p].named_ties()} in the opposite data"
+            )
     if tuple(reversed(data.chamber)) != op_data.chamber:
         raise errors.ChamberMismatch(
             f"chambers {data.chamber} and {op_data.chamber} are not opposite"
@@ -338,7 +353,7 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
 
     One hyperplane H at a time: by localization only the points whose e(T_p)
     contains H can give a pole along H.  If each carries H once, the residue
-    test of :func:`_hyperplanes` decides on Stab(p)|_p, gamma_p and
+    test of ``data.hyperplanes`` decides on Stab(p)|_p, gamma_p and
     Stab_op(q)|_p restricted to H, and the gamma = 1 residue is found once per
     (p, q, H).  Where gamma_p|_H is one polynomial g at every point on H, the
     residue for gamma is g times it, and polynomials on H form an integral
@@ -353,7 +368,7 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     if gammas is None:
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
-    simple, repeated = _hyperplanes(data)
+    simple, repeated = data.hyperplanes
     s_res, op_res, poles = _residues(
         [s.restrictions for s in stabs], [o.restrictions for o in op_stabs], simple
     )

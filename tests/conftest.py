@@ -106,6 +106,22 @@ def tstar_module():
     return module
 
 
+def relabeled(raw, a, b):
+    """Attraction data ``raw`` (a dict) with the point ids ``a`` and ``b``
+    exchanged in its points, order and restrictions: valid data in which each
+    of the two ids names the other's tie diagram."""
+    swap = {a: b, b: a}
+    return dict(
+        raw,
+        points=[dict(entry, id=swap.get(entry["id"], entry["id"])) for entry in raw["points"]],
+        order=[swap.get(p, p) for p in raw["order"]],
+        restrictions={
+            swap.get(p, p): {swap.get(q, q): r for q, r in row.items()}
+            for p, row in raw["restrictions"].items()
+        },
+    )
+
+
 def hw_twist(char, k, dm):
     """The Hanany-Witten torus twist t_k -> t_k + dm*h of a character: the
     weight (i, j, m) moves to m + dm*([i == k] - [j == k])."""

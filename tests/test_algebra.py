@@ -219,6 +219,29 @@ def test_poly_parse_precedence_and_power():
 
 def test_poly_parse_leading_minus():
     assert poly_parse("-t1+t2", 2) == -poly_parse("t1-t2", 2)
+    # a leading '-' negates its first term only, at every level of parentheses
+    for text, terms, rendered in (
+        (
+            "-(t1-t2)*(t2+h)",
+            {(1, 1, 0): -1, (1, 0, 1): -1, (0, 2, 0): 1, (0, 1, 1): 1},
+            "-h*t1 + h*t2 - t1*t2 + t2^2",
+        ),
+        ("(-(-(t1)))", {(1, 0, 0): 1}, "t1"),
+        ("-0", {}, "0"),
+        ("-(t1-t2)^2", {(2, 0, 0): -1, (1, 1, 0): 2, (0, 2, 0): -1}, "-t1^2 + 2*t1*t2 - t2^2"),
+        ("1^3*(-1)^5", {(0, 0, 0): -1}, "-1"),
+    ):
+        p = poly_parse(text, 2)
+        assert {unpack(e, 2): c for e, c in p.terms.items()} == terms, text
+        assert p.render() == rendered, text
+    for text, message in (
+        ("-", "unexpected end of expression (at position 1)"),
+        ("-)", "unexpected character ')' (at position 1)"),
+        ("-*t1", "unexpected character '*' (at position 1)"),
+    ):
+        with pytest.raises(errors.SyntaxError) as raised:
+            poly_parse(text, 2)
+        assert (str(raised.value), raised.value.position) == (message, 1), text
 
 
 def test_poly_parse_errors():
@@ -897,6 +920,18 @@ def packed(nvars, terms):
 
 def unpacked(p):
     return {unpack(e, p.nvars): c for e, c in p.terms.items()}
+
+
+def test_a_restriction_is_kept_on_its_poly():
+    # a Poly never changes, so restricting it again returns the same object;
+    # an equal Poly built apart restricts to an equal one of its own
+    terms = {(2, 1, 0, 1): 3, (0, 0, 2, 0): -1, (1, 0, 0, 0): 5, (0, 0, 0, 2): 7}
+    p, q = packed(3, terms), packed(3, terms)
+    for key in ((1, 3, -2), (2, 1, 1), (0, 0, 1)):
+        image = algebra.restrict(p, key)
+        assert algebra.restrict(p, key) is image
+        assert unpacked(image) == tuple_restrict(terms, 3, key)
+        assert algebra.restrict(q, key) == image and algebra.restrict(q, key) is not image
 
 
 @st.composite

@@ -6,6 +6,7 @@ A few end-to-end golden tests go through a real subprocess; the rest call
 
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from bowvariety import cli
 from bowvariety.algebra import MAX_DEGREE, MAX_DIGITS, MAX_NESTING
-from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, FLAG, TSTAR_P1, tstar_module
+from conftest import DATA, EXAMPLE_3BLUE, FIXTURES, FLAG, TSTAR_P1, relabeled, tstar_module
 
 
 def run_cli(*argv):
@@ -226,6 +227,19 @@ def test_pair_rejects_unpaired_data():
         str(FIXTURES / "tstar_p1_chamber12.json"),
     )
     assert code == 2
+
+
+def test_pair_rejects_ids_that_name_other_tie_diagrams(tmp_path, capsys):
+    # the opposite file of T*P^2 with D1 and D2 exchanged: one error line,
+    # not a failed gram matrix
+    path, op_path = tstar_module().write_pair(3, 7, tmp_path)
+    op_path.write_text(json.dumps(relabeled(json.loads(op_path.read_text()), "D1", "D2")))
+    code, out = run_cli("pair", "--data", str(path), "--opposite", str(op_path))
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    pattern = r"error: point D[12] has ties \[.*\] and \[.*\] in the opposite data\n"
+    assert re.fullmatch(pattern, err)
 
 
 def test_verify_verb():

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from bowvariety import algebra, envelope, errors, tie
-from conftest import DATA, pack, tstar_module
+from conftest import DATA, pack, relabeled, tstar_module
 
 
 def load_fixture(fixtures_dir, name):
@@ -334,6 +334,28 @@ def test_chamber_mismatch_detected(fixtures_dir):
         )
 
 
+def test_point_ids_that_name_other_tie_diagrams_are_refused():
+    # the opposite data of T*P^2 with D1 and D2 exchanged is valid on its
+    # own, but its D2 is the point that the data calls D1
+    tstar = tstar_module()
+    sigma = (2, 3, 1)
+    data = envelope.load_attraction_data(tstar.attraction_data(3, sigma))
+    op_raw = relabeled(tstar.attraction_data(3, sigma, opposite=True), "D1", "D2")
+    op_data = envelope.load_attraction_data(op_raw)
+    stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
+    assert data.order == ["D3", "D2", "D1"]
+    message = (
+        "point D2 has ties [['V2', 'U3'], ['U3', 'V1']] and "
+        "[['V2', 'U2'], ['U2', 'V1']] in the opposite data"
+    )
+    for check in (envelope.gram_matrix, envelope.check_polynomiality):
+        with pytest.raises(errors.ChamberMismatch) as raised:
+            check(stabs, op_stabs, data, op_data)
+        assert str(raised.value) == message
+    with pytest.raises(errors.ChamberMismatch, match="^point D2 has ties"):
+        envelope.opposite_order_check(data, op_data)
+
+
 def test_three_blue_support_order(fixtures_dir):
     # the partial order read off the R-support refines D1 < ... < D5
     data = load_fixture(fixtures_dir, "example54_chamber321.json")
@@ -431,7 +453,7 @@ def test_polynomiality_on_a_repeated_hyperplane(fixtures_dir):
     euler = dict(data.full_euler)
     euler["P1"] = algebra.FactoredClass(2, 1, [((1, 2, 0), 2), ((2, 1, 1), 1)])
     data = dataclasses.replace(data, full_euler=euler)
-    _, repeated = envelope._hyperplanes(data)
+    _, repeated = data.hyperplanes
     assert repeated == {(1, 2, 0): ["P2", "P1"]}
     args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
     t12 = algebra.poly_parse("t1-t2", 2)
@@ -450,6 +472,39 @@ def test_polynomiality_on_a_repeated_hyperplane(fixtures_dir):
     ]
     passing = reference_check_polynomiality(*args, gammas=gammas[:1])
     assert passing.ok and envelope.check_polynomiality(*args, gammas=gammas[:1]).ok
+
+
+def test_a_pairing_finds_each_hyperplane_and_restriction_once(monkeypatch):
+    # gram_matrix and then check_polynomiality on the same T*P^3 envelopes:
+    # the hyperplanes are found once for the data, and each polynomial is
+    # restricted once to each hyperplane, however often it is asked for
+    tstar = tstar_module()
+    sigma = (3, 1, 4, 2)
+    data = envelope.load_attraction_data(tstar.attraction_data(4, sigma))
+    op_data = envelope.load_attraction_data(tstar.attraction_data(4, sigma, opposite=True))
+    args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
+    hyperplanes, horner, restrict = envelope._hyperplanes, algebra._horner, algebra.restrict
+    found, computed, asked = [], [], []  # the lists keep each Poly, so its id stays its own
+    monkeypatch.setattr(envelope, "_hyperplanes", lambda d: found.append(d) or hyperplanes(d))
+    monkeypatch.setattr(algebra, "_horner", lambda p, k: computed.append((p, k)) or horner(p, k))
+    monkeypatch.setattr(algebra, "restrict", lambda p, k: asked.append((p, k)) or restrict(p, k))
+    envelope.gram_matrix(*args)
+    assert envelope.check_polynomiality(*args).ok
+    assert len(found) == 1 and found[0] is data
+    distinct = {(id(p), key) for p, key in asked}
+    assert len(asked) > len(distinct)
+    assert sorted((id(p), key) for p, key in computed) == sorted(distinct)
+
+
+def test_replaced_data_finds_its_own_hyperplanes(fixtures_dir):
+    # the hyperplanes are kept on the data, not copied by dataclasses.replace
+    data, _ = paired(fixtures_dir)
+    assert data.hyperplanes is data.hyperplanes and data.hyperplanes[1] == {}
+    euler = dict(data.full_euler)
+    euler["P1"] = algebra.FactoredClass(2, 1, [((1, 2, 0), 2), ((2, 1, 1), 1)])
+    replaced = dataclasses.replace(data, full_euler=euler)
+    assert replaced.hyperplanes[1] == {(1, 2, 0): ["P2", "P1"]}
+    assert data.hyperplanes[1] == {} and (1, 2, 0) in data.hyperplanes[0]
 
 
 def test_classes_that_agree_on_a_hyperplane_form_no_products(monkeypatch):
@@ -483,7 +538,7 @@ def test_classes_that_agree_on_a_hyperplane_form_no_products(monkeypatch):
     assert (full_products, full_residues) == (unit_products, unit_residues)
 
     p = data.order[0]
-    simple, _ = envelope._hyperplanes(data)
+    simple, _ = data.hyperplanes
     w = next(w for w, _ in data.full_euler[p].factors if len(simple[algebra.hyperplane(w)[0]]) > 1)
     rest = [(v, n) for v, n in data.full_euler[p].factors if v != w]
     edited = dict(one, **{p: one[p] + algebra.FactoredClass(data.nvars, 1, rest).expand()})
@@ -544,6 +599,7 @@ def test_gram_sums_entries_whose_degree_or_poles_are_not_certified(fixtures_dir)
     ]
     dropped = {p: algebra.FactoredClass(2, e.constant, e.factors[1:]) for p, e in euler.items()}
     repeated = dict(euler, P1=algebra.FactoredClass(2, 1, [((1, 2, 0), 2)]))
+    envelope.gram_matrix(stabs, op_stabs, data, op_data)  # keeps the hyperplanes on data
     for ss, e in ((scaled, euler), (stabs, dropped), (stabs, repeated)):
         d = dataclasses.replace(data, full_euler=e)
         gram = envelope.gram_matrix(ss, op_stabs, d, op_data)
