@@ -301,15 +301,12 @@ def _operator_entries(lines, ids):
 def _check_moment_map(f, lines):
     result = errors.CheckResult("moment-map")
     for j, ((_, left, lop), (_, right, rop)) in enumerate(itertools.pairwise(lines), start=2):
-        if left == brane.BLUE and right == brane.BLUE:
-            zero = rop["Bminus"] == lop["Bplus"]
-        elif left == brane.RED and right == brane.RED:
-            zero = lop["D"] * lop["C"] == rop["C"] * rop["D"]
-        elif left == brane.RED:
-            zero = (lop["D"] * lop["C"] + rop["Bminus"]).is_zero()
-        else:
-            zero = (rop["C"] * rop["D"] + lop["Bplus"]).is_zero()
-        if not zero:
+        # W_j's endomorphisms from its left line (B^+, or D C) and from its
+        # right line (B^-, or C D): equal when the lines share a color, and
+        # summing to zero when they do not
+        x = lop["Bplus"] if left == brane.BLUE else lop["D"] * lop["C"]
+        y = rop["Bminus"] if right == brane.BLUE else rop["C"] * rop["D"]
+        if not (x == y if left == right else (x + y).is_zero()):
             result.fail(f"moment map nonzero at X{j}")
 
     for name, ops in f.per_blue.items():
@@ -355,111 +352,43 @@ def _closure(seed, edges):
     return out
 
 
-def _search(order, inside, sides, succ, pred, quotients_iso):
-    """The first operator-closed T that holds ``inside``, misses a vertex of
-    ``order`` and passes ``quotients_iso``, or None; the vertices not in
-    ``order`` count as in T.  Branch on the first undecided v: T holds v and
-    all v reaches, or misses v and all its ancestors.  The included set
-    stays closed under succ, the excluded one under pred, so every leaf is a
-    distinct closed set, proper iff it excludes a vertex.  A branch carries
-    the index of its next vertex; the closures of a vertex are found when it
-    is first branched on.  Below a node, each side S of a ``sides`` pair
-    keeps between |S & outside| and |S - inside| labels outside T; a node
-    where the ranges of a pair do not meet reaches no balanced leaf and is
-    dropped.
-    """
-    reach, ancestors = {}, {}
-    stack = [(inside, set(), 0)]
-    while stack:
-        inside, outside, k = stack.pop()
-        for m, p in sides:  # a loop, not any(): no generator per node
-            if len(m & outside) > len(p - inside) or len(p & outside) > len(m - inside):
-                break
-        else:
-            while k < len(order) and (order[k] in inside or order[k] in outside):
-                k += 1
-            if k < len(order):
-                v = order[k]
-                if v not in reach:
-                    reach[v], ancestors[v] = _closure([v], succ), _closure([v], pred)
-                stack.append((inside, outside | ancestors[v], k + 1))
-                stack.append((inside | reach[v], outside, k + 1))
-            elif outside and quotients_iso(succ.keys() - outside):
-                return succ.keys() - outside
-    return None
-
-
 def _check_stability(lines, ids, entries):
-    """Search for a destabilizing graded subspace.
+    """Decide whether a graded subspace destabilizes the point.
 
     Vertices are basis lines, edges the nonzero ``entries`` of every operator
-    but a and b (see :func:`_operator_entries`).  A candidate T must contain
-    the lines a_U hits, be closed under the edges, and every A_U must induce
-    an isomorphism on the quotients; the point is stable iff no proper such
-    T exists.  When grading passes, every operator respects the
-    multiplicity-free torus grading, so a destabilizing subspace may be taken
-    to be spanned by basis lines, and the search is exact: it visits once
-    every operator-closed set containing the closure of Im a that can still
-    balance, |W_{U-}/T| = |W_{U+}/T| for every U (see :func:`_search`).
-
-    The search runs once per blue index u (the first field of a vertex id)
-    with lines outside the closure of Im a, from the last index down, with
-    every line of the other indices in T and each side cut to u.  This is
-    exact when no edge joins two indices: each A_U is block-diagonal in u,
-    so T destabilizes iff its part in each index passes that index's test,
-    as every line of an index always does.  A search over the whole point
-    branches in ascending (u, line) order, taking a line before leaving it,
-    so the first set it finds holds every line outside the last index u*
-    with a destabilizing proper part, and in u* the first set of u*'s own
-    search: the set found here first.  When an edge joins two indices (only
-    edited matrices have one), one search branches on every pending line.
+    but a and b (see :func:`_operator_entries`).  A destabilizing T is a
+    proper set of lines that holds the lines a_U hits, is closed under the
+    edges, and on whose quotients every A_U induces an isomorphism.  Once
+    grading passes, a destabilizing subspace may be taken to be spanned by
+    basis lines, and each line is the only one of its fiber with its
+    (u, height), which A_U keeps: so A_U pairs the lines of W_{U+} with those
+    of W_{U-} one to one, and induces an isomorphism exactly when every line
+    outside T has a partner, also outside T.  The sets with these properties
+    are closed under intersection, so the point is stable iff the smallest,
+    the closure of Im a and of the unpartnered lines under the edges and the
+    A entries reversed, is every line; when it is not, it lies inside every
+    destabilizing set, and the message gives its dimension.
     """
     result = errors.CheckResult("stability")
-    succ = {v: [] for fiber in ids.values() for v in fiber}
-    pred = {v: [] for v in succ}
+    edges = {v: [] for fiber in ids.values() for v in fiber}
     seeds = []
     for _name, key, _step, nonzero in entries:
         if key == "a":
             seeds += [row for row, _col in nonzero]
         elif key != "b":
-            for t_, s in nonzero:
-                succ[s].append(t_)
-                pred[t_].append(s)
-
-    # per blue U: the vertex ids of the bases of W_{U-} and W_{U+}, and A_U
-    blocks = [
-        (ids[p], ids[p + 1], ops["A"].entries)
-        for p, (_name, color, ops) in enumerate(lines, start=1) if color == brane.BLUE
-    ]
-    sides = [(set(minus), set(plus)) for minus, plus, _a in blocks]
-
-    def quotients_iso(chosen):
-        for minus, plus, a_rows in blocks:
-            comp_minus = [k for k, v in enumerate(minus) if v not in chosen]
-            comp_plus = {k for k, v in enumerate(plus) if v not in chosen}
-            if len(comp_minus) != len(comp_plus):
-                return False
-            induced = (
-                {c: x for c, x in a_rows.get(r, {}).items() if c in comp_plus}
-                for r in comp_minus
-            )
-            if linalg.rank(induced) != len(comp_minus):
-                return False
-        return True
-
-    start = _closure(seeds, succ)
-    rest = sorted(succ.keys() - start)
-    groups = [rest]
-    if all(w[0] == v[0] for v in succ for w in succ[v]):  # no edge joins two indices
-        groups = [list(members) for _u, members in itertools.groupby(rest, key=lambda v: v[0])]
-    for order in reversed(groups):
-        group = set(order)
-        cut = [(m & group, p & group) for m, p in sides]
-        balance = [(m, p) for m, p in cut if m or p]
-        found = _search(order, start, balance, succ, pred, quotients_iso)
-        if found is not None:
-            result.fail(f"destabilizing subspace of dimension {len(found)} found")
-            return result
+            for row, col in nonzero:
+                edges[col].append(row)
+                if key == "A":
+                    edges[row].append(col)
+    for p, (_name, color, ops) in enumerate(lines, start=1):
+        if color == brane.BLUE:  # the lines of W_{U-} and W_{U+} that A_U misses
+            a_rows = ops["A"].entries
+            a_cols = {c for row in a_rows.values() for c in row}
+            seeds += [v for r, v in enumerate(ids[p]) if r not in a_rows]
+            seeds += [v for c, v in enumerate(ids[p + 1]) if c not in a_cols]
+    closed = _closure(seeds, edges)
+    if len(closed) < len(edges):
+        result.fail(f"destabilizing subspace of dimension {len(closed)} found")
     return result
 
 
@@ -517,25 +446,31 @@ def verify_fixed_point(f):
     Checks: (1) moment map and triangle relation, (2) the kernel/cokernel
     conditions S1 and S2 per blue line, as the rank of an observability and
     of a controllability (Krylov) matrix, (3) absence of destabilizing
-    graded subspaces, searched exactly over every operator-closed candidate
-    that can still balance |W_{U-}/T| = |W_{U+}/T| for every blue U, one
-    blue index at a time, the last first, unless an entry joins two, (4)
+    graded subspaces, decided by one closure walk over the basis lines, (4)
     injectivity and surjectivity of the junction maps, as ranks, (5)
     nilpotency exponents on separated diagrams, (6) torus grading of every
     operator.  Ranks are exact, by integer elimination (:func:`linalg.rank`).
-    Only nilpotency can be skipped (on diagrams that are not separated).
-    Failures are report entries, never exceptions.
+    Nilpotency is skipped on diagrams that are not separated, and stability
+    when the grading fails, since off the grading a destabilizing subspace
+    need not be spanned by basis lines.  Failures are report entries, never
+    exceptions.
     """
     lines, ids = _tables(f)
     entries = list(_operator_entries(lines, ids))
+    grading = _check_grading(entries)
+    if grading.ok:
+        stability = _check_stability(lines, ids, entries)
+    else:
+        stability = errors.CheckResult("stability", skipped=True)
+        stability.messages.append("skipped: the grading fails")
     return VerificationReport(
         checks=[
             _check_moment_map(f, lines),
             _check_s1_s2(f),
-            _check_stability(lines, ids, entries),
+            stability,
             _check_junctions(lines, ids),
             _check_nilpotency(f),
-            _check_grading(entries),
+            grading,
         ]
     )
 

@@ -137,6 +137,9 @@ def load_attraction_data(source):
 
     if not isinstance(raw["restrictions"], dict):
         raise errors.SchemaError("restrictions must be an object")
+    unknown = sorted(set(raw["restrictions"]) - set(order), key=str)
+    if unknown:
+        raise errors.SchemaError(f"restrictions has rows for unknown points {unknown}")
     restrictions = {}
     for p in order:
         row = raw["restrictions"].get(p, {})
@@ -157,7 +160,7 @@ def load_attraction_data(source):
                 raise errors.HomogeneityViolation(  # quoted as the file writes it
                     f"R[{p}][{q}] = {expr} is not homogeneous of degree {dim // 2}"
                 )
-        unknown = set(row) - set(order)
+        unknown = sorted(set(row) - set(order), key=str)
         if unknown:
             raise errors.SchemaError(f"restrictions[{p}] mentions unknown points {unknown}")
         restrictions[p] = out

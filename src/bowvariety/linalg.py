@@ -4,9 +4,10 @@
 correctly, and sparse signed rows ``{row: {col: value}}`` with no stored
 zeros: assembly writes one entry, +-1, per butterfly arrow, so every
 operation here pays per nonzero, not per cell.  Entries stay as given (int or
-Fraction).  Every subspace question the checks ask is an exact rank, by
-integer elimination on sparse rows (:func:`rank`, :func:`krylov_rank`), each
-call keeping its echelon rows in a plain dict of pivots (:func:`_reduce`).
+Fraction).  The subspace questions of S1, S2 and the junction checks are
+exact ranks, by integer elimination on sparse rows (:func:`rank`,
+:func:`krylov_rank`), each call keeping its echelon rows in a plain dict of
+pivots (:func:`_reduce`); graded stability is a closure walk, not a rank.
 """
 
 from __future__ import annotations

@@ -384,9 +384,10 @@ def ops_at(f, p):
     return (f.per_blue if name[0] == "U" else f.per_red)[name]
 
 
-def off_grade_cell(f, key):
-    """The first (line position, row, column) of ``key`` whose entry would
-    join lines of different blue components, or break the height step."""
+def cells(f, key):
+    """Every cell (line position, row, column) of ``key``, with whether the
+    grading allows an entry there: the row line is the column line moved by
+    the height step, in the same blue component."""
     cod, dom, step = GRADED[key]
     for p in range(1, len(f.base.blacks)):
         name = f.base.line_name(p)
@@ -396,9 +397,13 @@ def off_grade_cell(f, key):
         lines[None] = [(int(name[1:]), 0)] if name[0] == "U" else []
         for r, (ru, rh) in enumerate(lines[cod]):
             for c, (cu, ch) in enumerate(lines[dom]):
-                if (ru, rh) != (cu, ch + step):
-                    return p, r, c
-    return None
+                yield p, r, c, (ru, rh) == (cu, ch + step)
+
+
+def off_grade_cell(f, key):
+    """The first (line position, row, column) of ``key`` whose entry would
+    join lines of different blue components, or break the height step."""
+    return next(((p, r, c) for p, r, c, graded in cells(f, key) if not graded), None)
 
 
 def test_verify_detects_broken_grading():
@@ -469,18 +474,24 @@ def arrow_entries(f, bf, arrow):
     ]
 
 
-def zeroing(f, entries):
-    """A copy of ``f`` with the given operator entries set to 0."""
+def with_entries(f, edits):
+    """A copy of ``f`` with each operator entry (line position, operator,
+    row, column) of the dict ``edits`` set to its value."""
     g = dataclasses.replace(
         f,
         per_blue={name: dict(ops) for name, ops in f.per_blue.items()},
         per_red={name: dict(ops) for name, ops in f.per_red.items()},
     )
-    for p, key, r, c in entries:
+    for (p, key, r, c), value in edits.items():
         ops = ops_at(g, p)
         ops[key] = copied(ops[key])
-        entry(ops[key], r, c, 0)
+        entry(ops[key], r, c, value)
     return g
+
+
+def zeroing(f, entries):
+    """A copy of ``f`` with the given operator entries set to 0."""
+    return with_entries(f, dict.fromkeys(entries, 0))
 
 
 def operator_digraph(f):
@@ -510,19 +521,33 @@ def operator_digraph(f):
 
 def bitmask_stable(f):
     """Reference search: every subset of the basis lines outside the closure
-    of Im a (exponential, so small points only)."""
+    of Im a, as a bitmask (exponential, so small points only).  The verdict,
+    with the dimension of the smallest destabilizing set when there is one."""
+    result = errors.CheckResult("stability")
     succ, seeds = operator_digraph(f)
     mandatory = set(seeds)
     while any(w not in mandatory for v in mandatory for w in succ[v]):
         mandatory |= {w for v in mandatory for w in succ[v]}
     free = sorted(set(succ) - mandatory)
-    for mask in range(1 << len(free)):
-        chosen = mandatory | {v for k, v in enumerate(free) if mask >> k & 1}
-        closed = all(w in chosen for v in chosen for w in succ[v])
-        if closed and len(chosen) < len(succ):
-            if all(quotient_iso(f, u, chosen) for u in range(1, f.base.n_blue + 1)):
-                return False
-    return True
+    bit = {v: 1 << k for k, v in enumerate(free)}
+    # reach[mask]: the free lines one edge away from a line of mask
+    reach = [0] * (1 << len(free))
+    for mask in range(1, len(reach)):
+        low = mask & -mask
+        step = sum({bit[w] for w in succ[free[low.bit_length() - 1]] if w in bit})
+        reach[mask] = reach[mask ^ low] | step
+    dims = [
+        len(mandatory) + mask.bit_count()
+        for mask in range(len(reach) - 1)  # all but the full set
+        if not reach[mask] & ~mask
+        and all(
+            quotient_iso(f, u, mandatory | {v for v in free if bit[v] & mask})
+            for u in range(1, f.base.n_blue + 1)
+        )
+    ]
+    if dims:
+        result.fail(f"destabilizing subspace of dimension {min(dims)} found")
+    return result
 
 
 def quotient_iso(f, u, chosen):
@@ -557,9 +582,9 @@ def test_stability_matches_bitmask_reference():
     ]
     verdicts = Counter()
     for f in cases:
-        check = verdict(butterfly.verify_fixed_point(f), "stability")
+        check, ref = verdict(butterfly.verify_fixed_point(f), "stability"), bitmask_stable(f)
         assert not check.skipped
-        assert check.ok == bitmask_stable(f), brane.render(f.base)
+        assert (check.ok, check.messages) == (ref.ok, ref.messages), brane.render(f.base)
         verdicts[check.ok] += 1
     assert verdicts[True] > 700 and verdicts[False] > 300
 
@@ -627,6 +652,26 @@ def reference_stability(f):
     return result
 
 
+def dimension(check):
+    """The dimension that a failing stability message names."""
+    (message,) = check.messages
+    return int(message.removeprefix("destabilizing subspace of dimension ").split()[0])
+
+
+def smaller_than_reference(f):
+    """Assert that stability on ``f`` gives the reference search's verdict
+    and, when it fails, the bitmask reference's message: the smallest
+    destabilizing set, which lies inside the set the reference search finds
+    first.  Return whether it is strictly smaller than that set."""
+    got, ref = stability(f), reference_stability(f)
+    assert (got.ok, got.skipped) == (ref.ok, ref.skipped), brane.render(f.base)
+    if got.ok:
+        return False
+    exact = bitmask_stable(f)
+    assert got.messages == exact.messages and dimension(got) <= dimension(ref)
+    return dimension(got) < dimension(ref)
+
+
 def dropping_each_arrow(f):
     """Copies of ``f``, each with the entries of one non-green butterfly
     arrow zeroed."""
@@ -636,17 +681,30 @@ def dropping_each_arrow(f):
                 yield zeroing(f, arrow_entries(f, bf, arrow))
 
 
-def test_stability_matches_reference_search():
-    # the criterion-3 sweep, the 24 verified flag points, and faulty copies:
-    # the first 300 sweep points and D36 of the flag with the entries of one
-    # arrow zeroed, and the T*P^1 points without a and b
-    sweep = [
+def sweep_points():
+    """The 1,610 distinct criterion-3 sweep points, assembled."""
+    points = [
         butterfly.assemble_fixed_point(t)
         for d in sweep_diagrams()
         for t in tie.enumerate_tie_diagrams(d)
     ]
-    flag_points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
-    flag = [butterfly.assemble_fixed_point(flag_points[k]) for k in range(0, 840, 35)]
+    assert len(points) == 1610
+    return points
+
+
+def flag_sample():
+    """The 24 verified flag points D1, D36, ..., D806, assembled."""
+    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    return [butterfly.assemble_fixed_point(points[k]) for k in range(0, 840, 35)]
+
+
+def test_stability_matches_reference_search():
+    # the criterion-3 sweep, the 24 verified flag points, and faulty copies:
+    # the first 300 sweep points and D36 of the flag with the entries of one
+    # arrow zeroed, and the T*P^1 points without a and b.  On 73 of the
+    # destabilized copies the smallest set is smaller than the first one
+    # the reference search finds
+    sweep, flag = sweep_points(), flag_sample()
     faulty = [
         case
         for f in sweep[:300] + flag[1:2]
@@ -656,31 +714,37 @@ def test_stability_matches_reference_search():
         without_greens(butterfly.assemble_fixed_point(t))
         for t in tie.enumerate_tie_diagrams(brane.parse(TSTAR_P1))
     ]
-    for f in sweep + flag + faulty:
-        got, ref = stability(f), reference_stability(f)
-        assert (got.ok, got.skipped, got.messages) == (ref.ok, ref.skipped, ref.messages)
-    assert len(sweep) == 1610 and all(stability(f).ok for f in sweep + flag)
+    assert not any(smaller_than_reference(f) for f in sweep + flag)
+    assert all(stability(f).ok for f in sweep + flag)
+    smaller = [smaller_than_reference(f) for f in faulty]
     destabilized = [f for f in faulty if not stability(f).ok]
-    assert len(faulty) == 804 and len(destabilized) == 274
+    assert len(faulty) == 804 and len(destabilized) == 274 and sum(smaller) == 73
     assert any(f.base == flag[1].base for f in destabilized)
 
 
-def test_stability_prunes_unbalanced_subtrees(monkeypatch):
-    # the 24 verified flag points are stable, and the dimension bound drops
-    # every leaf of their search but T = V, so no quotient map is ranked
-    # (without the bound the search ranks 37,697 of them)
+def counting_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record the arguments of every call."""
     calls = []
-    rank = linalg.rank
+    fn = getattr(module, name)
 
-    def counting_rank(rows):
-        calls.append(rows)
-        return rank(rows)
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
 
-    monkeypatch.setattr(butterfly.linalg, "rank", counting_rank)
-    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
-    for k in range(0, 840, 35):
-        assert stability(butterfly.assemble_fixed_point(points[k])).ok
-    assert len(calls) == 0
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_stability_prunes_unbalanced_subtrees(monkeypatch):
+    # no quotient map is ranked, on stable and destabilized points alike:
+    # the 24 verified flag points, and D36 of the flag with the entries of
+    # one arrow zeroed, which destabilizes some of its copies
+    flag = flag_sample()
+    cases = flag + list(dropping_each_arrow(flag[1]))
+    ranks = counting_calls(monkeypatch, butterfly.linalg, "rank")
+    verdicts = Counter(stability(f).ok for f in cases)
+    assert verdicts[True] > 24 and verdicts[False] > 0
+    assert len(ranks) == 0
 
 
 def test_stability_runs_on_large_flag_points():
@@ -699,130 +763,105 @@ def test_verify_detects_missing_green_arrows():
         assert not verdict(butterfly.verify_fixed_point(f), "stability").ok
 
 
+def without_a(points):
+    """The points with a nonzero a_U, each with every a_U zeroed."""
+    with_a = [f for f in points if any(not ops["a"].is_zero() for ops in f.per_blue.values())]
+    for f in with_a:
+        for ops in f.per_blue.values():
+            ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
+    return with_a
+
+
 def test_stability_reads_the_a_maps():
     # zeroing every a_U leaves the butterflies as they were, so only a check
     # that reads the matrices can see it: of the 1,610 sweep points, 1,200
     # have a nonzero a, and 363 of them are destabilized once it is zeroed
-    points = [
-        butterfly.assemble_fixed_point(t)
-        for d in sweep_diagrams()
-        for t in tie.enumerate_tie_diagrams(d)
-    ]
-    with_a = [f for f in points if any(not ops["a"].is_zero() for ops in f.per_blue.values())]
+    with_a = without_a(sweep_points())
     for f in with_a:
-        for ops in f.per_blue.values():
-            ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
-    failed = []
-    for f in with_a:
-        got, ref = stability(f), reference_stability(f)
-        assert (got.ok, got.messages) == (ref.ok, ref.messages)
-        if not got.ok:
-            failed.append(f)
-    assert len(points) == 1610 and len(with_a) == 1200 and len(failed) == 363
+        smaller_than_reference(f)
+    failed = [f for f in with_a if not stability(f).ok]
+    assert len(with_a) == 1200 and len(failed) == 363
 
 
-def recording_searches(monkeypatch):
-    """Patch ``butterfly._search`` to record, per call, the blue indices of
-    the vertices it branches on and the nodes it visits: each node reads its
-    balance pairs once, so a node is one iteration of them."""
-    calls = []
-    search = butterfly._search
-
-    class Counted(list):
-        def __iter__(self):
-            calls[-1][1] += 1
-            return super().__iter__()
-
-    def recording(order, inside, sides, *args):
-        calls.append([{v[0] for v in order}, 0])
-        return search(order, inside, Counted(sides), *args)
-
-    monkeypatch.setattr(butterfly, "_search", recording)
-    return calls
+def test_stability_is_one_closure_walk(monkeypatch):
+    # the 24 verified flag points and the 1,200 sweep points with a zeroed:
+    # one closure walk a point, and no rank
+    closures = counting_calls(monkeypatch, butterfly, "_closure")
+    ranks = counting_calls(monkeypatch, butterfly.linalg, "rank")
+    for f in flag_sample() + without_a(sweep_points()):
+        closures.clear()
+        stability(f)
+        assert len(closures) == 1
+    assert len(ranks) == 0
 
 
-def test_stability_searches_each_blue_index_alone(monkeypatch):
-    # no entry of the 24 verified flag points joins two blue indices, so each
-    # index with lines outside the closure of Im a is searched alone: 864
-    # nodes in all, where one search of each whole point visits 2,886
-    calls = recording_searches(monkeypatch)
-    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
-    for k in range(0, 840, 35):
-        first = len(calls)
-        assert stability(butterfly.assemble_fixed_point(points[k])).ok
-        assert len(calls) - first > 1
-        assert all(len(indices) == 1 for indices, _nodes in calls[first:])
-    assert sum(nodes for _indices, nodes in calls) == 864
-
-
-def pending_indices(f):
-    """The blue indices with basis lines outside the closure of Im a."""
-    succ, seeds = operator_digraph(f)
-    closed = set(seeds)
-    while any(w not in closed for v in closed for w in succ[v]):
-        closed |= {w for v in closed for w in succ[v]}
-    return {v[0] for v in succ if v not in closed}
-
-
-def test_stability_names_the_set_from_one_blue_index(monkeypatch):
-    # the 363 sweep points that zeroing a destabilizes: searched from the
-    # last blue index down, the first set found is the whole search's, so
-    # every search branches on one index, none is rerun over the whole point
-    # to name the set, and verdict and message are the reference search's
-    points = [
-        butterfly.assemble_fixed_point(t)
-        for d in sweep_diagrams()
-        for t in tie.enumerate_tie_diagrams(d)
-    ]
-    with_a = [f for f in points if any(not ops["a"].is_zero() for ops in f.per_blue.values())]
-    for f in with_a:
-        for ops in f.per_blue.values():
-            ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
-    calls = recording_searches(monkeypatch)
-    failed = 0
-    for f in with_a:
-        calls.clear()
-        got = stability(f)
-        if got.ok:
-            continue
-        failed += 1
-        ref = reference_stability(f)
-        assert (got.ok, got.messages) == (ref.ok, ref.messages)
-        assert all(len(indices) == 1 for indices, _nodes in calls)
-        assert len(calls) <= len(pending_indices(f))
-    assert failed == 363
-
-
-def with_entry(f, p, key, r, c):
-    """A copy of ``f`` with the entry (r, c) of ``key`` at position p set to 1."""
-    g = zeroing(f, [])
-    ops = ops_at(g, p)
-    ops[key] = copied(ops[key])
-    entry(ops[key], r, c, 1)
-    return g
-
-
-def test_stability_searches_the_whole_point_when_an_entry_joins_two_indices(monkeypatch):
+def test_stability_is_skipped_when_an_entry_joins_two_indices():
     # D36 of the flag, and a copy of it destabilized by a dropped arrow, each
-    # with one graded C entry that joins a line of U1 to one of U3: the split
-    # would not be exact, so one search branches on every index at once, and
-    # the verdict and message are the reference search's
-    points = tie.enumerate_tie_diagrams(brane.parse(FLAG))
-    f = butterfly.assemble_fixed_point(points[35])
+    # with one C entry that keeps the height step but joins a line of U1 to
+    # one of U3: the grading fails, and off the grading a destabilizing
+    # subspace need not be spanned by basis lines, so stability is skipped
+    f = flag_sample()[1]
     unstable = next(g for g in dropping_each_arrow(f) if not stability(g).ok)
-    calls = recording_searches(monkeypatch)
-    verdicts = []
     for g, p in ((f, 3), (unstable, 2), (unstable, 3)):
-        h = with_entry(g, p, "C", 0, 1)
+        h = with_entries(g, {(p, "C", 0, 1): 1})
         _lines, ids = butterfly._tables(h)
         row, col = ids[p][0], ids[p + 1][1]  # C takes W_{X_(p+1)} to W_{X_p}
-        assert (row[0], col[0]) == (1, 3)
-        calls.clear()
-        got, ref = stability(h), reference_stability(h)
-        assert (got.ok, got.messages) == (ref.ok, ref.messages)
-        assert len(calls) == 1 and len(calls[0][0]) > 1
-        verdicts.append(got.ok)
-    assert verdicts == [True, True, False]
+        assert (row[0], col[0], row[2], col[2]) == (1, 3, col[2] - 1, col[2])
+        report = butterfly.verify_fixed_point(h)
+        check = verdict(report, "stability")
+        assert check.skipped and check.messages == ["skipped: the grading fails"]
+        grading = verdict(report, "grading")
+        assert grading.messages == [f"C_{h.base.line_name(p)} breaks the grading"]
+        assert not report.ok and "stability        skip" in report.render()
+
+
+EDIT_VALUES = (0, 1, -1, 2, Fraction(1, 2))
+
+
+def graded_edits(f, rng, count):
+    """``count`` copies of ``f``, each with one to three cells that the
+    grading allows, and one that starts out empty if ``f`` has one, set to
+    values drawn from ``EDIT_VALUES``."""
+    allowed = [
+        (p, key, r, c) for key in GRADED for p, r, c, graded in cells(f, key) if graded
+    ]
+    empty = [(p, key, r, c) for p, key, r, c in allowed if not entry(ops_at(f, p)[key], r, c)]
+    for _ in range(count):
+        chosen = rng.sample(allowed, min(len(allowed), rng.randint(1, 3)))
+        chosen += rng.sample(empty, min(len(empty), 1))
+        yield with_entries(f, {cell: rng.choice(EDIT_VALUES) for cell in chosen})
+
+
+def test_stability_matches_references_on_random_graded_edits():
+    # seeded edits of cells the grading allows, empty ones included: on 600
+    # sweep points and the 24 verified flag points against the reference
+    # search, and on the small sweep against the bitmask reference,
+    # messages included
+    rng = random.Random(3)
+    verdicts = Counter()
+    for f in rng.sample(sweep_points(), 600) + flag_sample():
+        for g in graded_edits(f, rng, 4):
+            report = butterfly.verify_fixed_point(g)
+            check, ref = verdict(report, "stability"), reference_stability(g)
+            assert verdict(report, "grading").ok and not check.skipped
+            assert check.ok == ref.ok, brane.render(g.base)
+            verdicts["sweep and flag", check.ok] += 1
+    small = [
+        butterfly.assemble_fixed_point(t)
+        for d in admissible_diagrams(4, 2)
+        for t in tie.enumerate_tie_diagrams(d)
+    ]
+    for f in small:
+        for g in graded_edits(f, rng, 4):
+            check, ref = verdict(butterfly.verify_fixed_point(g), "stability"), bitmask_stable(g)
+            assert (check.ok, check.messages) == (ref.ok, ref.messages), brane.render(g.base)
+            verdicts["small", check.ok] += 1
+    assert verdicts == {
+        ("sweep and flag", True): 2281,
+        ("sweep and flag", False): 215,
+        ("small", True): 656,
+        ("small", False): 40,
+    }
 
 
 def test_verify_detects_broken_nilpotency():

@@ -396,6 +396,16 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
     assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
+def test_restriction_rows_of_unknown_points_exit_2(tmp_path):
+    good = json.loads((FIXTURES / "tstar_p1_chamber12.json").read_text())
+    for row in ({"P1": "t1"}, 5):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({**good, "restrictions": {**good["restrictions"], "P9": row}}))
+        proc = run_subprocess("stab", "--data", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: restrictions has rows for unknown points ['P9']\n"
+
+
 TOO_LONG = f"a coefficient of more than {MAX_DIGITS} digits"
 
 

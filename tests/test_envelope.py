@@ -159,9 +159,24 @@ def test_schema_rejects_unknown_line_names_and_non_ascii_digits(fixtures_dir):
 
 def test_schema_unknown_point_in_restrictions(fixtures_dir):
     raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
-    raw["restrictions"]["P1"]["P9"] = "h"
-    with pytest.raises(errors.SchemaError):
+    raw["restrictions"]["P1"].update({"P9": "h", "P8": "h"})
+    with pytest.raises(errors.SchemaError) as exc:
         envelope.load_attraction_data(raw)
+    assert str(exc.value) == "restrictions[P1] mentions unknown points ['P8', 'P9']"
+
+
+def test_schema_rejects_restriction_rows_of_unknown_points(fixtures_dir):
+    # a row keyed by no point id, whatever it holds, and a misspelled row
+    # id, which left P1's row empty and surfaced as a diagonal mismatch
+    for extra in ({"P9": {"P1": "t1"}}, {"P9": 5}, {"p1": {"P1": "t2-t1+h"}, "P9": {}}):
+        raw = fixture_dict(fixtures_dir, "tstar_p1_chamber12.json")
+        if "p1" in extra:
+            del raw["restrictions"]["P1"]
+        raw["restrictions"].update(extra)
+        with pytest.raises(errors.SchemaError) as exc:
+            envelope.load_attraction_data(raw)
+        unknown = sorted(set(extra))
+        assert str(exc.value) == f"restrictions has rows for unknown points {unknown}"
 
 
 def test_triangularity_violation(fixtures_dir):
