@@ -230,9 +230,9 @@ def assemble_fixed_point(t):
     dims = {EXTERNAL: 1, **{j: len(labels) for j, labels in bases.items()}}
     ops = {p: {} for p in range(1, n)}  # colored position -> its line's operators
     route = {}  # (source fiber, target fiber) -> [(operator rows, entry)]
-    for p in ops:
+    for p, color in enumerate(d.colors, start=1):
         fiber = {0: p, 1: p + 1, None: EXTERNAL}
-        for key, (cod, dom, _step, entry) in _OPERATORS[d.color_at(p)].items():
+        for key, (cod, dom, _step, entry) in _OPERATORS[color].items():
             mat = ops[p][key] = linalg.Mat(dims[fiber[cod]], dims[fiber[dom]])
             route.setdefault((fiber[dom], fiber[cod]), []).append((mat.entries, entry))
 
@@ -243,11 +243,12 @@ def assemble_fixed_point(t):
             for rows, entry in route[a, b]:
                 rows.setdefault(row, {})[col] = entry
 
+    names = d._tables.names  # read once: line_name(p) checks p on every call
     return FixedPointData(
         tie_diagram=t,
         bases=bases,
-        per_blue={d.line_name(p): ops[p] for p in d.blue_positions()},
-        per_red={d.line_name(q): ops[q] for q in d.red_positions()},
+        per_blue={names[p - 1]: ops[p] for p in d.blue_positions()},
+        per_red={names[q - 1]: ops[q] for q in d.red_positions()},
     )
 
 
@@ -306,11 +307,12 @@ def _check_moment_map(f, lines):
         # summing to zero when they do not
         x = lop["Bplus"] if left == brane.BLUE else lop["D"] * lop["C"]
         y = rop["Bminus"] if right == brane.BLUE else rop["C"] * rop["D"]
-        if not (x == y if left == right else (x + y).is_zero()):
+        if x != (y if left == right else -y):
             result.fail(f"moment map nonzero at X{j}")
 
     for name, ops in f.per_blue.items():
-        if ops["Bminus"] * ops["A"] + ops["a"] * ops["b"] != ops["A"] * ops["Bplus"]:
+        lhs, ab = ops["Bminus"] * ops["A"], ops["a"] * ops["b"]  # ab is mostly zero
+        if (lhs if ab.is_zero() else lhs + ab) != ops["A"] * ops["Bplus"]:
             result.fail(f"triangle relation fails at {name}")
     return result
 
@@ -318,6 +320,37 @@ def _check_moment_map(f, lines):
 def _rows(*mats):
     """The nonzero rows of the matrices stacked (columns, of transposes)."""
     return [row for m in mats for row in m.entries.values()]
+
+
+def _rank(gens, m=None, columns=False):
+    """The rank of the rows of the matrices ``gens`` stacked (their columns,
+    if ``columns``), or with ``m`` the :func:`linalg.krylov_rank` of them
+    under v -> v m (v -> m v).  When every row (column) of ``gens`` and of
+    ``m`` has one entry, each generator is a nonzero multiple of a unit
+    vector, and the image of a unit vector is one too, or zero: the rank is
+    the count of unit vectors the generators hit, closed along the entries
+    of ``m``.  Any other input is ranked by elimination (:func:`_eliminated`)."""
+    hit = set()
+    for g in gens:
+        rows = g.entries.values()
+        cols = set().union(*rows)
+        if sum(map(len, rows)) != len(cols if columns else rows):
+            return _eliminated(gens, m, columns)
+        hit.update(g.entries if columns else cols)
+    if m is None or not m.entries:
+        return len(hit)
+    edges = {j: (i,) for i, row in m.entries.items() for j in row} if columns else m.entries
+    if len(edges) != sum(map(len, m.entries.values())):
+        return _eliminated(gens, m, columns)
+    return len(_closure(hit, edges))
+
+
+def _eliminated(gens, m, columns):
+    """:func:`_rank` by integer elimination, on transposes for ``columns``."""
+    if columns:
+        gens, m = [g.transpose() for g in gens], m and m.transpose()
+    rows = _rows(*gens)
+    return linalg.rank(rows) if m is None else linalg.krylov_rank(rows, m)
 
 
 def _check_s1_s2(f):
@@ -330,13 +363,11 @@ def _check_s1_s2(f):
         # kernel of the observability matrix [A; b] (B^+)^k, k = 0, 1, ...;
         # it is zero iff the rows of [A; b] and their images under
         # v -> v B^+ span the dual of W^+.
-        if linalg.krylov_rank(_rows(ops["A"], ops["b"]), bplus) != bplus.rows:
+        if _rank((ops["A"], ops["b"]), bplus) != bplus.rows:
             result.fail(f"S1 fails at {name}")
         # S2: the Krylov closure of Im A + Im a under B^- is W^- iff the
-        # columns of [A | a] and their images under B^- span W^-, that is
-        # the rows of the transposes under v -> v (B^-)^T
-        cols = _rows(ops["A"].transpose(), ops["a"].transpose())
-        if linalg.krylov_rank(cols, bminus.transpose()) != bminus.rows:
+        # columns of [A | a] and their images under B^- span W^-
+        if _rank((ops["A"], ops["a"]), bminus, columns=True) != bminus.rows:
             result.fail(f"S2 fails at {name}")
     return result
 
@@ -345,7 +376,7 @@ def _closure(seed, edges):
     out = set(seed)
     stack = list(seed)
     while stack:
-        for w in edges[stack.pop()]:
+        for w in edges.get(stack.pop(), ()):
             if w not in out:
                 out.add(w)
                 stack.append(w)
@@ -397,12 +428,11 @@ def _check_junctions(lines, ids):
     for j, ((_, left, lop), (_, right, rop)) in enumerate(itertools.pairwise(lines), start=2):
         if (left, right) == (brane.BLUE, brane.RED):
             # X_j = U^+ = V^-: (A_U, D_V, b_U) must be injective on W_j
-            if linalg.rank(_rows(lop["A"], rop["D"], lop["b"])) != len(ids[j]):
+            if _rank((lop["A"], rop["D"], lop["b"])) != len(ids[j]):
                 result.fail(f"junction map not injective at X{j}")
         elif (left, right) == (brane.RED, brane.BLUE):
             # X_j = V^+ = U^-: [D_V | A_U | a_U] must be surjective onto W_j
-            cols = _rows(lop["D"].transpose(), rop["A"].transpose(), rop["a"].transpose())
-            if linalg.rank(cols) != len(ids[j]):
+            if _rank((lop["D"], rop["A"], rop["a"]), columns=True) != len(ids[j]):
                 result.fail(f"junction map not surjective at X{j}")
     return result
 
@@ -449,11 +479,12 @@ def verify_fixed_point(f):
     graded subspaces, decided by one closure walk over the basis lines, (4)
     injectivity and surjectivity of the junction maps, as ranks, (5)
     nilpotency exponents on separated diagrams, (6) torus grading of every
-    operator.  Ranks are exact, by integer elimination (:func:`linalg.rank`).
-    Nilpotency is skipped on diagrams that are not separated, and stability
-    when the grading fails, since off the grading a destabilizing subspace
-    need not be spanned by basis lines.  Failures are report entries, never
-    exceptions.
+    operator.  Ranks are exact: counts of the unit vectors reached when every
+    row (column) involved has one entry, as assembled operators do, and
+    integer elimination otherwise (:func:`_rank`).  Nilpotency is skipped on
+    diagrams that are not separated, and stability when the grading fails,
+    since off the grading a destabilizing subspace need not be spanned by
+    basis lines.  Failures are report entries, never exceptions.
     """
     lines, ids = _tables(f)
     entries = list(_operator_entries(lines, ids))

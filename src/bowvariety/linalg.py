@@ -4,10 +4,12 @@
 correctly, and sparse signed rows ``{row: {col: value}}`` with no stored
 zeros: assembly writes one entry, +-1, per butterfly arrow, so every
 operation here pays per nonzero, not per cell.  Entries stay as given (int or
-Fraction).  The subspace questions of S1, S2 and the junction checks are
-exact ranks, by integer elimination on sparse rows (:func:`rank`,
-:func:`krylov_rank`), each call keeping its echelon rows in a plain dict of
-pivots (:func:`_reduce`); graded stability is a closure walk, not a rank.
+Fraction).  :func:`rank` and :func:`krylov_rank` are exact, by integer
+elimination on sparse rows, each call keeping its echelon rows in a plain
+dict of pivots (:func:`_reduce`).  Verification calls them only when a row
+(column) it ranks has two entries: on partial injections, as assembled, S1,
+S2 and the junctions count reachable unit vectors (``butterfly._rank``),
+and graded stability is a closure walk.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class Mat:
                 acc[j] = acc.get(j, 0) + y
         out = {i: {j: x for j, x in row.items() if x} for i, row in out.items()}
         return Mat(self.rows, self.cols, {i: row for i, row in out.items() if row})
+
+    def __neg__(self):
+        out = {i: {j: -x for j, x in row.items()} for i, row in self.entries.items()}
+        return Mat(self.rows, self.cols, out)
 
     def __mul__(self, other):
         if self.cols != other.rows:

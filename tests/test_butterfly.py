@@ -1009,6 +1009,184 @@ def test_s1_s2_matches_subspace_reference():
     assert verdicts[False] > 600
 
 
+def test_verification_ranks_by_reachability(monkeypatch):
+    # every operator of the 1,610 criterion-3 points and the 24 verified flag
+    # points is a partial injection, so S1, S2 and the junctions count the
+    # unit vectors reached and never eliminate
+    ranks = counting_calls(monkeypatch, butterfly.linalg, "rank")
+    krylov = counting_calls(monkeypatch, butterfly.linalg, "krylov_rank")
+    for f in sweep_points() + flag_sample():
+        assert butterfly.verify_fixed_point(f).ok
+    assert not ranks and not krylov
+
+
+def widened(f, key, axis, lines, rng):
+    """A copy of ``f`` with one more entry, of a value drawn from
+    ``EDIT_VALUES`` less 0, beside an entry of the ``key`` operator of one
+    of the colored ``lines``: in the same row (``axis`` 0) or the same
+    column (``axis`` 1), so that one row or column holds two entries.  None
+    when no such cell is free."""
+    free = []
+    for p in lines:
+        mat = ops_at(f, p)[key]
+        for i, row in mat.entries.items():
+            for j in row:
+                if axis == 0:
+                    free += [(p, key, i, c) for c in range(mat.cols) if c not in row]
+                else:
+                    rows = range(mat.rows)
+                    free += [(p, key, r, j) for r in rows if j not in mat.entries.get(r, {})]
+    if not free:
+        return None
+    return with_entries(f, {rng.choice(free): rng.choice(EDIT_VALUES[1:])})
+
+
+# the operators of a junction stack, as (check, operator, axis): the colors
+# left and right of the junction, and the side of the operator's line
+JUNCTION_STACKS = {
+    ("junctions", "A", 0): (brane.BLUE, brane.RED, 0),
+    ("junctions", "b", 0): (brane.BLUE, brane.RED, 0),
+    ("junctions", "D", 0): (brane.BLUE, brane.RED, 1),
+    ("junctions", "D", 1): (brane.RED, brane.BLUE, 0),
+    ("junctions", "A", 1): (brane.RED, brane.BLUE, 1),
+    ("junctions", "a", 1): (brane.RED, brane.BLUE, 1),
+}
+
+
+def edited_lines(f, edit):
+    """The colored lines whose operator the ``edit`` of
+    :func:`test_edited_shapes_reach_elimination` may widen."""
+    colors = f.base.colors
+    if edit[0] == "s1-s2":
+        return f.base.blue_positions()
+    left, right, side = JUNCTION_STACKS[edit]
+    return [p + side for p in range(1, len(colors)) if colors[p - 1 : p + 1] == (left, right)]
+
+
+def eliminated_junctions(f):
+    """The junction messages from dense ranks of the stacked rows (of the
+    columns side by side, for surjectivity)."""
+    messages = []
+    for j in range(2, len(f.base.blacks)):
+        left, right = ops_at(f, j - 1), ops_at(f, j)
+        dim = len(f.bases[j])
+        if "A" in left and "D" in right:
+            if dense_rank(dense(left["A"]) + dense(right["D"]) + dense(left["b"])) != dim:
+                messages.append(f"junction map not injective at X{j}")
+        elif "D" in left and "A" in right:
+            if dense_rank(columns(left["D"]) + columns(right["A"]) + columns(right["a"])) != dim:
+                messages.append(f"junction map not surjective at X{j}")
+    return messages
+
+
+def junctions(f):
+    return butterfly._check_junctions(*butterfly._tables(f))
+
+
+def test_edited_shapes_reach_elimination(monkeypatch):
+    # a row of B^+ or a column of B^- with two entries takes S1 or S2 to
+    # elimination, and so does a row (column) with two entries in a
+    # junction's stack of A, D and b (D, A and a); verdicts and messages
+    # match the subspace reference and dense ranks, on 300 sweep points and
+    # on copies of 100 of them with the entries of one arrow zeroed
+    rng = random.Random(29)
+    sample = rng.sample(sweep_points(), 300)
+    sample += [rng.choice(list(dropping_each_arrow(f)) or [f]) for f in sample[:100]]
+    edits = {("s1-s2", "Bplus", 0): "krylov_rank", ("s1-s2", "Bminus", 1): "krylov_rank"}
+    edits |= dict.fromkeys(JUNCTION_STACKS, "rank")
+    names = ("rank", "krylov_rank")
+    calls = {name: counting_calls(monkeypatch, butterfly.linalg, name) for name in names}
+    verdicts = Counter()
+    for f in sample:
+        for (check, key, axis), name in edits.items():
+            g = widened(f, key, axis, edited_lines(f, (check, key, axis)), rng)
+            if g is None:
+                continue
+            calls[name].clear()
+            if check == "s1-s2":
+                result, reference = butterfly._check_s1_s2(g), reference_s1_s2(g)
+            else:
+                result, reference = junctions(g), eliminated_junctions(g)
+            assert calls[name], (check, key, axis, brane.render(g.base))
+            assert result.messages == reference, brane.render(g.base)
+            verdicts[check, key, axis, result.ok] += 1
+    # each edit met passing and failing cases
+    assert all(verdicts[edit + (ok,)] > 0 for edit in edits for ok in (True, False))
+
+
+RESCALE_VALUES = (-5, -3, -2, -1, 1, 2, 3, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
+def rescaled(f, rng):
+    """A copy of ``f`` with every nonzero operator entry replaced by a
+    nonzero value drawn from ``RESCALE_VALUES``: the support is unchanged."""
+    edits = {
+        (p, key, i, j): rng.choice(RESCALE_VALUES)
+        for p in range(1, len(f.base.blacks))
+        for key, mat in ops_at(f, p).items()
+        for i, row in mat.entries.items()
+        for j in row
+    }
+    return with_entries(f, edits)
+
+
+def eliminated(f):
+    """The s1-s2 and junction messages by integer elimination on the rows of
+    the matrices and of their transposes."""
+    rows = butterfly._rows
+    s1_s2 = []
+    for name, ops in f.per_blue.items():
+        a, b, big_a = ops["a"], ops["b"], ops["A"]
+        bplus, bminus = ops["Bplus"], ops["Bminus"]
+        if linalg.krylov_rank(rows(big_a, b), bplus) != bplus.rows:
+            s1_s2.append(f"S1 fails at {name}")
+        cols = rows(big_a.transpose(), a.transpose())
+        if linalg.krylov_rank(cols, bminus.transpose()) != bminus.rows:
+            s1_s2.append(f"S2 fails at {name}")
+    lines, ids = butterfly._tables(f)
+    joins = []
+    for j, ((_, left, lop), (_, right, rop)) in enumerate(itertools.pairwise(lines), start=2):
+        if (left, right) == (brane.BLUE, brane.RED):
+            if linalg.rank(rows(lop["A"], rop["D"], lop["b"])) != len(ids[j]):
+                joins.append(f"junction map not injective at X{j}")
+        elif (left, right) == (brane.RED, brane.BLUE):
+            stack = (lop["D"].transpose(), rop["A"].transpose(), rop["a"].transpose())
+            if linalg.rank(rows(*stack)) != len(ids[j]):
+                joins.append(f"junction map not surjective at X{j}")
+    return s1_s2, joins
+
+
+def test_rescaled_entries_keep_the_reachability_verdicts(monkeypatch):
+    # every sweep point, and 150 of them with the entries of one arrow
+    # zeroed or every a_U zeroed, with each entry rescaled to a random
+    # nonzero int or Fraction: the shape holds, so the counts of reachable
+    # unit vectors decide, and they agree with elimination
+    rng = random.Random(29)
+    sweep = sweep_points()
+    sample = rng.sample(sweep, 150)
+    faulty = [g for f in sample for g in dropping_each_arrow(f)]
+    faulty += without_a([with_entries(f, {}) for f in sample])
+    ranks = counting_calls(monkeypatch, butterfly.linalg, "rank")
+    krylov = counting_calls(monkeypatch, butterfly.linalg, "krylov_rank")
+    verdicts = Counter()
+    for f in sweep + faulty:
+        g = rescaled(f, rng)
+        ranks.clear()
+        krylov.clear()
+        checks = (butterfly._check_s1_s2(g), junctions(g))
+        assert not ranks and not krylov
+        for check, messages in zip(checks, eliminated(g)):
+            assert check.messages == messages, brane.render(g.base)
+            verdicts[check.name, check.ok] += 1
+    assert len(faulty) == 742
+    assert verdicts == {
+        ("s1-s2", True): 1938,
+        ("s1-s2", False): 414,
+        ("junctions", True): 2033,
+        ("junctions", False): 319,
+    }
+
+
 def test_nilpotency_skipped_on_unseparated_diagrams():
     d = brane.parse(POINT_DIAGRAM)
     (t,) = tie.enumerate_tie_diagrams(d)
@@ -1039,6 +1217,12 @@ def test_mat_shapes_and_products():
     assert sorted(a.support("xy", "pqr")) == [("x", "p"), ("x", "q"), ("y", "q"), ("y", "r")]
     assert z.support([], "ab") == [] and linalg.Mat(2, 2).support("xy", "pq") == []
     assert dense(a.transpose()) == columns(a) == [[1, 0], [2, 1], [0, 1]]
+
+
+def test_negation_flips_every_entry():
+    a = sparse(2, 3, [[1, -2, 0], [0, 0, Fraction(1, 3)]])
+    assert dense(-a) == [[-1, 2, 0], [0, 0, Fraction(-1, 3)]]
+    assert -a + a == linalg.Mat(2, 3) and -linalg.Mat(0, 2) == linalg.Mat(0, 2)
 
 
 def test_writing_zero_removes_the_entry():
@@ -1260,3 +1444,30 @@ def test_verification_resolves_each_colored_line_once(monkeypatch):
         butterfly.verify_fixed_point(f)
     assert calls["line_name"] <= colored
     assert calls["_index"] <= colored and calls["color_at"] <= colored
+
+
+def test_assembly_resolves_each_colored_line_once(monkeypatch):
+    # assembly reads the colors and names of a point's lines once, so the
+    # diagram is asked for the name, index or color of a colored line at
+    # most once per point (it was asked 8,010, 16,020 and 8,010 times for
+    # these 8,010 lines)
+    ties = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
+    colored = sum(t.base.n_colored for t in ties)
+    assert len(ties) == 1610 and colored == 8010
+    calls = Counter()
+
+    def counting(name, method):
+        def counted(self, pos):
+            calls[name] += 1
+            return method(self, pos)
+
+        return counted
+
+    for name in ("line_name", "_index", "color_at"):
+        method = getattr(brane.BraneDiagram, name)
+        monkeypatch.setattr(brane.BraneDiagram, name, counting(name, method))
+    for t in ties:
+        butterfly.assemble_fixed_point(t)
+    assert calls["line_name"] <= colored
+    assert calls["_index"] <= colored and calls["color_at"] <= colored
+
