@@ -25,12 +25,13 @@ class ButterflyData:
     """The butterfly of one blue line: its lattice with its arrows.
 
     Vertices are (i, j) with i the column position relative to the black
-    line U^- (absolute index J) and j the height.  Arrows are
-    (color, source, target) with green arrows using the node "*".  The
-    equivariant height of every vertex is j - max(d_{U^-} - 1, 0), one shift
-    for the whole lattice.  The ties enter only through the cover counts, so
-    one object, cached by :func:`_lattice`, is shared read-only by every tie
-    diagram with the same ties at U.
+    line U^- (absolute index J) and j the height.  The equivariant height of
+    every vertex is j - max(d_{U^-} - 1, 0), one shift for the whole lattice.
+    Arrows are (color, source, target), green ones using the node "*"; the
+    ``butterfly`` verb, :meth:`to_json` and :func:`render_ascii` draw them,
+    and assembly reads only the heights.  The ties enter only through the
+    cover counts, so one object, cached by :func:`_lattice`, is shared
+    read-only by every tie diagram with the same ties at U.
     """
 
     blue: str  # the name U<u> of the line
@@ -146,8 +147,8 @@ class FixedPointData:
     ordered by (u, jj), jj being the equivariant height.  ``per_blue["U<u>"]``
     holds A, Bplus, Bminus, a, b; ``per_red["V<m>"]`` holds C and D
     (:func:`verify_fixed_point` tables them by position).  Operators are sparse
-    :class:`linalg.Mat` rows with no stored zeros: one entry, +-1, per arrow as
-    assembled, any int or Fraction once edited.  No butterflies are kept.
+    :class:`linalg.Mat` rows with no stored zeros: +-1 at each graded pair of
+    lines as assembled, any int or Fraction once edited.  No butterflies are kept.
     """
 
     tie_diagram: tie.TieDiagram
@@ -189,8 +190,8 @@ class FixedPointData:
 # step, entry).  A fiber is an offset from X_p, or None for the external C of
 # a blue line U, whose one basis line is (U, height 0).  A graded operator
 # takes the basis line (U, m) only to lines (U, m + step).  Assembly writes
-# ``entry`` for each arrow between its fibers: the minus signs on B^+, B^- and
-# b make the triangle relation B^-A - AB^+ + ab = 0 hold.
+# ``entry`` at each such pair of lines of its fibers: the minus signs on B^+,
+# B^- and b make the triangle relation B^-A - AB^+ + ab = 0 hold.
 _OPERATORS = {
     brane.BLUE: {
         "A": (0, 1, 0, 1),
@@ -204,52 +205,41 @@ _OPERATORS = {
 
 
 def assemble_fixed_point(t):
-    """The block matrices spanned by the cached butterflies (:func:`_lattice`)
-    of a tie diagram.  An arrow from a vertex over X_a to one over X_b (or to
-    or from the external node) is an entry of every operator from W_{X_a} to
-    W_{X_b} (see ``_OPERATORS``): blue arrows populate A, violet C, red D,
-    black -B^+/-B^- of each flanking blue line, and green arrows a and -b."""
+    """The block matrices of a tie diagram, read off the fiber labels of its
+    cached butterflies (:func:`_lattice`).  Each operator of ``_OPERATORS``
+    takes the basis line (u, m) of its domain to the line (u, m + step) of
+    its codomain, if there is one, with its ``entry``; a blue line U's
+    external line is (U, 0).  A butterfly gives each fiber one column of
+    distinct heights, so these entries are its arrows: blue ones in A, violet
+    in C, red in D, black in B^+ and B^-, green in a and b."""
     d = t.base
-    n = len(d.blacks)
-    butterflies = {
-        u: _lattice(d.colors, J, _cover_counts(t, J))
-        for u, J in enumerate(d.blue_positions(), start=1)
-    }
-
     # u ascends, each lattice is walked by column, bottom-up, and has one
-    # height shift, so each fiber's labels come out ordered by (u, height), each
-    # once; place[u] takes a vertex of U_u's butterfly to its fiber and index
-    bases = {j: [] for j in range(1, n + 1)}
-    place = {u: {EXTERNAL: (EXTERNAL, 0)} for u in butterflies}
-    for u, bf in butterflies.items():
-        for v in sorted(bf.vertices):
-            j = v[0] + bf.J
-            place[u][v] = (j, len(bases[j]))
-            bases[j].append((u, v[0], bf.heights[v]))
+    # height shift, so each fiber's labels come out ordered by (u, height),
+    # each once; index[j] takes (u, height) to its place in W_{X_j}
+    bases = {j: [] for j in range(1, len(d.blacks) + 1)}
+    index = {j: {} for j in bases}
+    for u, J in enumerate(d.blue_positions(), start=1):
+        bf = _lattice(d.colors, J, _cover_counts(t, J))
+        for (i, _jj), height in sorted(bf.heights.items()):
+            index[i + J][u, height] = len(bases[i + J])
+            bases[i + J].append((u, i, height))
 
-    dims = {EXTERNAL: 1, **{j: len(labels) for j, labels in bases.items()}}
-    ops = {p: {} for p in range(1, n)}  # colored position -> its line's operators
-    route = {}  # (source fiber, target fiber) -> [(operator rows, entry)]
-    for p, color in enumerate(d.colors, start=1):
-        fiber = {0: p, 1: p + 1, None: EXTERNAL}
-        for key, (cod, dom, _step, entry) in _OPERATORS[color].items():
-            mat = ops[p][key] = linalg.Mat(dims[fiber[cod]], dims[fiber[dom]])
-            route.setdefault((fiber[dom], fiber[cod]), []).append((mat.entries, entry))
-
-    # no two arrows join the same two vertices, so each entry is written once
-    for u, bf in butterflies.items():
-        for _color, src, tgt in bf.arrows:
-            (a, col), (b, row) = place[u][src], place[u][tgt]
-            for rows, entry in route[a, b]:
-                rows.setdefault(row, {})[col] = entry
-
+    per_blue, per_red = {}, {}
     names = d._tables.names  # read once: line_name(p) checks p on every call
-    return FixedPointData(
-        tie_diagram=t,
-        bases=bases,
-        per_blue={names[p - 1]: ops[p] for p in d.blue_positions()},
-        per_red={names[q - 1]: ops[q] for q in d.red_positions()},
-    )
+    for p, (name, color) in enumerate(zip(names, d.colors), start=1):
+        fibers = {0: index[p], 1: index[p + 1]}
+        fibers[None] = {(int(name[1:]), 0): 0} if color == brane.BLUE else {}
+        ops = (per_blue if color == brane.BLUE else per_red)[name] = {}
+        for key, (cod, dom, step, entry) in _OPERATORS[color].items():
+            rows, cols = fibers[cod], fibers[dom]
+            entries = {}
+            for (u, height), c in cols.items():
+                r = rows.get((u, height + step))
+                if r is not None:
+                    entries[r] = {c: entry}
+            ops[key] = linalg.Mat(len(rows), len(cols), entries)
+    # the red lines are numbered from the right: list them V1, V2, ...
+    return FixedPointData(t, bases, per_blue, dict(reversed(per_red.items())))
 
 
 # ---------------------------------------------------------------------------

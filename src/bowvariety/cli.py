@@ -149,6 +149,8 @@ def _cmd_tangent(args, out):
         tangent.check_chamber(chamber, d.n_blue)
     if args.point is None:
         points = [(f"D{k}", t) for k, t in enumerate(tie.enumerate_tie_diagrams(d), start=1)]
+        if not points:
+            out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
     else:
         points = [(args.point, _point(d, args.point))]
     for pid, t in points:

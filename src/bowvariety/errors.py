@@ -73,7 +73,7 @@ class NegativeLabel(BowError):
 
 
 class EmptyVariety(NegativeLabel):
-    """A variety without points: separation hits a negative label, or no tie diagrams."""
+    """A variety without points: separating its diagram hits a negative label."""
 
 
 class IllegalMove(BowError):

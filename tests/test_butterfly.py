@@ -300,8 +300,10 @@ def reference_fiber_weights(t):
 
 def test_cached_lattices_match_reference_build(monkeypatch):
     # every criterion-3 sweep point and every flag point: butterflies, fiber
-    # weights and assembled matrices equal those of the uncached build, which
-    # drives assembly in place of the cached lattices
+    # weights and assembled matrices equal those of the uncached build, whose
+    # lattices drive the bases of assembly in place of the cached ones (the
+    # entries come from ``_OPERATORS``; test_arrows_draw_the_matrices ties
+    # them to the arrows)
     points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
     points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
     assert len(points) == 1610 + 840
@@ -315,6 +317,55 @@ def test_cached_lattices_match_reference_build(monkeypatch):
     monkeypatch.setattr(butterfly, "_cover_counts", reference_cover_counts)
     monkeypatch.setattr(butterfly, "_lattice", reference_lattice)
     assert cached == [butterfly.assemble_fixed_point(t).to_json() for t in points]
+
+
+def drawn_entries(f):
+    """The operator entries (line position, operator, row, column) that the
+    arrows of the butterflies of ``f`` draw, each with the value that
+    assembly must give it: every arrow is an entry, equal to ``entry``, of
+    every operator of ``_OPERATORS`` between its two fibers."""
+    d = f.base
+    between = {}  # (domain, codomain) -> [(line position, operator, entry)]
+    for p, color in enumerate(d.colors, start=1):
+        fiber = {0: p, 1: p + 1, None: ("external", p)}
+        for key, (cod, dom, _step, value) in butterfly._OPERATORS[color].items():
+            between.setdefault((fiber[dom], fiber[cod]), []).append((p, key, value))
+    place = {
+        (j, u, h): k for j, labels in f.bases.items() for k, (u, _i, h) in enumerate(labels)
+    }
+    drawn = {}
+    for bf in butterflies(f):
+        # each vertex as (fiber, index): W_{X_j} by j, or U's external line
+        u = int(bf.blue[1:])
+        ends = {v: (v[0] + bf.J, place[v[0] + bf.J, u, h]) for v, h in bf.heights.items()}
+        ends[butterfly.EXTERNAL] = ("external", bf.J), 0
+        for arrow in bf.arrows:
+            (src, col), (tgt, row) = ends[arrow[1]], ends[arrow[2]]
+            ops = between.get((src, tgt))
+            assert ops, f"{brane.render(d)}: {bf.blue} {arrow} is in no operator"
+            for p, key, value in ops:
+                drawn[p, key, row, col] = value
+    return drawn
+
+
+def test_arrows_draw_the_matrices():
+    # the 1,610 criterion-3 sweep points and the 840 flag points: assembly
+    # reads no arrows, so this ties the arrow rules of ``_lattice`` to the
+    # graded entries of ``_OPERATORS``: each arrow is an entry of the
+    # operators between its fibers, and no operator has another entry
+    points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
+    points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    assert len(points) == 1610 + 840
+    for t in points:
+        f = butterfly.assemble_fixed_point(t)
+        nonzero = {
+            (p, key, r, c): x
+            for p in range(1, len(f.base.blacks))
+            for key, mat in ops_at(f, p).items()
+            for r, row in mat.entries.items()
+            for c, x in row.items()
+        }
+        assert nonzero == drawn_entries(f), brane.render(t.base)
 
 
 def test_cached_lattices_are_not_aliased():
@@ -764,19 +815,29 @@ def test_verify_detects_missing_green_arrows():
 
 
 def without_a(points):
-    """The points with a nonzero a_U, each with every a_U zeroed."""
-    with_a = [f for f in points if any(not ops["a"].is_zero() for ops in f.per_blue.values())]
-    for f in with_a:
-        for ops in f.per_blue.values():
-            ops["a"] = linalg.Mat(ops["a"].rows, ops["a"].cols)
-    return with_a
+    """Copies of the points with a nonzero a_U, each with every a_U zeroed,
+    made by :func:`zeroing`: the points given are left as they are."""
+    copies = []
+    for f in points:
+        nonzero = [
+            (p, "a", r, c)
+            for p in f.base.blue_positions()
+            for r, row in ops_at(f, p)["a"].entries.items()
+            for c in row
+        ]
+        if nonzero:
+            copies.append(zeroing(f, nonzero))
+    return copies
 
 
 def test_stability_reads_the_a_maps():
     # zeroing every a_U leaves the butterflies as they were, so only a check
     # that reads the matrices can see it: of the 1,610 sweep points, 1,200
-    # have a nonzero a, and 363 of them are destabilized once it is zeroed
-    with_a = without_a(sweep_points())
+    # have a nonzero a, and 363 of them are destabilized once it is zeroed;
+    # the points given are left as they are
+    sweep = sweep_points()
+    with_a = without_a(sweep)
+    assert all(butterfly.verify_fixed_point(f).ok for f in sweep)
     for f in with_a:
         smaller_than_reference(f)
     failed = [f for f in with_a if not stability(f).ok]
@@ -1165,7 +1226,8 @@ def test_rescaled_entries_keep_the_reachability_verdicts(monkeypatch):
     sweep = sweep_points()
     sample = rng.sample(sweep, 150)
     faulty = [g for f in sample for g in dropping_each_arrow(f)]
-    faulty += without_a([with_entries(f, {}) for f in sample])
+    faulty += without_a(sample)
+    assert all(butterfly.verify_fixed_point(f).ok for f in sample)
     ranks = counting_calls(monkeypatch, butterfly.linalg, "rank")
     krylov = counting_calls(monkeypatch, butterfly.linalg, "krylov_rank")
     verdicts = Counter()

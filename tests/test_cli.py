@@ -255,10 +255,12 @@ def test_verify_verb():
 
 
 def test_empty_variety_verbs():
-    # 0\3/2/0 is admissible but has no tie diagrams
-    code, out = run_cli("verify", "0\\3/2/0")
-    assert code == 0
-    assert out == "no fixed points: the variety of 0\\3/2/0 is empty\n"
+    # 0\3/2/0 is admissible but has no tie diagrams: verify, and tangent
+    # over every point, say so in one line
+    for verb in (("verify",), ("tangent",), ("tangent", "--chamber", "1")):
+        code, out = run_cli(*verb, "0\\3/2/0")
+        assert code == 0
+        assert out == "no fixed points: the variety of 0\\3/2/0 is empty\n", verb
     proc = run_subprocess("separate", "0\\3/2/0")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (
