@@ -22,25 +22,49 @@ EXTERNAL = "*"  # the external node of green arrows
 
 @dataclass(frozen=True)
 class ButterflyData:
-    """The butterfly of one blue line: its lattice with its arrows.
+    """The butterfly of one blue line: its lattice, and arrows drawn on read.
 
     Vertices are (i, j) with i the column position relative to the black
     line U^- (absolute index J) and j the height.  The equivariant height of
     every vertex is j - max(d_{U^-} - 1, 0), one shift for the whole lattice.
-    Arrows are (color, source, target), green ones using the node "*"; the
-    ``butterfly`` verb, :meth:`to_json` and :func:`render_ascii` draw them,
-    and assembly reads only the heights.  The ties enter only through the
-    cover counts, so one object, cached by :func:`_lattice`, is shared
-    read-only by every tie diagram with the same ties at U.
+    Assembly reads only the heights.  The ties enter only through the cover
+    counts, so one object, cached by :func:`_lattice`, is shared read-only by
+    every tie diagram with the same ties at U.
     """
 
     blue: str  # the name U<u> of the line
     J: int  # absolute index of the black line U^-
+    colors: tuple  # the colors of the diagram's lines, by position
     cover_counts: tuple  # d_{D,U,X} per black line, 1-based via [j-1]
     column_bottoms: tuple  # c_{D,U,X} per black line
-    vertices: frozenset  # of (i, j)
-    arrows: tuple  # of (color, source, target)
     heights: types.MappingProxyType  # read-only: vertex -> equivariant height
+
+    @property
+    def vertices(self):  # a read-only view
+        return self.heights.keys()
+
+    @functools.cached_property
+    def arrows(self):
+        """The arrows (color, source, target), drawn by assembly's rule: an
+        operator (cod, dom, step, _) of line p in ``_OPERATORS`` is an arrow
+        from the vertex of height m over X_{p+dom} to the one of height
+        m + step over X_{p+cod}, if any; "*", U's external node of height 0,
+        is at p = J only.  Sorted by source, then color; the greens last, from "*" first."""
+        fibers = {(EXTERNAL, self.J): {0: EXTERNAL}}  # X_j by j: height -> vertex
+        for v, m in self.heights.items():
+            fibers.setdefault(v[0] + self.J, {})[m] = v
+        drawn = set()  # a black arrow is drawn once, for B^+ and B^- alike
+        for p, color in enumerate(self.colors, start=1):
+            ends = {0: p, 1: p + 1, None: (EXTERNAL, p)}
+            for key, (cod, dom, step, _entry) in _OPERATORS[color].items():
+                targets = fibers.get(ends[cod], {})
+                for m, src in fibers.get(ends[dom], {}).items():
+                    if m + step in targets:
+                        drawn.add((_ARROW_COLORS.get(key, "green"), src, targets[m + step]))
+        rank = [*_ARROW_COLORS.values(), "green"]  # "*" is never compared with a vertex
+        return tuple(sorted(
+            drawn, key=lambda a: (a[0] == "green", a[1] != EXTERNAL, a[1], rank.index(a[0]))
+        ))
 
     def to_json(self):
         return {
@@ -74,10 +98,10 @@ LATTICE_CACHE_SIZE = 128  # a sweep diagram needs at most 12 lattices, flag 35
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _lattice(colors, J, cc):
-    """The butterfly of the blue line at position J.  The ties enter only
-    through the cover counts cc, so one cached :class:`ButterflyData`,
-    immutable in every part, is shared by all tie diagrams with the same ties
-    at U.
+    """The butterfly of the blue line at position J, its lattice only: the
+    arrows are drawn on first read (:attr:`ButterflyData.arrows`).  The ties
+    enter only through the cover counts cc, so one cached, immutable
+    :class:`ButterflyData` is shared by all tie diagrams with the same ties at U.
 
     An equivariant height is the lattice height less max(d_{U^-} - 1, 0).
     Heights are fixed up to a constant on each connected component of the
@@ -97,41 +121,15 @@ def _lattice(colors, J, cc):
     vertices = {
         (j - J, jj) for j in range(1, n + 1) for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1])
     }
-
-    arrows = []
-    for i, jj in sorted(vertices):
-        a = i + J  # absolute black index of this column
-        left = colors[a - 2] if a >= 2 else None
-        right = colors[a - 1] if a <= n else None
-        # black arrows: only in columns whose black line touches a blue line
-        if (left == brane.BLUE or right == brane.BLUE) and (i, jj - 1) in vertices:
-            arrows.append(("black", (i, jj), (i, jj - 1)))
-        if left == brane.BLUE and (i - 1, jj) in vertices:
-            arrows.append(("blue", (i, jj), (i - 1, jj)))
-        if left == brane.RED and (i - 1, jj - 1) in vertices:
-            arrows.append(("violet", (i, jj), (i - 1, jj - 1)))
-        if right == brane.RED and (i + 1, jj) in vertices:
-            arrows.append(("red", (i, jj), (i + 1, jj)))
-    # green-in: external node to the top vertex of the U^- column
-    if cc[J - 1]:
-        arrows.append(("green", EXTERNAL, (0, cb[J - 1] + cc[J - 1] - 1)))
-    # green-out: the d_{U^-}-th vertex from the bottom of the U^+ column to
-    # the external node (one height step above the green-in target, as the
-    # triangle relation's grading requires)
-    if cc[J - 1] < cc[J]:
-        arrows.append(("green", (1, cb[J] + cc[J - 1]), EXTERNAL))
-
     shift = max(cc[J - 1] - 1, 0)
     heights = types.MappingProxyType({v: v[1] - shift for v in vertices})
     blue = f"U{colors[:J].count(brane.BLUE)}"
-    return ButterflyData(blue, J, cc, tuple(cb), frozenset(vertices), tuple(arrows), heights)
+    return ButterflyData(blue, J, colors, cc, tuple(cb), heights)
 
 
 def build_butterfly(t, U):
-    """The butterfly of the blue line named U (as "U2") at t: the object that
-    :func:`_lattice` caches, shared read-only by every tie diagram with the
-    same ties at U.  Its ``cover_counts`` are d_{D,U,X} and its
-    ``column_bottoms`` c_{D,U,X}, per black line."""
+    """The butterfly of the blue line named U (as "U2") at t: the read-only
+    object that :func:`_lattice` caches for the ties at U."""
     d = t.base
     J = d.position_of(U)
     if d.color_at(J) != brane.BLUE:
@@ -169,20 +167,17 @@ class FixedPointData:
                     dense[j] = str(x)
             return rows
 
+        def ops_json(per):  # line name -> operator key -> dense rows
+            return {name: {k: mat_json(m) for k, m in ops.items()} for name, ops in per.items()}
+
         return {
             "tie": self.tie_diagram.to_json(),
             "bases": {
                 str(j): [list(lbl) for lbl in labels]
                 for j, labels in self.bases.items()
             },
-            "perBlue": {
-                name: {k: mat_json(m) for k, m in ops.items()}
-                for name, ops in self.per_blue.items()
-            },
-            "perRed": {
-                name: {k: mat_json(m) for k, m in ops.items()}
-                for name, ops in self.per_red.items()
-            },
+            "perBlue": ops_json(self.per_blue),
+            "perRed": ops_json(self.per_red),
         }
 
 
@@ -202,6 +197,8 @@ _OPERATORS = {
     },
     brane.RED: {"C": (0, 1, -1, 1), "D": (1, 0, 0, 1)},
 }
+# the arrows' colors, in the order a vertex's are drawn (a and b: green, last)
+_ARROW_COLORS = {"Bplus": "black", "Bminus": "black", "A": "blue", "C": "violet", "D": "red"}
 
 
 def assemble_fixed_point(t):
@@ -210,8 +207,8 @@ def assemble_fixed_point(t):
     takes the basis line (u, m) of its domain to the line (u, m + step) of
     its codomain, if there is one, with its ``entry``; a blue line U's
     external line is (U, 0).  A butterfly gives each fiber one column of
-    distinct heights, so these entries are its arrows: blue ones in A, violet
-    in C, red in D, black in B^+ and B^-, green in a and b."""
+    distinct heights, so these entries are its arrows, which
+    :attr:`ButterflyData.arrows` draws by this same rule."""
     d = t.base
     # u ascends, each lattice is walked by column, bottom-up, and has one
     # height shift, so each fiber's labels come out ordered by (u, height),

@@ -104,7 +104,10 @@ def _cmd_fixed_points(args, out):
              for k, t in enumerate(points, start=1)], indent=2))
         out.write("\n")
         return 0
-    out.write(f"{len(points)} tie diagram(s) on {brane.render(d)}\n")
+    if points:
+        out.write(f"{len(points)} tie diagram(s) on {brane.render(d)}\n")
+    else:
+        out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
     for k, t in enumerate(points, start=1):
         out.write(f"D{k}: {t.named_ties()}\n")
         if args.ascii:

@@ -2,14 +2,14 @@
 
 :class:`Mat` has an explicit shape, so that zero-dimensional fibers compose
 correctly, and sparse signed rows ``{row: {col: value}}`` with no stored
-zeros: assembly writes one entry, +-1, per butterfly arrow, so every
-operation here pays per nonzero, not per cell.  Entries stay as given (int or
-Fraction).  :func:`rank` and :func:`krylov_rank` are exact, by integer
-elimination on sparse rows, each call keeping its echelon rows in a plain
-dict of pivots (:func:`_reduce`).  Verification calls them only when a row
-(column) it ranks has two entries: on partial injections, as assembled, S1,
-S2 and the junctions count reachable unit vectors (``butterfly._rank``),
-and graded stability is a closure walk.
+zeros: assembly writes one entry, +-1, per graded pair of basis lines, which a
+butterfly draws as an arrow, so every operation here pays per nonzero, not
+per cell.  Entries stay as given (int or Fraction).  :func:`rank` and
+:func:`krylov_rank` are exact, by integer elimination on sparse rows, each
+call keeping its echelon rows in a plain dict of pivots (:func:`_reduce`).
+Verification calls them only when a row (column) it ranks has two entries: on
+partial injections, as assembled, S1, S2 and the junctions count reachable
+unit vectors (``butterfly._rank``), and graded stability is a closure walk.
 """
 
 from __future__ import annotations

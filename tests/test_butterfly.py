@@ -36,6 +36,8 @@ from dense import (
 )
 
 BIG_DIAGRAM = "0/1/2/3\\3/5\\4/2\\2/0"
+# 6,720 fixed points of dimension 50, over 48 distinct butterfly lattices
+SCALE_DIAGRAM = "0/1/2/3/4/5\\5\\5\\5\\5\\5\\5\\5\\5/0"
 BIG_TIES = [
     (2, 6),
     (3, 4),
@@ -271,15 +273,18 @@ def reference_lattice(colors, J, cc):
         arrows.append(("green", butterfly.EXTERNAL, (0, cb[J - 1] + cc[J - 1] - 1)))
     if cc[J - 1] < cc[J]:
         arrows.append(("green", (1, cb[J] + cc[J - 1]), butterfly.EXTERNAL))
-    return butterfly.ButterflyData(
+    bf = butterfly.ButterflyData(
         blue=f"U{sum(c == brane.BLUE for c in colors[:J])}",
         J=J,
+        colors=colors,
         cover_counts=cc,
         column_bottoms=cb,
-        vertices=frozenset(vertices),
-        arrows=tuple(arrows),
         heights=reference_heights(vertices, arrows),
     )
+    # these rules, not ``_OPERATORS``, draw the reference arrows: they fill
+    # the slot that ``ButterflyData.arrows`` caches its first read in
+    bf.__dict__["arrows"] = tuple(arrows)
+    return bf
 
 
 def reference_build_butterfly(t, U):
@@ -303,7 +308,8 @@ def test_cached_lattices_match_reference_build(monkeypatch):
     # weights and assembled matrices equal those of the uncached build, whose
     # lattices drive the bases of assembly in place of the cached ones (the
     # entries come from ``_OPERATORS``; test_arrows_draw_the_matrices ties
-    # them to the arrows)
+    # them to the arrows).  The arrows drawn from ``_OPERATORS`` equal the
+    # reference arrows in order, so the table draws the paper's butterflies.
     points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
     points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
     assert len(points) == 1610 + 840
@@ -311,9 +317,24 @@ def test_cached_lattices_match_reference_build(monkeypatch):
     for t in points:
         for u in range(1, t.base.n_blue + 1):
             bf = butterfly.build_butterfly(t, f"U{u}")
-            assert bf.to_json() == reference_build_butterfly(t, f"U{u}").to_json()
+            ref = reference_build_butterfly(t, f"U{u}")
+            assert bf.arrows == ref.arrows
+            assert bf.to_json() == ref.to_json()
         assert fiber_weights(t) == reference_fiber_weights(t)
         cached.append(butterfly.assemble_fixed_point(t).to_json())
+    # the scale diagram: its 53,760 butterflies share 48 lattices, each
+    # compared once
+    d = brane.parse(SCALE_DIAGRAM)
+    keys = {
+        (d.colors, J, reference_cover_counts(t, J))
+        for t in tie.enumerate_tie_diagrams(d)
+        for J in d.blue_positions()
+    }
+    assert len(keys) == 48
+    for key in keys:
+        bf, ref = butterfly._lattice(*key), reference_lattice(*key)
+        assert bf.arrows == ref.arrows
+        assert bf.to_json() == ref.to_json()
     monkeypatch.setattr(butterfly, "_cover_counts", reference_cover_counts)
     monkeypatch.setattr(butterfly, "_lattice", reference_lattice)
     assert cached == [butterfly.assemble_fixed_point(t).to_json() for t in points]
@@ -321,9 +342,10 @@ def test_cached_lattices_match_reference_build(monkeypatch):
 
 def drawn_entries(f):
     """The operator entries (line position, operator, row, column) that the
-    arrows of the butterflies of ``f`` draw, each with the value that
-    assembly must give it: every arrow is an entry, equal to ``entry``, of
-    every operator of ``_OPERATORS`` between its two fibers."""
+    reference arrows of the butterflies of ``f`` (:func:`reference_lattice`,
+    the paper's rules) draw, each with the value that assembly must give it:
+    every arrow is an entry, equal to ``entry``, of every operator of
+    ``_OPERATORS`` between its two fibers."""
     d = f.base
     between = {}  # (domain, codomain) -> [(line position, operator, entry)]
     for p, color in enumerate(d.colors, start=1):
@@ -334,9 +356,9 @@ def drawn_entries(f):
         (j, u, h): k for j, labels in f.bases.items() for k, (u, _i, h) in enumerate(labels)
     }
     drawn = {}
-    for bf in butterflies(f):
+    for u in range(1, d.n_blue + 1):
+        bf = reference_build_butterfly(f.tie_diagram, f"U{u}")
         # each vertex as (fiber, index): W_{X_j} by j, or U's external line
-        u = int(bf.blue[1:])
         ends = {v: (v[0] + bf.J, place[v[0] + bf.J, u, h]) for v, h in bf.heights.items()}
         ends[butterfly.EXTERNAL] = ("external", bf.J), 0
         for arrow in bf.arrows:
@@ -350,9 +372,10 @@ def drawn_entries(f):
 
 def test_arrows_draw_the_matrices():
     # the 1,610 criterion-3 sweep points and the 840 flag points: assembly
-    # reads no arrows, so this ties the arrow rules of ``_lattice`` to the
-    # graded entries of ``_OPERATORS``: each arrow is an entry of the
-    # operators between its fibers, and no operator has another entry
+    # reads no arrows, so this ties the paper's arrow rules, kept in
+    # ``reference_lattice``, to the graded entries of ``_OPERATORS``: each
+    # arrow is an entry of the operators between its fibers, and no operator
+    # has another entry
     points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
     points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
     assert len(points) == 1610 + 840
@@ -384,7 +407,7 @@ def test_cached_lattices_are_not_aliased():
     assert before["arrows"]
     f = without_greens(butterfly.assemble_fixed_point(t))
     assert not verdict(butterfly.verify_fixed_point(f), "stability").ok
-    dropped = dataclasses.replace(bf, arrows=bf.arrows[1:])
+    dropped = dataclasses.replace(bf, heights={w: h for w, h in bf.heights.items() if w != v})
     assert dropped.arrows != bf.arrows
     assert butterfly.build_butterfly(t, "U2").to_json() == before
     assert butterfly.verify_fixed_point(butterfly.assemble_fixed_point(t)).ok
@@ -1262,6 +1285,27 @@ def test_fixed_point_json_entries_are_exact():
     blob = butterfly.assemble_fixed_point(t).to_json()
     assert blob["perBlue"]["U1"]["A"] == [["1"]]
     assert blob["tie"]["diagram"] == TSTAR_P1
+
+
+def test_fixed_point_json_keeps_its_key_order():
+    # the digests hash ``to_json()`` with sorted keys, so this pins the order
+    # the ``matrices`` verb prints, on the 1,610 criterion-3 sweep points and
+    # the 840 flag points: fibers by black line, blue lines U1..UN, red lines
+    # V1..VM (numbered from the right), and each line's operators as listed
+    # in ``_OPERATORS``
+    points = [t for d in sweep_diagrams() for t in tie.enumerate_tie_diagrams(d)]
+    points += tie.enumerate_tie_diagrams(brane.parse(FLAG))
+    assert len(points) == 1610 + 840
+    blue_ops, red_ops = (list(butterfly._OPERATORS[c]) for c in (brane.BLUE, brane.RED))
+    for t in points:
+        d = t.base
+        blob = butterfly.assemble_fixed_point(t).to_json()
+        assert list(blob) == ["tie", "bases", "perBlue", "perRed"]
+        assert list(blob["bases"]) == [str(j) for j in range(1, len(d.blacks) + 1)]
+        assert list(blob["perBlue"]) == [f"U{u}" for u in range(1, d.n_blue + 1)]
+        assert list(blob["perRed"]) == [f"V{m}" for m in range(1, d.n_red + 1)]
+        assert all(list(ops) == blue_ops for ops in blob["perBlue"].values())
+        assert all(list(ops) == red_ops for ops in blob["perRed"].values())
 
 
 # ---------------------------------------------------------------------------

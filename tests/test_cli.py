@@ -255,9 +255,9 @@ def test_verify_verb():
 
 
 def test_empty_variety_verbs():
-    # 0\3/2/0 is admissible but has no tie diagrams: verify, and tangent
-    # over every point, say so in one line
-    for verb in (("verify",), ("tangent",), ("tangent", "--chamber", "1")):
+    # 0\3/2/0 is admissible but has no tie diagrams: verify, fixed-points,
+    # and tangent over every point, say so in one line
+    for verb in (("verify",), ("fixed-points",), ("tangent",), ("tangent", "--chamber", "1")):
         code, out = run_cli(*verb, "0\\3/2/0")
         assert code == 0
         assert out == "no fixed points: the variety of 0\\3/2/0 is empty\n", verb
