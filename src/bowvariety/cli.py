@@ -95,19 +95,25 @@ def _cmd_parse(args, out):
     return 0
 
 
+def _fixed_points(d, out):
+    """The tie diagrams of ``d``, in order; if there are none, a line says so."""
+    points = tie.enumerate_tie_diagrams(d)
+    if not points:
+        out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
+    return points
+
+
 def _cmd_fixed_points(args, out):
     d = brane.parse(args.dsl)
-    points = tie.enumerate_tie_diagrams(d)
     if args.json:
         out.write(json.dumps(
             [{"id": f"D{k}", "ties": t.named_ties()}
-             for k, t in enumerate(points, start=1)], indent=2))
+             for k, t in enumerate(tie.enumerate_tie_diagrams(d), start=1)], indent=2))
         out.write("\n")
         return 0
+    points = _fixed_points(d, out)
     if points:
         out.write(f"{len(points)} tie diagram(s) on {brane.render(d)}\n")
-    else:
-        out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
     for k, t in enumerate(points, start=1):
         out.write(f"D{k}: {t.named_ties()}\n")
         if args.ascii:
@@ -151,9 +157,7 @@ def _cmd_tangent(args, out):
             raise errors.BadChamber(f"non-integer --chamber {args.chamber!r}") from None
         tangent.check_chamber(chamber, d.n_blue)
     if args.point is None:
-        points = [(f"D{k}", t) for k, t in enumerate(tie.enumerate_tie_diagrams(d), start=1)]
-        if not points:
-            out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
+        points = [(f"D{k}", t) for k, t in enumerate(_fixed_points(d, out), start=1)]
     else:
         points = [(args.point, _point(d, args.point))]
     for pid, t in points:
@@ -222,7 +226,7 @@ def _cmd_pair(args, out):
 
 def _cmd_verify(args, out):
     d = brane.parse(args.dsl)
-    points = tie.enumerate_tie_diagrams(d)
+    points = _fixed_points(d, out)
     ok = True
     not_run = Counter()  # check name -> points it did not run on
     for k, t in enumerate(points, start=1):
@@ -233,9 +237,7 @@ def _cmd_verify(args, out):
             out.write(f"  {line}\n")
         ok = ok and report.ok
         not_run.update(c.name for c in report.checks if c.skipped)
-    if not points:
-        out.write(f"no fixed points: the variety of {brane.render(d)} is empty\n")
-    elif not ok:
+    if not ok:
         out.write("verification FAILED\n")
         return CHECK_EXIT
     elif not_run:
@@ -243,7 +245,7 @@ def _cmd_verify(args, out):
             f"{name} on {n} of {len(points)} points" for name, n in not_run.items()
         )
         out.write(f"no check failed; not run: {counts}\n")
-    else:
+    elif points:
         out.write("all fixed points verified\n")
     return 0
 

@@ -6,11 +6,11 @@ the diagram combinatorics.  Everything downstream is exact: the recursion
 producing stable-envelope coefficient vectors, the three envelope axioms, the
 virtual intersection pairing, orthogonality and order-duality checks.
 
-Pairings are decided one hyperplane at a time.  A test class that restricts
-to one polynomial at every point of a hyperplane factors out of the residue
-there, and a gram entry shown free of poles has degree 0, so it is the
-constant read off one exact evaluation.  Where the data does not show either
-fact, the residue is summed from products, or the entry in full.
+Pairings are decided one hyperplane at a time.  Any class, an envelope or
+a test class, that is one polynomial at every point of a hyperplane factors
+out of the residue there, and a gram entry shown free of poles has degree 0,
+so it is the constant read off one exact evaluation.  Where the data shows
+neither, the residue is summed from products, or the entry in full.
 """
 
 from __future__ import annotations
@@ -276,16 +276,16 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     theorem asserts the identity matrix; deviations mean the two data files
     are inconsistent (reported by the caller's checks).
 
-    An entry is certified when its gamma = 1 residue vanishes on every simple
-    hyperplane and it keeps no pole on a repeated one (the tests of
-    :func:`check_polynomiality`), so that it is a polynomial, and when every
+    An entry is certified when it is a polynomial, with no pole on a simple
+    hyperplane (:func:`_residue_vanishes`) or a repeated one, and when every
     restriction is homogeneous of degree dim/2 and every e(T_p) has degree
     dim, so that each term u_p * v_p / e(T_p) has degree 0.  A polynomial of
     degree 0 is a constant: its value at any rational point off the zeros of
     the e(T_p) (:func:`_evaluation_point`), summed there with ints and
     Fractions.  Every other entry is the :func:`virtual_pairing` sum.  The
-    hyperplanes, kept on ``data``, and the restrictions, kept on each Poly,
-    are shared with :func:`check_polynomiality`.
+    hyperplanes, kept on ``data``, the restrictions, kept on each Poly, and
+    the residue rule, under which Stab(p) and Stab_op(q) factor like any
+    class, are shared with :func:`check_polynomiality`.
     """
     _check_paired(data, op_data)
     by_point = {s.point: s.restrictions for s in stabs}
@@ -293,7 +293,6 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     us = [by_point[p] for p in data.order]
     vs = [op_by_point[q] for q in data.order]
     simple, repeated = data.hyperplanes
-    poles = _residues(us, vs, simple)[2]
     point = _evaluation_point(data)
     euler = {p: e.evaluate(point) for p, e in data.full_euler.items()}
     degrees = {sum(n for _, n in e.factors) for e in data.full_euler.values()}
@@ -304,11 +303,14 @@ def gram_matrix(stabs, op_stabs, data, op_data):
             return {p: vec[p].evaluate(point) for p in data.order}
         return None
 
-    u_at, v_at = [values(u) for u in us], [values(v) for v in vs]
+    rows = [(u, values(u), _on_hyperplanes(u, simple)) for u in us]
+    columns = [(v, values(v), _on_hyperplanes(v, simple)) for v in vs]
     gram = []
-    for u, a, row in zip(us, u_at, poles):
+    for u, a, u_h in rows:
         gram.append([])
-        for v, b, pole in zip(vs, v_at, row):
+        for v, b, v_h in columns:
+            live = u_h.keys() & v_h.keys()  # the residue is 0 where u or v is 0 at every point
+            pole = not all(_residue_vanishes(key, simple[key], (u_h, v_h)) for key in live)
             if a is None or b is None or pole or _repeated_pole(u, v, data, repeated):
                 gram[-1].append(virtual_pairing(u, v, data))
             else:
@@ -356,51 +358,26 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
 
     One hyperplane H at a time: by localization only the points whose e(T_p)
     contains H can give a pole along H.  If each carries H once, the residue
-    test of ``data.hyperplanes`` decides on Stab(p)|_p, gamma_p and
-    Stab_op(q)|_p restricted to H, and the gamma = 1 residue is found once per
-    (p, q, H).  Where gamma_p|_H is one polynomial g at every point on H, the
-    residue for gamma is g times it, and polynomials on H form an integral
-    domain: it vanishes iff g = 0 or the gamma = 1 residue does, with no
-    product formed.  A global class agrees so along each torus-invariant
-    curve (the GKM condition), but gamma is input, so where it does not
-    agree the residue is summed from products.  On a hyperplane that some
-    e(T_p) carries twice, the sum over its points must keep no H in its
-    denominator.  Failures are summed in full.
+    of Stab(p), gamma and Stab_op(q) decides (:func:`_residue_vanishes`),
+    and each of the three factors out of it where it is one polynomial on
+    H.  On a hyperplane that some e(T_p) carries twice, the sum over its
+    points must keep no H in its denominator.  Failures are summed in full.
     """
     _check_paired(data, op_data)
     if gammas is None:
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
     simple, repeated = data.hyperplanes
-    s_res, op_res, poles = _residues(
-        [s.restrictions for s in stabs], [o.restrictions for o in op_stabs], simple
-    )
-    factored = []  # per gamma: its restrictions, the H where it is one g != 0, the H where not
-    for gamma in gammas:
-        g_res = _restricted(gamma, simple)
-        live, mixed = set(), []
-        for key, points in simple.items():
-            g = g_res[key, next(iter(points))]
-            if any(g_res[key, p] != g for p in points):
-                mixed.append(key)
-            elif g:
-                live.add(key)
-        factored.append((g_res, live, mixed))
+    s_on = [_on_hyperplanes(s.restrictions, simple) for s in stabs]
+    o_on = [_on_hyperplanes(o.restrictions, simple) for o in op_stabs]
+    g_on = [_on_hyperplanes(gamma, simple) for gamma in gammas]
     report = errors.CheckResult("polynomiality")
-    for s, a1, s_poles in zip(stabs, s_res, poles):
-        for k, gamma in enumerate(gammas):
-            g_res, live, mixed = factored[k]
-            a = {
-                (key, p): a1[key, p] * g_res[key, p]
-                for key in mixed
-                for p in simple[key]
-                if (key, p) in a1 and g_res[key, p]
-            }
+    for s, s_h in zip(stabs, s_on):
+        for k, (gamma, g_h) in enumerate(zip(gammas, g_on)):
             u = None
-            for o, b, pole in zip(op_stabs, op_res, s_poles):
-                ok = live.isdisjoint(pole) and all(
-                    _residue_vanishes(key, simple[key], a, b) for key in mixed
-                )
+            for o, o_h in zip(op_stabs, o_on):
+                live = s_h.keys() & g_h.keys() & o_h.keys()
+                ok = all(_residue_vanishes(key, simple[key], (s_h, g_h, o_h)) for key in live)
                 if repeated or not ok:
                     if u is None:
                         u = {p: s.restrictions[p] * gamma[p] for p in data.order}
@@ -414,26 +391,16 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     return report
 
 
-def _restricted(vec, simple):
-    """``{(key, p): vec[p] on H(key)}`` over the points p of each simple hyperplane."""
-    return {(key, p): algebra.restrict(vec[p], key) for key in simple for p in simple[key]}
-
-
-def _residues(us, vs, simple):
-    """The nonzero restrictions of each vector u of ``us`` to the simple
-    hyperplanes, those of each v of ``vs`` times M_p, and for each pair
-    (u, v) the set of simple hyperplanes on which the residue of their
-    pairing does not vanish."""
-    u_res = [{kp: r for kp, r in _restricted(u, simple).items() if r} for u in us]
-    v_res = [
-        {kp: r * simple[kp[0]][kp[1]] for kp, r in _restricted(v, simple).items() if r}
-        for v in vs
-    ]
-    poles = [
-        [{key for key, ms in simple.items() if not _residue_vanishes(key, ms, a, b)} for b in v_res]
-        for a in u_res
-    ]
-    return u_res, v_res, poles
+def _on_hyperplanes(vec, simple):
+    """``vec`` on each simple hyperplane H where it is not 0 at every point:
+    the one polynomial that it is at every point on H, or ``{p: vec[p] on H}``
+    where these differ."""
+    out = {}
+    for key, points in simple.items():
+        on = [algebra.restrict(vec[p], key) for p in points]
+        if any(on):
+            out[key] = on[0] if all(r == on[0] for r in on) else dict(zip(points, on))
+    return out
 
 
 def _repeated_pole(u, v, data, repeated):
@@ -486,11 +453,25 @@ def _hyperplanes(data):
     return simple, repeated
 
 
-def _residue_vanishes(key, points, a, b):
-    """Whether sum_p a[key, p] * b[key, p] over the points on ``key`` is zero,
-    a missing entry being zero; a single nonzero product never is."""
-    both = [(key, p) for p in points if (key, p) in a and (key, p) in b]
-    return len(both) != 1 and not sum(a[kp] * b[kp] for kp in both)
+def _residue_vanishes(key, points, classes):
+    """Whether the residue on the simple hyperplane H(key) of the pairing of
+    the product of ``classes``, as :func:`_on_hyperplanes` gives them and
+    none 0 at every point on H, is zero: sum_p c_1|_p * ... * c_k|_p * M_p,
+    with ``points`` mapping each point p on H to M_p.
+
+    Where each class is one polynomial g_i != 0 on H, that is g_1 * ... *
+    g_k * sum_p M_p, and polynomials on H form an integral domain: it is zero
+    iff sum_p M_p is, with no product formed.  A global class agrees so along
+    each torus-invariant curve (the GKM condition), but classes are input:
+    where one does not agree, the products are summed, and a single nonzero
+    one is never zero.
+    """
+    on = [c[key] for c in classes]
+    if not any(isinstance(r, dict) for r in on):
+        return not sum(points.values())
+    terms = [(m, [r[p] if isinstance(r, dict) else r for r in on]) for p, m in points.items()]
+    live = [(m, rs) for m, rs in terms if all(rs)]
+    return len(live) != 1 and not sum(math.prod(rs, start=m) for m, rs in live)
 
 
 def opposite_order_check(data, op_data):

@@ -523,9 +523,10 @@ def test_replaced_data_finds_its_own_hyperplanes(fixtures_dir):
 
 
 def test_classes_that_agree_on_a_hyperplane_form_no_products(monkeypatch):
-    # on T*P^3 every default class restricts to one polynomial on each simple
-    # hyperplane, so no class but 1 forms a product; a class edited at one
-    # point of one hyperplane is summed from products there, and only there
+    # on T*P^3 every envelope and every default class restricts to one
+    # polynomial on each simple hyperplane, so neither the gram matrix nor
+    # the polynomiality check forms a product; a class edited at one point of
+    # one hyperplane is summed from products there, and only there
     tstar = tstar_module()
     sigma = (3, 1, 4, 2)
     data = envelope.load_attraction_data(tstar.attraction_data(4, sigma))
@@ -534,34 +535,32 @@ def test_classes_that_agree_on_a_hyperplane_form_no_products(monkeypatch):
     args = (stabs, op_stabs, data, op_data)
     one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
     envelope.check_polynomiality(*args, gammas=[one])  # fills the memo of expanded Euler classes
-    products, residues = [], []
+    products, formed = [], Counter()  # formed: hyperplane -> residues there that formed products
     mul, vanishes = algebra.Poly.__mul__, envelope._residue_vanishes
+
+    def counted(key, *a):
+        before = len(products)
+        result = vanishes(key, *a)
+        if len(products) > before:
+            formed[key] += 1
+        return result
+
     monkeypatch.setattr(algebra.Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-    monkeypatch.setattr(
-        envelope, "_residue_vanishes", lambda key, *a: residues.append(key) or vanishes(key, *a)
-    )
-
-    def run(gammas):
-        products.clear()
-        residues.clear()
-        report = envelope.check_polynomiality(*args, gammas=gammas)
-        return report, len(products), Counter(residues)
-
-    unit, unit_products, unit_residues = run([one])
-    full, full_products, full_residues = run(None)
-    assert unit.ok and full.ok
-    assert (full_products, full_residues) == (unit_products, unit_residues)
+    monkeypatch.setattr(envelope, "_residue_vanishes", counted)
+    gram = envelope.gram_matrix(*args)
+    assert envelope.check_polynomiality(*args).ok
+    assert products == [] and formed == Counter()
+    assert all(e == int(i == j) for i, row in enumerate(gram) for j, e in enumerate(row))
 
     p = data.order[0]
     simple, _ = data.hyperplanes
     w = next(w for w, _ in data.full_euler[p].factors if len(simple[algebra.hyperplane(w)[0]]) > 1)
     rest = [(v, n) for v, n in data.full_euler[p].factors if v != w]
     edited = dict(one, **{p: one[p] + algebra.FactoredClass(data.nvars, 1, rest).expand()})
-    report, _, edited_residues = run([edited])
+    report = envelope.check_polynomiality(*args, gammas=[edited])
+    assert list(formed) == [algebra.hyperplane(w)[0]]
     expected = reference_check_polynomiality(*args, gammas=[edited])
     assert not expected.ok and (report.ok, report.messages) == (expected.ok, expected.messages)
-    key = algebra.hyperplane(w)[0]
-    assert edited_residues - unit_residues == Counter({key: len(stabs) * len(op_stabs)})
 
 
 # ---------------------------------------------------------------------------
@@ -598,31 +597,44 @@ def test_gram_entries_equal_the_virtual_pairing_sums(fixtures_dir, monkeypatch):
 
 
 def test_gram_sums_entries_whose_degree_or_poles_are_not_certified(fixtures_dir):
-    # on T*P^1, each case keeps some entry free of poles on every simple
-    # hyperplane, yet not a constant: restrictions times h (degree dim/2 + 1)
-    # pair to h * delta; each e(T_p) without its first weight (degree dim - 1)
+    # on T*P^1, each case keeps some entry that is not a constant: restrictions
+    # times h (degree dim/2 + 1) pair to h * delta, free of poles on every
+    # simple hyperplane; each e(T_p) without its first weight (degree dim - 1)
     # leaves polynomials of degree 1; e(T_P1) = (t1-t2)^2 leaves a double
-    # pole on the repeated hyperplane t1 = t2, which only the full sum sees
+    # pole on the repeated hyperplane t1 = t2, which only the full sum sees;
+    # envelopes that are h at every point agree on every hyperplane, and the
+    # one-point hyperplanes keep their poles, as g = h is not zero there
     data, op_data = paired(fixtures_dir)
     stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
-    op_by_point = {s.point: s.restrictions for s in op_stabs}
     h = algebra.Poly.variable(data.nvars, 0)
     euler = data.full_euler
     scaled = [
         dataclasses.replace(s, restrictions={p: r * h for p, r in s.restrictions.items()})
         for s in stabs
     ]
+    hs = [dataclasses.replace(s, restrictions=dict.fromkeys(s.restrictions, h)) for s in stabs]
+    op_hs = [dataclasses.replace(s, restrictions=dict.fromkeys(s.restrictions, h)) for s in op_stabs]
     dropped = {p: algebra.FactoredClass(2, e.constant, e.factors[1:]) for p, e in euler.items()}
     repeated = dict(euler, P1=algebra.FactoredClass(2, 1, [((1, 2, 0), 2)]))
     envelope.gram_matrix(stabs, op_stabs, data, op_data)  # keeps the hyperplanes on data
-    for ss, e in ((scaled, euler), (stabs, dropped), (stabs, repeated)):
+    cases = [
+        (scaled, op_stabs, euler), (stabs, op_stabs, dropped), (stabs, op_stabs, repeated),
+        (hs, op_hs, euler),
+    ]
+    for ss, ops, e in cases:
         d = dataclasses.replace(data, full_euler=e)
-        gram = envelope.gram_matrix(ss, op_stabs, d, op_data)
+        gram = envelope.gram_matrix(ss, ops, d, op_data)
+        op_by_point = {s.point: s.restrictions for s in ops}
         for s, row in zip(ss, gram, strict=True):
             for q, entry in zip(d.order, row, strict=True):
                 expected = envelope.virtual_pairing(s.restrictions, op_by_point[q], d)
                 assert entry == expected and entry.render() == expected.render()
         assert any(not (e.is_polynomial() and e.num.is_constant()) for row in gram for e in row)
+    # the last case: every entry of the envelopes that are h keeps its poles
+    assert {e.render() for row in gram for e in row} == {"(2*h^2) / ((-t1+t2+h)*(t1-t2+h))"}
+    report = envelope.check_polynomiality(hs, op_hs, data, op_data)
+    expected = reference_check_polynomiality(hs, op_hs, data, op_data)
+    assert not report.ok and (report.ok, report.messages) == (expected.ok, expected.messages)
 
 
 def twisted(data, k, c):
