@@ -27,9 +27,10 @@ class ButterflyData:
     Vertices are (i, j) with i the column position relative to the black
     line U^- (absolute index J) and j the height.  The equivariant height of
     every vertex is j - max(d_{U^-} - 1, 0), one shift for the whole lattice.
-    Assembly reads only the heights.  The ties enter only through the cover
-    counts, so one object, cached by :func:`_lattice`, is shared read-only by
-    every tie diagram with the same ties at U.
+    Assembly reads only the heights, stored by column, bottom-up (sorted).
+    The ties enter only through the cover counts, so one object, cached by
+    :func:`_lattice`, is shared read-only by every tie diagram with the same
+    ties at U.
     """
 
     blue: str  # the name U<u> of the line
@@ -118,11 +119,11 @@ def _lattice(colors, J, cc):
     # leftward: step across the colored line between X_j and X_{j+1}
     for j in range(J - 1, 0, -1):
         cb[j - 1] = cb[j] - (colors[j - 1] == brane.RED and cc[j - 1] + 1 != cc[j])
-    vertices = {
-        (j - J, jj) for j in range(1, n + 1) for jj in range(cb[j - 1], cb[j - 1] + cc[j - 1])
-    }
     shift = max(cc[J - 1] - 1, 0)
-    heights = types.MappingProxyType({v: v[1] - shift for v in vertices})
+    heights = types.MappingProxyType({  # by column, bottom-up: sorted
+        (i, jj): jj - shift
+        for i, (b, c) in enumerate(zip(cb, cc), start=1 - J) for jj in range(b, b + c)
+    })
     blue = f"U{colors[:J].count(brane.BLUE)}"
     return ButterflyData(blue, J, colors, cc, tuple(cb), heights)
 
@@ -217,7 +218,7 @@ def assemble_fixed_point(t):
     index = {j: {} for j in bases}
     for u, J in enumerate(d.blue_positions(), start=1):
         bf = _lattice(d.colors, J, _cover_counts(t, J))
-        for (i, _jj), height in sorted(bf.heights.items()):
+        for (i, _jj), height in bf.heights.items():
             index[i + J][u, height] = len(bases[i + J])
             bases[i + J].append((u, i, height))
 
@@ -333,7 +334,7 @@ def _rank(gens, m=None, columns=False):
 
 
 def _eliminated(gens, m, columns):
-    """:func:`_rank` by integer elimination, on transposes for ``columns``."""
+    """:func:`_rank` by exact elimination, on transposes for ``columns``."""
     if columns:
         gens, m = [g.transpose() for g in gens], m and m.transpose()
     rows = _rows(*gens)
@@ -468,7 +469,7 @@ def verify_fixed_point(f):
     nilpotency exponents on separated diagrams, (6) torus grading of every
     operator.  Ranks are exact: counts of the unit vectors reached when every
     row (column) involved has one entry, as assembled operators do, and
-    integer elimination otherwise (:func:`_rank`).  Nilpotency is skipped on
+    exact elimination otherwise (:func:`_rank`).  Nilpotency is skipped on
     diagrams that are not separated, and stability when the grading fails,
     since off the grading a destabilizing subspace need not be spanned by
     basis lines.  Failures are report entries, never exceptions.

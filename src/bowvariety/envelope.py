@@ -262,7 +262,7 @@ def virtual_pairing(u, v, data, points=None):
     """Virtual intersection pairing of two restriction vectors:
     sum over fixed points p of u_p * v_p / e(T_p) (over ``points`` if given)."""
     total = algebra.RationalFn(algebra.Poly.const(data.nvars, 0))
-    for p in points or data.order:
+    for p in data.order if points is None else points:
         num = u[p] * v[p]
         if not num.is_zero():
             total = total + algebra.RationalFn(num, data.full_euler[p])

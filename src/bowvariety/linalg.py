@@ -5,8 +5,8 @@ correctly, and sparse signed rows ``{row: {col: value}}`` with no stored
 zeros: assembly writes one entry, +-1, per graded pair of basis lines, which a
 butterfly draws as an arrow, so every operation here pays per nonzero, not
 per cell.  Entries stay as given (int or Fraction).  :func:`rank` and
-:func:`krylov_rank` are exact, by integer elimination on sparse rows, each
-call keeping its echelon rows in a plain dict of pivots (:func:`_reduce`).
+:func:`krylov_rank` are exact, by row echelon over the rationals, each call
+keeping its sparse echelon rows in a dict of pivots (:func:`_reduce`).
 Verification calls them only when a row (column) it ranks has two entries: on
 partial injections, as assembled, S1, S2 and the junctions count reachable
 unit vectors (``butterfly._rank``), and graded stability is a closure walk.
@@ -14,7 +14,7 @@ unit vectors (``butterfly._rank``), and graded stability is a closure walk.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from fractions import Fraction
 
 _NO_ROW = {}  # read-only stand-in for a zero row
 
@@ -64,6 +64,8 @@ class Mat:
     def power(self, n):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
+        if n < 0:
+            raise ValueError("negative power of a matrix")
         out = Mat(self.rows, self.rows, {i: {i: 1} for i in range(self.rows)})
         base = self
         while n:
@@ -110,47 +112,31 @@ def _reduce(pivots, row):
     """Reduce the sparse row ``row`` against ``pivots`` and keep it there if
     it is independent of the rows already kept; return whether it was kept.
 
-    ``pivots`` maps the leading (least) column of each kept integer row to the
-    row, which is zero at the leading columns of the rows before it.  A kept
-    row is zero left of its lead, so eliminating at the least pivot column c
-    the row meets changes it only right of c: each pivot row is used at most
-    once, and a row that meets no pivot column (often a unit row) is kept as
-    it is, read and never written.
+    ``pivots`` maps the leading (least) column of each kept row to the row,
+    which is zero left of it.  While the row's lead is a pivot column, the
+    multiple of that pivot row that cancels the lead is subtracted; the row is
+    kept under its new lead, or dropped at zero.  It is read, never written.
     """
-    for x in row.values():
-        if type(x) is not int:
-            den = lcm(*(x.denominator for x in row.values()))
-            row = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-            break
-    hits = [j for j in row if j in pivots]
-    while hits:
-        col = min(hits)
-        c, prow = row[col], pivots[col]
-        row = {j: prow[col] * x for j, x in row.items()}
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None:
+            pivots[lead] = row
+            return True
+        c = Fraction(row[lead]) / prow[lead]
+        row = dict(row)
         for j, y in prow.items():
             x = row.get(j, 0) - c * y
             if x:
                 row[j] = x
             else:
                 del row[j]
-        g = gcd(*row.values())
-        if g > 1:
-            row = {j: x // g for j, x in row.items()}
-        hits = [j for j in row if j in pivots]
-    if not row:
-        return False
-    pivots[min(row)] = row
-    return True
+    return False
 
 
 def rank(rows):
     """Exact rank of sparse row vectors ``{column: value}`` with int or
-    Fraction entries.
-
-    Each row is scaled to integers and reduced fraction-free against the rows
-    kept so far, then divided by the gcd of its entries, so entries stay
-    bounded without any rational arithmetic.
-    """
+    Fraction entries, by row echelon over the rationals (:func:`_reduce`)."""
     pivots = {}
     return sum(_reduce(pivots, row) for row in rows)
 

@@ -1,5 +1,6 @@
 """Butterfly diagrams, fixed-point matrices, and the verification checks."""
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -243,7 +244,7 @@ def reference_heights(vertices, arrows):
     if anchor_out is not None:
         shifts.setdefault(component[anchor_out], anchor_out[1] - 1)
     heights = {}
-    for v in vertices:
+    for v in sorted(vertices):  # by column, bottom-up, as ``_lattice`` stores them
         if component[v] not in shifts:
             raise ValueError(f"butterfly component of vertex {v} carries no green arrow")
         heights[v] = v[1] - shifts[component[v]]
@@ -320,6 +321,7 @@ def test_cached_lattices_match_reference_build(monkeypatch):
             ref = reference_build_butterfly(t, f"U{u}")
             assert bf.arrows == ref.arrows
             assert bf.to_json() == ref.to_json()
+            assert list(bf.heights) == sorted(bf.heights)  # the order assembly reads
         assert fiber_weights(t) == reference_fiber_weights(t)
         cached.append(butterfly.assemble_fixed_point(t).to_json())
     # the scale diagram: its 53,760 butterflies share 48 lattices, each
@@ -335,6 +337,7 @@ def test_cached_lattices_match_reference_build(monkeypatch):
         bf, ref = butterfly._lattice(*key), reference_lattice(*key)
         assert bf.arrows == ref.arrows
         assert bf.to_json() == ref.to_json()
+        assert list(bf.heights) == sorted(bf.heights)
     monkeypatch.setattr(butterfly, "_cover_counts", reference_cover_counts)
     monkeypatch.setattr(butterfly, "_lattice", reference_lattice)
     assert cached == [butterfly.assemble_fixed_point(t).to_json() for t in points]
@@ -1323,6 +1326,9 @@ def test_mat_shapes_and_products():
     assert sorted(a.support("xy", "pqr")) == [("x", "p"), ("x", "q"), ("y", "q"), ("y", "r")]
     assert z.support([], "ab") == [] and linalg.Mat(2, 2).support("xy", "pq") == []
     assert dense(a.transpose()) == columns(a) == [[1, 0], [2, 1], [0, 1]]
+    # a negative power is refused, as for a Poly, not looped on forever
+    with pytest.raises(ValueError, match="negative power"):
+        linalg.Mat(1, 1, {0: {0: 1}}).power(-1)
 
 
 def test_negation_flips_every_entry():
@@ -1478,16 +1484,24 @@ def test_sparse_matches_dense_reference(case, e):
     assert dense(sa.transpose()) == da.columns()
     # ranks of the rows and of the columns, and Krylov closures: v -> v s on
     # sparse rows is v -> s^T v on dense columns
+    ra, rc = sparse_rows(a), sparse_rows(c)
+    before = copy.deepcopy((sa.entries, ra, rc, ss.entries))
     assert linalg.rank(sa.entries.values()) == dense_rank(a) == len(rref(a))
     assert linalg.rank(sa.transpose().entries.values()) == dense_rank(da.columns())
     transpose = DenseMat(k, k, ds.columns())
-    assert linalg.krylov_rank(sparse_rows(a), ss) == dense_krylov_rank(a, transpose)
-    assert linalg.krylov_rank(sparse_rows(c), ss) == dense_krylov_rank(c, transpose)
+    assert linalg.krylov_rank(ra, ss) == dense_krylov_rank(a, transpose)
+    assert linalg.krylov_rank(rc, ss) == dense_krylov_rank(c, transpose)
+    assert linalg.rank(ra + rc) == dense_rank(a + c)
+    assert linalg.krylov_rank(ra + rc, ss) == dense_krylov_rank(a + c, transpose)
+    # ranking reads its input and never writes it, reduced rows included:
+    # verification ranks a point's own operator rows
+    assert (sa.entries, ra, rc, ss.entries) == before
 
 
 def test_rank_of_dense_integer_matrices_stays_bounded():
-    # each kept row is an input row, or a reduced row divided by its gcd and
-    # so proportional to a row of minors: no entry exceeds the Hadamard bound
+    # each kept row is its input row less multiples of earlier kept rows, so
+    # its entries are ratios of minors of the input, with a nonzero integer
+    # minor below: no entry exceeds the Hadamard bound
     rng = random.Random(12)
     for trial in range(20):
         rows = [[rng.randint(-99, 99) for _ in range(12)] for _ in range(12)]

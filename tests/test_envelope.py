@@ -312,6 +312,13 @@ def test_virtual_pairing_self(fixtures_dir):
         stabs[0].restrictions, stabs[0].restrictions, data
     )
     assert val != 0
+    # ``points`` restricts the sum: an empty list sums nothing, one point
+    # gives its one term
+    u = stabs[0].restrictions
+    assert envelope.virtual_pairing(u, u, data, points=[]) == 0
+    for p in data.order:
+        term = algebra.RationalFn(u[p] * u[p], data.full_euler[p])
+        assert envelope.virtual_pairing(u, u, data, points=[p]) == term
 
 
 def test_gram_matrix_is_identity(fixtures_dir):
