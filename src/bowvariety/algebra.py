@@ -95,37 +95,58 @@ def restrict_weight(w, key):
 
 
 def restrict(p, key):
-    """``p`` on the hyperplane ``H(key) = 0``: ``t_i -> t_j - m*h`` for the key
-    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``.  A Poly never changes, so each
-    restriction is kept on ``p`` and computed once per key."""
+    """``p`` on the hyperplane ``H(key) = 0`` (``t_i -> t_j - m*h`` for the key
+    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``): the remainder of :func:`_horner`.
+    A Poly never changes, so each restriction is kept on ``p``, once per key."""
     if not hasattr(p, "_restrictions"):
         p._restrictions = {}
     if key not in p._restrictions:
-        p._restrictions[key] = _horner(p, key)
+        p._restrictions[key] = Poly(p.nvars, _horner(p, key)[0])
     return p._restrictions[key]
 
 
 def _horner(p, key):
-    """:func:`restrict` by Horner's rule on the powers of t_i:
-    ``sum_k t_i^k P_k = (...(P_K * s + P_{K-1}) * s + ...) + P_0``."""
+    """Synthetic division of ``p = sum_k x^k P_k`` by ``H(key) = x - s``, x its
+    first variable (t_i, or h for ``(0, 0, 1)``): ``S_{k-1} = P_k + s*S_k`` from
+    the top power down, and ``R = P_0 + s*S_0 = p|_H``, so that
+    ``p = H(key) * sum_k x^{k-1} S_{k-1} + R``.  Returns the levels, filled in
+    place: ``levels[0]`` is R and ``levels[k]`` is S_{k-1}, each a dict of
+    monomials free of x that may hold zeros."""
     i, j, m = key
-    if i == j:
-        return p.mod_h()
     n = p.nvars
-    shift, ti, tj, h = (n - i) * WIDTH, _unit(n, i), _unit(n, j), _unit(n, 0)
-    levels = {}
+    shift, x, tj, h = (n - i) * WIDTH, _unit(n, i), _unit(n, j), _unit(n, 0)
+    levels = {0: {}}
     for e, c in p.terms.items():
         k = e >> shift & MAX_DEGREE
-        levels.setdefault(k, {})[e - k * ti] = c
+        levels.setdefault(k, {})[e - k * x] = c
+    if i == j:  # x = h and s = 0: the grouping by powers of h is the division
+        return levels
     acc = {}
-    for k in range(max(levels, default=0), -1, -1):
-        nxt = levels.get(k, {})
+    for k in range(max(levels), -1, -1):
+        nxt = levels.setdefault(k, {})
         for e, c in acc.items():  # nxt += acc * (t_j - m*h)
             for f, d in ((e + tj, c), (e + h, -m * c)):
                 if d:
                     nxt[f] = nxt.get(f, 0) + d
         acc = nxt
-    return Poly(n, acc)
+    return levels
+
+
+def _divide(p, w):
+    """``p / w`` for a weight ``w = scale * H(key)``, or None when ``w`` does not
+    divide ``p``: ``sum_k x^{k-1} S_{k-1} / scale`` from :func:`_horner` when its
+    remainder is 0.  No coefficient is divided before the scale."""
+    if max(w[:2]) > p.nvars:
+        raise ValueError(f"weight {render_weight(w)} over {p.nvars} variables")
+    key, scale = hyperplane(w)
+    levels = _horner(p, key)
+    if any(levels.pop(0).values()):
+        return None
+    x, quotient = _unit(p.nvars, key[0]), {}
+    for k, level in levels.items():
+        for e, c in level.items():
+            quotient[e + (k - 1) * x] = _coeff(c, scale)
+    return Poly(p.nvars, quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +335,6 @@ class Poly:
         """The exact value at ``point`` = (t_1, ..., t_N, h), ints or Fractions."""
         n = self.nvars
         return sum(c * math.prod(map(pow, point, unpack(e, n))) for e, c in self.terms.items())
-
-    def leading(self):
-        """Leading (packed monomial, coefficient) in the canonical term order."""
-        e = max(self.terms)
-        return e, self.terms[e]
 
     def _render_monomial(self, e):
         *ts, h = unpack(e, self.nvars)
@@ -510,39 +526,6 @@ def poly_parse(expr, nvars, degree=MAX_DEGREE):
     return tok.bounded(p)
 
 
-def _divide_linear(p, q):
-    """Exact division by a linear form ``q = c*x + rest``, or None.
-
-    Write p = sum_k x^k P_k and the quotient S = sum_k x^k S_k, with P_k and
-    S_k free of x.  Comparing powers of x gives S_{k-1} = (P_k - rest*S_k) / c
-    from the top power down; p is divisible exactly when P_0 - rest*S_0 = 0,
-    and None is returned otherwise, so a failed trial division renders
-    nothing.  Each level is a plain dict keyed by packed monomials: a term of
-    S_{k-1} is ``e - x`` and a term of rest*S_{k-1} adds a variable ``y`` to that.
-    """
-    x, c = q.leading()
-    shift = (x - (1 << (p.nvars + 1) * WIDTH)).bit_length() - 1  # the field of x
-    rest = [(y, b) for y, b in q.terms.items() if y != x]
-    levels = {}  # power of x -> {monomial: coefficient of P_k - rest*S_k}
-    for e, a in p.terms.items():
-        levels.setdefault(e >> shift & MAX_DEGREE, {})[e] = a
-    quotient = {}
-    for k in range(max(levels, default=0), 0, -1):
-        below = levels.setdefault(k - 1, {})
-        for e, a in levels.pop(k, {}).items():
-            if not a:
-                continue
-            s = _coeff(a, c)
-            e -= x
-            quotient[e] = s
-            for y, b in rest:
-                f = e + y
-                below[f] = below.get(f, 0) - b * s
-    if any(levels.get(0, {}).values()):
-        return None
-    return Poly(p.nvars, quotient)
-
-
 # ---------------------------------------------------------------------------
 # factored classes and rational functions
 
@@ -638,7 +621,8 @@ def integer_ratio_mod_h(p, e):
 
 
 class RationalFn:
-    """numerator / factored denominator with eager linear cancellation."""
+    """numerator / factored denominator, with each power of a weight of the
+    denominator that divides the numerator cancelled by :func:`_divide`."""
 
     __slots__ = ("num", "den")
 
@@ -647,12 +631,10 @@ class RationalFn:
             den = FactoredClass(num.nvars)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        # cancel linear denominator factors that exactly divide the numerator
         kept = []
         for w, exp in den.factors:
-            wp = weight_poly(w, num.nvars)
             while exp and not num.is_zero():
-                quotient = _divide_linear(num, wp)
+                quotient = _divide(num, w)
                 if quotient is None:
                     break
                 num, exp = quotient, exp - 1

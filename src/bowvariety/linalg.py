@@ -115,8 +115,10 @@ def _reduce(pivots, row):
     ``pivots`` maps the leading (least) column of each kept row to the row,
     which is zero left of it.  While the row's lead is a pivot column, the
     multiple of that pivot row that cancels the lead is subtracted; the row is
-    kept under its new lead, or dropped at zero.  It is read, never written.
+    kept under its new lead, or dropped at zero.  It is copied without its
+    zero entries, which a caller's row may hold, and never written.
     """
+    row = {j: x for j, x in row.items() if x}
     while row:
         lead = min(row)
         prow = pivots.get(lead)
@@ -124,7 +126,6 @@ def _reduce(pivots, row):
             pivots[lead] = row
             return True
         c = Fraction(row[lead]) / prow[lead]
-        row = dict(row)
         for j, y in prow.items():
             x = row.get(j, 0) - c * y
             if x:
@@ -135,8 +136,8 @@ def _reduce(pivots, row):
 
 
 def rank(rows):
-    """Exact rank of sparse row vectors ``{column: value}`` with int or
-    Fraction entries, by row echelon over the rationals (:func:`_reduce`)."""
+    """Exact rank of sparse rows ``{column: value}`` of int or Fraction
+    entries, zeros allowed, by row echelon over the rationals (:func:`_reduce`)."""
     pivots = {}
     return sum(_reduce(pivots, row) for row in rows)
 

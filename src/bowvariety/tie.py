@@ -55,6 +55,8 @@ def from_names(base, named):
         pa, pb = base.position_of(a), base.position_of(b)
         if pa >= pb:
             raise ValueError(f"tie ({a},{b}) is not left-to-right")
+        if (pa, pb) in ties:
+            raise ValueError(f"tie ({a},{b}) is listed twice")
         ties.add((pa, pb))
     return TieDiagram(base, frozenset(ties))
 

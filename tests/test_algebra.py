@@ -369,12 +369,14 @@ def test_poly_mod_h():
 def reference_divide(p, q):
     """Generic long division: the r with p = q*r, or None.  It recomputes the
     leading term of the remainder at every step, so it is quadratic in the
-    number of terms; ``algebra._divide_linear`` is checked against it."""
+    number of terms; ``algebra._divide`` is checked against it."""
     r = Poly(p.nvars)
     rem = p
-    qe, qc = q.leading()
+    qe = max(q.terms)
+    qc = q.terms[qe]
     while not rem.is_zero():
-        re, rc = rem.leading()
+        re = max(rem.terms)
+        rc = rem.terms[re]
         e = tuple(x - y for x, y in zip(unpack(re, p.nvars), unpack(qe, p.nvars)))
         if any(x < 0 for x in e):
             return None
@@ -385,10 +387,11 @@ def reference_divide(p, q):
 
 
 def test_exact_divide():
-    p = poly_parse("(t1-t2)*(t1+t2+h)", 2)
-    for divide in (algebra._divide_linear, reference_divide):
-        assert divide(p, poly_parse("t1-t2", 2)) == poly_parse("t1+t2+h", 2)
-        assert divide(poly_parse("t1^2+1", 2), poly_parse("t1-t2", 2)) is None
+    p, q = poly_parse("(t1-t2)*(t1+t2+h)", 2), poly_parse("t1+t2+h", 2)
+    assert algebra._divide(p, (1, 2, 0)) == reference_divide(p, poly_parse("t1-t2", 2)) == q
+    assert algebra._divide(p, (2, 1, 0)) == reference_divide(p, poly_parse("t2-t1", 2)) == -q
+    assert algebra._divide(poly_parse("t1^2+1", 2), (1, 2, 0)) is None
+    assert reference_divide(poly_parse("t1^2+1", 2), poly_parse("t1-t2", 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -613,34 +616,32 @@ def test_exact_divide_inverts_multiplication(p, q):
     assert reference_divide(p * q, q) == p
 
 
-# exact division by a linear form (the synthetic-division path)
+# exact division by a weight (the synthetic-division path)
 
 
 @st.composite
-def poly_and_linear(draw):
-    """(p, w, g) over 2 or 3 variables: a polynomial p, a nonzero linear form
-    w and a nonzero constant-free cofactor g (so w*g is not linear)."""
-    nvars = draw(st.integers(min_value=1, max_value=2))
+def poly_and_weight(draw):
+    """(p, w, g) over 1 to 3 variables t_i and h: a polynomial p with int and
+    Fraction coefficients, a weight key w of every kind (i < j, i > j, m*h) and
+    a nonzero constant-free cofactor g (so w*g is not linear)."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
     exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * (nvars + 1))
-    coeffs = st.integers(min_value=-9, max_value=9)
+    coeffs = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    )
 
     def poly(terms):
-        return Poly(nvars, {pack(e): Fraction(c) for e, c in terms.items()})
+        return Poly(nvars, {pack(e): c for e, c in terms.items()})
 
     p = poly(draw(st.dictionaries(exps, coeffs, max_size=6)))
-    kind = draw(st.sampled_from(["weight", "h", "any"]))
-    if kind == "weight":  # t_i - t_j + m*h; the h term leads, so c = m
-        i, j = draw(st.lists(st.integers(1, nvars), min_size=2, max_size=2))
-        m = draw(st.sampled_from([-1, 1, 2, -2, 0]))
-        w = Poly.variable(nvars, i) - Poly.variable(nvars, j) + Poly.variable(nvars, 0) * m
-    elif kind == "h":
-        w = Poly.variable(nvars, 0) * draw(st.sampled_from([1, -1, 2]))
+    kind = draw(st.sampled_from(["i<j", "i>j", "h"] if nvars > 1 else ["h"]))
+    if kind == "h":
+        w = (0, 0, draw(st.sampled_from([1, -1, 2, -2])))
     else:
-        w = sum(
-            (Poly.variable(nvars, k) * draw(coeffs) for k in range(nvars + 1)),
-            Poly(nvars),
-        )
-    assume(not w.is_zero())
+        pair = draw(st.lists(st.integers(1, nvars), min_size=2, max_size=2, unique=True))
+        i, j = sorted(pair, reverse=kind == "i>j")
+        w = (i, j, draw(st.sampled_from([-1, 1, 2, -2, 0])))
     g = poly(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3)))
     g = g - g.constant_value()
     assume(not g.is_zero())
@@ -648,37 +649,40 @@ def poly_and_linear(draw):
 
 
 def test_exact_divide_linear_cases():
-    # the leading term (h where present) has coefficient c = 2, -1 or -2,
-    # so every synthetic-division step divides by c
+    # one weight of each kind and scale: the quotient is divided by the scale
+    # 1, -1 or m last
     p = poly_parse("t1^2 - 3*t1*h + 5", 2)
-    for w in ("2*h + t1 - t2", "-h + t1", "t2 - t1", "h", "-2*h"):
-        wp = poly_parse(w, 2)
-        assert algebra._divide_linear(p * wp, wp) == p
-        assert algebra._divide_linear(Poly(2), wp).is_zero()
-        assert algebra._divide_linear(p * wp + 1, wp) is None
-    half = algebra._divide_linear(poly_parse("t1 - t2", 2), poly_parse("2*t1 - 2*t2", 2))
-    assert half == Poly.const(2, Fraction(1, 2))
-    assert algebra._divide_linear(poly_parse("t1^2*t2", 2), poly_parse("t1 + t2", 2)) is None
+    for w in ((1, 2, 2), (2, 1, -1), (2, 1, 0), (0, 0, 1), (0, 0, -2)):
+        wp = weight_poly(w, 2)
+        assert algebra._divide(p * wp, w) == p
+        assert algebra._divide(Poly(2), w).is_zero()
+        assert algebra._divide(p * wp + 1, w) is None
+    assert algebra._divide(poly_parse("h", 2), (0, 0, 2)) == Poly.const(2, Fraction(1, 2))
+    assert algebra._divide(poly_parse("t1^2*t2", 2), (1, 2, 0)) is None
+    with pytest.raises(ValueError, match="weight -t1\\+t3 over 2 variables"):
+        algebra._divide(p, (3, 1, 0))
 
 
 @settings(max_examples=150, deadline=None)
-@example((Poly(2), Poly.variable(2, 0), Poly.variable(2, 1)))
-@given(poly_and_linear())
+@example((Poly(2), (0, 0, 1), Poly.variable(2, 1)))
+@given(poly_and_weight())
 def test_exact_divide_by_linear_form(pwg):
     p, w, _ = pwg
-    assert algebra._divide_linear(p * w, w) == p
-    assert algebra._divide_linear(p * w + 1, w) is None
+    wp = weight_poly(w, p.nvars)
+    assert algebra._divide(p * wp, w) == p
+    assert algebra._divide(p * wp + 1, w) is None
 
 
 @settings(max_examples=150, deadline=None)
-@given(poly_and_linear())
+@given(poly_and_weight())
 def test_linear_path_matches_generic_loop(pwg):
     p, w, g = pwg
-    f = p * w * g
-    generic = reference_divide(f, w * g)
+    wp = weight_poly(w, p.nvars)
+    f = p * wp * g
+    generic = reference_divide(f, wp * g)
     assert generic == p
-    assert algebra._divide_linear(f, w) == reference_divide(f, w) == generic * g
-    assert reference_divide((p * w + 1) * g, w * g) is None
+    assert algebra._divide(f, w) == reference_divide(f, wp) == generic * g
+    assert reference_divide((p * wp + 1) * g, wp * g) is None
 
 
 # coefficients stay ints; a Fraction appears only where a division leaves a
@@ -731,22 +735,26 @@ def test_parse_and_expand_keep_int_coefficients(p, w, k):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys, st.sampled_from([2, -1]), st.booleans())
-def test_exact_divide_keeps_coefficients_clean(p, c, generic):
-    # leading coefficient c of the divisor: c*h leads a linear form, and
-    # c*h*t1 leads the nonlinear divisor of the reference loop; 3^40 + 1 is
-    # past a float's 53-bit mantissa, so a float quotient anywhere comes out wrong
+@given(polys, st.sampled_from([(1, 2, 2), (2, 1, -1), (0, 0, 2), (0, 0, -2)]), st.booleans())
+def test_exact_divide_keeps_coefficients_clean(p, w, generic):
+    # w = scale*H(key) with scale 1, -1, 2 or -2, and c*h leads it with c = 2,
+    # -1, 2 or -2; c*h*t1 leads the nonlinear divisor of the reference loop;
+    # 3^40 + 1 is past a float's 53-bit mantissa, so a float quotient anywhere
+    # comes out wrong
     p = p * (3**40 + 1) + 3**40
-    q = poly_parse(f"{c}*h + t1 - t2", 2)
-    divide = algebra._divide_linear
-    if generic:
-        q, divide = q * poly_parse("t1 + 1", 2), reference_divide
-    assert divide(p * q, q) == p
-    assert_clean(divide(p * q, q))
-    half = divide(p * q, q * 2)  # p / 2: Fractions where p is odd
-    assert half * 2 == p
-    assert_clean(half)
-    assert divide(p * q + 1, q) is None
+    key, scale = algebra.hyperplane(w)
+    g = poly_parse("t1 + 1", 2) if generic else Poly.const(2, 1)
+    q = weight_poly(w, 2) * g
+
+    def divide(f):  # f / q
+        return reference_divide(f, q) if generic else algebra._divide(f, w)
+
+    assert divide(p * q) == p
+    assert_clean(divide(p * q))
+    part = divide(p * weight_poly(key, 2) * g)  # p / scale: Fractions where p is odd
+    assert part * scale == p
+    assert_clean(part)
+    assert divide(p * q + 1) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -844,7 +852,34 @@ def test_restrict_is_a_ring_homomorphism(p, q, key):
     assert r(p * q, key) == r(p, key) * r(q, key)
     assert r(p + q, key) == r(p, key) + r(q, key)
     # restriction along H changes p by a multiple of H
-    assert algebra._divide_linear(p - r(p, key), weight_poly(key, 2)) is not None
+    assert algebra._divide(p - r(p, key), key) is not None
+
+
+weights3 = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(-2, 2)).filter(
+        lambda w: w[0] != w[1]
+    ),
+    st.tuples(st.just(0), st.just(0), st.sampled_from([1, -1, 2, -2])),
+)
+polys3 = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 4), mixed_coeffs, max_size=6
+).map(lambda terms: Poly(3, {pack(e): c for e, c in terms.items()}))
+
+
+@settings(max_examples=300, deadline=None)
+@example(poly_parse("2*h*t2^2*t3 + h*t3 + t1", 3) * Fraction(1, 2), (0, 0, -1))
+@given(polys3, weights3)
+def test_restriction_is_the_remainder_of_division(p, w):
+    # restrict and _divide read one synthetic division: w divides f exactly
+    # when f vanishes on its hyperplane.  Dividing by m*h twice divides
+    # polynomials with powers of h of 2 or more
+    key, _ = algebra.hyperplane(w)
+    wp = weight_poly(w, 3)
+    for f in (p, p * wp, p * wp + 1):
+        assert (algebra._divide(f, w) is None) == bool(algebra.restrict(f, key)), f
+    assert algebra._divide(p * wp, w) == p
+    assert algebra._divide(p * wp**2, w) == p * wp
+    assert algebra.restrict(p, (0, 0, 1)) == p.mod_h()
 
 
 def test_restrict_keeps_int_coefficients():
@@ -937,7 +972,7 @@ def test_a_restriction_is_kept_on_its_poly():
 @st.composite
 def tuple_polys(draw):
     """Over 1..3 variables t_i and h: two polynomials as {exponent tuple:
-    coefficient}, a nonzero linear form and a restriction key (i, j, m)."""
+    coefficient}, a weight of any kind and a restriction key (i, j, m)."""
     nvars = draw(st.integers(min_value=1, max_value=3))
     exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * (nvars + 1))
     coeffs = st.one_of(
@@ -945,9 +980,6 @@ def tuple_polys(draw):
         st.fractions(min_value=-3, max_value=3, max_denominator=3),
     ).filter(bool)
     a, b = (draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(2))
-    units = [tuple(int(k == x) for k in range(nvars + 1)) for x in range(nvars + 1)]
-    small = st.integers(min_value=-3, max_value=3).filter(bool)
-    form = draw(st.dictionaries(st.sampled_from(units), small, min_size=1))
     keys = [(0, 0, 1)] + [
         (i, j, m)
         for i in range(1, nvars + 1)
@@ -955,22 +987,23 @@ def tuple_polys(draw):
         for m in (-2, 0, 1)
         if i != j
     ]
-    return nvars, a, b, form, draw(st.sampled_from(keys))
+    weights = keys + [(0, 0, m) for m in (-1, 2, -2)]
+    return nvars, a, b, draw(st.sampled_from(weights)), draw(st.sampled_from(keys))
 
 
 @settings(max_examples=200, deadline=None)
-@example(  # h leads the form; t1 is eliminated onto t3 - h
-    (3, {(0, 0, 3, 1): 1, (0, 3, 0, 1): 2, (1, 0, 0, 0): -1}, {}, {(0, 0, 0, 1): 1}, (1, 3, 1))
+@example(  # the weight is h; t1 is eliminated onto t3 - h
+    (3, {(0, 0, 3, 1): 1, (0, 3, 0, 1): 2, (1, 0, 0, 0): -1}, {}, (0, 0, 1), (1, 3, 1))
 )
 @given(tuple_polys())
 def test_packed_kernel_matches_tuple_references(case):
-    n, a, b, form, key = case
-    p, q, w = packed(n, a), packed(n, b), packed(n, form)
+    n, a, b, w, key = case
+    p, q = packed(n, a), packed(n, b)
     for terms, x in ((a, p), (b, q)):
         assert unpacked(x) == terms
         assert x.render() == tuple_render(terms)
         if terms:
-            assert unpack(x.leading()[0], n) == max(terms, key=tuple_key)
+            assert unpack(max(x.terms), n) == max(terms, key=tuple_key)
             assert x.degree() == max(map(sum, terms))
         degrees = {sum(e) for e in terms}
         for deg in degrees | {0}:
@@ -979,10 +1012,11 @@ def test_packed_kernel_matches_tuple_references(case):
         assert unpacked(x.mod_h()) == tuple_restrict(terms, n, (0, 0, 1))
     assert unpacked(p * q) == tuple_mul(a, b)
     # quotients: w divides p * w, and mostly not p * w + q or p (None)
-    pw = p * w
-    assert algebra._divide_linear(pw, w) == reference_divide(pw, w) == p
+    wp = weight_poly(w, n)
+    pw = p * wp
+    assert algebra._divide(pw, w) == reference_divide(pw, wp) == p
     for f in (pw + q, p):
-        assert algebra._divide_linear(f, w) == reference_divide(f, w)
+        assert algebra._divide(f, w) == reference_divide(f, wp)
 
 
 def test_pack_and_unpack_are_inverse():

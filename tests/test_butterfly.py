@@ -1394,6 +1394,10 @@ def test_subspace_operations():
     assert linalg.krylov_rank([e1, e3], linalg.Mat(3, 3)) == 2
     assert linalg.krylov_rank([], shift) == 0
     assert linalg.krylov_rank([{}], shift) == 0
+    # a stored zero is no entry
+    zeros = [{0: 0, 1: 1}, {0: 1}]
+    assert linalg.rank([{0: 0}]) == 0 == linalg.krylov_rank([{0: 0}], shift)
+    assert linalg.rank(zeros) == 2 == linalg.krylov_rank(zeros, shift)
 
 
 def rref(rows):
@@ -1485,7 +1489,8 @@ def test_sparse_matches_dense_reference(case, e):
     # ranks of the rows and of the columns, and Krylov closures: v -> v s on
     # sparse rows is v -> s^T v on dense columns
     ra, rc = sparse_rows(a), sparse_rows(c)
-    before = copy.deepcopy((sa.entries, ra, rc, ss.entries))
+    full = [dict(enumerate(row)) for row in a + c]  # every cell, zeros included
+    before = copy.deepcopy((sa.entries, ra, rc, ss.entries, full))
     assert linalg.rank(sa.entries.values()) == dense_rank(a) == len(rref(a))
     assert linalg.rank(sa.transpose().entries.values()) == dense_rank(da.columns())
     transpose = DenseMat(k, k, ds.columns())
@@ -1493,9 +1498,12 @@ def test_sparse_matches_dense_reference(case, e):
     assert linalg.krylov_rank(rc, ss) == dense_krylov_rank(c, transpose)
     assert linalg.rank(ra + rc) == dense_rank(a + c)
     assert linalg.krylov_rank(ra + rc, ss) == dense_krylov_rank(a + c, transpose)
+    # a row may store zeros, which are no entries
+    assert linalg.rank(full) == dense_rank(a + c)
+    assert linalg.krylov_rank(full, ss) == dense_krylov_rank(a + c, transpose)
     # ranking reads its input and never writes it, reduced rows included:
     # verification ranks a point's own operator rows
-    assert (sa.entries, ra, rc, ss.entries) == before
+    assert (sa.entries, ra, rc, ss.entries, full) == before
 
 
 def test_rank_of_dense_integer_matrices_stays_bounded():

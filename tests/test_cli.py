@@ -368,6 +368,16 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
         "duplicate": json.dumps(
             {**good, "points": [good["points"][0], {**good["points"][0], "id": "P2"}]}
         ),
+        # one tie of P1 listed twice
+        "twice": json.dumps(
+            {
+                **good,
+                "points": [
+                    {"id": "P1", "ties": [["V2", "U1"], ["U1", "V1"], ["V2", "U1"]]},
+                    good["points"][1],
+                ],
+            }
+        ),
         # no point for the second fixed point: P1 alone, consistent by itself
         "missing": json.dumps(
             {
@@ -391,6 +401,8 @@ def test_bad_attraction_data_exits_2_without_traceback(tmp_path):
             assert "is not a colored line" in proc.stderr and "limit" not in proc.stderr
         if field == "duplicate":
             assert proc.stderr == "error: duplicate tie diagram: points 'P1' and 'P2'\n"
+        if field == "twice":
+            assert proc.stderr == "error: point P1 ties: tie (V2,U1) is listed twice\n"
         if field == "missing":
             assert proc.stderr == "error: missing tie diagram: [['V2', 'U2'], ['U2', 'V1']]\n"
     proc = run_subprocess("stab", "--data", str(tmp_path))  # a directory

@@ -245,6 +245,9 @@ def test_from_names_round_trip():
         assert tie.from_names(d, t.named_ties()).ties == t.ties
     with pytest.raises(ValueError):
         tie.from_names(d, [["V1", "U1"]])  # V1 is right of U1
+    named = tie.enumerate_tie_diagrams(d)[0].named_ties()
+    with pytest.raises(ValueError, match=r"tie \(\w+,\w+\) is listed twice"):
+        tie.from_names(d, named + named[:1])
 
 
 def test_cover_count():
