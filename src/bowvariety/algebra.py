@@ -96,8 +96,10 @@ def restrict_weight(w, key):
 
 def restrict(p, key):
     """``p`` on the hyperplane ``H(key) = 0`` (``t_i -> t_j - m*h`` for the key
-    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``): the remainder of :func:`_horner`.
-    A Poly never changes, so each restriction is kept on ``p``, once per key."""
+    ``(i, j, m)``, ``h -> 0`` for ``(0, 0, 1)``): ``p`` itself if it is constant,
+    else the remainder of :func:`_horner`, kept on ``p`` once per key."""
+    if p.is_constant():
+        return p
     if not hasattr(p, "_restrictions"):
         p._restrictions = {}
     if key not in p._restrictions:
@@ -332,9 +334,18 @@ class Poly:
         return all(e >> shift == d for e in self.terms)
 
     def evaluate(self, point):
-        """The exact value at ``point`` = (t_1, ..., t_N, h), ints or Fractions."""
+        """The exact value at ``point`` = (t_1, ..., t_N, h), ints or Fractions;
+        each exponent is read in place, and only one that is not 0 is raised."""
         n = self.nvars
-        return sum(c * math.prod(map(pow, point, unpack(e, n))) for e, c in self.terms.items())
+        fields = [(x, (n - i) * WIDTH) for x, i in zip(point, (*range(1, n + 1), 0))]
+        total = 0
+        for e, c in self.terms.items():
+            for x, shift in fields:
+                k = e >> shift & MAX_DEGREE
+                if k:
+                    c *= x**k
+            total += c
+        return total
 
     def _render_monomial(self, e):
         *ts, h = unpack(e, self.nvars)
@@ -546,6 +557,8 @@ class FactoredClass:
         for w, exp in factors:
             if exp < 0:
                 raise ValueError("factor exponents must be positive")
+            if max(w[:2]) > nvars:
+                raise ValueError(f"weight {render_weight(w)} over {nvars} variables")
             if exp:
                 merged[w] = merged.get(w, 0) + exp
         self.factors = tuple(

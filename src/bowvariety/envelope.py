@@ -211,9 +211,9 @@ def stable_envelopes(data, order=None):
     """Run the envelope recursion for every fixed point.
 
     Starting from gamma = [L_p], repeatedly subtract the integer multiple of
-    [L_q] (q descending below p) that kills the h-free part of the
-    restriction at q.  The three axioms (normalization, support, smallness)
-    are verified on each result before returning.
+    [L_q] (q descending below p) that kills the h-free part of the restriction
+    at q, where [L_q] is not 0; other entries stay R's Polys, restrictions and
+    all.  The three axioms (normalization, support, smallness) are verified.
     """
     if order is None:
         order = data.order
@@ -233,8 +233,9 @@ def stable_envelopes(data, order=None):
                 ) from exc
             if a:
                 coeffs[q] = coeffs.get(q, 0) - a
-                row = data.restrictions[q]
-                gamma = {r: gamma[r] - a * row[r] for r in gamma}
+                for r, entry in data.restrictions[q].items():
+                    if entry:
+                        gamma[r] = gamma[r] - a * entry
         stab = StabClass(point=p, coeffs=coeffs, restrictions=gamma)
         _verify_axioms(stab, data)
         stabs.append(stab)
@@ -281,8 +282,9 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     restriction is homogeneous of degree dim/2 and every e(T_p) has degree
     dim, so that each term u_p * v_p / e(T_p) has degree 0.  A polynomial of
     degree 0 is a constant: its value at any rational point off the zeros of
-    the e(T_p) (:func:`_evaluation_point`), summed there with ints and
-    Fractions.  Every other entry is the :func:`virtual_pairing` sum.  The
+    the e(T_p) (:func:`_evaluation_point`), one Fraction (sum_p a_p * b_p *
+    L / e_p) / L of the values a_p, b_p, e_p of u_p, v_p, e(T_p) there, L the
+    lcm of the e_p, all ints.  Every other entry is the :func:`virtual_pairing` sum.  The
     hyperplanes, kept on ``data``, the restrictions, kept on each Poly, and
     the residue rule, under which Stab(p) and Stab_op(q) factor like any
     class, are shared with :func:`check_polynomiality`.
@@ -296,7 +298,8 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     point = _evaluation_point(data)
     euler = {p: e.evaluate(point) for p, e in data.full_euler.items()}
     degrees = {sum(n for _, n in e.factors) for e in data.full_euler.values()}
-    exact = degrees == {data.dim} and all(euler.values())
+    lcm = math.lcm(*euler.values()) if all(type(e) is int for e in euler.values()) else 0
+    exact = degrees == {data.dim} and lcm != 0  # not where some e(T_p) is 0 or not an int
 
     def values(vec):  # None unless every entry is homogeneous of degree dim/2
         if exact and all(r.is_homogeneous(data.dim // 2) for r in vec.values()):
@@ -305,16 +308,17 @@ def gram_matrix(stabs, op_stabs, data, op_data):
 
     rows = [(u, values(u), _on_hyperplanes(u, simple)) for u in us]
     columns = [(v, values(v), _on_hyperplanes(v, simple)) for v in vs]
+    flat = {key: not sum(ms.values()) for key, ms in simple.items()}  # sum_p M_p = 0, once
     gram = []
     for u, a, u_h in rows:
         gram.append([])
         for v, b, v_h in columns:
             live = u_h.keys() & v_h.keys()  # the residue is 0 where u or v is 0 at every point
-            pole = not all(_residue_vanishes(key, simple[key], (u_h, v_h)) for key in live)
+            pole = not all(_residue_vanishes(key, simple[key], (u_h, v_h), flat) for key in live)
             if a is None or b is None or pole or _repeated_pole(u, v, data, repeated):
                 gram[-1].append(virtual_pairing(u, v, data))
             else:
-                value = sum(Fraction(a[p] * b[p], euler[p]) for p in data.order)
+                value = Fraction(sum(a[p] * b[p] * (lcm // euler[p]) for p in data.order), lcm)
                 gram[-1].append(algebra.RationalFn(algebra.Poly.const(data.nvars, value)))
     return gram
 
@@ -371,13 +375,14 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     s_on = [_on_hyperplanes(s.restrictions, simple) for s in stabs]
     o_on = [_on_hyperplanes(o.restrictions, simple) for o in op_stabs]
     g_on = [_on_hyperplanes(gamma, simple) for gamma in gammas]
+    flat = {key: not sum(ms.values()) for key, ms in simple.items()}
     report = errors.CheckResult("polynomiality")
     for s, s_h in zip(stabs, s_on):
         for k, (gamma, g_h) in enumerate(zip(gammas, g_on)):
             u = None
             for o, o_h in zip(op_stabs, o_on):
                 live = s_h.keys() & g_h.keys() & o_h.keys()
-                ok = all(_residue_vanishes(key, simple[key], (s_h, g_h, o_h)) for key in live)
+                ok = all(_residue_vanishes(key, simple[key], (s_h, g_h, o_h), flat) for key in live)
                 if repeated or not ok:
                     if u is None:
                         u = {p: s.restrictions[p] * gamma[p] for p in data.order}
@@ -453,7 +458,7 @@ def _hyperplanes(data):
     return simple, repeated
 
 
-def _residue_vanishes(key, points, classes):
+def _residue_vanishes(key, points, classes, flat):
     """Whether the residue on the simple hyperplane H(key) of the pairing of
     the product of ``classes``, as :func:`_on_hyperplanes` gives them and
     none 0 at every point on H, is zero: sum_p c_1|_p * ... * c_k|_p * M_p,
@@ -461,14 +466,14 @@ def _residue_vanishes(key, points, classes):
 
     Where each class is one polynomial g_i != 0 on H, that is g_1 * ... *
     g_k * sum_p M_p, and polynomials on H form an integral domain: it is zero
-    iff sum_p M_p is, with no product formed.  A global class agrees so along
-    each torus-invariant curve (the GKM condition), but classes are input:
-    where one does not agree, the products are summed, and a single nonzero
-    one is never zero.
+    iff sum_p M_p is: ``flat[key]``, decided once per hyperplane, with no
+    product formed.  A global class agrees so along each torus-invariant
+    curve (the GKM condition), but classes are input: where one does not
+    agree, the products are summed, and a single nonzero one is never zero.
     """
     on = [c[key] for c in classes]
     if not any(isinstance(r, dict) for r in on):
-        return not sum(points.values())
+        return flat[key]
     terms = [(m, [r[p] if isinstance(r, dict) else r for r in on]) for p, m in points.items()]
     live = [(m, rs) for m, rs in terms if all(rs)]
     return len(live) != 1 and not sum(math.prod(rs, start=m) for m, rs in live)

@@ -174,6 +174,21 @@ def test_weight_mixed_nvars_rejected():
         FactoredClass(2, 1, [((3, 1, 1), 1)]).expand()
 
 
+def test_factored_classes_refuse_weights_past_nvars():
+    # the class refuses t3 over two variables itself, so a rational function
+    # over it raises whether its numerator is 0 (never divided) or not
+    message = "weight -t1\\+t3 over 2 variables"
+    with pytest.raises(ValueError, match=message):
+        FactoredClass(2, 1, [((3, 1, 0), 1)])
+    for num in (Poly(2), poly_parse("t1 - t2", 2)):
+        with pytest.raises(ValueError, match=message):
+            RationalFn(num, FactoredClass(2, 1, [((3, 1, 0), 1)]))
+    assert FactoredClass(3, 1, [((3, 1, 0), 1)]).render() == "(-t1+t3)"
+    # tangent.euler_class sets the factors of its in-range character directly
+    char = Character(3, {(3, 1, 0): 1, (1, 2, 1): 2})
+    assert tangent.euler_class(char).factors == tuple(char.terms.items())
+
+
 # ---------------------------------------------------------------------------
 # characters
 
@@ -1029,6 +1044,40 @@ def test_pack_and_unpack_are_inverse():
     )
     with pytest.raises(ValueError):
         pack((1, -1, 0))
+
+
+def reference_evaluate(p, point):
+    """Poly.evaluate before it read exponents in place: every coordinate
+    raised to its exponent, 0 included, in every term."""
+    return sum(c * math.prod(map(pow, point, unpack(e, p.nvars))) for e, c in p.terms.items())
+
+
+@st.composite
+def polys_and_points(draw):
+    """A polynomial over 1 to 4 variables t_i and h with int and Fraction
+    coefficients, and a point (t_1, ..., t_N, h) of ints and Fractions, h != 0."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * (nvars + 1))
+    coeffs = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=4),
+    )
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    coords = st.one_of(
+        st.integers(min_value=-1000, max_value=1000),
+        st.fractions(min_value=-50, max_value=50, max_denominator=7),
+    )
+    ts = draw(st.lists(coords, min_size=nvars, max_size=nvars))
+    point = (*ts, draw(coords.filter(bool)))
+    return Poly(nvars, {pack(e): c for e, c in terms.items()}), point
+
+
+@settings(max_examples=200, deadline=None)
+@example((Poly.const(2, 5), (0, Fraction(1, 2), 7)))
+@given(polys_and_points())
+def test_evaluate_matches_the_formula_over_every_coordinate(case):
+    p, point = case
+    assert p.evaluate(point) == reference_evaluate(p, point)
 
 
 def test_products_past_the_degree_limit_raise():

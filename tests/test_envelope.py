@@ -5,6 +5,7 @@ import json
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -498,8 +499,9 @@ def test_polynomiality_on_a_repeated_hyperplane(fixtures_dir):
 
 def test_a_pairing_finds_each_hyperplane_and_restriction_once(monkeypatch):
     # gram_matrix and then check_polynomiality on the same T*P^3 envelopes:
-    # the hyperplanes are found once for the data, and each polynomial is
-    # restricted once to each hyperplane, however often it is asked for
+    # the hyperplanes are found once for the data, a constant is its own
+    # restriction and never divided, and every other polynomial is restricted
+    # once to each hyperplane, however often it is asked for
     tstar = tstar_module()
     sigma = (3, 1, 4, 2)
     data = envelope.load_attraction_data(tstar.attraction_data(4, sigma))
@@ -513,9 +515,28 @@ def test_a_pairing_finds_each_hyperplane_and_restriction_once(monkeypatch):
     envelope.gram_matrix(*args)
     assert envelope.check_polynomiality(*args).ok
     assert len(found) == 1 and found[0] is data
-    distinct = {(id(p), key) for p, key in asked}
+    assert not any(p.is_constant() for p, _ in computed)
+    assert any(p.is_constant() for p, _ in asked)
+    distinct = {(id(p), key) for p, key in asked if not p.is_constant()}
     assert len(asked) > len(distinct)
     assert sorted((id(p), key) for p, key in computed) == sorted(distinct)
+
+
+def test_a_tstar_pass_divides_at_most_258_times(tmp_path, monkeypatch):
+    # the benchmark's seed-7 tstar pass (T*P^1..T*P^3, both chambers): with
+    # constants restricted to themselves and the zero entries of R rows left
+    # alone, 258 synthetic divisions remain of the 448 the pass once ran
+    tstar = tstar_module()
+    horner, bodies = algebra._horner, []
+    monkeypatch.setattr(algebra, "_horner", lambda p, k: bodies.append(p) or horner(p, k))
+    for n in (2, 3, 4):
+        data, op_data = map(envelope.load_attraction_data, tstar.write_pair(n, 7, tmp_path))
+        args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
+        gram = envelope.gram_matrix(*args)
+        assert all(e == int(i == j) for i, row in enumerate(gram) for j, e in enumerate(row))
+        assert envelope.check_polynomiality(*args).ok
+        assert envelope.opposite_order_check(data, op_data).ok
+    assert 0 < len(bodies) <= 258 and not any(p.is_constant() for p in bodies)
 
 
 def test_replaced_data_finds_its_own_hyperplanes(fixtures_dir):
@@ -642,6 +663,18 @@ def test_gram_sums_entries_whose_degree_or_poles_are_not_certified(fixtures_dir)
     report = envelope.check_polynomiality(hs, op_hs, data, op_data)
     expected = reference_check_polynomiality(hs, op_hs, data, op_data)
     assert not report.ok and (report.ok, report.messages) == (expected.ok, expected.messages)
+
+
+def test_gram_sums_entries_over_euler_values_that_are_not_integers(fixtures_dir):
+    # e(T_p) / 2 at every point of T*P^1: its values at the evaluation point
+    # are Fractions, which have no integer lcm, so every entry is summed
+    data, op_data = paired(fixtures_dir)
+    half = Fraction(1, 2)
+    euler = {p: algebra.FactoredClass(2, half, e.factors) for p, e in data.full_euler.items()}
+    data = dataclasses.replace(data, full_euler=euler)
+    stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
+    gram = envelope.gram_matrix(stabs, op_stabs, data, op_data)
+    assert [[entry.render() for entry in row] for row in gram] == [["2", "0"], ["0", "2"]]
 
 
 def twisted(data, k, c):
