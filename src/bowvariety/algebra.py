@@ -107,6 +107,13 @@ def restrict(p, key):
     return p._restrictions[key]
 
 
+def factored(p):
+    """The :class:`FactoredSum` equal to ``p``, where the parser read ``p`` as a
+    product of weights or the envelope recursion formed it from such
+    products; else None.  Arithmetic on Polys keeps none."""
+    return p._factored if hasattr(p, "_factored") else None
+
+
 def _horner(p, key):
     """Synthetic division of ``p = sum_k x^k P_k`` by ``H(key) = x - s``, x its
     first variable (t_i, or h for ``(0, 0, 1)``): ``S_{k-1} = P_k + s*S_k`` from
@@ -225,9 +232,10 @@ def _coeff(a, c=1):
 class Poly:
     """Exact polynomial in t_1..t_N, h over Q: packed monomial -> nonzero coefficient.
     Nothing writes ``terms`` after ``__init__``, so a Poly is shared and keeps
-    its rendering and its restrictions to hyperplanes (:func:`restrict`)."""
+    its rendering, its restrictions to hyperplanes (:func:`restrict`) and,
+    where it is known, its :func:`factored` form."""
 
-    __slots__ = ("nvars", "terms", "_text", "_restrictions")
+    __slots__ = ("nvars", "terms", "_text", "_restrictions", "_factored")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -397,6 +405,10 @@ class Poly:
 # The optional leading '-' is a strict extension of the grammar so that
 # canonical renderings (which may start with a negative term) round-trip.
 #
+# Beside each Poly the parser returns its factored form ``(c, ((w, n), ...))``
+# for c * prod w^n, or None: an int is c, h and a linear sum c * w that is a
+# multiple of a weight are one factor, and products and powers multiply.
+#
 # Python converts ints to and from text only up to MAX_DIGITS digits (its
 # default limit), so the parser rejects a longer literal or coefficient, and
 # every Poly it returns renders.  It also refuses a product or power that
@@ -419,11 +431,11 @@ class _Tokens:
         self.depth = 0  # of the parentheses open at pos
 
     def peek(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.src):
-            return None
-        return self.src[self.pos]
+        src, pos = self.src, self.pos
+        while pos < len(src) and src[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return src[pos] if pos < len(src) else None
 
     def error(self, message):
         raise errors.SyntaxError(message, self.pos)
@@ -451,7 +463,7 @@ class _Tokens:
 
     def bounded(self, p):
         """p, unless a coefficient has more than MAX_DIGITS digits."""
-        if any(abs(c) >= _COEFF_BOUND for c in p.terms.values()):
+        if max(map(abs, p.terms.values()), default=0) >= _COEFF_BOUND:
             self.error(f"a coefficient of more than {MAX_DIGITS} digits")
         return p
 
@@ -459,30 +471,54 @@ class _Tokens:
 def _parse_expr(tok, nvars):
     negate = tok.peek() == "-"
     tok.pos += negate  # past the sign
-    p = _parse_term(tok, nvars)
+    p, f = _parse_term(tok, nvars)
     if negate:
-        p = -p
-    while tok.peek() in ("+", "-"):
-        op = tok.peek()
+        p, f = -p, f and (-f[0], f[1])
+    op = tok.peek()
+    if op not in ("+", "-"):
+        return p, f
+    while op in ("+", "-"):
         tok.pos += 1
-        q = _parse_term(tok, nvars)
+        q, _ = _parse_term(tok, nvars)
         p = p + q if op == "+" else p - q
-    return p
+        op = tok.peek()
+    return p, _as_weight(p)
+
+
+def _as_weight(p):
+    """The factored form of a sum: ``(c, ())`` for the constant c, ``(c,
+    ((w, 1),))`` for c times the weight w keyed as its hyperplane, else None."""
+    if p.is_constant():
+        return p.constant_value(), ()
+    n, a = p.nvars, {}
+    top = 1 << (n + 1) * WIDTH  # the degree field of a linear monomial
+    for e, c in p.terms.items():
+        k = ((e ^ top).bit_length() - 1) // WIDTH
+        if not e or e ^ top != 1 << k * WIDTH or len(a) == 3:
+            return None  # a constant term, a monomial of degree > 1, or a fourth term
+        a[n - k] = c  # e is t_i for i = n - k, or h for i = 0
+    m = a.pop(0, 0)
+    if not a:
+        return m, (((0, 0, 1), 1),)
+    if len(a) != 2:
+        return None
+    (i, c), (j, d) = sorted(a.items())
+    return (c, (((i, j, m // c), 1),)) if d == -c and not m % c else None
 
 
 def _parse_term(tok, nvars):
-    p = _parse_factor(tok, nvars)
+    p, f = _parse_factor(tok, nvars)
     while tok.peek() == "*":
         tok.pos += 1
-        q = _parse_factor(tok, nvars)
+        q, g = _parse_factor(tok, nvars)
         tok.check_degree(p.degree() + q.degree())
         tok.check_terms(len(p.terms) * len(q.terms))
-        p = tok.bounded(p * q)
-    return p
+        p, f = tok.bounded(p * q), f and g and (f[0] * g[0], f[1] + g[1])
+    return p, f
 
 
 def _parse_factor(tok, nvars):
-    p = _parse_atom(tok, nvars)
+    p, f = _parse_atom(tok, nvars)
     if tok.peek() == "^":
         tok.pos += 1
         n = tok.take_uint()
@@ -493,8 +529,8 @@ def _parse_factor(tok, nvars):
         if s > 1 and ((s.bit_length() - 1) * n >= _COEFF_BITS or s**n >= _COEFF_BOUND):
             tok.error(f"a coefficient of more than {MAX_DIGITS} digits")
         tok.check_terms(math.comb(len(p.terms) + n - 1, n))
-        return p**n
-    return p
+        return p**n, f and (f[0] ** n, tuple((w, k * n) for w, k in f[1]))
+    return p, f
 
 
 def _parse_atom(tok, nvars):
@@ -506,35 +542,41 @@ def _parse_atom(tok, nvars):
             tok.error(f"parentheses nested more than {MAX_NESTING} deep")
         tok.pos += 1
         tok.depth += 1
-        p = _parse_expr(tok, nvars)
+        pf = _parse_expr(tok, nvars)
         if tok.peek() != ")":
             tok.error("expected ')'")
         tok.pos += 1
         tok.depth -= 1
-        return p
+        return pf
     if c == "h":
         tok.pos += 1
-        return Poly.variable(nvars, 0)
+        return Poly.variable(nvars, 0), (1, (((0, 0, 1), 1),))
     if c == "t":
         tok.pos += 1
         i = tok.take_uint()
         if not 1 <= i <= nvars:
             raise errors.UnknownVariable(f"'t{i}' is not a variable (N={nvars})")
-        return Poly.variable(nvars, i)
+        return Poly.variable(nvars, i), None
     if "0" <= c <= "9":
-        return Poly.const(nvars, tok.take_uint())
+        c = tok.take_uint()
+        return Poly.const(nvars, c), (c, ())
     tok.error(f"unexpected character {c!r}")
 
 
 def poly_parse(expr, nvars, degree=MAX_DEGREE):
     """Parse an expression in t1..tN, h into canonical :class:`Poly` form.
     A product or power of degree past ``degree`` raises HomogeneityViolation,
-    and input past MAX_DIGITS, MAX_TERMS or MAX_NESTING SyntaxError."""
+    and input past MAX_DIGITS, MAX_TERMS or MAX_NESTING SyntaxError.
+    Where the expression is a product of weights, the Poly keeps that product
+    as its :func:`factored` form."""
     tok = _Tokens(expr, degree)
-    p = _parse_expr(tok, nvars)
+    p, f = _parse_expr(tok, nvars)
     if tok.peek() is not None:
         tok.error("trailing input")
-    return tok.bounded(p)
+    p = tok.bounded(p)
+    if f is not None:
+        p._factored = FactoredSum([(1, FactoredClass(nvars, *f))] if f[0] else [])
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +590,7 @@ class FactoredClass:
     cancellation never needs a multivariate GCD.
     """
 
-    __slots__ = ("nvars", "constant", "factors")
+    __slots__ = ("nvars", "constant", "factors", "_restrictions")
 
     def __init__(self, nvars, constant=1, factors=()):
         self.nvars = nvars
@@ -557,7 +599,7 @@ class FactoredClass:
         for w, exp in factors:
             if exp < 0:
                 raise ValueError("factor exponents must be positive")
-            if max(w[:2]) > nvars:
+            if w[0] > nvars or w[1] > nvars:
                 raise ValueError(f"weight {render_weight(w)} over {nvars} variables")
             if exp:
                 merged[w] = merged.get(w, 0) + exp
@@ -570,6 +612,24 @@ class FactoredClass:
 
     def expand(self):
         return _expand(self.nvars, self.constant, self.factors)
+
+    def restrict(self, key):
+        """This class on the hyperplane ``H(key) = 0`` as ``(c, ((form, n), ...))``
+        for c * prod form^n: each factor restricted by :func:`restrict_weight`
+        and written as ``c`` times the key of its hyperplane, equal keys merged
+        and sorted, and ``(0, ())`` for 0.  Two classes are one polynomial on H
+        iff these are equal.  Kept on the class once per key."""
+        if not hasattr(self, "_restrictions"):
+            self._restrictions = {}
+        r = self._restrictions.get(key)
+        if r is None:
+            c, forms = self.constant, {}
+            for w, n in self.factors:
+                form, scale = hyperplane(restrict_weight(w, key))
+                c *= scale**n
+                forms[form] = forms.get(form, 0) + n
+            r = self._restrictions[key] = (c, tuple(sorted(forms.items()))) if c else (0, ())
+        return r
 
     def evaluate(self, point):
         """The exact value at ``point`` = (t_1, ..., t_N, h)."""
@@ -601,6 +661,32 @@ class FactoredClass:
 
     def __repr__(self):
         return f"FactoredClass({self.render()})"
+
+
+class FactoredSum:
+    """The sum of c * class over ``terms`` ``((c, FactoredClass), ...)``, each c
+    an int: the factored form of a Poly (:func:`factored`)."""
+
+    __slots__ = ("terms", "_restrictions")
+
+    def __init__(self, terms):
+        self.terms = tuple(terms)
+        self._restrictions = {}
+
+    def restrict(self, key):
+        """This sum on the hyperplane ``H(key) = 0`` as ``{factors: coefficient}``,
+        each term restricted by :meth:`FactoredClass.restrict`, equal products
+        summed and no coefficient 0; kept once per key.  Equal results are one
+        polynomial on H, and ``{}`` is 0; whether another sum is 0 is not decided."""
+        out = self._restrictions.get(key)
+        if out is None:
+            out = {}
+            for c, f in self.terms:
+                scale, forms = f.restrict(key)
+                if scale:
+                    out[forms] = out.get(forms, 0) + c * scale
+            out = self._restrictions[key] = {k: c for k, c in out.items() if c}
+        return out
 
 
 @functools.lru_cache(maxsize=OUTPUT_CACHE_SIZE)

@@ -11,6 +11,17 @@ a test class, that is one polynomial at every point of a hyperplane factors
 out of the residue there, and a gram entry shown free of poles has degree 0,
 so it is the constant read off one exact evaluation.  Where the data shows
 neither, the residue is summed from products, or the entry in full.
+
+Both are certified factor by factor where the data allows.  An entry of R
+that parses as a product of weights keeps that product on its Poly
+(:func:`algebra.factored`), and an envelope entry that the recursion forms
+keeps the integer combination of such products.  Restricted to a hyperplane
+term by term (:meth:`algebra.FactoredSum.restrict`), these show a class to be
+0 there, or one polynomial, with none expanded or divided, and their values
+at the evaluation point are products of integers.  A class they cannot
+decide on a hyperplane, an entry that is no such product (a caller's class,
+an edited envelope) or a sum whose terms differ between points, is
+restricted exactly there, so every verdict and value is the same.
 """
 
 from __future__ import annotations
@@ -19,7 +30,6 @@ import functools
 import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -223,6 +233,7 @@ def stable_envelopes(data, order=None):
     for i, p in enumerate(order):
         coeffs = {p: 1}
         gamma = dict(data.restrictions[p])
+        formed = set()  # the r where gamma[r] is no longer R[p][r]
         for j in range(i, 0, -1):
             q = order[j - 1]
             try:
@@ -236,8 +247,16 @@ def stable_envelopes(data, order=None):
                 for r, entry in data.restrictions[q].items():
                     if entry:
                         gamma[r] = gamma[r] - a * entry
+                        formed.add(r)
         stab = StabClass(point=p, coeffs=coeffs, restrictions=gamma)
         _verify_axioms(stab, data)
+        for r in formed:
+            rows = [(c, data.restrictions[q][r]) for q, c in coeffs.items()]
+            parts = [(c, algebra.factored(e)) for c, e in rows if e]
+            if all(fs is not None for _, fs in parts):  # gamma[r] = sum_q coeffs[q] * R[q][r]
+                gamma[r]._factored = algebra.FactoredSum(
+                    (c * k, f) for c, fs in parts for k, f in fs.terms
+                )
         stabs.append(stab)
     key = {p: k for k, p in enumerate(data.order)}
     stabs.sort(key=lambda s: key[s.point])
@@ -288,6 +307,12 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     hyperplanes, kept on ``data``, the restrictions, kept on each Poly, and
     the residue rule, under which Stab(p) and Stab_op(q) factor like any
     class, are shared with :func:`check_polynomiality`.
+
+    Factor by factor: an envelope whose entries have :func:`algebra.factored`
+    forms is decided on each simple hyperplane by :func:`_on_hyperplanes`,
+    and a_p, b_p are then sums of products of integer factor values.  An
+    entry without that form is read by exact restriction and
+    ``Poly.evaluate``, and so is a hyperplane the forms leave undecided.
     """
     _check_paired(data, op_data)
     by_point = {s.point: s.restrictions for s in stabs}
@@ -295,26 +320,33 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     us = [by_point[p] for p in data.order]
     vs = [op_by_point[q] for q in data.order]
     simple, repeated = data.hyperplanes
+    flat = {key: not sum(ms.values()) for key, ms in simple.items()}  # sum_p M_p = 0, once
     point = _evaluation_point(data)
     euler = {p: e.evaluate(point) for p, e in data.full_euler.items()}
     degrees = {sum(n for _, n in e.factors) for e in data.full_euler.values()}
     lcm = math.lcm(*euler.values()) if all(type(e) is int for e in euler.values()) else 0
     exact = degrees == {data.dim} and lcm != 0  # not where some e(T_p) is 0 or not an int
+    half = data.dim // 2
 
-    def values(vec):  # None unless every entry is homogeneous of degree dim/2
-        if exact and all(r.is_homogeneous(data.dim // 2) for r in vec.values()):
-            return {p: vec[p].evaluate(point) for p in data.order}
-        return None
+    def value(r):  # r at the point, or None where r is not homogeneous of degree dim/2
+        fs = algebra.factored(r)
+        if fs is not None and all(sum(n for _, n in f.factors) == half for _, f in fs.terms):
+            return sum(c * f.evaluate(point) for c, f in fs.terms)
+        return r.evaluate(point) if r.is_homogeneous(half) else None
 
-    rows = [(u, values(u), _on_hyperplanes(u, simple)) for u in us]
-    columns = [(v, values(v), _on_hyperplanes(v, simple)) for v in vs]
-    flat = {key: not sum(ms.values()) for key, ms in simple.items()}  # sum_p M_p = 0, once
+    def values(vec):  # None unless exact and every entry is homogeneous of degree dim/2
+        a = {p: value(vec[p]) for p in data.order} if exact else None
+        return None if a is None or None in a.values() else a
+
+    rows = [(u, values(u), _on_hyperplanes(u, simple, flat)) for u in us]
+    columns = [(v, values(v), _on_hyperplanes(v, simple, flat)) for v in vs]
     gram = []
     for u, a, u_h in rows:
         gram.append([])
         for v, b, v_h in columns:
             live = u_h.keys() & v_h.keys()  # the residue is 0 where u or v is 0 at every point
-            pole = not all(_residue_vanishes(key, simple[key], (u_h, v_h), flat) for key in live)
+            classes = ((u, u_h), (v, v_h))
+            pole = not all(_residue_vanishes(key, simple[key], classes, flat) for key in live)
             if a is None or b is None or pole or _repeated_pole(u, v, data, repeated):
                 gram[-1].append(virtual_pairing(u, v, data))
             else:
@@ -366,23 +398,31 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     and each of the three factors out of it where it is one polynomial on
     H.  On a hyperplane that some e(T_p) carries twice, the sum over its
     points must keep no H in its denominator.  Failures are summed in full.
+
+    Whether a class is 0 or one polynomial on H is certified factor by
+    factor (:func:`_on_hyperplanes`) for every class whose entries have
+    :func:`algebra.factored` forms: the envelopes and the default [L_r] on
+    product data.  The constant 1, a caller's gamma and any hyperplane that
+    the forms leave undecided are restricted exactly, once per entry and H,
+    and only where a residue needs them.
     """
     _check_paired(data, op_data)
     if gammas is None:
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
     simple, repeated = data.hyperplanes
-    s_on = [_on_hyperplanes(s.restrictions, simple) for s in stabs]
-    o_on = [_on_hyperplanes(o.restrictions, simple) for o in op_stabs]
-    g_on = [_on_hyperplanes(gamma, simple) for gamma in gammas]
     flat = {key: not sum(ms.values()) for key, ms in simple.items()}
+    s_on = [_on_hyperplanes(s.restrictions, simple, flat) for s in stabs]
+    o_on = [_on_hyperplanes(o.restrictions, simple, flat) for o in op_stabs]
+    g_on = [_on_hyperplanes(gamma, simple, flat) for gamma in gammas]
     report = errors.CheckResult("polynomiality")
     for s, s_h in zip(stabs, s_on):
         for k, (gamma, g_h) in enumerate(zip(gammas, g_on)):
             u = None
             for o, o_h in zip(op_stabs, o_on):
                 live = s_h.keys() & g_h.keys() & o_h.keys()
-                ok = all(_residue_vanishes(key, simple[key], (s_h, g_h, o_h), flat) for key in live)
+                classes = ((s.restrictions, s_h), (gamma, g_h), (o.restrictions, o_h))
+                ok = all(_residue_vanishes(key, simple[key], classes, flat) for key in live)
                 if repeated or not ok:
                     if u is None:
                         u = {p: s.restrictions[p] * gamma[p] for p in data.order}
@@ -396,15 +436,23 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     return report
 
 
-def _on_hyperplanes(vec, simple):
-    """``vec`` on each simple hyperplane H where it is not 0 at every point:
-    the one polynomial that it is at every point on H, or ``{p: vec[p] on H}``
-    where these differ."""
-    out = {}
+def _on_hyperplanes(vec, simple, flat):
+    """What the :func:`algebra.factored` forms of ``vec``, restricted term by
+    term (:meth:`algebra.FactoredSum.restrict`), decide of it on each simple
+    hyperplane H.
+
+    H is left out where every point on it gives 0.  ``vec`` is True on H where
+    every point gives the same sum of one product (one polynomial, not 0), or
+    of several where H is ``flat`` (one polynomial, and sum_p M_p = 0 makes the
+    residue 0 whatever it is).  Elsewhere it is False: undecided, and left to
+    the exact restrictions of :func:`_residue_vanishes`."""
+    sums, out = {p: algebra.factored(r) for p, r in vec.items()}, {}
     for key, points in simple.items():
-        on = [algebra.restrict(vec[p], key) for p in points]
-        if any(on):
-            out[key] = on[0] if all(r == on[0] for r in on) else dict(zip(points, on))
+        views = [s and s.restrict(key) for s in map(sums.get, points)]
+        if views[0] is None or views.count(views[0]) != len(views):
+            out[key] = False
+        elif views[0]:
+            out[key] = len(views[0]) == 1 or flat[key]
     return out
 
 
@@ -427,32 +475,39 @@ def _hyperplanes(data):
     H, i.e. iff sum_p N_p|_H * M_p = 0 for M_p = c * L / (s_p * F_p|_H), with L
     the lcm of the F_q|_H (products of linear forms) and an integer c clearing
     the scalars.  ``repeated`` maps every other hyperplane to its points.
+    Each F_p|_H is read factor by factor (:meth:`algebra.FactoredClass.restrict`),
+    its forms keyed as hyperplanes, so that L is a maximum of exponents.
     """
     on = {}  # key -> p -> multiplicity of H(key) in e(T_p)
     for p in data.order:
         for w, exp in data.full_euler[p].factors:
-            on.setdefault(algebra.hyperplane(w)[0], Counter())[p] += exp
+            points = on.setdefault(algebra.hyperplane(w)[0], {})
+            points[p] = points.get(p, 0) + exp
     simple, repeated = {}, {}
     for key, points in on.items():
         if max(points.values()) > 1:
             repeated[key] = list(points)
             continue
-        rest = {}  # p -> (s_p times the scalar of F_p|_H, its linear forms)
+        rest = {}  # p -> s_p * F_p|_H as (scalar, {linear form: exponent})
         for p in points:
-            s, forms = data.full_euler[p].constant, Counter()
-            for w, exp in data.full_euler[p].factors:
+            e, s, f = data.full_euler[p], None, []
+            for w, n in e.factors:
                 form, scale = algebra.hyperplane(w)
-                if form != key:
-                    form, scale = algebra.hyperplane(algebra.restrict_weight(w, key))
-                    forms[form] += exp
-                s *= scale**exp
-            rest[p] = (s, forms)
-        lcm = Counter()
+                if form == key:
+                    s = scale
+                else:
+                    f.append((w, n))
+            c, forms = algebra.FactoredClass(data.nvars, e.constant, f).restrict(key)
+            rest[p] = (c * s, dict(forms))
+        lcm = {}
         for _, forms in rest.values():
-            lcm |= forms
-        clear = Fraction(math.lcm(*(abs(s.numerator) for s, _ in rest.values())))
+            for form, n in forms.items():
+                lcm[form] = max(n, lcm.get(form, 0))
+        clear = math.lcm(*(abs(s.numerator) for s, _ in rest.values()))
         simple[key] = {
-            p: algebra.FactoredClass(data.nvars, clear / s, (lcm - forms).items()).expand()
+            p: algebra.FactoredClass(
+                data.nvars, Fraction(clear, 1) / s, [(w, n - forms.get(w, 0)) for w, n in lcm.items()]
+            ).expand()
             for p, (s, forms) in rest.items()
         }
     return simple, repeated
@@ -460,9 +515,11 @@ def _hyperplanes(data):
 
 def _residue_vanishes(key, points, classes, flat):
     """Whether the residue on the simple hyperplane H(key) of the pairing of
-    the product of ``classes``, as :func:`_on_hyperplanes` gives them and
-    none 0 at every point on H, is zero: sum_p c_1|_p * ... * c_k|_p * M_p,
-    with ``points`` mapping each point p on H to M_p.
+    the product of ``classes`` is zero: sum_p c_1|_p * ... * c_k|_p * M_p,
+    with ``points`` mapping each point p on H to M_p.  Each class is a vector
+    with what :func:`_on_hyperplanes` gives for it, which this completes where
+    it is undecided (False): H is dropped where every exact restriction is 0,
+    and the value is the one polynomial they are, or ``{p: vec[p] on H}``.
 
     Where each class is one polynomial g_i != 0 on H, that is g_1 * ... *
     g_k * sum_p M_p, and polynomials on H form an integral domain: it is zero
@@ -471,10 +528,21 @@ def _residue_vanishes(key, points, classes, flat):
     curve (the GKM condition), but classes are input: where one does not
     agree, the products are summed, and a single nonzero one is never zero.
     """
-    on = [c[key] for c in classes]
+    for vec, c in classes:
+        if c[key] is False:
+            on = [algebra.restrict(vec[p], key) for p in points]
+            if not any(on):
+                del c[key]
+                return True
+            c[key] = on[0] if all(r == on[0] for r in on) else dict(zip(points, on))
+    on = [c[key] for _, c in classes]
     if not any(isinstance(r, dict) for r in on):
         return flat[key]
-    terms = [(m, [r[p] if isinstance(r, dict) else r for r in on]) for p, m in points.items()]
+    terms = [  # a class that is True on H is restricted here, at each point
+        (m, [r[p] if isinstance(r, dict) else algebra.restrict(vec[p], key) if r is True else r
+             for (vec, _), r in zip(classes, on)])
+        for p, m in points.items()
+    ]
     live = [(m, rs) for m, rs in terms if all(rs)]
     return len(live) != 1 and not sum(math.prod(rs, start=m) for m, rs in live)
 

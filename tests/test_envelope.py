@@ -1,6 +1,7 @@
 """Attraction data loading, the envelope recursion, pairing checks."""
 
 import dataclasses
+import io
 import json
 import random
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from bowvariety import algebra, envelope, errors, tie
+from bowvariety import algebra, cli, envelope, errors, tangent, tie
 from conftest import DATA, pack, relabeled, tstar_module
 
 
@@ -499,14 +500,17 @@ def test_polynomiality_on_a_repeated_hyperplane(fixtures_dir):
 
 def test_a_pairing_finds_each_hyperplane_and_restriction_once(monkeypatch):
     # gram_matrix and then check_polynomiality on the same T*P^3 envelopes:
-    # the hyperplanes are found once for the data, a constant is its own
-    # restriction and never divided, and every other polynomial is restricted
-    # once to each hyperplane, however often it is asked for
+    # the hyperplanes are found once for the data, no envelope entry is
+    # divided (each is decided factor by factor), and a class with no
+    # factored form, asked for twice, is restricted once to each hyperplane
     tstar = tstar_module()
     sigma = (3, 1, 4, 2)
     data = envelope.load_attraction_data(tstar.attraction_data(4, sigma))
     op_data = envelope.load_attraction_data(tstar.attraction_data(4, sigma, opposite=True))
     args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
+    entries = {id(r) for s in args[0] + args[1] for r in s.restrictions.values()}
+    zero = algebra.Poly(data.nvars)
+    bare = {p: r + zero for p, r in data.restrictions[data.order[-1]].items()}  # no factored form
     hyperplanes, horner, restrict = envelope._hyperplanes, algebra._horner, algebra.restrict
     found, computed, asked = [], [], []  # the lists keep each Poly, so its id stays its own
     monkeypatch.setattr(envelope, "_hyperplanes", lambda d: found.append(d) or hyperplanes(d))
@@ -514,29 +518,202 @@ def test_a_pairing_finds_each_hyperplane_and_restriction_once(monkeypatch):
     monkeypatch.setattr(algebra, "restrict", lambda p, k: asked.append((p, k)) or restrict(p, k))
     envelope.gram_matrix(*args)
     assert envelope.check_polynomiality(*args).ok
-    assert len(found) == 1 and found[0] is data
-    assert not any(p.is_constant() for p, _ in computed)
-    assert any(p.is_constant() for p, _ in asked)
+    assert envelope.check_polynomiality(*args, gammas=[bare, bare]).ok
+    assert found == [data]
+    assert not any(id(p) in entries for p, _ in computed)
+    assert computed and {id(p) for p, _ in computed} <= {id(r) for r in bare.values()}
     distinct = {(id(p), key) for p, key in asked if not p.is_constant()}
     assert len(asked) > len(distinct)
     assert sorted((id(p), key) for p, key in computed) == sorted(distinct)
 
 
-def test_a_tstar_pass_divides_at_most_258_times(tmp_path, monkeypatch):
-    # the benchmark's seed-7 tstar pass (T*P^1..T*P^3, both chambers): with
-    # constants restricted to themselves and the zero entries of R rows left
-    # alone, 258 synthetic divisions remain of the 448 the pass once ran
+def test_a_tstar_pass_divides_at_most_28_times(tmp_path, monkeypatch):
+    # the benchmark's seed-7 tstar pass (T*P^1..T*P^3, both chambers): every
+    # entry of its data is a product of weights, so the pairings are decided
+    # factor by factor, and only the recursion's integer ratios divide: 28
+    # synthetic divisions remain of the 448 the pass once ran (258 before
+    # the factored forms)
     tstar = tstar_module()
     horner, bodies = algebra._horner, []
     monkeypatch.setattr(algebra, "_horner", lambda p, k: bodies.append(p) or horner(p, k))
     for n in (2, 3, 4):
         data, op_data = map(envelope.load_attraction_data, tstar.write_pair(n, 7, tmp_path))
-        args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
+        stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
+        divided = len(bodies)
+        args = (stabs, op_stabs, data, op_data)
         gram = envelope.gram_matrix(*args)
         assert all(e == int(i == j) for i, row in enumerate(gram) for j, e in enumerate(row))
         assert envelope.check_polynomiality(*args).ok
         assert envelope.opposite_order_check(data, op_data).ok
-    assert 0 < len(bodies) <= 258 and not any(p.is_constant() for p in bodies)
+        assert len(bodies) == divided
+    assert 0 < len(bodies) <= 28 and not any(p.is_constant() for p in bodies)
+
+
+def test_points_of_different_dimensions_are_refused(fixtures_dir, monkeypatch, capsys):
+    # InconsistentDimension has one raise site: a tangent character that
+    # gains a weight at one point makes the points disagree on dimension
+    real = tangent.tangent_character
+
+    def skewed(t, pid):
+        tc = real(t, pid)
+        if pid == "P1":
+            terms = dict(tc.char.terms)
+            terms[(1, 2, 5)] = terms.get((1, 2, 5), 0) + 1
+            tc = dataclasses.replace(tc, char=algebra.Character(tc.char.nvars, terms))
+        return tc
+
+    monkeypatch.setattr(tangent, "tangent_character", skewed)
+    path = fixtures_dir / "tstar_p1_chamber12.json"
+    with pytest.raises(errors.InconsistentDimension, match=r"^\[2, 3\]$"):
+        envelope.load_attraction_data(path)
+    out = io.StringIO()
+    assert cli.run(["stab", "--data", str(path)], out=out) == 2
+    assert out.getvalue() == "" and capsys.readouterr().err == "error: [2, 3]\n"
+
+
+# ---------------------------------------------------------------------------
+# factored forms: certificates checked against exact restriction
+
+
+def exact_on_hyperplanes(vec, simple):
+    """The exact view of ``vec`` on each simple hyperplane where it is not 0
+    at every point: the one polynomial it is there, or ``{p: vec[p] on H}``."""
+    out = {}
+    for key, points in simple.items():
+        on = [algebra.restrict(vec[p], key) for p in points]
+        if any(on):
+            out[key] = on[0] if all(r == on[0] for r in on) else dict(zip(points, on))
+    return out
+
+
+def flat_hyperplanes(data):
+    simple, _ = data.hyperplanes
+    return simple, {key: not sum(ms.values()) for key, ms in simple.items()}
+
+
+def factored_cases(fixtures_dir):
+    """Every fixture and test data file, with the vectors a pairing decides
+    on it: its rows of R and, where the recursion runs, its envelopes."""
+    for path in sorted(fixtures_dir.glob("*.json")) + sorted(DATA.glob("*.json")):
+        data = envelope.load_attraction_data(path)
+        vecs = [data.restrictions[p] for p in data.order]
+        try:
+            vecs += [s.restrictions for s in envelope.stable_envelopes(data)]
+        except errors.IntegralityFailure:
+            pass
+        yield path.name, data, vecs
+
+
+def test_factored_forms_expand_to_the_parsed_entries(fixtures_dir):
+    # every entry that parses as a product of weights keeps that product,
+    # which expands to the entry and restricts, factor by factor, to the
+    # entry's exact restriction on each simple hyperplane; only the two
+    # entries of the test data that are sums keep none
+    unfactored = []
+    for name, data, _ in factored_cases(fixtures_dir):
+        simple, _ = data.hyperplanes
+        zero = algebra.Poly(data.nvars)
+        for p, row in data.restrictions.items():
+            for q, entry in row.items():
+                fs = algebra.factored(entry)
+                if fs is None:
+                    unfactored.append((name, p, q))
+                    continue
+                assert [c for c, _ in fs.terms] == ([1] if entry else [])
+                assert all(f.expand() == entry for _, f in fs.terms)
+                for key in simple:
+                    products = (
+                        c * algebra.FactoredClass(data.nvars, 1, forms).expand()
+                        for forms, c in fs.restrict(key).items()
+                    )
+                    assert sum(products, zero) == algebra.restrict(entry, key)
+    assert unfactored == [
+        ("tstar_p1_chamber21_nonintegral.json", "D2", "D1"),
+        ("tstar_p2_chamber321_perturbed.json", "D3", "D1"),
+    ]
+
+
+def test_factorwise_verdicts_equal_the_exact_ones(fixtures_dir):
+    # each verdict of _on_hyperplanes is a proof: H left out is 0 at every
+    # point, True is one polynomial on H, not 0 unless H is flat, and False
+    # leaves H to exact restriction, as for a row whose entry is not a
+    # product of weights, or a sum of several products on a one-point H
+    fallbacks = Counter()
+    for name, data, vecs in factored_cases(fixtures_dir):
+        simple, flat = flat_hyperplanes(data)
+        for vec in vecs:
+            on, exact = envelope._on_hyperplanes(vec, simple, flat), exact_on_hyperplanes(vec, simple)
+            for key in simple:
+                if key not in on:
+                    assert key not in exact
+                elif on[key]:
+                    assert not isinstance(exact.get(key), dict) and (key in exact or flat[key])
+                else:
+                    fallbacks[name] += 1
+    assert fallbacks["tstar_p1_chamber21_nonintegral.json"] > 0
+
+
+def test_classes_without_factored_forms_take_the_exact_path(fixtures_dir, monkeypatch):
+    # factored forms live on Polys, not on StabClass.coeffs: an envelope
+    # edited by dataclasses.replace keeps its coeffs but holds new Polys, and
+    # so does a caller's test class; neither has a factored form, so each
+    # residue they meet is decided from the exact restrictions
+    data, op_data = (load_fixture(fixtures_dir, f"tstar_p2_chamber{c}.json") for c in ("123", "321"))
+    stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
+    h = algebra.Poly.variable(data.nvars, 0)
+    edited = [
+        dataclasses.replace(s, restrictions={p: r * h for p, r in s.restrictions.items()})
+        for s in stabs
+    ]
+    gamma = {p: 2 * r for p, r in data.restrictions[data.order[-1]].items()}
+    simple, flat = flat_hyperplanes(data)
+    bare = [s.restrictions for s in edited] + [gamma]
+    for vec in bare:
+        assert envelope._on_hyperplanes(vec, simple, flat) == dict.fromkeys(simple, False)
+    calls, vanishes = [], envelope._residue_vanishes
+    monkeypatch.setattr(envelope, "_residue_vanishes", lambda *a: calls.append(a) or vanishes(*a))
+    args = (edited, op_stabs, data, op_data)
+    report = envelope.check_polynomiality(*args, gammas=[gamma])
+    expected = reference_check_polynomiality(*args, gammas=[gamma])
+    assert (report.ok, report.messages) == (expected.ok, expected.messages)
+    reached = 0
+    for key, _, classes, _ in calls:
+        for vec, on in classes:
+            if any(vec is b for b in bare):
+                exact = exact_on_hyperplanes(vec, simple)
+                assert on.get(key, 0) == exact.get(key, 0)  # completed in place, or dropped as 0
+                reached += 1
+    assert reached > 0
+
+
+def test_rows_that_differ_but_agree_on_a_hyperplane_take_the_exact_path(fixtures_dir):
+    # a class that is (t2-t3)^2 at both points of t1 = t2 on T*P^2, read at one
+    # point as that product and at the other as the combination
+    # (t2-t3)*(t2-t3+h) - (t2-t3)*h of two rows: the factor-wise views differ,
+    # so the exact restrictions decide, and find one polynomial
+    data, op_data = (load_fixture(fixtures_dir, f"tstar_p2_chamber{c}.json") for c in ("123", "321"))
+    simple, flat = flat_hyperplanes(data)
+    key = (1, 2, 0)
+    p, q = simple[key]
+
+    def product(*weights):
+        return algebra.FactoredClass(data.nvars, 1, [(w, 1) for w in weights])
+
+    rows = [(1, product((2, 3, 0), (2, 3, 1))), (-1, product((2, 3, 0), (0, 0, 1)))]
+    vec = {r: algebra.poly_parse("0", data.nvars) for r in data.order}
+    vec[p] = algebra.poly_parse("(t2-t3)^2", data.nvars)
+    vec[q] = sum((c * f.expand() for c, f in rows), algebra.Poly(data.nvars))
+    vec[q]._factored = algebra.FactoredSum(rows)
+    assert vec[q] == vec[p] and algebra.factored(vec[p]).restrict(key) != vec[q]._factored.restrict(key)
+    on = envelope._on_hyperplanes(vec, simple, flat)
+    assert on[key] is False
+    assert envelope._residue_vanishes(key, simple[key], [(vec, on)], flat) == flat[key]
+    assert on[key] == exact_on_hyperplanes(vec, simple)[key] == vec[p]
+    stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
+    args = (stabs, op_stabs, data, op_data)
+    report = envelope.check_polynomiality(*args, gammas=[vec])
+    expected = reference_check_polynomiality(*args, gammas=[vec])
+    assert (report.ok, report.messages) == (expected.ok, expected.messages)
 
 
 def test_replaced_data_finds_its_own_hyperplanes(fixtures_dir):
