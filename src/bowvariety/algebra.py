@@ -431,11 +431,11 @@ class _Tokens:
         self.depth = 0  # of the parentheses open at pos
 
     def peek(self):
-        src, pos = self.src, self.pos
-        while pos < len(src) and src[pos].isspace():
-            pos += 1
-        self.pos = pos
-        return src[pos] if pos < len(src) else None
+        while self.pos < len(self.src) and self.src[self.pos].isspace():
+            self.pos += 1
+        if self.pos >= len(self.src):
+            return None
+        return self.src[self.pos]
 
     def error(self, message):
         raise errors.SyntaxError(message, self.pos)
@@ -463,7 +463,7 @@ class _Tokens:
 
     def bounded(self, p):
         """p, unless a coefficient has more than MAX_DIGITS digits."""
-        if max(map(abs, p.terms.values()), default=0) >= _COEFF_BOUND:
+        if any(abs(c) >= _COEFF_BOUND for c in p.terms.values()):
             self.error(f"a coefficient of more than {MAX_DIGITS} digits")
         return p
 
@@ -479,7 +479,7 @@ def _parse_expr(tok, nvars):
         return p, f
     while op in ("+", "-"):
         tok.pos += 1
-        q, _ = _parse_term(tok, nvars)
+        q, _ = _parse_term(tok, nvars)  # its form is not read
         p = p + q if op == "+" else p - q
         op = tok.peek()
     return p, _as_weight(p)
@@ -599,7 +599,7 @@ class FactoredClass:
         for w, exp in factors:
             if exp < 0:
                 raise ValueError("factor exponents must be positive")
-            if w[0] > nvars or w[1] > nvars:
+            if max(w[:2]) > nvars:
                 raise ValueError(f"weight {render_weight(w)} over {nvars} variables")
             if exp:
                 merged[w] = merged.get(w, 0) + exp

@@ -17,10 +17,9 @@ that parses as a product of weights keeps that product on its Poly
 (:func:`algebra.factored`), and an envelope entry that the recursion forms
 keeps the integer combination of such products.  Restricted to a hyperplane
 term by term (:meth:`algebra.FactoredSum.restrict`), these show a class to be
-0 there, or one polynomial, with none expanded or divided, and their values
-at the evaluation point are products of integers.  A class they cannot
-decide on a hyperplane, an entry that is no such product (a caller's class,
-an edited envelope) or a sum whose terms differ between points, is
+0 there, or one polynomial, with none expanded or divided.  A class they
+cannot decide on a hyperplane, an entry that is no such product (a caller's
+class, an edited envelope) or a sum whose terms differ between points, is
 restricted exactly there, so every verdict and value is the same.
 """
 
@@ -59,6 +58,11 @@ class AttractionData:
     def hyperplanes(self):
         """``(simple, repeated)`` of :func:`_hyperplanes`, computed on first use."""
         return _hyperplanes(self)
+
+    @functools.cached_property
+    def flat(self):
+        """Whether sum_p M_p = 0 on each simple hyperplane, decided on first use."""
+        return {key: not sum(ms.values()) for key, ms in self.hyperplanes[0].items()}
 
 
 def _is_list_of(value, kind):
@@ -309,10 +313,9 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     class, are shared with :func:`check_polynomiality`.
 
     Factor by factor: an envelope whose entries have :func:`algebra.factored`
-    forms is decided on each simple hyperplane by :func:`_on_hyperplanes`,
-    and a_p, b_p are then sums of products of integer factor values.  An
-    entry without that form is read by exact restriction and
-    ``Poly.evaluate``, and so is a hyperplane the forms leave undecided.
+    forms is decided on each simple hyperplane by :func:`_on_hyperplanes`.
+    An entry without that form, and a hyperplane the forms leave undecided,
+    is restricted exactly, and only where a residue needs it.
     """
     _check_paired(data, op_data)
     by_point = {s.point: s.restrictions for s in stabs}
@@ -320,23 +323,17 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     us = [by_point[p] for p in data.order]
     vs = [op_by_point[q] for q in data.order]
     simple, repeated = data.hyperplanes
-    flat = {key: not sum(ms.values()) for key, ms in simple.items()}  # sum_p M_p = 0, once
+    flat = data.flat
     point = _evaluation_point(data)
     euler = {p: e.evaluate(point) for p, e in data.full_euler.items()}
     degrees = {sum(n for _, n in e.factors) for e in data.full_euler.values()}
     lcm = math.lcm(*euler.values()) if all(type(e) is int for e in euler.values()) else 0
     exact = degrees == {data.dim} and lcm != 0  # not where some e(T_p) is 0 or not an int
-    half = data.dim // 2
 
-    def value(r):  # r at the point, or None where r is not homogeneous of degree dim/2
-        fs = algebra.factored(r)
-        if fs is not None and all(sum(n for _, n in f.factors) == half for _, f in fs.terms):
-            return sum(c * f.evaluate(point) for c, f in fs.terms)
-        return r.evaluate(point) if r.is_homogeneous(half) else None
-
-    def values(vec):  # None unless exact and every entry is homogeneous of degree dim/2
-        a = {p: value(vec[p]) for p in data.order} if exact else None
-        return None if a is None or None in a.values() else a
+    def values(vec):  # None unless every entry is homogeneous of degree dim/2
+        if exact and all(r.is_homogeneous(data.dim // 2) for r in vec.values()):
+            return {p: vec[p].evaluate(point) for p in data.order}
+        return None
 
     rows = [(u, values(u), _on_hyperplanes(u, simple, flat)) for u in us]
     columns = [(v, values(v), _on_hyperplanes(v, simple, flat)) for v in vs]
@@ -411,7 +408,7 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
         one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
         gammas = [one] + [dict(data.restrictions[r]) for r in data.order]
     simple, repeated = data.hyperplanes
-    flat = {key: not sum(ms.values()) for key, ms in simple.items()}
+    flat = data.flat
     s_on = [_on_hyperplanes(s.restrictions, simple, flat) for s in stabs]
     o_on = [_on_hyperplanes(o.restrictions, simple, flat) for o in op_stabs]
     g_on = [_on_hyperplanes(gamma, simple, flat) for gamma in gammas]
@@ -475,8 +472,9 @@ def _hyperplanes(data):
     H, i.e. iff sum_p N_p|_H * M_p = 0 for M_p = c * L / (s_p * F_p|_H), with L
     the lcm of the F_q|_H (products of linear forms) and an integer c clearing
     the scalars.  ``repeated`` maps every other hyperplane to its points.
-    Each F_p|_H is read factor by factor (:meth:`algebra.FactoredClass.restrict`),
-    its forms keyed as hyperplanes, so that L is a maximum of exponents.
+    Each F_p|_H is kept as its scalar and its linear forms keyed as
+    hyperplanes, so L is a maximum of exponents, and M_p is the integer c /
+    s_p wherever F_p|_H is L, as on GKM data, with nothing expanded.
     """
     on = {}  # key -> p -> multiplicity of H(key) in e(T_p)
     for p in data.order:
@@ -488,28 +486,29 @@ def _hyperplanes(data):
         if max(points.values()) > 1:
             repeated[key] = list(points)
             continue
-        rest = {}  # p -> s_p * F_p|_H as (scalar, {linear form: exponent})
+        rest = {}  # p -> (s_p times the scalar of F_p|_H, {its linear forms: exponent})
         for p in points:
-            e, s, f = data.full_euler[p], None, []
-            for w, n in e.factors:
+            s, forms = data.full_euler[p].constant, {}
+            for w, exp in data.full_euler[p].factors:
                 form, scale = algebra.hyperplane(w)
-                if form == key:
-                    s = scale
-                else:
-                    f.append((w, n))
-            c, forms = algebra.FactoredClass(data.nvars, e.constant, f).restrict(key)
-            rest[p] = (c * s, dict(forms))
+                if form != key:
+                    form, scale = algebra.hyperplane(algebra.restrict_weight(w, key))
+                    forms[form] = forms.get(form, 0) + exp
+                s *= scale**exp
+            rest[p] = (s, forms)
         lcm = {}
         for _, forms in rest.values():
             for form, n in forms.items():
                 lcm[form] = max(n, lcm.get(form, 0))
         clear = math.lcm(*(abs(s.numerator) for s, _ in rest.values()))
-        simple[key] = {
-            p: algebra.FactoredClass(
-                data.nvars, Fraction(clear, 1) / s, [(w, n - forms.get(w, 0)) for w, n in lcm.items()]
-            ).expand()
-            for p, (s, forms) in rest.items()
-        }
+        simple[key] = ms = {}
+        for p, (s, forms) in rest.items():
+            c = clear // s.numerator * s.denominator  # clear / s_p, an int as s_p.numerator | clear
+            if forms == lcm:
+                ms[p] = algebra.Poly.const(data.nvars, c)
+            else:
+                quotient = [(w, n - forms.get(w, 0)) for w, n in lcm.items()]  # L / F_p|_H
+                ms[p] = algebra.FactoredClass(data.nvars, c, quotient).expand()
     return simple, repeated
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -714,6 +715,49 @@ def test_rows_that_differ_but_agree_on_a_hyperplane_take_the_exact_path(fixtures
     report = envelope.check_polynomiality(*args, gammas=[vec])
     expected = reference_check_polynomiality(*args, gammas=[vec])
     assert (report.ok, report.messages) == (expected.ok, expected.messages)
+
+
+def reference_hyperplanes(data):
+    """``simple`` of the hyperplanes, each M_p expanded from c * L / (s_p * F_p|_H)
+    with Counter arithmetic on the linear forms."""
+    on = {}
+    for p in data.order:
+        for w, exp in data.full_euler[p].factors:
+            on.setdefault(algebra.hyperplane(w)[0], Counter())[p] += exp
+    simple = {}
+    for key, points in on.items():
+        if max(points.values()) > 1:
+            continue
+        rest = {}
+        for p in points:
+            s, forms = data.full_euler[p].constant, Counter()
+            for w, exp in data.full_euler[p].factors:
+                form, scale = algebra.hyperplane(w)
+                if form != key:
+                    form, scale = algebra.hyperplane(algebra.restrict_weight(w, key))
+                    forms[form] += exp
+                s *= scale**exp
+            rest[p] = (s, forms)
+        lcm = Counter()
+        for _, forms in rest.values():
+            lcm |= forms
+        clear = Fraction(math.lcm(*(abs(s.numerator) for s, _ in rest.values())))
+        simple[key] = {
+            p: algebra.FactoredClass(data.nvars, clear / s, (lcm - forms).items()).expand()
+            for p, (s, forms) in rest.items()
+        }
+    return simple
+
+
+def test_hyperplane_multiples_match_the_lcm_formula(fixtures_dir):
+    # M_p is read as an integer where F_p|_H is the lcm L, and expanded
+    # elsewhere (example54 has both); either way it is c * L / (s_p * F_p|_H)
+    constant = Counter()
+    for _, data, _ in factored_cases(fixtures_dir):
+        simple, _ = data.hyperplanes
+        assert simple == reference_hyperplanes(data)
+        constant.update(m.is_constant() for ms in simple.values() for m in ms.values())
+    assert constant[True] and constant[False]
 
 
 def test_replaced_data_finds_its_own_hyperplanes(fixtures_dir):
