@@ -752,16 +752,22 @@ class RationalFn:
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.num.nvars, other)
-        return RationalFn(other) if isinstance(other, Poly) else other
+        if isinstance(other, Poly):
+            return RationalFn(other)
+        return other if isinstance(other, RationalFn) else NotImplemented
 
     def __eq__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         return (self.num * other.den.expand()) == (other.num * self.den.expand())
 
     __hash__ = None  # equality cross-multiplies, so no hash of (num, den) agrees
 
     def __add__(self, other):
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         num = self.num * other.den.expand() + other.num * self.den.expand()
         return RationalFn(num, self.den * other.den)
 

@@ -6,21 +6,19 @@ the diagram combinatorics.  Everything downstream is exact: the recursion
 producing stable-envelope coefficient vectors, the three envelope axioms, the
 virtual intersection pairing, orthogonality and order-duality checks.
 
-Pairings are decided one hyperplane at a time.  Any class, an envelope or
-a test class, that is one polynomial at every point of a hyperplane factors
-out of the residue there, and a gram entry shown free of poles has degree 0,
-so it is the constant read off one exact evaluation.  Where the data shows
-neither, the residue is summed from products, or the entry in full.
+A pairing is decided by one rule: it is a polynomial where its residue
+is certified zero on every simple hyperplane (:func:`_residue_vanishes`)
+and :func:`_repeated_pole` finds no pole on every repeated one; any other
+pairing is summed in full (:func:`virtual_pairing`).  A gram entry so
+certified has degree 0: the constant read off one exact evaluation.
 
-Both are certified factor by factor where the data allows.  An entry of R
-that parses as a product of weights keeps that product on its Poly
-(:func:`algebra.factored`), and an envelope entry that the recursion forms
-keeps the integer combination of such products.  Restricted to a hyperplane
-term by term (:meth:`algebra.FactoredSum.restrict`), these show a class to be
-0 there, or one polynomial, with none expanded or divided.  A class they
-cannot decide on a hyperplane, an entry that is no such product (a caller's
-class, an edited envelope) or a sum whose terms differ between points, is
-restricted exactly there, so every verdict and value is the same.
+The rule asks of each class only whether it is 0, or one polynomial, at
+every point of a hyperplane.  An entry of R that parses as a product of
+weights keeps that product on its Poly (:func:`algebra.factored`), and an
+envelope entry that the recursion forms keeps the integer combination of
+such products; restricted term by term (:func:`_on_hyperplanes`), these
+answer with nothing expanded or divided.  Where they do not, as for a
+caller's class or an edited envelope, the entries are restricted exactly.
 """
 
 from __future__ import annotations
@@ -300,22 +298,18 @@ def gram_matrix(stabs, op_stabs, data, op_data):
     theorem asserts the identity matrix; deviations mean the two data files
     are inconsistent (reported by the caller's checks).
 
-    An entry is certified when it is a polynomial, with no pole on a simple
-    hyperplane (:func:`_residue_vanishes`) or a repeated one, and when every
-    restriction is homogeneous of degree dim/2 and every e(T_p) has degree
-    dim, so that each term u_p * v_p / e(T_p) has degree 0.  A polynomial of
-    degree 0 is a constant: its value at any rational point off the zeros of
-    the e(T_p) (:func:`_evaluation_point`), one Fraction (sum_p a_p * b_p *
-    L / e_p) / L of the values a_p, b_p, e_p of u_p, v_p, e(T_p) there, L the
-    lcm of the e_p, all ints.  Every other entry is the :func:`virtual_pairing` sum.  The
-    hyperplanes, kept on ``data``, the restrictions, kept on each Poly, and
-    the residue rule, under which Stab(p) and Stab_op(q) factor like any
-    class, are shared with :func:`check_polynomiality`.
-
-    Factor by factor: an envelope whose entries have :func:`algebra.factored`
-    forms is decided on each simple hyperplane by :func:`_on_hyperplanes`.
-    An entry without that form, and a hyperplane the forms leave undecided,
-    is restricted exactly, and only where a residue needs it.
+    An entry is certified when it has no pole on a simple hyperplane (the
+    residue rule of :func:`_residue_vanishes`) nor on a repeated one
+    (:func:`_repeated_pole`), and when every restriction is homogeneous of
+    degree dim/2 and every e(T_p) has degree dim, so that each term u_p * v_p
+    / e(T_p) has degree 0.  A polynomial of degree 0 is a constant: its value
+    at any rational point off the zeros of the e(T_p)
+    (:func:`_evaluation_point`), one Fraction (sum_p a_p * b_p * L / e_p) / L
+    of the values a_p, b_p, e_p of u_p, v_p, e(T_p) there, L the lcm of the
+    e_p, all ints.  Every other entry is summed in full by
+    :func:`virtual_pairing`.  The hyperplanes, kept on ``data``, and each
+    envelope's view of them (:func:`_on_hyperplanes`) are shared with
+    :func:`check_polynomiality`.
     """
     _check_paired(data, op_data)
     by_point = {s.point: s.restrictions for s in stabs}
@@ -390,18 +384,16 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
     attracting-cell closure [L_r].
 
     One hyperplane H at a time: by localization only the points whose e(T_p)
-    contains H can give a pole along H.  If each carries H once, the residue
-    of Stab(p), gamma and Stab_op(q) decides (:func:`_residue_vanishes`),
-    and each of the three factors out of it where it is one polynomial on
-    H.  On a hyperplane that some e(T_p) carries twice, the sum over its
-    points must keep no H in its denominator.  Failures are summed in full.
-
-    Whether a class is 0 or one polynomial on H is certified factor by
-    factor (:func:`_on_hyperplanes`) for every class whose entries have
-    :func:`algebra.factored` forms: the envelopes and the default [L_r] on
-    product data.  The constant 1, a caller's gamma and any hyperplane that
-    the forms leave undecided are restricted exactly, once per entry and H,
-    and only where a residue needs them.
+    contains H can give a pole along H.  A pairing is certified where the
+    residue of Stab(p), gamma and Stab_op(q) vanishes by the residue rule
+    (:func:`_residue_vanishes`) on every H that each e(T_p) carries once, and
+    :func:`_repeated_pole` finds the sum over the points of every H that some
+    e(T_p) carries twice free of H.  Every other pairing is summed in full
+    and fails when that sum is not a polynomial.  Whether a class is 0 or one
+    polynomial on H is read factor by factor (:func:`_on_hyperplanes`) where
+    its entries have :func:`algebra.factored` forms: the envelopes and the
+    default [L_r] on product data.  The constant 1 and a caller's gamma are
+    restricted exactly, and only where a residue needs them.
     """
     _check_paired(data, op_data)
     if gammas is None:
@@ -426,10 +418,11 @@ def check_polynomiality(stabs, op_stabs, data, op_data, gammas=None):
                     ok = ok and not _repeated_pole(u, o.restrictions, data, repeated)
                 if not ok:
                     pairing = virtual_pairing(u, o.restrictions, data)
-                    report.fail(
-                        f"(Stab({s.point})*gamma[{k}], Stab_op({o.point})) = "
-                        f"{pairing.render()} is not polynomial"
-                    )
+                    if not pairing.is_polynomial():
+                        report.fail(
+                            f"(Stab({s.point})*gamma[{k}], Stab_op({o.point})) = "
+                            f"{pairing.render()} is not polynomial"
+                        )
     return report
 
 
@@ -442,7 +435,7 @@ def _on_hyperplanes(vec, simple, flat):
     every point gives the same sum of one product (one polynomial, not 0), or
     of several where H is ``flat`` (one polynomial, and sum_p M_p = 0 makes the
     residue 0 whatever it is).  Elsewhere it is False: undecided, and left to
-    the exact restrictions of :func:`_residue_vanishes`."""
+    the exact restrictions of the residue rule, :func:`_residue_vanishes`."""
     sums, out = {p: algebra.factored(r) for p, r in vec.items()}, {}
     for key, points in simple.items():
         views = [s and s.restrict(key) for s in map(sums.get, points)]
@@ -513,37 +506,28 @@ def _hyperplanes(data):
 
 
 def _residue_vanishes(key, points, classes, flat):
-    """Whether the residue on the simple hyperplane H(key) of the pairing of
-    the product of ``classes`` is zero: sum_p c_1|_p * ... * c_k|_p * M_p,
-    with ``points`` mapping each point p on H to M_p.  Each class is a vector
-    with what :func:`_on_hyperplanes` gives for it, which this completes where
-    it is undecided (False): H is dropped where every exact restriction is 0,
-    and the value is the one polynomial they are, or ``{p: vec[p] on H}``.
+    """Whether the residue rule proves zero the residue on the simple
+    hyperplane H(key) of the pairing of the product of ``classes``: sum_p
+    c_1|_p * ... * c_k|_p * M_p, with ``points`` mapping each point p on H to
+    M_p.  Each class comes with its view from :func:`_on_hyperplanes`, and
+    only where that is undecided (False) are its entries restricted exactly
+    (:func:`algebra.restrict`); nothing is written into either.
 
-    Where each class is one polynomial g_i != 0 on H, that is g_1 * ... *
-    g_k * sum_p M_p, and polynomials on H form an integral domain: it is zero
-    iff sum_p M_p is: ``flat[key]``, decided once per hyperplane, with no
-    product formed.  A global class agrees so along each torus-invariant
-    curve (the GKM condition), but classes are input: where one does not
-    agree, the products are summed, and a single nonzero one is never zero.
+    The residue is zero where some class is 0 at every point of H.  Where
+    each is one polynomial g_i != 0 on H, it is g_1 * ... * g_k * sum_p M_p,
+    zero iff sum_p M_p is (polynomials on H form an integral domain):
+    ``flat[key]``, with no product formed.  A global class agrees so along
+    each torus-invariant curve (the GKM condition), but classes are input:
+    where one does not, nothing is certified, and the caller sums in full.
     """
+    uniform = True
     for vec, c in classes:
         if c[key] is False:
             on = [algebra.restrict(vec[p], key) for p in points]
             if not any(on):
-                del c[key]
                 return True
-            c[key] = on[0] if all(r == on[0] for r in on) else dict(zip(points, on))
-    on = [c[key] for _, c in classes]
-    if not any(isinstance(r, dict) for r in on):
-        return flat[key]
-    terms = [  # a class that is True on H is restricted here, at each point
-        (m, [r[p] if isinstance(r, dict) else algebra.restrict(vec[p], key) if r is True else r
-             for (vec, _), r in zip(classes, on)])
-        for p, m in points.items()
-    ]
-    live = [(m, rs) for m, rs in terms if all(rs)]
-    return len(live) != 1 and not sum(math.prod(rs, start=m) for m, rs in live)
+            uniform = uniform and all(r == on[0] for r in on)
+    return uniform and flat[key]
 
 
 def opposite_order_check(data, op_data):

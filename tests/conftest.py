@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import json
 import random
 from collections import Counter
 from pathlib import Path
@@ -104,6 +105,20 @@ def tstar_module():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def failing_pair(n, workdir):
+    """The two paths of ``write_pair(n, 1, workdir)`` data with one wrong factor:
+    in the forward file, the entry of the last point of ``order`` at the first
+    has its first ``+h)`` made ``+2*h)``.  Every loader check still passes,
+    and some pairings are not polynomials."""
+    path, op_path = tstar_module().write_pair(n, 1, workdir)
+    raw = json.loads(path.read_text())
+    row, first = raw["restrictions"][raw["order"][-1]], raw["order"][0]
+    assert "+h)" in row[first]
+    row[first] = row[first].replace("+h)", "+2*h)", 1)
+    path.write_text(json.dumps(raw, indent=1))
+    return path, op_path
 
 
 def relabeled(raw, a, b):

@@ -550,6 +550,19 @@ def test_rational_fn_arithmetic():
     assert RationalFn(one * poly_parse("t1-t2", 2), den1) == 1
 
 
+def test_rational_fn_compares_unequal_to_foreign_types():
+    # a type that is not a number, a Poly or a RationalFn is never equal,
+    # in a row of a gram matrix or alone, and is not added
+    r = RationalFn(Poly.const(2, 1), FactoredClass(2, 1, [((1, 2, 0), 1)]))
+    row = [RationalFn(Poly.const(2, 0)), r]
+    for foreign in (None, "1"):
+        assert not r == foreign and r != foreign and foreign != r
+        assert foreign not in row and row.count(foreign) == 0
+        with pytest.raises(TypeError):
+            r + foreign
+    assert r in row and 0 in row and Fraction(0) in row
+
+
 def test_rational_fn_is_unhashable():
     # 1/(t1-t2) and -1/(t2-t1) are equal, but their (num, den) differ, so
     # no hash of (num, den) could agree with ==

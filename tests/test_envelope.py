@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from bowvariety import algebra, cli, envelope, errors, tangent, tie
-from conftest import DATA, pack, relabeled, tstar_module
+from conftest import DATA, failing_pair, pack, relabeled, tstar_module
 
 
 def load_fixture(fixtures_dir, name):
@@ -658,7 +658,8 @@ def test_classes_without_factored_forms_take_the_exact_path(fixtures_dir, monkey
     # factored forms live on Polys, not on StabClass.coeffs: an envelope
     # edited by dataclasses.replace keeps its coeffs but holds new Polys, and
     # so does a caller's test class; neither has a factored form, so each
-    # residue they meet is decided from the exact restrictions
+    # residue they meet is decided from the exact restrictions, which are
+    # read, never written into the views the caller keeps
     data, op_data = (load_fixture(fixtures_dir, f"tstar_p2_chamber{c}.json") for c in ("123", "321"))
     stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
     h = algebra.Poly.variable(data.nvars, 0)
@@ -672,19 +673,33 @@ def test_classes_without_factored_forms_take_the_exact_path(fixtures_dir, monkey
     for vec in bare:
         assert envelope._on_hyperplanes(vec, simple, flat) == dict.fromkeys(simple, False)
     calls, vanishes = [], envelope._residue_vanishes
-    monkeypatch.setattr(envelope, "_residue_vanishes", lambda *a: calls.append(a) or vanishes(*a))
+
+    def unchanged(key, points, classes, flat):
+        views = [dict(on) for _, on in classes]
+        result = vanishes(key, points, classes, flat)
+        assert [on for _, on in classes] == views
+        calls.append((key, points, classes, result))
+        return result
+
+    monkeypatch.setattr(envelope, "_residue_vanishes", unchanged)
     args = (edited, op_stabs, data, op_data)
     report = envelope.check_polynomiality(*args, gammas=[gamma])
     expected = reference_check_polynomiality(*args, gammas=[gamma])
     assert (report.ok, report.messages) == (expected.ok, expected.messages)
     reached = 0
-    for key, _, classes, _ in calls:
-        for vec, on in classes:
-            if any(vec is b for b in bare):
-                exact = exact_on_hyperplanes(vec, simple)
-                assert on.get(key, 0) == exact.get(key, 0)  # completed in place, or dropped as 0
-                reached += 1
+    for key, points, classes, result in calls:
+        if any(vec is b for vec, _ in classes for b in bare):
+            assert not result or not exact_residue(key, points, [vec for vec, _ in classes])
+            reached += 1
     assert reached > 0
+
+
+def exact_residue(key, points, vecs):
+    """sum_p M_p * vec_1[p]|_H * ... * vec_k[p]|_H on the hyperplane H(key)."""
+    return sum(
+        math.prod((algebra.restrict(vec[p], key) for vec in vecs), start=m)
+        for p, m in points.items()
+    )
 
 
 def test_rows_that_differ_but_agree_on_a_hyperplane_take_the_exact_path(fixtures_dir):
@@ -708,8 +723,9 @@ def test_rows_that_differ_but_agree_on_a_hyperplane_take_the_exact_path(fixtures
     assert vec[q] == vec[p] and algebra.factored(vec[p]).restrict(key) != vec[q]._factored.restrict(key)
     on = envelope._on_hyperplanes(vec, simple, flat)
     assert on[key] is False
+    views = dict(on)
     assert envelope._residue_vanishes(key, simple[key], [(vec, on)], flat) == flat[key]
-    assert on[key] == exact_on_hyperplanes(vec, simple)[key] == vec[p]
+    assert on == views and exact_on_hyperplanes(vec, simple)[key] == vec[p]
     stabs, op_stabs = envelope.stable_envelopes(data), envelope.stable_envelopes(op_data)
     args = (stabs, op_stabs, data, op_data)
     report = envelope.check_polynomiality(*args, gammas=[vec])
@@ -775,7 +791,8 @@ def test_classes_that_agree_on_a_hyperplane_form_no_products(monkeypatch):
     # on T*P^3 every envelope and every default class restricts to one
     # polynomial on each simple hyperplane, so neither the gram matrix nor
     # the polynomiality check forms a product; a class edited at one point of
-    # one hyperplane is summed from products there, and only there
+    # one hyperplane is certified nowhere on it, so each pairing that meets
+    # that hyperplane is summed in full, and the residue forms no product
     tstar = tstar_module()
     sigma = (3, 1, 4, 2)
     data = envelope.load_attraction_data(tstar.attraction_data(4, sigma))
@@ -785,31 +802,64 @@ def test_classes_that_agree_on_a_hyperplane_form_no_products(monkeypatch):
     one = {p: algebra.Poly.const(data.nvars, 1) for p in data.order}
     envelope.check_polynomiality(*args, gammas=[one])  # fills the memo of expanded Euler classes
     products, formed = [], Counter()  # formed: hyperplane -> residues there that formed products
-    mul, vanishes = algebra.Poly.__mul__, envelope._residue_vanishes
+    uncertified, summed = [], []  # the opposite class of each pairing not certified, of each sum
+    mul, vanishes, pairing = algebra.Poly.__mul__, envelope._residue_vanishes, envelope.virtual_pairing
 
-    def counted(key, *a):
+    def counted(key, points, classes, flat):
         before = len(products)
-        result = vanishes(key, *a)
+        result = vanishes(key, points, classes, flat)
         if len(products) > before:
             formed[key] += 1
+        if not result:
+            uncertified.append((key, classes[-1][0]))
         return result
 
     monkeypatch.setattr(algebra.Poly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     monkeypatch.setattr(envelope, "_residue_vanishes", counted)
+    monkeypatch.setattr(envelope, "virtual_pairing", lambda u, v, *a: summed.append(v) or pairing(u, v, *a))
     gram = envelope.gram_matrix(*args)
     assert envelope.check_polynomiality(*args).ok
-    assert products == [] and formed == Counter()
+    assert products == [] and formed == Counter() and uncertified == summed == []
     assert all(e == int(i == j) for i, row in enumerate(gram) for j, e in enumerate(row))
 
     p = data.order[0]
     simple, _ = data.hyperplanes
     w = next(w for w, _ in data.full_euler[p].factors if len(simple[algebra.hyperplane(w)[0]]) > 1)
+    key = algebra.hyperplane(w)[0]
     rest = [(v, n) for v, n in data.full_euler[p].factors if v != w]
     edited = dict(one, **{p: one[p] + algebra.FactoredClass(data.nvars, 1, rest).expand()})
     report = envelope.check_polynomiality(*args, gammas=[edited])
-    assert list(formed) == [algebra.hyperplane(w)[0]]
+    assert formed == Counter()
+    meets = [  # the pairings whose envelopes are not 0 at every point of H(key)
+        o.restrictions for s in stabs for o in op_stabs
+        if key in exact_on_hyperplanes(s.restrictions, simple)
+        and key in exact_on_hyperplanes(o.restrictions, simple)
+    ]
+    assert meets and {k for k, _ in uncertified} == {key}
+    assert [o for _, o in uncertified] == summed == meets
     expected = reference_check_polynomiality(*args, gammas=[edited])
     assert not expected.ok and (report.ok, report.messages) == (expected.ok, expected.messages)
+
+
+def test_every_pairing_the_residue_rule_leaves_of_a_failing_pair_has_a_pole(tmp_path, monkeypatch):
+    # T*P^3 data with one wrong factor: outside the repeated hyperplanes,
+    # which this data has none of, a pairing is certified by the residue
+    # rule or summed by virtual_pairing, and here every sum has a pole
+    path, op_path = failing_pair(4, tmp_path)
+    data, op_data = map(envelope.load_attraction_data, (path, op_path))
+    assert data.hyperplanes[1] == {}
+    args = (envelope.stable_envelopes(data), envelope.stable_envelopes(op_data), data, op_data)
+    summed, sums = envelope.virtual_pairing, []
+    monkeypatch.setattr(envelope, "virtual_pairing", lambda *a: sums.append(summed(*a)) or sums[-1])
+    envelope.gram_matrix(*args)
+    in_gram = len(sums)
+    report = envelope.check_polynomiality(*args)
+    assert (in_gram, len(sums)) == (1, 1 + 6)
+    assert not any(s.is_polynomial() for s in sums)
+    expected = reference_check_polynomiality(*args)
+    assert not report.ok and (report.ok, report.messages) == (expected.ok, expected.messages)
+    out = io.StringIO()
+    assert cli.run(["pair", "--data", str(path), "--opposite", str(op_path)], out=out) == 3
 
 
 # ---------------------------------------------------------------------------
